@@ -43,6 +43,7 @@ from .structure import (
     FieldDatum,
     GroupLikeSet,
     LocalDecomposition,
+    decomposition,
     etale_part,
     gp_adjunction_checks,
     group_likes,

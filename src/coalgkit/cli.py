@@ -221,10 +221,8 @@ def _dispatch(opts, workspace, seed):
         )
     if cmd == "decompose":
         C = args[0]
-        from .coalgebra import dual_algebra
-
         comps, iso = structure_mod.irreducible_components(C)
-        dec = structure_mod.local_decomposition(dual_algebra(C))
+        dec = structure_mod.decomposition(C)
         return _report(
             "decompose",
             ok=True,

@@ -21,7 +21,11 @@ from .linalg import Matrix, Subspace, kronecker, tensor_swap
 
 
 class Coalgebra:
-    __slots__ = ("field", "dim", "delta", "epsilon", "_cols")
+    """A coalgebra is immutable once constructed: data derived from it (the
+    sparse coproduct columns here, the local decomposition and etale data
+    kept by `structure`) is computed on first use and stored on the object."""
+
+    __slots__ = ("field", "dim", "delta", "epsilon", "_cols", "_structure")
 
     def __init__(self, field, dim, delta, epsilon):
         if delta.rows != dim * dim or delta.cols != dim:
@@ -33,6 +37,7 @@ class Coalgebra:
         self.delta = delta
         self.epsilon = epsilon
         self._cols = None
+        self._structure = None
 
     def delta_columns(self):
         """Sparse coproduct columns: per j, a list of ((i, k), value)."""
@@ -52,9 +57,6 @@ class Coalgebra:
 
     def counit_of(self, vec):
         return self.epsilon.apply(vec)[0]
-
-    def coproduct_of(self, vec):
-        return self.delta.apply(vec)
 
     def __eq__(self, other):
         if not isinstance(other, Coalgebra):
@@ -260,17 +262,6 @@ def validate(obj):
     if isinstance(obj, ArtinAlgebra):
         return _validate_algebra(obj)
     raise ValidationError(f"cannot validate {type(obj).__name__}")
-
-
-def is_valid(obj):
-    return not validate(obj)
-
-
-def require_valid(obj, what="object"):
-    report = validate(obj)
-    if report:
-        raise ValidationError(f"invalid {what}: {report}")
-    return obj
 
 
 def _validate_coalgebra(C):

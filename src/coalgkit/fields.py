@@ -335,9 +335,6 @@ class ExtensionField(Field):
     def from_int(self, n):
         return self._wrap([n % self.p])
 
-    def frobenius(self, a):
-        return self.pow(a, self.p)
-
     def pth_root(self, a):
         # x -> x^p has order deg on F_q, so the inverse is x -> x^(p^(deg-1))
         return self.pow(a, self.p ** (self.deg - 1))
@@ -390,18 +387,17 @@ class ExtensionField(Field):
             neg = term.startswith("-")
             if neg:
                 term = term[1:]
-            if "x" in term:
-                coef_part, _, pow_part = term.partition("x")
-                coef = int(coef_part.rstrip("*")) if coef_part.rstrip("*") else 1
-                exp = int(pow_part[1:]) if pow_part.startswith("^") else (1 if not pow_part else None)
-                if exp is None:
-                    raise ParseError(f"bad term {term!r} in {s!r}")
-            else:
-                try:
-                    coef = int(term)
-                except ValueError:
-                    raise ParseError(f"bad term {term!r} in {s!r}") from None
-                exp = 0
+            try:
+                if "x" in term:
+                    coef_part, _, pow_part = term.partition("x")
+                    coef = int(coef_part.rstrip("*")) if coef_part.rstrip("*") else 1
+                    exp = int(pow_part[1:]) if pow_part.startswith("^") else (1 if not pow_part else None)
+                else:
+                    coef, exp = int(term), 0
+            except ValueError:
+                exp = None
+            if exp is None:
+                raise ParseError(f"bad term {term!r} in {s!r}")
             if exp >= self.deg:
                 raise ParseError(f"exponent {exp} exceeds field degree in {s!r}")
             coeffs[exp] = (coeffs[exp] + (-coef if neg else coef)) % self.p

@@ -39,6 +39,16 @@ def _expect(obj, kind):
         raise ParseError(f"expected type {kind!r}, found {obj.get('type')!r}")
 
 
+def _require(ok, name, want):
+    """Raise a ParseError naming the document field unless ok."""
+    if not ok:
+        raise ParseError(f"{name} must be {want}")
+
+
+def _is_strings(value):
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
 # -- matrices and vectors -------------------------------------------------
 
 
@@ -55,6 +65,8 @@ def matrix_from_json(field, obj):
     try:
         rows, cols = obj["rows"], obj["cols"]
         entries = obj["entries"]
+        _require(isinstance(entries, list) and all(map(_is_strings, entries)),
+                 "matrix 'entries'", "a list of rows of strings")
         data = [[field.parse(s) for s in row] for row in entries]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad matrix: {exc}") from None
@@ -66,6 +78,7 @@ def vector_to_json(field, vec):
 
 
 def vector_from_json(field, obj):
+    _require(_is_strings(obj), "vector", "a list of strings")
     return [field.parse(s) for s in obj]
 
 
@@ -85,8 +98,27 @@ def coalgebra_to_json(C):
     return out
 
 
+def _check_coalgebra_types(obj):
+    """JSON types of a coalgebra document, checked before anything is built,
+    so that a mistyped field is a parse error naming it."""
+    spec = obj.get("field")
+    _require(isinstance(spec, dict), "'field'", "an object")
+    if spec.get("kind") in ("Fp", "Fq"):
+        _require(type(spec.get("p")) is int, "'field.p'", "an integer")
+    if spec.get("kind") == "Fq":
+        modulus = spec.get("modulus")
+        _require(isinstance(modulus, list) and all(type(c) is int for c in modulus),
+                 "'field.modulus'", "a list of integers")
+    _require(type(obj.get("dim")) is int, "'dim'", "an integer")
+    cols = obj.get("delta")
+    _require(isinstance(cols, list) and all(map(_is_strings, cols)),
+             "'delta'", "a list of columns of strings")
+    _require(_is_strings(obj.get("epsilon")), "'epsilon'", "a list of strings")
+
+
 def coalgebra_from_json(obj):
     _expect(obj, "coalgebra")
+    _check_coalgebra_types(obj)
     field = field_from_json(obj["field"])
     n = obj["dim"]
     cols = obj["delta"]

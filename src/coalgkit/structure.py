@@ -327,10 +327,6 @@ class LocalDecomposition:
     def radicals(self):
         return [c.radical for c in self.components]
 
-    @property
-    def residue_fields(self):
-        return [c.residue for c in self.components]
-
     def __repr__(self):
         dims = [c.dim for c in self.components]
         return f"LocalDecomposition({self.algebra!r} = {dims})"
@@ -525,12 +521,34 @@ class EtaleData:
         return f"EtaleData(dim {self.etale.dim} inside dim {self.coalgebra.dim})"
 
 
+def _memoized(C, key, build):
+    """build(), computed once and stored on the (immutable) coalgebra C;
+    every caller shares the result and must not modify it."""
+    if C._structure is None:
+        C._structure = {}
+    if key not in C._structure:
+        C._structure[key] = build()
+    return C._structure[key]
+
+
+def decomposition(C, seed=_SEARCH_SEED):
+    """Local decomposition of the dual algebra C^dual, memoized on C."""
+    return _memoized(
+        C, ("decomposition", seed), lambda: local_decomposition(dual_algebra(C), seed)
+    )
+
+
 def etale_part(C, seed=_SEARCH_SEED):
     """Simple subcoalgebras, their sum Et(C), the inclusion, and the unique
-    coalgebra retraction C -> Et(C) obtained from Wedderburn splittings."""
+    coalgebra retraction C -> Et(C) obtained from Wedderburn splittings.
+
+    Memoized on C like `decomposition`."""
+    return _memoized(C, ("etale", seed), lambda: _etale_data(C, seed))
+
+
+def _etale_data(C, seed):
     F = C.field
-    A = dual_algebra(C)
-    dec = local_decomposition(A, seed)
+    dec = decomposition(C, seed)
     splittings = [wedderburn_splitting(c, seed) for c in dec.components]
     q_blocks = []
     s_blocks = []
@@ -572,8 +590,7 @@ def irreducible_components(C, seed=_SEARCH_SEED):
     components is a list of (Coalgebra, inclusion); iso is the coalgebra
     isomorphism from their direct sum onto C.
     """
-    A = dual_algebra(C)
-    dec = local_decomposition(A, seed)
+    dec = decomposition(C, seed)
     comps = []
     for comp in dec.components:
         coalg = dual_coalgebra(comp.algebra)
@@ -621,21 +638,6 @@ def group_likes(C, etale=None, seed=_SEARCH_SEED):
             q_i = w.retract @ comp.projection
             elements.append(q_i.row(0))
     return GroupLikeSet(C, elements)
-
-
-def is_group_like(C, vec):
-    F = C.field
-    if not F.is_one(C.counit_of(vec)):
-        return False
-    n = C.dim
-    dv = C.delta.apply(vec)
-    for i in range(n):
-        vi = vec[i]
-        for k in range(n):
-            expected = F.mul(vi, vec[k])
-            if dv[i * n + k] != expected:
-                return False
-    return True
 
 
 def counit_of_gp_adjunction(C, etale=None, seed=_SEARCH_SEED):
@@ -781,7 +783,8 @@ def naturality_suite(phi, seed=_SEARCH_SEED):
     comps_C, _ = irreducible_components(C, seed)
     comps_D, _ = irreducible_components(D, seed)
     comp_ok = True
-    for (simple, s_inc), (comp, c_inc) in zip(EC.simples, _component_pairs(EC, comps_C)):
+    # simples and components are produced in the same component order
+    for (simple, s_inc), (comp, c_inc) in zip(EC.simples, comps_C):
         image_simple = Subspace.from_vectors(
             C.field, D.dim, [phi.matrix.apply(col) for col in s_inc.matrix.transpose().data]
         )
@@ -803,8 +806,3 @@ def naturality_suite(phi, seed=_SEARCH_SEED):
     square = induced @ EC.retraction.matrix == ED.retraction.matrix @ phi.matrix
     checks.append(("retraction-square", square))
     return {"checks": checks, "ok": all(ok for _, ok in checks)}
-
-
-def _component_pairs(etale_data, comps):
-    # simples and components are produced in the same component order
-    return comps

@@ -116,6 +116,40 @@ def test_cli_parse_error_exit_2():
     assert "parse error" in proc.stderr
 
 
+# top-level replacements in demos/data/dual_numbers.json, and the name the
+# parse error must give
+MISTYPED = [
+    ({"delta": [[1, 0, 0, 0], [0, 1, 1, 0]]}, "'delta'"),
+    ({"delta": None}, "'delta'"),
+    ({"epsilon": None}, "'epsilon'"),
+    ({"field": {"kind": "Fp", "p": "2"}}, "'field.p'"),
+    ({"field": {"kind": "Fq", "p": 2, "modulus": [1, 1, 1]}, "epsilon": ["1", "ax"]}, "'ax'"),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "decompose"])
+@pytest.mark.parametrize("changes, named", MISTYPED, ids=[
+    "int-entries", "null-delta", "null-epsilon", "string-p", "bad-fq-term"])
+def test_cli_mistyped_coalgebra_is_parse_error(tmp_path, capsys, command, changes, named):
+    from coalgkit import cli
+
+    with open(os.path.join(DATA, "dual_numbers.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc.update(changes)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["--format", "json", command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error") and named in err
+
+
+def test_numeric_entries_are_parse_errors():
+    with pytest.raises(ParseError, match="entries"):
+        jsonio.matrix_from_json(F2, {"rows": 1, "cols": 1, "entries": [[1]]})
+    with pytest.raises(ParseError, match="vector"):
+        jsonio.vector_from_json(F2, [1, 0])
+
+
 def test_cli_validation_error_exit_3():
     import tempfile
 

@@ -1,8 +1,9 @@
 import itertools
 import random
 
+import pytest
 
-from coalgkit import corpus
+from coalgkit import corpus, jsonio, structure
 from coalgkit.coalgebra import (
     Coalgebra,
     CoalgebraMorphism,
@@ -18,6 +19,7 @@ from coalgkit.oracles import unique_retraction
 from coalgkit.polys import Polynomial
 from coalgkit.structure import (
     brute_force_group_likes,
+    decomposition,
     etale_part,
     gp_adjunction_checks,
     group_likes,
@@ -321,6 +323,66 @@ def test_gp_adjunction_examples():
     rep = gp_adjunction_checks(C=C4)
     assert rep["ok"]
     assert all(name != "split-counit-iso-onto-etale" for name, _ in rep["checks"])
+
+
+# -- one decomposition per coalgebra and seed --------------------------------------
+
+
+def _view(C, name):
+    """One structure view of C in canonical-JSON-ready form."""
+    if name == "etale":
+        data = etale_part(C)
+        return [jsonio.matrix_to_json(data.inclusion.matrix),
+                jsonio.matrix_to_json(data.retraction.matrix)]
+    if name == "components":
+        comps, iso = irreducible_components(C)
+        return [[c.dim for c, _ in comps], jsonio.matrix_to_json(iso.matrix)]
+    if name == "group-likes":
+        return [jsonio.vector_to_json(C.field, v) for v in group_likes(C)]
+    return gp_adjunction_checks(C=C)["checks"]
+
+
+VIEWS = ["etale", "components", "group-likes", "gp-checks"]
+# (x^2 - 2)(x - 1)^2 over Q and x(x^2 + 1) over F_3: a non-rational residue
+# field next to a rational one
+MEMO_CASES = [(QQ, [-2, 4, -1, -2, 1]), (F3, [0, 1, 0, 1])]
+
+
+def _count_decompositions(monkeypatch):
+    calls = []
+    original = structure.local_decomposition
+
+    def counting(A, seed=structure._SEARCH_SEED):
+        calls.append((A.dim, seed))
+        return original(A, seed)
+
+    monkeypatch.setattr(structure, "local_decomposition", counting)
+    return calls
+
+
+@pytest.mark.parametrize("field, ints", MEMO_CASES)
+def test_structure_views_share_one_decomposition(monkeypatch, field, ints):
+    doc = jsonio.coalgebra_to_json(dual_coalgebra(pqa(field, ints)))
+    C = jsonio.coalgebra_from_json(doc)
+    calls = _count_decompositions(monkeypatch)
+    shared = {name: _view(C, name) for name in VIEWS}
+    n_group_likes = len(group_likes(C))
+    # C once, then the pointwise coalgebra on its group-likes in the gp check
+    assert calls == [(C.dim, structure._SEARCH_SEED), (n_group_likes, structure._SEARCH_SEED)]
+    fresh = {name: _view(jsonio.coalgebra_from_json(doc), name) for name in VIEWS}
+    assert jsonio.canonical_json(shared) == jsonio.canonical_json(fresh)
+
+
+@pytest.mark.parametrize("field, ints", MEMO_CASES)
+def test_decomposition_is_kept_per_seed(monkeypatch, field, ints):
+    C = dual_coalgebra(pqa(field, ints))
+    calls = _count_decompositions(monkeypatch)
+    default = decomposition(C)
+    other = decomposition(C, seed=7)
+    assert other is not default and decomposition(C, seed=7) is other
+    assert etale_part(C, seed=7).decomposition is other
+    assert etale_part(C).decomposition is default
+    assert calls == [(C.dim, structure._SEARCH_SEED), (C.dim, 7)]
 
 
 # -- retraction uniqueness and naturality ---------------------------------------------

@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
+from .linalg import Matrix
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -65,13 +66,17 @@ def _validate_entity(entity):
             raise ValidationError(f"invalid presheaf: {bad[:4]}")
 
 
-def _load_file(path, workspace=None, check=True):
+def _read_document(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    obj = jsonio.load_document(text, path)
+    return jsonio.load_document(text, path)
+
+
+def _load_file(path, workspace=None, check=True):
+    obj = _read_document(path)
     resolve = workspace.resolve if workspace else None
     entity = jsonio.parse_entity(obj, resolve=resolve)
     if check:
@@ -252,7 +257,7 @@ def _dispatch(opts, workspace, seed):
             retraction=jsonio.matrix_to_json(data.retraction.matrix),
             splits_inclusion=bool(
                 data.retraction.matrix @ data.inclusion.matrix
-                == _identity(C.field, data.etale.dim)
+                == Matrix.identity(C.field, data.etale.dim)
             ),
         )
     if cmd == "subgen":
@@ -320,9 +325,7 @@ def _dispatch(opts, workspace, seed):
         FC = _argument_entity(opts.args[0], workspace)
         if not isinstance(FC, day_mod.DayCoalgebra):
             raise ParseError("first argument must be a day-coalgebra document")
-        with open(opts.args[1], "r", encoding="utf-8") as fh:
-            obj = jsonio.load_document(fh.read(), opts.args[1])
-        sub0 = jsonio.day_subpresheaf_from_json(obj, FC.presheaf)
+        sub0 = jsonio.day_subpresheaf_from_json(_read_document(opts.args[1]), FC.presheaf)
         subc, incl, spaces = closure_mod.generated_day_subcoalgebra(FC, sub0)
         return _report(
             "day-subgen",
@@ -339,20 +342,12 @@ def _day_triple(paths, workspace):
         raise ParseError("first argument must be a day-category document")
     fs = []
     for p in paths[1:]:
-        with open(p, "r", encoding="utf-8") as fh:
-            obj = jsonio.load_document(fh.read(), p)
-        fs.append(jsonio.day_presheaf_from_json(obj, category=cat))
+        fs.append(jsonio.day_presheaf_from_json(_read_document(p), category=cat))
     for F in fs:
         bad = F.validate()
         if bad:
             raise ValidationError(f"invalid presheaf: {bad[:4]}")
     return cat, fs[0], fs[1]
-
-
-def _identity(field, n):
-    from .linalg import Matrix
-
-    return Matrix.identity(field, n)
 
 
 if __name__ == "__main__":

@@ -15,10 +15,23 @@ basis tensors phi (x) s (x) t, the difference
 inside the direct sum over object pairs (X, Y) of
 hom(U, X (x) Y) (x) F(X) (x) G(Y); bilinearity makes basis-indexed relations
 sufficient.  The quotient coordinates come from the canonical non-pivot
-projection, so convolutions are deterministic.  Insertion maps into each
-block are retained so that natural maps in and out of a convolution can be
-built blockwise.
+projection, so convolutions are deterministic.
+
+D-level layout.  The direct sum D(U) is stored as one block per object pair
+(X, Y) with hom(U, X (x) Y), F(X) and G(Y) all nonzero, in the order of X,
+then Y.  DayTensor.blocks[U] lists them as (X, Y, off, hd, fd, gd), the
+block's offset in D(U) and its three dimensions; block_index[U] maps (X, Y)
+to its position there.  Inside a block, the basis tensor
+phi (x) s (x) t (phi < hd, s < fd, t < gd) has index
+
+    off + (phi * fd + s) * gd + t.
+
+Only this module reads that index.  Callers elsewhere go through
+DayTensor.insert, DayTensor.legs and d_level_nat, and through the
+projections (D(U) -> Q(U)) and sections (Q(U) -> D(U)) of the quotient.
 """
+
+from functools import partial
 
 from .errors import CategoryMismatch, ComputationError, ShapeMismatch, ValidationError
 from .linalg import Matrix, Subspace, quotient_maps
@@ -62,16 +75,11 @@ class LinearMonoidalCategory:
             raise ShapeMismatch("morphism coordinate length mismatch")
         return (a, b, tuple(coords))
 
-    def zero_mor(self, a, b):
-        return (a, b, (self.field.zero,) * self.hom_dim(a, b))
-
     def id_mor(self, a):
         return (a, a, tuple(self.identities[a]))
 
     def basis_mor(self, a, b, i):
-        F = self.field
-        d = self.hom_dim(a, b)
-        return (a, b, tuple(F.one if j == i else F.zero for j in range(d)))
+        return (a, b, tuple(_basis_vector(self.field, self.hom_dim(a, b), i)))
 
     def all_basis_mors(self):
         for a in range(self.size):
@@ -86,25 +94,30 @@ class LinearMonoidalCategory:
             return [self.field.zero] * self.hom_dim(a, c)
         return table[j][i]
 
+    def _bilinear(self, xc, yc, basis, dim):
+        """Sum over i, j of xc[i] * yc[j] * basis(i, j), as a coordinate tuple."""
+        F = self.field
+        out = [F.zero] * dim
+        for i, xv in enumerate(xc):
+            if F.is_zero(xv):
+                continue
+            for j, yv in enumerate(yc):
+                if F.is_zero(yv):
+                    continue
+                coef = F.mul(xv, yv)
+                for t, cv in enumerate(basis(i, j)):
+                    if not F.is_zero(cv):
+                        out[t] = F.add(out[t], F.mul(coef, cv))
+        return tuple(out)
+
     def compose_mor(self, g, f):
         """g o f for f: a -> b, g: b -> c."""
         a, b1, fc = f
         b2, c, gc = g
         if b1 != b2:
             raise ShapeMismatch("composition target/source mismatch")
-        F = self.field
-        out = [F.zero] * self.hom_dim(a, c)
-        for j, gv in enumerate(gc):
-            if F.is_zero(gv):
-                continue
-            for i, fv in enumerate(fc):
-                if F.is_zero(fv):
-                    continue
-                coef = F.mul(gv, fv)
-                for t, cv in enumerate(self.compose_basis(a, b1, c, j, i)):
-                    if not F.is_zero(cv):
-                        out[t] = F.add(out[t], F.mul(coef, cv))
-        return (a, c, tuple(out))
+        basis = partial(self.compose_basis, a, b1, c)
+        return (a, c, self._bilinear(gc, fc, basis, self.hom_dim(a, c)))
 
     def tensor_basis(self, a, b, c, d, i, j):
         """(basis i of hom(a,b)) (x) (basis j of hom(c,d))."""
@@ -118,21 +131,10 @@ class LinearMonoidalCategory:
     def tensor_mor_pair(self, f, g):
         a, b, fc = f
         c, d, gc = g
-        F = self.field
         src = self.tensor_obj[a][c]
         dst = self.tensor_obj[b][d]
-        out = [F.zero] * self.hom_dim(src, dst)
-        for i, fv in enumerate(fc):
-            if F.is_zero(fv):
-                continue
-            for j, gv in enumerate(gc):
-                if F.is_zero(gv):
-                    continue
-                coef = F.mul(fv, gv)
-                for t, cv in enumerate(self.tensor_basis(a, b, c, d, i, j)):
-                    if not F.is_zero(cv):
-                        out[t] = F.add(out[t], F.mul(coef, cv))
-        return (src, dst, tuple(out))
+        basis = partial(self.tensor_basis, a, b, c, d)
+        return (src, dst, self._bilinear(fc, gc, basis, self.hom_dim(src, dst)))
 
     def precompose_matrix(self, f, X):
         """Matrix of hom(b, X) -> hom(a, X), g -> g o f, for f: a -> b."""
@@ -224,6 +226,10 @@ class LinearMonoidalCategory:
                 if lhs != rhs:
                     failures.append(("symmetry-naturality", (a, b, c, d, i, j)))
         return failures
+
+
+def _basis_vector(fld, n, i):
+    return [fld.one if j == i else fld.zero for j in range(n)]
 
 
 # -- example categories ---------------------------------------------------
@@ -375,10 +381,6 @@ def representable(category, X):
     return DayPresheaf(category, dims, actions)
 
 
-def zero_presheaf(category):
-    return DayPresheaf(category, [0] * category.size, {})
-
-
 def direct_sum_presheaf(F, G):
     if F.category is not G.category:
         raise CategoryMismatch("direct sum across categories")
@@ -449,8 +451,11 @@ def identity_nat(F):
     )
 
 
-def nat_space(F, G):
-    """Basis of all natural transformations F -> G."""
+def _naturality_kernel(F, G):
+    """Solve theta_a o F(f) = G(f) o theta_b for every basis f: a -> b.
+
+    The unknown theta_U: F(U) -> G(U) is stored row-major at offsets[U] of
+    one vector; returns (offsets, kernel of the equations)."""
     cat = F.category
     fld = cat.field
     offsets = []
@@ -462,7 +467,7 @@ def nat_space(F, G):
     for (a, b, i) in cat.all_basis_mors():
         Fa = F.action(a, b, i)
         Ga = G.action(a, b, i)
-        # theta_a @ F(f) - G(f) @ theta_b = 0, entry (r, c): r < G.dims[a], c < F.dims[b]
+        # entry (r, c) of the equation: r < G.dims[a], c < F.dims[b]
         for r in range(G.dims[a]):
             for c in range(F.dims[b]):
                 row = [fld.zero] * total
@@ -476,17 +481,24 @@ def nat_space(F, G):
                 if any(not fld.is_zero(x) for x in row):
                     rows.append(row)
     space = Matrix.from_rows(fld, rows, total).kernel() if rows else Subspace.full(fld, total)
-    out = []
-    for vec in space.vectors():
-        mats = []
-        for U in range(cat.size):
-            data = [
-                vec[offsets[U] + r * F.dims[U] : offsets[U] + (r + 1) * F.dims[U]]
-                for r in range(G.dims[U])
-            ]
-            mats.append(Matrix(fld, G.dims[U], F.dims[U], data))
-        out.append(NatTransform(F, G, mats))
-    return out
+    return offsets, space
+
+
+def _component(fld, vec, off, rows, cols):
+    """The rows x cols matrix stored row-major at off in vec."""
+    return Matrix(fld, rows, cols, [vec[off + r * cols : off + (r + 1) * cols] for r in range(rows)])
+
+
+def nat_space(F, G):
+    """Basis of all natural transformations F -> G."""
+    offsets, space = _naturality_kernel(F, G)
+    fld = F.category.field
+    return [
+        NatTransform(F, G, [
+            _component(fld, vec, off, G.dims[U], F.dims[U]) for U, off in enumerate(offsets)
+        ])
+        for vec in space.vectors()
+    ]
 
 
 # -- Day convolution -------------------------------------------------------
@@ -544,7 +556,6 @@ class DayTensor:
             actions[(a, b, i)] = self.projections[a] @ D @ self.sections[b]
         self.presheaf = DayPresheaf(cat, dims, actions)
 
-    # block element index: (phi, s, t) -> offset + (phi*fd + s)*gd + t
     def _relation_matrix(self, U):
         cat = self.category
         fld = cat.field
@@ -640,14 +651,24 @@ class DayTensor:
                             vec[idx] = fld.add(vec[idx], fld.mul(c, tv))
         return self.projections[U].apply(vec)
 
-    def descend(self, U, d_level_matrix):
-        """Turn a map D(U) -> W that kills the relations into Q(U) -> W."""
-        out = d_level_matrix @ self.sections[U]
+    def legs(self, U, vec):
+        """Both tensor legs of a D-level element of D(U), as (object, vector)
+        pairs: per block the nonzero G-legs (one per phi, s), then the
+        nonzero F-legs (one per t, phi)."""
+        fld = self.category.field
+        out = []
+        for (X, Y, off, hd, fd, gd) in self.blocks[U]:
+            for pi in range(hd):
+                for s in range(fd):
+                    row = vec[off + (pi * fd + s) * gd : off + (pi * fd + s + 1) * gd]
+                    if any(not fld.is_zero(c) for c in row):
+                        out.append((Y, list(row)))
+            for t in range(gd):
+                for pi in range(hd):
+                    col = [vec[off + (pi * fd + s) * gd + t] for s in range(fd)]
+                    if any(not fld.is_zero(c) for c in col):
+                        out.append((X, col))
         return out
-
-    def kills_relations(self, U, d_level_matrix):
-        rel = self.relations[U]
-        return (d_level_matrix @ rel).is_zero() if rel.cols else True
 
     def dim(self, U):
         return self.presheaf.dims[U]
@@ -657,8 +678,9 @@ def day_convolve(F, G):
     return DayTensor(F, G)
 
 
-def convolve_nat(tensor_src, tensor_dst, alpha, beta):
-    """alpha (x) beta on convolutions: (F (*) G) -> (F' (*) G')."""
+def d_level_nat(tensor_src, tensor_dst, alpha, beta):
+    """alpha (x) beta on the direct sums: one matrix D_src(U) -> D_dst(U) per
+    object U."""
     cat = tensor_src.category
     fld = cat.field
     mats = []
@@ -689,8 +711,22 @@ def convolve_nat(tensor_src, tensor_dst, alpha, beta):
                                 )
             if hd != hd_d:
                 raise ComputationError("hom dimensions disagree between convolutions")
-        mats.append(tensor_dst.projections[U] @ M @ tensor_src.sections[U])
+        mats.append(M)
+    return mats
+
+
+def quotient_nat(tensor_src, tensor_dst, d_level):
+    """The map of convolutions induced by D-level matrices (one per object)
+    that carry relations into relations."""
+    mats = [
+        tensor_dst.projections[U] @ M @ tensor_src.sections[U] for U, M in enumerate(d_level)
+    ]
     return NatTransform(tensor_src.presheaf, tensor_dst.presheaf, mats)
+
+
+def convolve_nat(tensor_src, tensor_dst, alpha, beta):
+    """alpha (x) beta on convolutions: (F (*) G) -> (F' (*) G')."""
+    return quotient_nat(tensor_src, tensor_dst, d_level_nat(tensor_src, tensor_dst, alpha, beta))
 
 
 # -- structural isomorphisms ----------------------------------------------
@@ -702,62 +738,50 @@ def _descend_iso(tensor, mats, target):
     cat = tensor.category
     out = []
     for U in range(cat.size):
-        if not tensor.kills_relations(U, mats[U]):
+        rel = tensor.relations[U]
+        if rel.cols and not (mats[U] @ rel).is_zero():
             raise ComputationError("candidate map does not respect the coequalizer")
         out.append(mats[U] @ tensor.sections[U])
     return NatTransform(tensor.presheaf, target, out)
 
 
-def unit_right_iso(tensor):
-    """(F (*) h_1) -> F via s (x) psi -> F((id (x) psi) o phi)(s)."""
+def _unit_iso(tensor, right):
+    """(F (*) h_1) -> F if right, else (h_1 (*) F) -> F: phi (x) s (x) t goes
+    to F(chi) of the F-leg, chi = (id (x) psi) o phi or (psi (x) id) o phi for
+    the h_1-leg psi."""
     cat = tensor.category
     fld = cat.field
-    F = tensor.F
+    F = tensor.F if right else tensor.G
     mats = []
     for U in range(cat.size):
         M = Matrix.zeros(fld, F.dims[U], tensor.d_dims[U])
         for (X, Y, off, hd, fd, gd) in tensor.blocks[U]:
             for pi in range(hd):
                 phi = cat.basis_mor(U, cat.tensor_obj[X][Y], pi)
-                for t in range(gd):
-                    psi = cat.basis_mor(Y, cat.unit, t)
-                    chi = cat.compose_mor(cat.tensor_mor_pair(cat.id_mor(X), psi), phi)
-                    act = F.action_of(chi)  # F(X) -> F(U)
-                    for s in range(fd):
-                        colv = act.col(s)
-                        for r in range(F.dims[U]):
-                            if not fld.is_zero(colv[r]):
-                                M.data[r][off + (pi * fd + s) * gd + t] = fld.add(
-                                    M.data[r][off + (pi * fd + s) * gd + t], colv[r]
-                                )
+                for j in range(gd if right else fd):
+                    if right:
+                        leg = cat.tensor_mor_pair(cat.id_mor(X), cat.basis_mor(Y, cat.unit, j))
+                    else:
+                        leg = cat.tensor_mor_pair(cat.basis_mor(X, cat.unit, j), cat.id_mor(Y))
+                    act = F.action_of(cat.compose_mor(leg, phi))  # F(leg source) -> F(U)
+                    for k in range(fd if right else gd):
+                        s, t = (k, j) if right else (j, k)
+                        col = off + (pi * fd + s) * gd + t
+                        for r, v in enumerate(act.col(k)):
+                            if not fld.is_zero(v):
+                                M.data[r][col] = fld.add(M.data[r][col], v)
         mats.append(M)
     return _descend_iso(tensor, mats, F)
+
+
+def unit_right_iso(tensor):
+    """(F (*) h_1) -> F via s (x) psi -> F((id (x) psi) o phi)(s)."""
+    return _unit_iso(tensor, right=True)
 
 
 def unit_left_iso(tensor):
     """(h_1 (*) F) -> F."""
-    cat = tensor.category
-    fld = cat.field
-    F = tensor.G
-    mats = []
-    for U in range(cat.size):
-        M = Matrix.zeros(fld, F.dims[U], tensor.d_dims[U])
-        for (X, Y, off, hd, fd, gd) in tensor.blocks[U]:
-            for pi in range(hd):
-                phi = cat.basis_mor(U, cat.tensor_obj[X][Y], pi)
-                for s in range(fd):
-                    psi = cat.basis_mor(X, cat.unit, s)
-                    chi = cat.compose_mor(cat.tensor_mor_pair(psi, cat.id_mor(Y)), phi)
-                    act = F.action_of(chi)
-                    for t in range(gd):
-                        colv = act.col(t)
-                        for r in range(F.dims[U]):
-                            if not fld.is_zero(colv[r]):
-                                M.data[r][off + (pi * fd + s) * gd + t] = fld.add(
-                                    M.data[r][off + (pi * fd + s) * gd + t], colv[r]
-                                )
-        mats.append(M)
-    return _descend_iso(tensor, mats, F)
+    return _unit_iso(tensor, right=False)
 
 
 def yoneda_iso(tensor, X, Y):
@@ -826,8 +850,8 @@ def symmetry_iso(tensor_FG, tensor_GF):
                                 continue
                             dst = off2 + (r * gd2 + t) * fd2 + s
                             M.data[dst][src] = fld.add(M.data[dst][src], cv)
-        mats.append(tensor_GF.projections[U] @ M @ tensor_FG.sections[U])
-    return NatTransform(tensor_FG.presheaf, tensor_GF.presheaf, mats)
+        mats.append(M)
+    return quotient_nat(tensor_FG, tensor_GF, mats)
 
 
 def associator_iso(tensor_FG, tensor_FG_H, tensor_GH, tensor_F_GH):
@@ -860,23 +884,13 @@ def associator_iso(tensor_FG, tensor_FG_H, tensor_GH, tensor_F_GH):
                                         if fld.is_zero(c):
                                             continue
                                         # inner element of (G (*) H)(Y (x) Z)
-                                        id_yz = cat.id_mor(YZ)[2]
-                                        svec = [
-                                            fld.one if w == j2 else fld.zero
-                                            for w in range(tensor_GH.F.dims[Y])
-                                        ]
-                                        tvec = [
-                                            fld.one if w == t else fld.zero
-                                            for w in range(tensor_GH.G.dims[Z])
-                                        ]
-                                        ghelt = tensor_GH.insert(YZ, Y, Z, id_yz, svec, tvec)
-                                        fvec = [
-                                            fld.one if w == i2 else fld.zero
-                                            for w in range(tensor_F_GH.F.dims[X])
-                                        ]
-                                        outer = tensor_F_GH.insert(
-                                            U, X, YZ, shifted[2], fvec, ghelt
+                                        ghelt = tensor_GH.insert(
+                                            YZ, Y, Z, cat.id_mor(YZ)[2],
+                                            _basis_vector(fld, tensor_GH.F.dims[Y], j2),
+                                            _basis_vector(fld, tensor_GH.G.dims[Z], t),
                                         )
+                                        fvec = _basis_vector(fld, tensor_F_GH.F.dims[X], i2)
+                                        outer = tensor_F_GH.insert(U, X, YZ, shifted[2], fvec, ghelt)
                                         for r, ov in enumerate(outer):
                                             if not fld.is_zero(ov):
                                                 acc[r] = fld.add(acc[r], fld.mul(c, ov))
@@ -901,73 +915,23 @@ class InternalHom:
         self.G = G
         cat = F.category
         self.category = cat
-        fld = cat.field
         self.offsets = []
         self.bases = []
-        dims = []
         for U in range(cat.size):
-            offs = []
-            total = 0
-            for X in range(cat.size):
-                offs.append(total)
-                total += G.dims[cat.tensor_obj[U][X]] * F.dims[X]
-            self.offsets.append(offs)
-            rows = []
-            for (X, Y, i) in cat.all_basis_mors():
-                f = cat.basis_mor(X, Y, i)
-                Ff = F.action(X, Y, i)  # F(Y) -> F(X)
-                idU_f = cat.tensor_mor_pair(cat.id_mor(U), f)
-                Gf = G.action_of(idU_f)  # G(U (x) Y) -> G(U (x) X)
-                gUX = G.dims[cat.tensor_obj[U][X]]
-                gUY = G.dims[cat.tensor_obj[U][Y]]
-                # theta_X o F(f) = G(idU (x) f) o theta_Y : F(Y) -> G(U (x) X)
-                for r in range(gUX):
-                    for c in range(F.dims[Y]):
-                        row = [fld.zero] * total
-                        for k in range(F.dims[X]):
-                            v = Ff.data[k][c]
-                            if not fld.is_zero(v):
-                                row[offs[X] + r * F.dims[X] + k] = v
-                        for k in range(gUY):
-                            v = Gf.data[r][k]
-                            if not fld.is_zero(v):
-                                idx = offs[Y] + k * F.dims[Y] + c
-                                row[idx] = fld.sub(row[idx], v)
-                        if any(not fld.is_zero(x) for x in row):
-                            rows.append(row)
-            basis = (
-                Matrix.from_rows(fld, rows, total).kernel()
-                if rows
-                else Subspace.full(fld, total)
-            )
+            offsets, basis = _naturality_kernel(F, _shifted(G, U))
+            self.offsets.append(offsets)
             self.bases.append(basis)
-            dims.append(basis.dim)
         actions = {}
         for (a, b, i) in cat.all_basis_mors():
             actions[(a, b, i)] = self._action(a, b, i)
-        self.presheaf = DayPresheaf(cat, dims, actions)
+        self.presheaf = DayPresheaf(cat, [basis.dim for basis in self.bases], actions)
 
     def family_component(self, U, vec, X):
         """The component theta_X: F(X) -> G(U (x) X) of a raw family vector."""
         cat = self.category
-        fld = cat.field
-        gUX = self.G.dims[cat.tensor_obj[U][X]]
-        fX = self.F.dims[X]
-        off = self.offsets[U][X]
-        data = [vec[off + r * fX : off + (r + 1) * fX] for r in range(gUX)]
-        return Matrix(fld, gUX, fX, data)
-
-    def raw_of_coords(self, U, coords):
-        fld = self.category.field
-        total = self.bases[U].ambient
-        vec = [fld.zero] * total
-        for c, row in zip(coords, self.bases[U].vectors()):
-            if fld.is_zero(c):
-                continue
-            for i, v in enumerate(row):
-                if not fld.is_zero(v):
-                    vec[i] = fld.add(vec[i], fld.mul(c, v))
-        return vec
+        return _component(
+            cat.field, vec, self.offsets[U][X], self.G.dims[cat.tensor_obj[U][X]], self.F.dims[X]
+        )
 
     def _action(self, a, b, i):
         """[F,G](b) -> [F,G](a) along f: a -> b: theta -> G(f (x) id) o theta."""
@@ -982,14 +946,22 @@ class InternalHom:
                 Gmap = self.G.action_of(cat.tensor_mor_pair(f, cat.id_mor(X)))
                 moved = Gmap @ theta
                 offX = self.offsets[a][X]
-                for r in range(moved.rows):
-                    for c in range(moved.cols):
-                        img[offX + r * moved.cols + c] = moved.data[r][c]
+                img[offX : offX + moved.rows * moved.cols] = [v for row in moved.data for v in row]
             coords = self.bases[a].coordinates(img)
             if coords is None:
                 raise ComputationError("internal hom action left the end")
             cols.append(coords)
         return Matrix.from_cols(fld, cols, self.bases[a].dim)
+
+
+def _shifted(G, U):
+    """The presheaf G(U (x) -), acting by G(id_U (x) f)."""
+    cat = G.category
+    actions = {
+        (X, Y, i): G.action_of(cat.tensor_mor_pair(cat.id_mor(U), cat.basis_mor(X, Y, i)))
+        for (X, Y, i) in cat.all_basis_mors()
+    }
+    return DayPresheaf(cat, [G.dims[cat.tensor_obj[U][X]] for X in range(cat.size)], actions)
 
 
 def internal_hom(F, G):

@@ -16,7 +16,8 @@ makes the convolution square of the result embed into that of the ambient
 coalgebra, which is what lets the comultiplication restrict uniquely.
 """
 
-from .day import DayCoalgebra, DayPresheaf, DayTensor, NatTransform, convolve_nat, representable
+from .day import (DayCoalgebra, DayPresheaf, DayTensor, NatTransform, convolve_nat, d_level_nat,
+                  identity_nat, quotient_nat, representable)
 from .errors import ComputationError, MapsEqual, ShapeMismatch
 from .linalg import Matrix, Subspace
 
@@ -142,32 +143,30 @@ class SubPresheaf:
         return f"SubPresheaf(dims {self.dims()} of {self.presheaf.dims})"
 
 
-def _identity_nat(F):
-    fld = F.category.field
-    return NatTransform(F, F, [Matrix.identity(fld, d) for d in F.dims])
-
-
 def purity_kernels(M, sub, N):
-    """Kernels per object of (sub (x) N) -> (M (x) N); all trivial = pure."""
+    """Kernels per object of (sub (x) N) -> (M (x) N); all trivial = pure.
+
+    Returns (kernels, conv_sub, conv_amb, lifts), lifts[U] being the D-level
+    matrix of incl (x) id_N at U."""
     subp, incl = sub.as_presheaf()
     conv_sub = DayTensor(subp, N)
     conv_amb = DayTensor(M, N)
-    kappa = convolve_nat(conv_sub, conv_amb, incl, _identity_nat(N))
-    return [kappa.at(U).kernel() for U in range(M.category.size)], conv_sub, conv_amb, incl
+    lifts = d_level_nat(conv_sub, conv_amb, incl, identity_nat(N))
+    kappa = quotient_nat(conv_sub, conv_amb, lifts)
+    return [kappa.at(U).kernel() for U in range(M.category.size)], conv_sub, conv_amb, lifts
 
 
 def pure_closure(M, M0, N):
     """Enlarge M0 inside M until tensoring the inclusion with N is injective."""
     current = M0.close()
     while True:
-        kernels, conv_sub, conv_amb, incl = purity_kernels(M, current, N)
+        kernels, conv_sub, conv_amb, lifts = purity_kernels(M, current, N)
         if all(k.dim == 0 for k in kernels):
             return current
         additions = {}
         for U, ker in enumerate(kernels):
             for w in ker.vectors():
-                d_sub = conv_sub.sections[U].apply(w)
-                d_amb = _embed_d_level(conv_sub, conv_amb, incl, U, d_sub)
+                d_amb = lifts[U].apply(conv_sub.sections[U].apply(w))
                 z = conv_amb.relations[U].solve(d_amb)
                 if z is None:
                     raise ComputationError("kernel witness not a relation image")
@@ -176,30 +175,6 @@ def pure_closure(M, M0, N):
         if grown.dims() == current.dims():
             raise ComputationError("purity closure made no progress")
         current = grown
-
-
-def _embed_d_level(conv_sub, conv_amb, incl, U, vec):
-    """Carry a direct-sum-level vector of (sub (x) N) into that of (M (x) N)."""
-    fld = conv_amb.category.field
-    out = [fld.zero] * conv_amb.d_dims[U]
-    index_amb = conv_amb.block_index[U]
-    for (X, Y, off, hd, fd, gd) in conv_sub.blocks[U]:
-        if (X, Y) not in index_amb:
-            raise ComputationError("sub-tensor block missing from ambient tensor")
-        _, _, off2, _, fd2, gd2 = conv_amb.blocks[U][index_amb[(X, Y)]]
-        inc = incl.at(X)
-        for pi in range(hd):
-            for s in range(fd):
-                for t in range(gd):
-                    c = vec[off + (pi * fd + s) * gd + t]
-                    if fld.is_zero(c):
-                        continue
-                    for s2 in range(fd2):
-                        a = inc.data[s2][s]
-                        if not fld.is_zero(a):
-                            idx = off2 + (pi * fd2 + s2) * gd2 + t
-                            out[idx] = fld.add(out[idx], fld.mul(c, a))
-    return out
 
 
 def _collect_left_legs(conv, U, z, additions):
@@ -226,22 +201,6 @@ def _collect_left_legs(conv, U, z, additions):
                     nonzero = True
             if nonzero:
                 additions.setdefault(X, []).append(vec)
-
-
-def _collect_both_legs(conv, U, vec, additions):
-    """Adjoin both tensor legs of a direct-sum-level element of F (x) F."""
-    fld = conv.category.field
-    for (X, Y, off, hd, fd, gd) in conv.blocks[U]:
-        for pi in range(hd):
-            for s in range(fd):
-                row = vec[off + (pi * fd + s) * gd : off + (pi * fd + s + 1) * gd]
-                if any(not fld.is_zero(c) for c in row):
-                    additions.setdefault(Y, []).append(list(row))
-        for t in range(gd):
-            for pi in range(hd):
-                col = [vec[off + (pi * fd + s) * gd + t] for s in range(fd)]
-                if any(not fld.is_zero(c) for c in col):
-                    additions.setdefault(X, []).append(col)
 
 
 def invariant_kernels(FC, sub):
@@ -272,8 +231,8 @@ def invariant_closure(FC, M0):
             return current
         additions = {}
         for U, value in failures:
-            lift = FC.conv.sections[U].apply(value)
-            _collect_both_legs(FC.conv, U, lift, additions)
+            for X, leg in FC.conv.legs(U, FC.conv.sections[U].apply(value)):
+                additions.setdefault(X, []).append(leg)
         grown = current.with_added(additions).close()
         if grown.dims() == current.dims():
             raise ComputationError("invariance closure made no progress")

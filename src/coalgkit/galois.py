@@ -109,9 +109,6 @@ class GaloisDatum:
             return Subspace.full(F, g)
         return Matrix.from_rows(F, rows, g).kernel()
 
-    def inverse_index(self, i):
-        return self.table[i].index(self.identity)
-
     def subgroups(self):
         """All subgroups, as sorted index tuples (exhaustive; small groups)."""
         found = {(self.identity,)}
@@ -412,7 +409,7 @@ def _roots_in_extension(D, poly):
         ext = ExtensionField(F.p, [int(c) for c in f_L.coeffs])
         lifted = Polynomial(ext, [ext.from_int(c) for c in poly.coeffs])
         out = []
-        for r, _ in _ext_roots(lifted):
+        for r, _ in roots_in_field(lifted):
             out.append(L.eval_poly(Polynomial(F, list(r)), theta))
         return out
     if isinstance(F, RationalField):
@@ -421,10 +418,6 @@ def _roots_in_extension(D, poly):
             "factorization, which is out of scope"
         )
     raise NotSupported(f"roots in extensions over {F} not supported")
-
-
-def _ext_roots(poly):
-    return roots_in_field(poly)
 
 
 class RightAdjointData:
@@ -480,11 +473,11 @@ class RightAdjointData:
         return CoalgebraMorphism(source, self.coalgebra, factored.transpose())
 
 
-def right_adjoint(D, C, etale=None):
+def right_adjoint(D, C):
     """All algebra maps C^dual -> L as a G-set (postcomposition action)."""
     if C.field != D.base:
         raise SpecMismatch("coalgebra and Galois datum over different fields")
-    data = etale if etale is not None else etale_part(C)
+    data = etale_part(C)
     maps = []
     comp_idx = []
     dims = []

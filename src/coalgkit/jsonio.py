@@ -49,6 +49,12 @@ def _is_strings(value):
     return isinstance(value, list) and all(isinstance(s, str) for s in value)
 
 
+def _is_int_rows(value):
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(type(i) is int for i in row) for row in value
+    )
+
+
 # -- matrices and vectors -------------------------------------------------
 
 
@@ -132,15 +138,6 @@ def coalgebra_from_json(obj):
     return Coalgebra(field, n, delta, eps)
 
 
-def algebra_to_json(A):
-    out = _header("algebra")
-    out["field"] = A.field.to_json()
-    out["dim"] = A.dim
-    out["mult"] = matrix_to_json(A.mult)
-    out["unit"] = vector_to_json(A.field, A.unit)
-    return out
-
-
 def algebra_from_json(obj):
     _expect(obj, "algebra")
     field = field_from_json(obj["field"])
@@ -177,16 +174,10 @@ def morphism_from_json(obj, resolve=None):
     return CoalgebraMorphism(source, target, matrix)
 
 
-def subspace_to_json(S):
-    out = _header("subspace")
-    out["field"] = S.field.to_json()
-    out["ambient"] = S.ambient
-    out["vectors"] = [vector_to_json(S.field, v) for v in S.vectors()]
-    return out
-
-
 def subspace_from_json(obj, field=None):
     _expect(obj, "subspace")
+    _require(type(obj.get("ambient")) is int, "'ambient'", "an integer")
+    _require(isinstance(obj.get("vectors"), list), "'vectors'", "a list")
     field = field or field_from_json(obj["field"])
     return Subspace.from_vectors(
         field, obj["ambient"], [vector_from_json(field, v) for v in obj["vectors"]]
@@ -211,6 +202,7 @@ def galois_to_json(D):
 
 def galois_from_json(obj):
     _expect(obj, "galois")
+    _require(_is_int_rows(obj.get("table")), "'table'", "a list of integer lists")
     base = field_from_json(obj["base"])
     ext = obj["extension"]
     L = ArtinAlgebra(
@@ -232,6 +224,8 @@ def gset_to_json(X):
 
 def gset_from_json(obj, datum=None):
     _expect(obj, "gset")
+    _require(type(obj.get("size")) is int, "'size'", "an integer")
+    _require(_is_int_rows(obj.get("action")), "'action'", "a list of integer lists")
     table = datum.table if datum is not None else None
     return FiniteGSet(obj["size"], obj["action"], table)
 

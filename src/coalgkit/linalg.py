@@ -239,9 +239,6 @@ class Matrix:
     def column_space(self):
         return Subspace.from_vectors(self.field, self.rows, self.transpose().data)
 
-    def row_space(self):
-        return Subspace.from_vectors(self.field, self.cols, self.data)
-
     def solve(self, rhs):
         """One solution of self @ x = rhs, or None if inconsistent."""
         sols = self.solve_matrix(Matrix.column(self.field, rhs))

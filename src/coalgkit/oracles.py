@@ -56,7 +56,7 @@ def unique_retraction(C, etale_data):
         raise ValueError("retraction enumeration out of range")
     ident = Matrix.identity(F, d)
     out = []
-    for entries in itertools.product(field_elements_list(F), repeat=d * n):
+    for entries in itertools.product(F.elements(), repeat=d * n):
         M = Matrix(F, d, n, [list(entries[i * n : (i + 1) * n]) for i in range(d)])
         if not (M @ etale_data.inclusion.matrix == ident):
             continue
@@ -64,10 +64,6 @@ def unique_retraction(C, etale_data):
         if not validate(phi):
             out.append(M)
     return out
-
-
-def field_elements_list(field):
-    return list(field.elements())
 
 
 def enumerate_subpresheaves(F):

@@ -165,27 +165,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def eval(self, x):
-        """Horner evaluation at a raw field value."""
-        F = self.field
-        x = F.coerce(x)
-        acc = F.zero
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-
-    def shift_compose(self, a):
-        """Return self(x + a)."""
-        F = self.field
-        out = Polynomial.zero(F)
-        xa = Polynomial(F, [a, F.one])
-        for c in reversed(self.coeffs):
-            out = out * xa + Polynomial(F, [c])
-        return out
-
-    def map_coeffs(self, target_field, fn):
-        return Polynomial(target_field, [fn(c) for c in self.coeffs])
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)

@@ -71,10 +71,6 @@ class FiniteCategory:
     def dst(self, f):
         return self.morphisms[f][2]
 
-    def non_identity_morphisms(self):
-        ids = set(self.identity)
-        return [f for f in range(len(self.morphisms)) if f not in ids]
-
 
 def arrow_category():
     """Two objects 0 -> 1 with a single non-identity morphism."""

@@ -640,10 +640,10 @@ def group_likes(C, etale=None, seed=_SEARCH_SEED):
     return GroupLikeSet(C, elements)
 
 
-def counit_of_gp_adjunction(C, etale=None, seed=_SEARCH_SEED):
+def counit_of_gp_adjunction(C, seed=_SEARCH_SEED):
     """The canonical morphism from the pointwise coalgebra on the group-likes
     of C into C (basis vector -> group-like element)."""
-    data = etale if etale is not None else etale_part(C, seed)
+    data = etale_part(C, seed)
     gl = group_likes(C, data)
     source = diagonal_coalgebra(len(gl.elements), C.field)
     M = Matrix.from_cols(C.field, gl.elements, C.dim) if gl.elements else Matrix.zeros(C.field, C.dim, 0)

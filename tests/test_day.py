@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+
+from coalgkit import jsonio, suites
 
 from coalgkit.coalgebra import polynomial_quotient_algebra
 from coalgkit.errors import ValidationError
@@ -310,3 +313,34 @@ def test_convolve_nat_functorial():
     ident = identity_nat(GD.presheaf)
     both = convolve_nat(GD.conv, GD.conv, ident, ident)
     assert both.is_identity()
+
+
+# sha256 of the canonical internal homs, natural transformation spaces and
+# unit isomorphisms of a seeded set of random presheaves (recorded before the
+# naturality builder and the unit isomorphisms were merged)
+DAY_OUTPUTS_SHA256 = "a5a6679dd1831a132cc2bea744a6edb4157633e35c4bd2e43a2d2d4be6f36e79"
+
+
+def test_day_outputs_golden_digest():
+    rng = random.Random(11)
+    h = hashlib.sha256()
+    for name, cat in suites._day_categories():
+        fld = cat.field
+        h1 = representable(cat, cat.unit)
+        top = representable(cat, cat.size - 1)
+        pairs = [
+            (suites._random_day_presheaf(cat, rng, 3), suites._random_day_presheaf(cat, rng, 3))
+            for _ in range(15)
+        ] + [(top, top)]
+        for F, G in pairs:
+            IH = internal_hom(F, G)
+            doc = {
+                "hom": jsonio.day_presheaf_to_json(IH.presheaf, category_name=name),
+                "offsets": IH.offsets,
+                "bases": [[jsonio.vector_to_json(fld, v) for v in B.vectors()] for B in IH.bases],
+                "nat": [[jsonio.matrix_to_json(m) for m in t.mats] for t in nat_space(F, G)],
+                "rho": [jsonio.matrix_to_json(m) for m in unit_right_iso(day_convolve(F, h1)).mats],
+                "lam": [jsonio.matrix_to_json(m) for m in unit_left_iso(day_convolve(h1, G)).mats],
+            }
+            h.update(jsonio.canonical_json(doc).encode())
+    assert h.hexdigest() == DAY_OUTPUTS_SHA256

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -143,6 +144,47 @@ def test_cli_mistyped_coalgebra_is_parse_error(tmp_path, capsys, command, change
     assert err.startswith("parse error") and named in err
 
 
+# (document, the command line it sits in, field, bad value): each must exit 2
+# with a parse error naming the field
+MISTYPED_OTHER = [
+    ("galois_F4.json", ["galois-adjunction", "{doc}", "gset_regular.json"], "table", None),
+    ("galois_F4.json", ["validate", "{doc}"], "table", None),
+    ("gset_regular.json", ["galois-adjunction", "galois_F4.json", "{doc}"], "action", None),
+    ("span_t.json", ["subgen", "dual_numbers.json", "{doc}"], "ambient", "2"),
+]
+
+
+@pytest.mark.parametrize("name, argv, field, value", MISTYPED_OTHER, ids=[
+    "galois-null-table", "validate-null-table", "gset-null-action", "subspace-string-ambient"])
+def test_cli_mistyped_document_is_parse_error(tmp_path, capsys, name, argv, field, value):
+    from coalgkit import cli
+
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc[field] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    args = [str(path) if a == "{doc}" else os.path.join(DATA, a) for a in argv[1:]]
+    assert cli.main(["--format", "json", argv[0], *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error") and f"'{field}'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["day-convolve", "day_cat_Z2.json", "{missing}", "day_G.json"],
+    ["day-hom", "day_cat_Z2.json", "day_F.json", "{missing}"],
+    ["day-subgen", "day_graded_coalg.json", "{missing}"],
+], ids=["day-convolve", "day-hom", "day-subgen"])
+def test_cli_day_missing_file_is_parse_error(tmp_path, capsys, argv):
+    from coalgkit import cli
+
+    missing = str(tmp_path / "missing.json")
+    args = [missing if a == "{missing}" else os.path.join(DATA, a) for a in argv[1:]]
+    assert cli.main(["--format", "json", argv[0], *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error") and "missing.json" in err
+
+
 def test_numeric_entries_are_parse_errors():
     with pytest.raises(ParseError, match="entries"):
         jsonio.matrix_from_json(F2, {"rows": 1, "cols": 1, "entries": [[1]]})
@@ -211,6 +253,18 @@ def test_cli_env_seed():
     assert json.loads(proc.stdout)["seed"] == 9
 
 
+# sha256 of the --format json stdout of each Day command on demos/data
+DAY_STDOUT_SHA256 = {
+    "day-convolve": "09d39ef0cb236102180733c65094795ce73727f9a91a33b756e59571c835b865",
+    "day-hom": "6ad785a9e3011170cd19266893232d503404fe93226934921a93da7f08306008",
+    "day-subgen": "71bd51af68c15b65734cd15a3f0ff718d5bd8fe979cf8009bff4c2f4dee76fb2",
+}
+
+
+def _stdout_sha256(proc):
+    return hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
+
+
 def test_cli_day_commands():
     cat = os.path.join(DATA, "day_cat_Z2.json")
     F = os.path.join(DATA, "day_F.json")
@@ -219,9 +273,11 @@ def test_cli_day_commands():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["verification"]["presheaf-valid"] is True
+    assert _stdout_sha256(proc) == DAY_STDOUT_SHA256["day-convolve"]
 
     proc = run_cli("--format", "json", "day-hom", cat, F, G)
     assert proc.returncode == 0
+    assert _stdout_sha256(proc) == DAY_STDOUT_SHA256["day-hom"]
 
     proc = run_cli(
         "--format", "json", "day-subgen",
@@ -230,6 +286,7 @@ def test_cli_day_commands():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dims"] == [1, 1]
+    assert _stdout_sha256(proc) == DAY_STDOUT_SHA256["day-subgen"]
 
 
 def test_cli_galois_commands():

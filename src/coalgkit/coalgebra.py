@@ -17,7 +17,7 @@ from .errors import (
     SpecMismatch,
     ValidationError,
 )
-from .linalg import Matrix, Subspace, kronecker, tensor_swap
+from .linalg import Matrix, Subspace, clear_denominators, kronecker, row_kernel, tensor_swap
 
 
 class Coalgebra:
@@ -115,7 +115,7 @@ class CoalgebraMorphism:
 class ArtinAlgebra:
     """Finite-dimensional commutative unital algebra via structure constants."""
 
-    __slots__ = ("field", "dim", "mult", "unit", "_table")
+    __slots__ = ("field", "dim", "mult", "unit", "_table", "_int_table")
 
     def __init__(self, field, dim, mult, unit):
         if mult.rows != dim or mult.cols != dim * dim:
@@ -127,6 +127,7 @@ class ArtinAlgebra:
         self.mult = mult
         self.unit = list(unit)
         self._table = None
+        self._int_table = None
 
     def table(self):
         """table[j][k] = coordinate vector of e_j * e_k."""
@@ -137,30 +138,29 @@ class ArtinAlgebra:
             ]
         return self._table
 
+    def int_table(self):
+        """(terms, dens): e_j * e_k is the sum of a / dens[i] * e_i over
+        (i, a) in terms[j][k], with integer a != 0.  The Q and F_p kernels
+        multiply on it."""
+        if self._int_table is None:
+            n = self.dim
+            rows = [clear_denominators(row) for row in self.mult.data]
+            terms = [
+                [[(i, nums[j * n + k]) for i, (nums, _) in enumerate(rows) if nums[j * n + k]]
+                 for k in range(n)]
+                for j in range(n)
+            ]
+            self._int_table = terms, [den for _, den in rows]
+        return self._int_table
+
     def mul(self, x, y):
-        F = self.field
-        n = self.dim
-        table = self.table()
-        out = [F.zero] * n
-        for j, a in enumerate(x):
-            if F.is_zero(a):
-                continue
-            row = table[j]
-            for k, b in enumerate(y):
-                if F.is_zero(b):
-                    continue
-                c = F.mul(a, b)
-                col = row[k]
-                for i in range(n):
-                    if not F.is_zero(col[i]):
-                        out[i] = F.add(out[i], F.mul(c, col[i]))
-        return out
+        return row_kernel(self.field).algebra_mul(self.field, self, x, y)
 
     def mult_matrix(self, x):
         """Matrix of multiplication by x."""
         n = self.dim
         cols = []
-        basis = _std_basis(self.field, n)
+        basis = std_basis(self.field, n)
         for k in range(n):
             cols.append(self.mul(x, basis[k]))
         return Matrix.from_cols(self.field, cols, n)
@@ -207,7 +207,8 @@ class ArtinAlgebra:
         return f"ArtinAlgebra(dim {self.dim} over {self.field})"
 
 
-def _std_basis(field, n):
+def std_basis(field, n):
+    """The standard basis vectors e_0 .. e_(n-1) of k^n."""
     z, o = field.zero, field.one
     return [[o if i == j else z for i in range(n)] for j in range(n)]
 
@@ -375,7 +376,7 @@ def _validate_algebra(A):
     n = A.dim
     failures = []
     table = A.table()
-    basis = _std_basis(F, n)
+    basis = std_basis(F, n)
     for j in range(n):
         if A.mul(A.unit, basis[j]) != basis[j] or A.mul(basis[j], A.unit) != basis[j]:
             failures.append(("unitality", j))

@@ -203,8 +203,11 @@ def galois_to_json(D):
 def galois_from_json(obj):
     _expect(obj, "galois")
     _require(_is_int_rows(obj.get("table")), "'table'", "a list of integer lists")
+    ext = obj.get("extension")
+    _require(isinstance(ext, dict), "'extension'", "an object")
+    _require(type(ext.get("dim")) is int, "'extension.dim'", "an integer")
+    _require(isinstance(obj.get("automorphisms"), list), "'automorphisms'", "a list")
     base = field_from_json(obj["base"])
-    ext = obj["extension"]
     L = ArtinAlgebra(
         base,
         ext["dim"],
@@ -315,11 +318,15 @@ def day_presheaf_from_json(obj, category=None, resolve=None):
             category = resolve(spec)
         else:
             category = day_category_from_json(spec)
+    dims = obj.get("dims")
+    _require(isinstance(dims, list) and all(type(d) is int for d in dims),
+             "'dims'", "a list of integers")
+    _require(isinstance(obj.get("actions"), list), "'actions'", "a list")
     fld = category.field
     actions = {
         (a, b, i): matrix_from_json(fld, m) for a, b, i, m in obj["actions"]
     }
-    return DayPresheaf(category, obj["dims"], actions)
+    return DayPresheaf(category, dims, actions)
 
 
 def day_coalgebra_to_json(FC, category_name=None):
@@ -359,10 +366,13 @@ def day_subpresheaf_to_json(sub):
 
 def day_subpresheaf_from_json(obj, presheaf):
     _expect(obj, "day-subpresheaf")
+    spaces = obj.get("spaces")
+    _require(isinstance(spaces, list) and all(isinstance(v, list) for v in spaces),
+             "'spaces'", "a list of vector lists")
     fld = presheaf.category.field
     assignment = {
         U: [vector_from_json(fld, v) for v in vecs]
-        for U, vecs in enumerate(obj["spaces"])
+        for U, vecs in enumerate(spaces)
     }
     return SubPresheaf.from_vectors(presheaf, assignment)
 

@@ -7,15 +7,18 @@ field values.
 Tensor index convention, used by every module: the basis vector e_i (x) e_j
 of k^m (x) k^n sits at index i*n + j (row-major on the factors).
 
-Row reduction over Q runs fraction-free (Bareiss) on integer-cleared rows to
-control coefficient growth; finite fields use plain Gauss-Jordan.  Reduced
-row echelon form is canonical, so equal subspaces have identical bases.
+Row reduction, products and RowReducer run on a kernel per field kind (see
+`row_kernel`): Q on integer rows over a common denominator, fraction-free, to
+control coefficient growth; F_p on plain ints reduced mod p; F_q through the
+field's methods.  Reduced row echelon form is canonical, so equal subspaces
+have identical bases.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import AmbientMismatch, ShapeMismatch, SpecMismatch
-from .fields import QQ
 from .polys import Polynomial
 
 
@@ -74,35 +77,14 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         F = self.field
-        z = F.zero
-        bt = list(zip(*other.data)) if other.data else []
-        out = []
-        for arow in self.data:
-            orow = [z] * other.cols
-            for k, a in enumerate(arow):
-                if F.is_zero(a):
-                    continue
-                brow = other.data[k]
-                for j, b in enumerate(brow):
-                    if not F.is_zero(b):
-                        orow[j] = F.add(orow[j], F.mul(a, b))
-            out.append(orow)
-        return Matrix(F, self.rows, other.cols, out)
+        data = row_kernel(F).matmul(F, self.data, other.data, other.cols)
+        return Matrix(F, self.rows, other.cols, data)
 
     def apply(self, vec):
         """Matrix times column vector (a plain list)."""
         if len(vec) != self.cols:
             raise ShapeMismatch("vector length mismatch")
-        F = self.field
-        z = F.zero
-        out = []
-        for row in self.data:
-            acc = z
-            for a, v in zip(row, vec):
-                if not (F.is_zero(a) or F.is_zero(v)):
-                    acc = F.add(acc, F.mul(a, v))
-            out.append(acc)
-        return out
+        return row_kernel(self.field).apply(self.field, self.data, vec)
 
     def __add__(self, other):
         self._check(other)
@@ -212,10 +194,7 @@ class Matrix:
         Returns (R, rank, pivot_cols); R has the shape of self with zero
         rows at the bottom.
         """
-        if self.field == QQ:
-            rows, pivots = _rref_bareiss(self.data, self.rows, self.cols)
-        else:
-            rows, pivots = _rref_generic(self.field, self.data, self.rows, self.cols)
+        rows, pivots = row_kernel(self.field).rref(self.field, self.data, self.rows, self.cols)
         return Matrix(self.field, self.rows, self.cols, rows), len(pivots), pivots
 
     def rank(self):
@@ -296,82 +275,312 @@ class Matrix:
         return acc
 
 
-def _rref_generic(F, data, nrows, ncols):
-    rows = [list(r) for r in data]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if not F.is_zero(rows[i][c]):
-                pr = i
+# -- per-field row kernels --------------------------------------------------
+#
+# The entry loops of rref, matrix products, RowReducer.add and
+# ArtinAlgebra.mul, one implementation per field kind, picked by `row_kernel`.
+# `_FieldMethods` sends every entry through the field's own methods; F_q
+# runs on it, and the F_p and Q kernels return byte-identical results to it.
+
+
+class _FieldMethods:
+    """Every entry through F.add/F.mul/F.is_zero: the F_q kernel, and the
+    reference the other kernels are tested against."""
+
+    @staticmethod
+    def rref(F, data, nrows, ncols):
+        rows = [list(r) for r in data]
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            pr = None
+            for i in range(r, nrows):
+                if not F.is_zero(rows[i][c]):
+                    pr = i
+                    break
+            if pr is None:
+                continue
+            rows[r], rows[pr] = rows[pr], rows[r]
+            inv = F.inv(rows[r][c])
+            if not F.is_one(rows[r][c]):
+                rows[r] = [F.mul(inv, a) for a in rows[r]]
+            for i in range(nrows):
+                if i != r and not F.is_zero(rows[i][c]):
+                    f = rows[i][c]
+                    rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+            pivots.append(c)
+            r += 1
+            if r == nrows:
                 break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        if not F.is_one(rows[r][c]):
-            rows[r] = [F.mul(inv, a) for a in rows[r]]
-        for i in range(nrows):
-            if i != r and not F.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+        return rows, pivots
 
+    @staticmethod
+    def matmul(F, a, b, ncols):
+        z = F.zero
+        out = []
+        for arow in a:
+            orow = [z] * ncols
+            for x, brow in zip(arow, b):
+                if F.is_zero(x):
+                    continue
+                for j, y in enumerate(brow):
+                    if not F.is_zero(y):
+                        orow[j] = F.add(orow[j], F.mul(x, y))
+            out.append(orow)
+        return out
 
-def _rref_bareiss(data, nrows, ncols):
-    # clear denominators per row, then fraction-free forward elimination
-    rows = []
-    for r in data:
-        den = 1
-        for a in r:
-            den = den * a.denominator // _gcd(den, a.denominator)
-        rows.append([int(a * den) for a in r])
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
+    @staticmethod
+    def apply(F, data, vec):
+        out = []
+        for row in data:
+            acc = F.zero
+            for a, v in zip(row, vec):
+                if not (F.is_zero(a) or F.is_zero(v)):
+                    acc = F.add(acc, F.mul(a, v))
+            out.append(acc)
+        return out
+
+    @staticmethod
+    def add_row(F, rows, vec, count):
+        """RowReducer.add over rows of (vector, pivot, combo)."""
+        v = list(vec)
+        combo = [F.zero] * count + [F.one]
+        for row, pivot, rcombo in rows:
+            c = v[pivot]
+            if F.is_zero(c):
+                continue
+            v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
+            for i, b in enumerate(rcombo):
+                combo[i] = F.sub(combo[i], F.mul(c, b))
+        pivot = None
+        for j, a in enumerate(v):
+            if not F.is_zero(a):
+                pivot = j
                 break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            ric = rows[i][c]
-            rows[i] = [(piv * rows[i][j] - ric * rows[r][j]) // prev for j in range(ncols)]
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    # normalize to reduced form with exact rational steps
-    out = [[Fraction(a) for a in row] for row in rows]
-    for i in reversed(range(len(pivots))):
-        p = pivots[i]
-        piv = out[i][p]
-        out[i] = [a / piv for a in out[i]]
-        for k in range(i):
-            f = out[k][p]
-            if f:
-                out[k] = [a - f * b for a, b in zip(out[k], out[i])]
-    for i in range(len(pivots), nrows):
-        out[i] = [Fraction(0)] * ncols
-    return out, pivots
+        if pivot is None:
+            return combo
+        inv = F.inv(v[pivot])
+        v = [F.mul(inv, a) for a in v]
+        combo = [F.mul(inv, a) for a in combo]
+        rows.append((v, pivot, combo))
+        return None
+
+    @staticmethod
+    def algebra_mul(F, A, x, y):
+        out = [F.zero] * A.dim
+        table = A.table()
+        for j, a in enumerate(x):
+            if F.is_zero(a):
+                continue
+            row = table[j]
+            for k, b in enumerate(y):
+                if F.is_zero(b):
+                    continue
+                c = F.mul(a, b)
+                col = row[k]
+                for i, t in enumerate(col):
+                    if not F.is_zero(t):
+                        out[i] = F.add(out[i], F.mul(c, t))
+        return out
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+class _PrimeKernel:
+    """F_p on plain ints: a product or a sum of products is reduced by one
+    `% p`.  Outputs are ints in [0, p)."""
 
+    @staticmethod
+    def rref(F, data, nrows, ncols):
+        p = F.p
+        rows = [[a % p for a in r] for r in data]
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            for i in range(r, nrows):
+                if rows[i][c]:
+                    break
+            else:
+                continue
+            pr = rows[i]
+            rows[i] = rows[r]
+            if pr[c] != 1:
+                inv = pow(pr[c], -1, p)
+                pr = [a * inv % p for a in pr]
+            rows[r] = pr
+            # the pivot row is zero left of c; only its nonzero columns move
+            nonzero = [(j, pr[j]) for j in range(c, ncols) if pr[j]]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != r:
+                    for j, b in nonzero:
+                        row[j] = (row[j] - f * b) % p
+            pivots.append(c)
+            r += 1
+            if r == nrows:
+                break
+        return rows, pivots
+
+    @staticmethod
+    def matmul(F, a, b, ncols):
+        p = F.p
+        out = []
+        for arow in a:
+            acc = [0] * ncols
+            for x, brow in zip(arow, b):
+                if x:
+                    acc = [s + x * y for s, y in zip(acc, brow)]
+            out.append([s % p for s in acc])
+        return out
+
+    @staticmethod
+    def apply(F, data, vec):
+        p = F.p
+        return [sum(map(mul, row, vec)) % p for row in data]
+
+    @staticmethod
+    def add_row(F, rows, vec, count):
+        """RowReducer.add over rows of (vector + combo, pivot), pivot entry 1."""
+        p = F.p
+        n = len(vec)
+        w = [a % p for a in vec] + [0] * count + [1]
+        for row, pivot in rows:
+            c = w[pivot]
+            if c:
+                w[: len(row)] = [(a - c * b) % p for a, b in zip(w, row)]
+        for j in range(n):
+            if w[j]:
+                break
+        else:
+            return w[n:]
+        inv = pow(w[j], -1, p)
+        rows.append(([a * inv % p for a in w], j))
+        return None
+
+    @staticmethod
+    def algebra_mul(F, A, x, y):
+        p = F.p
+        return [s % p for s in _int_algebra_mul(A, x, y)]
+
+
+def clear_denominators(vec):
+    """(nums, den): vec == [Fraction(a, den) for a in nums], den the lcm."""
+    dens = [a.denominator for a in vec]
+    den = lcm(*dens)
+    if den == 1:
+        return [a.numerator for a in vec], 1
+    return [a.numerator * (den // d) for a, d in zip(vec, dens)], den
+
+
+_Q_ZERO = Fraction(0)
+
+
+def _fraction(num, den):
+    if not num:
+        return _Q_ZERO
+    return Fraction(num, den) if den != 1 else Fraction(num)
+
+
+class _RationalKernel:
+    """Q on integer rows over a common denominator, fraction-free like
+    Bareiss elimination: each output entry is one Fraction(num, den)."""
+
+    @staticmethod
+    def rref(F, data, nrows, ncols):
+        # a row stands for its rational multiples, so elimination
+        # cross-multiplies and then divides out the row's content
+        rows = [clear_denominators(r)[0] for r in data]
+        pivots = []
+        r = 0
+        for c in range(ncols):
+            for i in range(r, nrows):
+                if rows[i][c]:
+                    break
+            else:
+                continue
+            pr = rows[i]
+            rows[i] = rows[r]
+            rows[r] = pr
+            piv = pr[c]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != r:
+                    row = [piv * a - f * b for a, b in zip(row, pr)]
+                    g = gcd(*row)
+                    rows[i] = [a // g for a in row] if g > 1 else row
+            pivots.append(c)
+            r += 1
+            if r == nrows:
+                break
+        out = [[_fraction(a, row[c]) for a in row] for row, c in zip(rows, pivots)]
+        return out + [[_Q_ZERO] * ncols for _ in range(nrows - len(pivots))], pivots
+
+    @staticmethod
+    def matmul(F, a, b, ncols):
+        cols = [clear_denominators(col) for col in zip(*b)] if b else [([], 1)] * ncols
+        out = []
+        for arow in a:
+            nums, den = clear_denominators(arow)
+            out.append([_fraction(sum(map(mul, nums, cn)), den * cd) for cn, cd in cols])
+        return out
+
+    @staticmethod
+    def apply(F, data, vec):
+        nums, den = clear_denominators(vec)
+        out = []
+        for row in data:
+            rn, rd = clear_denominators(row)
+            out.append(_fraction(sum(map(mul, rn, nums)), rd * den))
+        return out
+
+    @staticmethod
+    def add_row(F, rows, vec, count):
+        """RowReducer.add over integer rows of (vector + combo, pivot), each
+        standing for its rational multiples."""
+        nums, den = clear_denominators(vec)
+        n = len(nums)
+        w = nums + [0] * count + [den]
+        for row, pivot in rows:
+            c = w[pivot]
+            if c:
+                pv = row[pivot]
+                w = [pv * a - c * b for a, b in zip(w, row)] + [pv * a for a in w[len(row):]]
+                g = gcd(*w)
+                if g > 1:
+                    w = [a // g for a in w]
+        for j in range(n):
+            if w[j]:
+                break
+        else:
+            return [Fraction(a, w[-1]) for a in w[n:]]
+        rows.append((w, j))
+        return None
+
+    @staticmethod
+    def algebra_mul(F, A, x, y):
+        xn, xd = clear_denominators(x)
+        yn, yd = clear_denominators(y)
+        den = xd * yd
+        sums = _int_algebra_mul(A, xn, yn)
+        return [_fraction(s, d * den) for s, d in zip(sums, A.int_table()[1])]
+
+
+def _int_algebra_mul(A, x, y):
+    """Numerators of x * y over A.int_table() for integer coordinates."""
+    out = [0] * A.dim
+    for a, row in zip(x, A.int_table()[0]):
+        if a:
+            for b, terms in zip(y, row):
+                if b:
+                    c = a * b
+                    for i, t in terms:
+                        out[i] += c * t
+    return out
+
+
+_ROW_KERNELS = {"Fp": _PrimeKernel, "Q": _RationalKernel}
+
+
+def row_kernel(F):
+    return _ROW_KERNELS.get(F.kind, _FieldMethods)
 
 class Subspace:
     """A subspace of k^n held as a canonical RREF basis (rows)."""
@@ -593,33 +802,13 @@ class RowReducer:
 
     def __init__(self, field):
         self.field = field
-        self.rows = []  # (vector, pivot, combo)
+        self.rows = []  # in the form the field's kernel keeps them
         self.count = 0
 
     def add(self, vec):
-        F = self.field
-        v = list(vec)
-        combo = [F.zero] * self.count + [F.one]
-        for row, pivot, rcombo in self.rows:
-            c = v[pivot]
-            if F.is_zero(c):
-                continue
-            v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
-            for i, b in enumerate(rcombo):
-                combo[i] = F.sub(combo[i], F.mul(c, b))
+        combo = row_kernel(self.field).add_row(self.field, self.rows, vec, self.count)
         self.count += 1
-        pivot = None
-        for j, a in enumerate(v):
-            if not F.is_zero(a):
-                pivot = j
-                break
-        if pivot is None:
-            return combo
-        inv = F.inv(v[pivot])
-        v = [F.mul(inv, a) for a in v]
-        combo = [F.mul(inv, a) for a in combo]
-        self.rows.append((v, pivot, combo))
-        return None
+        return combo
 
     @property
     def rank(self):

@@ -22,6 +22,7 @@ from .coalgebra import (
     dual_algebra,
     dual_coalgebra,
     polynomial_quotient_algebra,
+    std_basis,
 )
 from .errors import ComputationError, NonSeparableResidue, ValidationError
 from .factor import factor_polynomial
@@ -48,7 +49,7 @@ def radical(A):
     while power < n:
         power *= p
         m += 1
-    basis = _std_basis(F, n)
+    basis = std_basis(F, n)
     P = Matrix.from_cols(F, [A.power(b, power) for b in basis], n)
     vectors = []
     for v in P.kernel().vectors():
@@ -62,7 +63,7 @@ def radical(A):
 def _trace_form(A):
     F = A.field
     n = A.dim
-    basis = _std_basis(F, n)
+    basis = std_basis(F, n)
     traces = [A.mult_matrix(b).trace() for b in basis]
     table = A.table()
     G = Matrix.zeros(F, n, n)
@@ -80,11 +81,6 @@ def _trace_form(A):
 
 def trace_form_nondegenerate(A):
     return _trace_form(A).rank() == A.dim
-
-
-def _std_basis(field, n):
-    z, o = field.zero, field.one
-    return [[o if i == j else z for i in range(n)] for j in range(n)]
 
 
 def quotient_algebra(A, ideal):
@@ -106,7 +102,7 @@ def _candidate_elements(B, rng):
     combinations, seeded random vectors, then exhaustive for tiny fields."""
     F = B.field
     n = B.dim
-    basis = _std_basis(F, n)
+    basis = std_basis(F, n)
     for b in basis:
         yield b
     for i in range(n):
@@ -456,7 +452,7 @@ def wedderburn_splitting(component, seed=_SEARCH_SEED):
     retract = Matrix(F, d, A.dim, [Pinv.data[i] for i in range(d)])
     K = polynomial_quotient_algebra(F, p)
     _verify_algebra_map(A, K, retract)
-    prim = _std_basis(F, d)[1] if d > 1 else [F.neg(p.coeffs[0])]
+    prim = std_basis(F, d)[1] if d > 1 else [F.neg(p.coeffs[0])]
     datum = FieldDatum(K, prim, p)
     return WedderburnSplitting(datum, E, retract, root)
 
@@ -665,7 +661,7 @@ def gp_adjunction_checks(C=None, X=None, field=None, seed=_SEARCH_SEED):
     if X is not None:
         D = diagonal_coalgebra(X, field)
         gl = brute_force_group_likes(D) if field.order and field.order**X <= 4096 else None
-        basis = _std_basis(field, X)
+        basis = std_basis(field, X)
         found = gl.elements if gl is not None else group_likes(D, seed=seed).elements
         checks.append(("unit-bijective", sorted(found) == sorted(basis)))
         # triangle on the pointwise side: counit o (pointwise functor of the

@@ -151,11 +151,17 @@ MISTYPED_OTHER = [
     ("galois_F4.json", ["validate", "{doc}"], "table", None),
     ("gset_regular.json", ["galois-adjunction", "galois_F4.json", "{doc}"], "action", None),
     ("span_t.json", ["subgen", "dual_numbers.json", "{doc}"], "ambient", "2"),
+    ("galois_F4.json", ["validate", "{doc}"], "extension", None),
+    ("galois_F4.json", ["validate", "{doc}"], "automorphisms", None),
+    ("day_F.json", ["day-convolve", "day_cat_Z2.json", "{doc}", "day_G.json"], "dims", None),
+    ("day_line_t.json", ["day-subgen", "day_graded_coalg.json", "{doc}"], "spaces", None),
 ]
 
 
 @pytest.mark.parametrize("name, argv, field, value", MISTYPED_OTHER, ids=[
-    "galois-null-table", "validate-null-table", "gset-null-action", "subspace-string-ambient"])
+    "galois-null-table", "validate-null-table", "gset-null-action", "subspace-string-ambient",
+    "validate-null-extension", "validate-null-automorphisms", "day-convolve-null-dims",
+    "day-subgen-null-spaces"])
 def test_cli_mistyped_document_is_parse_error(tmp_path, capsys, name, argv, field, value):
     from coalgkit import cli
 

@@ -316,3 +316,104 @@ def test_bareiss_against_plain_gauss_jordan():
         oracle_rows, oracle_piv = plain_rref(data)
         assert pivots == oracle_piv
         assert R.data[: len(pivots)] == oracle_rows[: len(oracle_piv)]
+
+
+# -- per-field row kernels ---------------------------------------------------
+
+KERNEL_FIELDS = [GF(2), GF(3), GF(5), GF(2**31 - 1), QQ]
+
+
+def _sparse_matrix(rng, field, rows, cols):
+    """A seeded matrix that is sparse, usually rank-deficient, and often has
+    zero rows and zero columns."""
+    density = rng.choice([0.15, 0.4, 1.0])
+    data = [
+        [field.random(rng) if rng.random() < density else field.zero for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    for _ in range(rng.randint(0, rows)):  # planted row dependencies
+        i, j = rng.randrange(rows), rng.randrange(rows)
+        c = field.random(rng)
+        data[i] = [field.add(a, field.mul(c, b)) for a, b in zip(data[i], data[j])]
+    if rows and cols and rng.random() < 0.5:
+        data[rng.randrange(rows)] = [field.zero] * cols
+        j = rng.randrange(cols)
+        for row in data:
+            row[j] = field.zero
+    return Matrix(field, rows, cols, data)
+
+
+def _kernel_outputs(rng, field):
+    """repr of rref/kernel/@/apply/ArtinAlgebra.mul/minimal_polynomial results
+    on seeded inputs, and every entry they hold."""
+    from coalgkit.coalgebra import ArtinAlgebra
+
+    outs, entries = [], []
+    shapes = [(0, 4), (4, 0), (0, 0), (1, 1), (30, 12), (12, 30)]
+    shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(30)]
+    for rows, cols in shapes:
+        M = _sparse_matrix(rng, field, rows, cols)
+        N = _sparse_matrix(rng, field, cols, rng.randint(0, 7))
+        vec = _sparse_matrix(rng, field, 1, cols).data[0] if cols else []
+        R, rank, pivots = M.rref()
+        K = M.kernel()
+        P = M @ N
+        image = M.apply(vec)
+        outs.append(repr((R.data, rank, pivots, K.basis.data, P.data, image)))
+        entries += [a for m in (R, K.basis, P) for row in m.data for a in row] + image
+    for n in (1, 2, 3, 5, 6):
+        A = ArtinAlgebra(field, n, _sparse_matrix(rng, field, n, n * n), [field.one] * n)
+        x, y = (_sparse_matrix(rng, field, 1, n).data[0] for _ in range(2))
+        pairs = [(x, y), (y, x), (A.unit, x)] + [(x, e) for e in Matrix.identity(field, n).data]
+        for u, v in pairs:
+            product = A.mul(u, v)
+            outs.append(repr(product))
+            entries += product
+        T = _sparse_matrix(rng, field, n, n)
+        outs.append(repr(minimal_polynomial(T).coeffs))
+        entries += minimal_polynomial(T).coeffs
+    return outs, entries
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_row_kernels_match_field_methods(monkeypatch, field):
+    """The F_p and Q kernels return byte-identical results to the reference
+    path that runs every entry through the field's own methods."""
+    from coalgkit import linalg
+
+    assert linalg.row_kernel(field) is not linalg._FieldMethods
+    fast, entries = _kernel_outputs(random.Random(2024), field)
+    monkeypatch.setattr(linalg, "_ROW_KERNELS", {})
+    assert linalg.row_kernel(field) is linalg._FieldMethods
+    reference, _ = _kernel_outputs(random.Random(2024), field)
+    assert fast == reference
+    if field == QQ:
+        assert all(type(a) is Fraction for a in entries)
+    else:
+        assert all(type(a) is int and 0 <= a < field.p for a in entries)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_rank_and_rref_against_sympy(field):
+    sympy = pytest.importorskip(
+        "sympy", reason="sympy is not installed: rank/rref cross-check against sympy skipped")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(77)
+    for _ in range(25):
+        M = _sparse_matrix(rng, field, rng.randint(1, 10), rng.randint(1, 10))
+        R, rank, pivots = M.rref()
+        if field == QQ:
+            S = sympy.Matrix([[sympy.Rational(a.numerator, a.denominator) for a in row]
+                              for row in M.data])
+            SR, spivots = S.rref()
+            want = [[Fraction(int(e.p), int(e.q)) for e in SR.row(i)] for i in range(S.rows)]
+            assert S.rank() == rank
+        else:
+            K = sympy.GF(field.p)
+            D = DomainMatrix([[K(a) for a in row] for row in M.data], (M.rows, M.cols), K)
+            SR, spivots = D.rref()
+            want = [[int(e) % field.p for e in row] for row in SR.to_list()]
+            assert D.rank() == rank
+        assert list(spivots) == pivots
+        assert R.data == want

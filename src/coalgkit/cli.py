@@ -4,26 +4,24 @@ Subcommands parse the JSON interchange documents, dispatch to the kernel and
 emit a report in text or canonical JSON (identical inputs and seed give
 byte-identical output).  Exit codes: 0 success, 2 parse error, 3 validation
 error, 4 computation error.
+
+Only the parsing layer is imported up front; each subcommand imports the
+kernel modules it runs, so a cold process loads no module it does not use.
 """
 
 import argparse
 import os
 import sys
 
-from . import day as day_mod
-from . import dayclosure as closure_mod
-from . import galois as galois_mod
 from . import jsonio
-from . import structure as structure_mod
-from . import suites as suites_mod
-from .coalgebra import Coalgebra, CoalgebraMorphism, generated_subcoalgebra, validate
+from .coalgebra import Coalgebra, generated_subcoalgebra, validate
 from .errors import (
     CoalgkitError,
     ComputationError,
     ParseError,
     ValidationError,
 )
-from .linalg import Matrix
+from .linalg import Matrix, Subspace
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -51,19 +49,31 @@ class Workspace:
         return self.entities[name]
 
 
+def _violations(entity):
+    """Axiom violations of a parsed entity; empty means valid.
+
+    Day categories, presheaves and coalgebras, Galois data and G-sets carry
+    their own validate(), so recognising them imports none of their modules;
+    coalgebras, morphisms and algebras go through coalgebra.validate, which
+    refuses anything else."""
+    own = getattr(entity, "validate", None)
+    return own() if own is not None else validate(entity)
+
+
 def _validate_entity(entity):
-    if isinstance(entity, (Coalgebra, CoalgebraMorphism)):
-        bad = validate(entity)
-        if bad:
-            raise ValidationError(f"invalid entity: {bad[:4]}")
-    if isinstance(entity, day_mod.LinearMonoidalCategory):
-        bad = entity.validate()
-        if bad:
-            raise ValidationError(f"invalid category: {bad[:4]}")
-    if isinstance(entity, day_mod.DayPresheaf):
-        bad = entity.validate()
-        if bad:
-            raise ValidationError(f"invalid presheaf: {bad[:4]}")
+    if isinstance(entity, Subspace):
+        return  # a span has no axioms
+    bad = _violations(entity)
+    if bad:
+        raise ValidationError(f"invalid {type(entity).__name__}: {bad[:4]}")
+
+
+def _of_kind(entity, *kinds):
+    """entity, if it is one of kinds; otherwise a parse error naming them."""
+    if not isinstance(entity, kinds):
+        want = " or ".join(k.__name__ for k in kinds)
+        raise ParseError(f"expected an argument of type {want}, got {type(entity).__name__}")
+    return entity
 
 
 def _read_document(path):
@@ -126,7 +136,8 @@ def main(argv=None):
     )
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: COALG_KERNEL_SEED, then 0)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--degree-cap", type=int, default=16, help="rational factorization degree cap")
+    parser.add_argument("--degree-cap", type=int, default=None,
+                        help="rational factorization degree cap (default: factor.DEFAULT_DEGREE_CAP)")
     parser.add_argument("--load", action="append", default=[], metavar="NAME=PATH", help="preload a named entity")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -148,18 +159,20 @@ def main(argv=None):
         p.add_argument("args", nargs=nargs)
 
     p = sub.add_parser("suite", help="run the verification suites")
-    p.add_argument("--suite", action="append", dest="suites", metavar="NAME", help=f"one of {', '.join(suites_mod.SUITES)}")
+    p.add_argument("--suite", action="append", dest="suites", metavar="NAME",
+                   help="run only this suite (repeatable; an unknown name lists the suites)")
 
     opts = parser.parse_args(argv)
-    seed = opts.seed
-    if seed is None:
-        seed = int(os.environ.get("COALG_KERNEL_SEED", "0"))
 
-    from . import factor as factor_mod
+    saved_cap = None
+    if opts.degree_cap is not None:
+        # the cap holds for this call only: an in-process caller keeps its default
+        from . import factor
 
-    factor_mod.DEFAULT_DEGREE_CAP = opts.degree_cap
-    workspace = Workspace(seed)
+        saved_cap, factor.DEFAULT_DEGREE_CAP = factor.DEFAULT_DEGREE_CAP, opts.degree_cap
     try:
+        seed = _seed(opts.seed)
+        workspace = Workspace(seed)
         for item in opts.load:
             name, _, path = item.partition("=")
             if not path:
@@ -175,14 +188,33 @@ def main(argv=None):
     except (ComputationError, CoalgkitError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
+    finally:
+        if saved_cap is not None:
+            factor.DEFAULT_DEGREE_CAP = saved_cap
     _emit(report, opts.format)
     return EXIT_OK if report.get("ok", True) else EXIT_VALIDATION
+
+
+def _seed(option):
+    """--seed if given, else COALG_KERNEL_SEED, else 0."""
+    if option is not None:
+        return option
+    text = os.environ.get("COALG_KERNEL_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"COALG_KERNEL_SEED must be an integer, got {text!r}") from None
 
 
 def _dispatch(opts, workspace, seed):
     cmd = opts.command
     if cmd == "suite":
-        result = suites_mod.run_all(seed, opts.suites)
+        from .suites import SUITES, run_all
+
+        unknown = [name for name in opts.suites or () if name not in SUITES]
+        if unknown:
+            raise ParseError(f"unknown suite {unknown[0]!r}; the suites are {', '.join(SUITES)}")
+        result = run_all(seed, opts.suites)
         result["report"] = "suite"
         return result
     simple = {
@@ -196,12 +228,7 @@ def _dispatch(opts, workspace, seed):
         args = [_argument_entity(a, workspace, check=check) for a in opts.args]
     if cmd == "validate":
         entity = args[0]
-        if isinstance(entity, (day_mod.LinearMonoidalCategory, day_mod.DayPresheaf, day_mod.DayCoalgebra)):
-            bad = entity.validate()
-        elif isinstance(entity, (galois_mod.GaloisDatum, galois_mod.FiniteGSet)):
-            bad = []  # validated during construction
-        else:
-            bad = validate(entity)
+        bad = _violations(entity)
         kind = type(entity).__name__
         dim = getattr(entity, "dim", None)
         return _report(
@@ -212,8 +239,10 @@ def _dispatch(opts, workspace, seed):
             violations=[str(b) for b in bad[:10]],
         )
     if cmd == "etale":
-        C = args[0]
-        data = structure_mod.etale_part(C)
+        from .structure import etale_part
+
+        C = _of_kind(args[0], Coalgebra)
+        data = etale_part(C)
         return _report(
             "etale",
             ok=True,
@@ -225,9 +254,11 @@ def _dispatch(opts, workspace, seed):
             retraction=jsonio.matrix_to_json(data.retraction.matrix),
         )
     if cmd == "decompose":
-        C = args[0]
-        comps, iso = structure_mod.irreducible_components(C)
-        dec = structure_mod.decomposition(C)
+        from .structure import decomposition, irreducible_components
+
+        C = _of_kind(args[0], Coalgebra)
+        comps, iso = irreducible_components(C)
+        dec = decomposition(C)
         return _report(
             "decompose",
             ok=True,
@@ -238,8 +269,10 @@ def _dispatch(opts, workspace, seed):
             iso=jsonio.matrix_to_json(iso.matrix),
         )
     if cmd == "grouplikes":
-        C = args[0]
-        gl = structure_mod.group_likes(C)
+        from .structure import group_likes
+
+        C = _of_kind(args[0], Coalgebra)
+        gl = group_likes(C)
         return _report(
             "grouplikes",
             ok=True,
@@ -248,8 +281,10 @@ def _dispatch(opts, workspace, seed):
             elements=[jsonio.vector_to_json(C.field, v) for v in gl.elements],
         )
     if cmd == "retract":
-        C = args[0]
-        data = structure_mod.etale_part(C)
+        from .structure import etale_part
+
+        C = _of_kind(args[0], Coalgebra)
+        data = etale_part(C)
         return _report(
             "retract",
             ok=True,
@@ -261,7 +296,7 @@ def _dispatch(opts, workspace, seed):
             ),
         )
     if cmd == "subgen":
-        C, S = args
+        C, S = _of_kind(args[0], Coalgebra), _of_kind(args[1], Subspace)
         D, incl = generated_subcoalgebra(C, S)
         return _report(
             "subgen",
@@ -272,16 +307,18 @@ def _dispatch(opts, workspace, seed):
             inclusion=jsonio.matrix_to_json(incl.matrix),
         )
     if cmd == "adjunction-gp":
-        entity = _argument_entity(opts.args[0], workspace)
-        rep = structure_mod.gp_adjunction_checks(C=entity)
+        from .structure import gp_adjunction_checks
+
+        C = _of_kind(_argument_entity(opts.args[0], workspace), Coalgebra)
+        rep = gp_adjunction_checks(C=C)
         return _report("adjunction-gp", ok=rep["ok"], checks=[[n, v] for n, v in rep["checks"]])
     if cmd == "galois-functor":
-        D, X = args
-        if not isinstance(D, galois_mod.GaloisDatum):
-            raise ParseError("first argument must be a galois document")
-        X = galois_mod.FiniteGSet(X.size, X.action, D.table)
-        k = galois_mod.kbar_functor(D, X)
-        orbits = galois_mod.orbits_and_stabilizers(D, X)
+        from .galois import FiniteGSet, GaloisDatum, kbar_functor, orbits_and_stabilizers
+
+        D, X = _of_kind(args[0], GaloisDatum), _of_kind(args[1], FiniteGSet)
+        X = FiniteGSet(X.size, X.action, D.table)
+        k = kbar_functor(D, X)
+        orbits = orbits_and_stabilizers(D, X)
         return _report(
             "galois-functor",
             ok=True,
@@ -291,18 +328,22 @@ def _dispatch(opts, workspace, seed):
             coalgebra=jsonio.coalgebra_to_json(k.coalgebra),
         )
     if cmd == "galois-adjunction":
-        D, other = args
-        if isinstance(other, galois_mod.FiniteGSet):
-            other = galois_mod.FiniteGSet(other.size, other.action, D.table)
-            rep = galois_mod.adjunction_checks(D, X=other)
+        from .galois import FiniteGSet, GaloisDatum, adjunction_checks
+
+        D, other = _of_kind(args[0], GaloisDatum), _of_kind(args[1], FiniteGSet, Coalgebra)
+        if isinstance(other, FiniteGSet):
+            other = FiniteGSet(other.size, other.action, D.table)
+            rep = adjunction_checks(D, X=other)
         else:
-            rep = galois_mod.adjunction_checks(D, C=other)
+            rep = adjunction_checks(D, C=other)
         return _report(
             "galois-adjunction", ok=rep["ok"], checks=[[n, v] for n, v in rep["checks"]]
         )
     if cmd == "day-convolve":
+        from .day import day_convolve
+
         cat, F, G = _day_triple(opts.args, workspace)
-        T = day_mod.day_convolve(F, G)
+        T = day_convolve(F, G)
         verification = {
             "presheaf-valid": not T.presheaf.validate(),
             "dims": T.presheaf.dims,
@@ -314,19 +355,22 @@ def _dispatch(opts, workspace, seed):
             verification=verification,
         )
     if cmd == "day-hom":
+        from .day import internal_hom
+
         cat, F, G = _day_triple(opts.args, workspace)
-        IH = day_mod.internal_hom(F, G)
+        IH = internal_hom(F, G)
         return _report(
             "day-hom",
             ok=not IH.presheaf.validate(),
             hom=jsonio.day_presheaf_to_json(IH.presheaf, category_name="category"),
         )
     if cmd == "day-subgen":
-        FC = _argument_entity(opts.args[0], workspace)
-        if not isinstance(FC, day_mod.DayCoalgebra):
-            raise ParseError("first argument must be a day-coalgebra document")
+        from .day import DayCoalgebra
+        from .dayclosure import generated_day_subcoalgebra
+
+        FC = _of_kind(_argument_entity(opts.args[0], workspace), DayCoalgebra)
         sub0 = jsonio.day_subpresheaf_from_json(_read_document(opts.args[1]), FC.presheaf)
-        subc, incl, spaces = closure_mod.generated_day_subcoalgebra(FC, sub0)
+        subc, incl, spaces = generated_day_subcoalgebra(FC, sub0)
         return _report(
             "day-subgen",
             ok=not subc.validate(),
@@ -337,9 +381,9 @@ def _dispatch(opts, workspace, seed):
 
 
 def _day_triple(paths, workspace):
-    cat = _argument_entity(paths[0], workspace)
-    if not isinstance(cat, day_mod.LinearMonoidalCategory):
-        raise ParseError("first argument must be a day-category document")
+    from .day import LinearMonoidalCategory
+
+    cat = _of_kind(_argument_entity(paths[0], workspace), LinearMonoidalCategory)
     fs = []
     for p in paths[1:]:
         fs.append(jsonio.day_presheaf_from_json(_read_document(p), category=cat))

@@ -48,6 +48,11 @@ class GaloisDatum:
         if check:
             self._validate()
 
+    def validate(self):
+        """No violations to report: the checks of _validate raise while the
+        datum is built (unless it is built with check=False)."""
+        return []
+
     def _validate(self):
         g = self.size
         L = self.L
@@ -189,12 +194,19 @@ class FiniteGSet:
         if table is not None:
             self._validate(table, identity)
 
+    def validate(self):
+        """No violations to report: the action is checked against a group
+        table while the set is built, and without a table there is nothing
+        to check it against."""
+        return []
+
     def _validate(self, table, identity):
         g = len(table)
         if len(self.action) != g:
             raise InvalidAction("one permutation per group element required")
         for p in self.action:
-            if sorted(p) != list(range(self.size)):
+            # the length first: a declared size is not allocated unchecked
+            if len(p) != self.size or sorted(p) != list(range(self.size)):
                 raise InvalidAction("action entries must be permutations")
         if identity is None:
             identity = _table_identity(table)

@@ -12,11 +12,8 @@ byte-identical output.
 import json
 
 from .coalgebra import ArtinAlgebra, Coalgebra, CoalgebraMorphism
-from .day import DayCoalgebra, DayPresheaf, DayTensor, LinearMonoidalCategory, NatTransform
-from .dayclosure import SubPresheaf
 from .errors import ParseError
 from .fields import field_from_json
-from .galois import FiniteGSet, GaloisDatum
 from .linalg import Matrix, Subspace
 
 SCHEMA = "coalgkit/1"
@@ -52,6 +49,29 @@ def _is_strings(value):
 def _is_int_rows(value):
     return isinstance(value, list) and all(
         isinstance(row, list) and all(type(i) is int for i in row) for row in value
+    )
+
+
+def _is_index(value, n):
+    return type(value) is int and 0 <= value < n
+
+
+def _is_entries(value, width, ok):
+    """A list of lists of `width` items, each satisfying ok."""
+    return isinstance(value, list) and all(
+        isinstance(e, list) and len(e) == width and all(map(ok, e)) for e in value
+    )
+
+
+def _is_vector(value, n):
+    return _is_strings(value) and len(value) == n
+
+
+def _is_table(value, rows, cols, n):
+    """rows x cols coordinate vectors of length n (a bilinear structure table)."""
+    return isinstance(value, list) and len(value) == rows and all(
+        isinstance(row, list) and len(row) == cols and all(_is_vector(v, n) for v in row)
+        for row in value
     )
 
 
@@ -140,12 +160,13 @@ def coalgebra_from_json(obj):
 
 def algebra_from_json(obj):
     _expect(obj, "algebra")
-    field = field_from_json(obj["field"])
+    _require(type(obj.get("dim")) is int, "'dim'", "an integer")
+    field = field_from_json(obj.get("field"))
     return ArtinAlgebra(
         field,
         obj["dim"],
-        matrix_from_json(field, obj["mult"]),
-        vector_from_json(field, obj["unit"]),
+        matrix_from_json(field, obj.get("mult")),
+        vector_from_json(field, obj.get("unit")),
     )
 
 
@@ -161,15 +182,18 @@ def morphism_from_json(obj, resolve=None):
     """resolve: name -> Coalgebra for by-name source/target references."""
     _expect(obj, "morphism")
 
-    def entity(spec):
-        if isinstance(spec, str):
-            if resolve is None:
-                raise ParseError(f"no workspace to resolve name {spec!r}")
-            return resolve(spec)
-        return coalgebra_from_json(spec)
+    def entity(name):
+        spec = obj.get(name)
+        if not isinstance(spec, str):
+            return coalgebra_from_json(spec)
+        if resolve is None:
+            raise ParseError(f"no workspace to resolve name {spec!r}")
+        found = resolve(spec)
+        _require(isinstance(found, Coalgebra), f"'{name}'", "the name of a coalgebra")
+        return found
 
-    source = entity(obj["source"])
-    target = entity(obj["target"])
+    source = entity("source")
+    target = entity("target")
     matrix = matrix_from_json(source.field, obj["matrix"])
     return CoalgebraMorphism(source, target, matrix)
 
@@ -178,7 +202,7 @@ def subspace_from_json(obj, field=None):
     _expect(obj, "subspace")
     _require(type(obj.get("ambient")) is int, "'ambient'", "an integer")
     _require(isinstance(obj.get("vectors"), list), "'vectors'", "a list")
-    field = field or field_from_json(obj["field"])
+    field = field or field_from_json(obj.get("field"))
     return Subspace.from_vectors(
         field, obj["ambient"], [vector_from_json(field, v) for v in obj["vectors"]]
     )
@@ -201,18 +225,20 @@ def galois_to_json(D):
 
 
 def galois_from_json(obj):
+    from .galois import GaloisDatum
+
     _expect(obj, "galois")
     _require(_is_int_rows(obj.get("table")), "'table'", "a list of integer lists")
     ext = obj.get("extension")
     _require(isinstance(ext, dict), "'extension'", "an object")
     _require(type(ext.get("dim")) is int, "'extension.dim'", "an integer")
     _require(isinstance(obj.get("automorphisms"), list), "'automorphisms'", "a list")
-    base = field_from_json(obj["base"])
+    base = field_from_json(obj.get("base"))
     L = ArtinAlgebra(
         base,
         ext["dim"],
-        matrix_from_json(base, ext["mult"]),
-        vector_from_json(base, ext["unit"]),
+        matrix_from_json(base, ext.get("mult")),
+        vector_from_json(base, ext.get("unit")),
     )
     autos = [matrix_from_json(base, m) for m in obj["automorphisms"]]
     return GaloisDatum(base, L, autos, obj["table"])
@@ -226,9 +252,13 @@ def gset_to_json(X):
 
 
 def gset_from_json(obj, datum=None):
+    from .galois import FiniteGSet
+
     _expect(obj, "gset")
     _require(type(obj.get("size")) is int, "'size'", "an integer")
     _require(_is_int_rows(obj.get("action")), "'action'", "a list of integer lists")
+    _require(all(len(p) == obj["size"] for p in obj["action"]),
+             "'size'", "the length of every permutation in 'action'")
     table = datum.table if datum is not None else None
     return FiniteGSet(obj["size"], obj["action"], table)
 
@@ -261,9 +291,71 @@ def day_category_to_json(cat):
     return out
 
 
+def _check_day_category_types(obj):
+    """JSON types and sizes of a day-category document, checked before
+    anything is built.  Every index names an object, every coordinate vector
+    has the length of its hom space, and every nonzero hom dimension d(a, b)
+    is pinned by the data: the table composing hom(a, b) with the identity
+    of b, which a category must have, has d(a, b) columns."""
+    objects = obj.get("objects")
+    _require(isinstance(objects, list), "'objects'", "a list")
+    m = len(objects)
+
+    def is_object(v):
+        return _is_index(v, m)
+
+    _require(is_object(obj.get("unit")), "'unit'", "an object index")
+    tensor = obj.get("tensor_obj")
+    _require(isinstance(tensor, list) and len(tensor) == m and _is_entries(tensor, m, is_object),
+             "'tensor_obj'", "a square table of object indices")
+    hom_dims = obj.get("hom_dims")
+    _require(_is_entries(hom_dims, 3, lambda v: type(v) is int)
+             and all(is_object(a) and is_object(b) and d >= 0 for a, b, d in hom_dims),
+             "'hom_dims'", "a list of [a, b, dim] with object indices a, b")
+    dims = {(a, b): d for a, b, d in hom_dims}
+
+    def hom(a, b):
+        return dims.get((a, b), 0)
+
+    identities = obj.get("identities")
+    _require(isinstance(identities, list)
+             and all(isinstance(e, list) and len(e) == 2 and is_object(e[0])
+                     and _is_vector(e[1], hom(e[0], e[0])) for e in identities)
+             and sorted(e[0] for e in identities) == list(range(m)),
+             "'identities'", "one [object, coordinates] entry per object")
+    compose = obj.get("compose")
+    _require(isinstance(compose, list)
+             and all(isinstance(e, list) and len(e) == 4 and all(map(is_object, e[:3]))
+                     and _is_table(e[3], hom(e[1], e[2]), hom(e[0], e[1]), hom(e[0], e[2]))
+                     for e in compose),
+             "'compose'", "a list of [a, b, c, table], hom(b, c) x hom(a, b) coordinate vectors")
+    with_identity = {(a, b) for a, b, c, _ in compose if b == c}
+    _require(all(d == 0 or (a, b) in with_identity for (a, b), d in dims.items()),
+             "'hom_dims'", "backed by a compose table [a, b, b] for every nonzero entry")
+    tensor_mor = obj.get("tensor_mor")
+    _require(isinstance(tensor_mor, list)
+             and all(isinstance(e, list) and len(e) == 5 and all(map(is_object, e[:4]))
+                     and _is_table(e[4], hom(e[0], e[1]), hom(e[2], e[3]),
+                                   hom(tensor[e[0]][e[2]], tensor[e[1]][e[3]]))
+                     for e in tensor_mor),
+             "'tensor_mor'", "a list of [a, b, c, d, table], hom(a, b) x hom(c, d) coordinate vectors")
+    if "symmetry" in obj:
+        symmetry = obj["symmetry"]
+        pairs = [(a, b) for a in range(m) for b in range(m)]
+        _require(isinstance(symmetry, list)
+                 and all(isinstance(e, list) and len(e) == 3 and is_object(e[0]) and is_object(e[1])
+                         and _is_vector(e[2], hom(tensor[e[0]][e[1]], tensor[e[1]][e[0]]))
+                         for e in symmetry)
+                 and sorted((e[0], e[1]) for e in symmetry) == pairs,
+                 "'symmetry'", "one [a, b, coordinates] entry per pair of objects")
+
+
 def day_category_from_json(obj):
+    from .day import LinearMonoidalCategory
+
     _expect(obj, "day-category")
-    fld = field_from_json(obj["field"])
+    _check_day_category_types(obj)
+    fld = field_from_json(obj.get("field"))
     hom_dims = {(a, b): d for a, b, d in obj["hom_dims"]}
     identities = {a: vector_from_json(fld, v) for a, v in obj["identities"]}
     compose = {
@@ -309,23 +401,42 @@ def day_presheaf_to_json(F, category_name=None):
 
 
 def day_presheaf_from_json(obj, category=None, resolve=None):
+    from .day import DayPresheaf, LinearMonoidalCategory
+
     _expect(obj, "day-presheaf")
     if category is None:
-        spec = obj["category"]
+        spec = obj.get("category")
         if isinstance(spec, str):
             if resolve is None:
                 raise ParseError(f"no workspace to resolve name {spec!r}")
             category = resolve(spec)
+            _require(isinstance(category, LinearMonoidalCategory),
+                     "'category'", "the name of a day-category")
         else:
             category = day_category_from_json(spec)
     dims = obj.get("dims")
-    _require(isinstance(dims, list) and all(type(d) is int for d in dims),
-             "'dims'", "a list of integers")
-    _require(isinstance(obj.get("actions"), list), "'actions'", "a list")
+    _require(isinstance(dims, list) and len(dims) == category.size
+             and all(type(d) is int and d >= 0 for d in dims),
+             "'dims'", "one non-negative integer per object")
+    entries = obj.get("actions")
+
+    def is_action(e):
+        """[a, b, i, matrix] for a basis morphism i of hom(a, b), the matrix
+        declared dims[a] x dims[b]"""
+        return (isinstance(e, list) and len(e) == 4
+                and _is_index(e[0], len(dims)) and _is_index(e[1], len(dims))
+                and _is_index(e[2], category.hom_dim(e[0], e[1])) and isinstance(e[3], dict)
+                and e[3].get("rows") == dims[e[0]] and e[3].get("cols") == dims[e[1]])
+
+    _require(isinstance(entries, list) and all(map(is_action, entries)),
+             "'actions'", "a list of [a, b, i, matrix] with a dims[a] x dims[b] matrix")
+    # an identity acts as the identity, so a nonzero dims[a] has an endomorphism
+    # action whose matrix holds the dims[a] rows it declares
+    acted = {e[0] for e in entries if e[0] == e[1]}
+    _require(all(d == 0 or a in acted for a, d in enumerate(dims)),
+             "'dims'", "backed by an action [a, a, i] for every nonzero entry")
     fld = category.field
-    actions = {
-        (a, b, i): matrix_from_json(fld, m) for a, b, i, m in obj["actions"]
-    }
+    actions = {(a, b, i): matrix_from_json(fld, m) for a, b, i, m in entries}
     return DayPresheaf(category, dims, actions)
 
 
@@ -340,18 +451,26 @@ def day_coalgebra_to_json(FC, category_name=None):
 
 
 def day_coalgebra_from_json(obj, category=None, resolve=None):
+    from .day import DayCoalgebra, DayTensor, NatTransform, representable
+
     _expect(obj, "day-coalgebra")
-    F = day_presheaf_from_json(obj["presheaf"], category=category, resolve=resolve)
+    F = day_presheaf_from_json(obj.get("presheaf"), category=category, resolve=resolve)
     cat = F.category
     fld = cat.field
     conv = DayTensor(F, F)
-    from .day import representable
-
-    delta = NatTransform(
-        F, conv.presheaf, [matrix_from_json(fld, m) for m in obj["delta"]]
-    )
     h1 = representable(cat, cat.unit)
-    eps = NatTransform(F, h1, [matrix_from_json(fld, m) for m in obj["epsilon"]])
+
+    def components(name, target):
+        """One target(U) x F(U) matrix per object U."""
+        mats = obj.get(name)
+        _require(isinstance(mats, list) and len(mats) == cat.size
+                 and all(isinstance(m, dict) and m.get("rows") == target.dims[U]
+                         and m.get("cols") == F.dims[U] for U, m in enumerate(mats)),
+                 f"'{name}'", "one target(U) x F(U) matrix per object U")
+        return NatTransform(F, target, [matrix_from_json(fld, m) for m in mats])
+
+    delta = components("delta", conv.presheaf)
+    eps = components("epsilon", h1)
     return DayCoalgebra(F, delta, eps, conv)
 
 
@@ -365,6 +484,8 @@ def day_subpresheaf_to_json(sub):
 
 
 def day_subpresheaf_from_json(obj, presheaf):
+    from .dayclosure import SubPresheaf
+
     _expect(obj, "day-subpresheaf")
     spaces = obj.get("spaces")
     _require(isinstance(spaces, list) and all(isinstance(v, list) for v in spaces),
@@ -401,6 +522,7 @@ def load_document(text, path="<string>"):
 
 def parse_entity(obj, resolve=None):
     kind = obj.get("type")
+    _require(isinstance(kind, str), "'type'", "a string")
     if kind == "morphism":
         return morphism_from_json(obj, resolve=resolve)
     if kind == "day-presheaf":

@@ -523,6 +523,7 @@ class DayTensor:
         self.relations = []
         self.relation_tags = []
         dims = []
+        terms = self._relation_terms()
         for U in range(cat.size):
             blocks = []
             index = {}
@@ -542,7 +543,7 @@ class DayTensor:
             self.blocks.append(blocks)
             self.block_index.append(index)
             self.d_dims.append(off)
-            rel, tags = self._relation_matrix(U)
+            rel, tags = self._relation_matrix(U, terms)
             self.relations.append(rel)
             self.relation_tags.append(tags)
             image = rel.column_space() if rel.cols else Subspace.zero(fld, off)
@@ -556,56 +557,94 @@ class DayTensor:
             actions[(a, b, i)] = self.projections[a] @ D @ self.sections[b]
         self.presheaf = DayPresheaf(cat, dims, actions)
 
-    def _relation_matrix(self, U):
+    def _relation_terms(self):
+        """The part of the relations that does not depend on U, per pair of
+        basis morphisms alpha: Xp -> X, beta: Yp -> Y with F(X), G(Y) nonzero:
+        (X, Y, Xp, Yp, ai, bi, alpha (x) beta, minus), where minus[s][t]
+        lists the nonzero entries of -F(alpha)(s) (x) G(beta)(t) as
+        (offset in a phi row of the (Xp, Yp) block, value)."""
         cat = self.category
         fld = cat.field
         F, G = self.F, self.G
-        cols = []
-        tags = []  # per column: (X, Y, Xp, Yp, ai, bi, pi, s, t)
-        index = self.block_index[U]
-        blocks = self.blocks[U]
+        betas = [
+            (Yp, Y, bi, cat.basis_mor(Yp, Y, bi), _nonzero_cols(fld, G.action(Yp, Y, bi)))
+            for (Yp, Y, bi) in cat.all_basis_mors()
+            if G.dims[Y]
+        ]
+        terms = []
         for (Xp, X, ai) in cat.all_basis_mors():
             if F.dims[X] == 0:
                 continue
             alpha = cat.basis_mor(Xp, X, ai)
-            Falpha = F.action(Xp, X, ai)
-            for (Yp, Y, bi) in cat.all_basis_mors():
-                if G.dims[Y] == 0:
-                    continue
-                beta = cat.basis_mor(Yp, Y, bi)
-                Gbeta = G.action(Yp, Y, bi)
-                src_obj = cat.tensor_obj[Xp][Yp]
-                hd_src = cat.hom_dim(U, src_obj)
-                if hd_src == 0:
-                    continue
+            Fcols = _nonzero_cols(fld, F.action(Xp, X, ai))
+            for Yp, Y, bi, beta, Gcols in betas:
+                gd_p = G.dims[Yp]
+                minus = [
+                    [
+                        [(i2 * gd_p + j2, fld.sub(fld.zero, fld.mul(u, v)))
+                         for i2, u in fs for j2, v in gt]
+                        for gt in Gcols
+                    ]
+                    for fs in Fcols
+                ]
                 tm = cat.tensor_mor_pair(alpha, beta)
-                for pi in range(hd_src):
-                    phi = cat.basis_mor(U, src_obj, pi)
-                    chi = cat.compose_mor(tm, phi)  # in hom(U, X (x) Y)
-                    for s in range(F.dims[X]):
-                        for t in range(G.dims[Y]):
-                            col = [fld.zero] * self.d_dims[U]
-                            if (X, Y) in index:
-                                _, _, off, hd, fd, gd = blocks[index[(X, Y)]]
-                                for ci, cv in enumerate(chi[2]):
-                                    if not fld.is_zero(cv):
-                                        col[off + (ci * fd + s) * gd + t] = cv
-                            if (Xp, Yp) in index:
-                                _, _, off, hd, fd, gd = blocks[index[(Xp, Yp)]]
-                                for i2 in range(fd):
-                                    u = Falpha.data[i2][s]
-                                    if fld.is_zero(u):
-                                        continue
-                                    for j2 in range(gd):
-                                        v = Gbeta.data[j2][t]
-                                        if fld.is_zero(v):
-                                            continue
-                                        idx = off + (pi * fd + i2) * gd + j2
-                                        col[idx] = fld.sub(col[idx], fld.mul(u, v))
-                            if any(not fld.is_zero(x) for x in col):
-                                cols.append(col)
-                                tags.append((X, Y, Xp, Yp, ai, bi, pi, s, t))
-        return Matrix.from_cols(fld, cols, self.d_dims[U]), tags
+                terms.append((X, Y, Xp, Yp, ai, bi, tm, minus))
+        return terms
+
+    def _relation_matrix(self, U, terms):
+        """Relation columns of D(U), one per (alpha, beta, phi, s, t), each
+        built from its nonzero entries; a column that cancels to zero (as
+        every identity (x) identity one does) is left out."""
+        cat = self.category
+        fld = cat.field
+        cols = []  # {index: nonzero value}
+        tags = []  # per column: (X, Y, Xp, Yp, ai, bi, pi, s, t)
+        index = self.block_index[U]
+        blocks = self.blocks[U]
+        for X, Y, Xp, Yp, ai, bi, tm, minus in terms:
+            src_obj = cat.tensor_obj[Xp][Yp]
+            hd_src = cat.hom_dim(U, src_obj)
+            if hd_src == 0:
+                continue
+            fd, gd = self.F.dims[X], self.G.dims[Y]
+            # minus is empty unless F(Xp), G(Yp) and so the (Xp, Yp) block
+            # are nonzero
+            if (Xp, Yp) in index:
+                _, _, off_p, _, fd_p, gd_p = blocks[index[(Xp, Yp)]]
+            for pi in range(hd_src):
+                # chi (x) s (x) t with chi = (alpha (x) beta) o phi: the
+                # offsets of chi's nonzero coordinates at s = t = 0
+                chi_at = []
+                if (X, Y) in index:
+                    off = blocks[index[(X, Y)]][2]
+                    chi = cat.compose_mor(tm, cat.basis_mor(U, src_obj, pi))
+                    chi_at = [
+                        (off + ci * fd * gd, cv) for ci, cv in enumerate(chi[2]) if not fld.is_zero(cv)
+                    ]
+                if (Xp, Yp) in index:
+                    base = off_p + pi * fd_p * gd_p
+                for s in range(fd):
+                    for t in range(gd):
+                        st = s * gd + t
+                        col = {c + st: cv for c, cv in chi_at}
+                        for k, m in minus[s][t]:
+                            idx = base + k
+                            if idx in col:
+                                w = fld.add(col[idx], m)
+                                if fld.is_zero(w):
+                                    del col[idx]
+                                else:
+                                    col[idx] = w
+                            else:
+                                col[idx] = m
+                        if col:
+                            cols.append(col)
+                            tags.append((X, Y, Xp, Yp, ai, bi, pi, s, t))
+        data = [[fld.zero] * len(cols) for _ in range(self.d_dims[U])]
+        for j, col in enumerate(cols):
+            for i, v in col.items():
+                data[i][j] = v
+        return Matrix(fld, self.d_dims[U], len(cols), data), tags
 
     def _d_level_action(self, a, b, i):
         """Direct-sum level map D(b) -> D(a) precomposing the hom factor."""
@@ -672,6 +711,14 @@ class DayTensor:
 
     def dim(self, U):
         return self.presheaf.dims[U]
+
+
+def _nonzero_cols(fld, M):
+    """Per column of M, its nonzero entries as (row, value) pairs."""
+    return [
+        [(i, row[j]) for i, row in enumerate(M.data) if not fld.is_zero(row[j])]
+        for j in range(M.cols)
+    ]
 
 
 def day_convolve(F, G):
@@ -938,12 +985,12 @@ class InternalHom:
         cat = self.category
         fld = cat.field
         f = cat.basis_mor(a, b, i)
+        Gmaps = [self.G.action_of(cat.tensor_mor_pair(f, cat.id_mor(X))) for X in range(cat.size)]
         cols = []
         for basis_vec in self.bases[b].vectors():
             img = [fld.zero] * self.bases[a].ambient
-            for X in range(cat.size):
+            for X, Gmap in enumerate(Gmaps):
                 theta = self.family_component(b, basis_vec, X)
-                Gmap = self.G.action_of(cat.tensor_mor_pair(f, cat.id_mor(X)))
                 moved = Gmap @ theta
                 offX = self.offsets[a][X]
                 img[offX : offX + moved.rows * moved.cols] = [v for row in moved.data for v in row]

@@ -33,6 +33,11 @@ class DegreeCapExceeded(ComputationError):
     """Rational factorization request above the configured degree cap."""
 
 
+class SearchExhausted(ComputationError):
+    """The candidate-element search of a primitive element or a splitting
+    element ran out; the message names its bounds and the count tried."""
+
+
 class NotSupported(ComputationError):
     """Operation not implemented for this field kind."""
 

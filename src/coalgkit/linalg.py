@@ -7,11 +7,11 @@ field values.
 Tensor index convention, used by every module: the basis vector e_i (x) e_j
 of k^m (x) k^n sits at index i*n + j (row-major on the factors).
 
-Row reduction, products and RowReducer run on a kernel per field kind (see
-`row_kernel`): Q on integer rows over a common denominator, fraction-free, to
-control coefficient growth; F_p on plain ints reduced mod p; F_q through the
-field's methods.  Reduced row echelon form is canonical, so equal subspaces
-have identical bases.
+Row reduction, products, RowReducer and subspace coordinates run on a kernel
+per field kind (see `row_kernel`): Q on integer rows over a common
+denominator, fraction-free, to control coefficient growth; F_p on plain ints
+reduced mod p; F_q through the field's methods.  Reduced row echelon form is
+canonical, so equal subspaces have identical bases.
 """
 
 from fractions import Fraction
@@ -277,8 +277,9 @@ class Matrix:
 
 # -- per-field row kernels --------------------------------------------------
 #
-# The entry loops of rref, matrix products, RowReducer.add and
-# ArtinAlgebra.mul, one implementation per field kind, picked by `row_kernel`.
+# The entry loops of rref, matrix products, RowReducer.add, ArtinAlgebra.mul
+# and Subspace.pivots/coordinates, one implementation per field kind, picked
+# by `row_kernel`.
 # `_FieldMethods` sends every entry through the field's own methods; F_q
 # runs on it, and the F_p and Q kernels return byte-identical results to it.
 
@@ -383,6 +384,41 @@ class _FieldMethods:
                         out[i] = F.add(out[i], F.mul(c, t))
         return out
 
+    @staticmethod
+    def pivots(F, rows):
+        out = []
+        for row in rows:
+            for j, a in enumerate(row):
+                if not F.is_zero(a):
+                    out.append(j)
+                    break
+        return out
+
+    @staticmethod
+    def coordinates(F, rows, pivots, vec):
+        """Subspace.coordinates over RREF rows with the given pivots."""
+        v = list(vec)
+        coords = []
+        for row, p in zip(rows, pivots):
+            c = v[p]
+            coords.append(c)
+            if not F.is_zero(c):
+                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
+        if any(not F.is_zero(a) for a in v):
+            return None
+        return coords
+
+
+def _nonzero_pivots(F, rows):
+    """Subspace.pivots where a zero entry is falsy (F_p and Q)."""
+    out = []
+    for row in rows:
+        for j, a in enumerate(row):
+            if a:
+                out.append(j)
+                break
+    return out
+
 
 class _PrimeKernel:
     """F_p on plain ints: a product or a sum of products is reduced by one
@@ -459,6 +495,21 @@ class _PrimeKernel:
     def algebra_mul(F, A, x, y):
         p = F.p
         return [s % p for s in _int_algebra_mul(A, x, y)]
+
+    pivots = staticmethod(_nonzero_pivots)
+
+    @staticmethod
+    def coordinates(F, rows, pivots, vec):
+        """In RREF every pivot column is zero in the other rows, so the
+        coordinates are vec's pivot entries; vec is inside when it equals
+        their combination of the rows."""
+        p = F.p
+        coords = [vec[j] % p for j in pivots]
+        v = list(vec)
+        for c, row in zip(coords, rows):
+            if c:
+                v = [a - c * b for a, b in zip(v, row)]
+        return None if any(a % p for a in v) else coords
 
 
 def clear_denominators(vec):
@@ -562,6 +613,22 @@ class _RationalKernel:
         sums = _int_algebra_mul(A, xn, yn)
         return [_fraction(s, d * den) for s, d in zip(sums, A.int_table()[1])]
 
+    pivots = staticmethod(_nonzero_pivots)
+
+    @staticmethod
+    def coordinates(F, rows, pivots, vec):
+        """As over F_p, with vec and the combination compared on integers
+        over one common denominator."""
+        coords = [vec[j] for j in pivots]
+        terms = [(c, clear_denominators(row)) for c, row in zip(coords, rows) if c]
+        nums, den = clear_denominators(vec)
+        scale = lcm(den, *(c.denominator * rd for c, (_, rd) in terms))
+        v = [a * (scale // den) for a in nums]
+        for c, (rn, rd) in terms:
+            f = c.numerator * (scale // (c.denominator * rd))
+            v = [a - f * b for a, b in zip(v, rn)]
+        return None if any(v) else coords
+
 
 def _int_algebra_mul(A, x, y):
     """Numerators of x * y over A.int_table() for integer coordinates."""
@@ -618,29 +685,13 @@ class Subspace:
         return [self.basis.row(i) for i in range(self.dim)]
 
     def pivots(self):
-        F = self.field
-        out = []
-        for row in self.basis.data:
-            for j, a in enumerate(row):
-                if not F.is_zero(a):
-                    out.append(j)
-                    break
-        return out
+        return row_kernel(self.field).pivots(self.field, self.basis.data)
 
     def coordinates(self, vec):
         """Coefficients of vec over the basis rows, or None if outside."""
-        F = self.field
-        v = list(vec)
-        coords = []
-        for i, p in enumerate(self.pivots()):
-            c = v[p]
-            coords.append(c)
-            if not F.is_zero(c):
-                row = self.basis.data[i]
-                v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, row)]
-        if any(not F.is_zero(a) for a in v):
-            return None
-        return coords
+        kernel = row_kernel(self.field)
+        rows = self.basis.data
+        return kernel.coordinates(self.field, rows, kernel.pivots(self.field, rows), vec)
 
     def contains_vector(self, vec):
         return self.coordinates(vec) is not None
@@ -712,7 +763,6 @@ def kronecker(A, B):
     if A.field != B.field:
         raise SpecMismatch("kronecker over different fields")
     F = A.field
-    z = F.zero
     out = Matrix.zeros(F, A.rows * B.rows, A.cols * B.cols)
     for i in range(A.rows):
         for k in range(A.cols):
@@ -726,7 +776,7 @@ def kronecker(A, B):
                 for l in range(B.cols):
                     b = brow[l]
                     if not F.is_zero(b):
-                        orow[base + l] = F.add(orow[base + l], F.mul(a, b)) if orow[base + l] != z else F.mul(a, b)
+                        orow[base + l] = F.mul(a, b)
     return out
 
 

@@ -24,14 +24,15 @@ from .coalgebra import (
     polynomial_quotient_algebra,
     std_basis,
 )
-from .errors import ComputationError, NonSeparableResidue, ValidationError
+from .errors import ComputationError, NonSeparableResidue, SearchExhausted, ValidationError
 from .factor import factor_polynomial
 from .linalg import Matrix, Subspace, minimal_polynomial, quotient_maps
 from .polys import Polynomial
 from .seeding import derived_rng
 
 _SEARCH_SEED = 20870  # fixed seed for primitive-element / splitting searches
-_EXHAUSTIVE_BOUND = 1 << 16
+_RANDOM_DRAWS = 400  # seeded random candidates after the basis combinations
+_EXHAUSTIVE_BOUND = 1 << 16  # every vector is a candidate when q^dim is at most this
 
 
 def radical(A):
@@ -109,7 +110,7 @@ def _candidate_elements(B, rng):
         for j in range(i + 1, n):
             yield [F.add(a, c) for a, c in zip(basis[i], basis[j])]
             yield B.mul(basis[i], basis[j])
-    for _ in range(400):
+    for _ in range(_RANDOM_DRAWS):
         yield [F.random(rng) for _ in range(n)]
     order = F.order
     if order is not None and order**n <= _EXHAUSTIVE_BOUND:
@@ -123,6 +124,20 @@ def _candidate_elements(B, rng):
         yield from all_vectors([], 0)
 
 
+def _search_exhausted(what, B, tried):
+    order = B.field.order
+    if order is None:
+        tail = "no exhaustive search over an infinite field"
+    elif order**B.dim <= _EXHAUSTIVE_BOUND:
+        tail = f"all {order}^{B.dim} vectors, within the exhaustive bound {_EXHAUSTIVE_BOUND}"
+    else:
+        tail = f"no exhaustive search: {order}^{B.dim} exceeds the exhaustive bound {_EXHAUSTIVE_BOUND}"
+    return SearchExhausted(
+        f"{what} after {tried} candidates (basis vectors, pairwise sums and "
+        f"products, {_RANDOM_DRAWS} seeded draws, {tail})"
+    )
+
+
 def primitive_element(B, seed=_SEARCH_SEED):
     """An element generating B, plus its minimal polynomial.
 
@@ -130,11 +145,13 @@ def primitive_element(B, seed=_SEARCH_SEED):
     the implemented perfect base fields guarantees existence.
     """
     rng = derived_rng(seed, B.dim)
+    tried = 0
     for x in _candidate_elements(B, rng):
+        tried += 1
         m = element_min_poly(B, x)
         if m.degree == B.dim:
             return x, m
-    raise ComputationError("no primitive element found; input is not a field?")
+    raise _search_exhausted("no primitive element found (input is not a field?)", B, tried)
 
 
 def split_semisimple(B, seed=_SEARCH_SEED):
@@ -163,7 +180,9 @@ def _split_once(B, seed):
         return None
     F = B.field
     rng = derived_rng(seed, B.dim, 1)
+    tried = 0
     for x in _candidate_elements(B, rng):
+        tried += 1
         m = element_min_poly(B, x)
         _, factors = factor_polynomial(m)
         if any(mult > 1 for _, mult in factors):
@@ -180,7 +199,7 @@ def _split_once(B, seed):
                 raise ValidationError("minimal polynomial factors not coprime")
             idems.append(B.eval_poly(u * g, x))
         return idems
-    raise ComputationError("could not split semisimple algebra")
+    raise _search_exhausted("could not split semisimple algebra", B, tried)
 
 
 def _poly_ext_gcd(a, b):

@@ -7,7 +7,7 @@ from coalgkit import jsonio, suites
 
 from coalgkit.coalgebra import polynomial_quotient_algebra
 from coalgkit.errors import ValidationError
-from coalgkit.fields import GF
+from coalgkit.fields import GF, QQ
 from coalgkit.linalg import Matrix
 from coalgkit.polys import Polynomial
 from coalgkit.day import (
@@ -315,32 +315,76 @@ def test_convolve_nat_functorial():
     assert both.is_identity()
 
 
-# sha256 of the canonical internal homs, natural transformation spaces and
-# unit isomorphisms of a seeded set of random presheaves (recorded before the
-# naturality builder and the unit isomorphisms were merged)
-DAY_OUTPUTS_SHA256 = "a5a6679dd1831a132cc2bea744a6edb4157633e35c4bd2e43a2d2d4be6f36e79"
+# Test categories over Q and F_4.  The relations of a cyclic group category
+# are all identity (x) identity and cancel to zero; those of the posets and
+# of the dual numbers are not.
+F4 = GF(2, [1, 1, 1])
+GENERIC_CATS = [
+    ("Z2/Q", cyclic_group_category(QQ, 2)),
+    ("Z3/F4", cyclic_group_category(F4, 3)),
+    ("poset2/Q", poset_max_category(QQ, 2)),
+    ("poset3/F4", poset_max_category(F4, 3)),
+    ("dualnum/Q", one_object_algebra_category(
+        QQ, polynomial_quotient_algebra(QQ, Polynomial.from_ints(QQ, [0, 0, 1])))),
+]
 
 
-def test_day_outputs_golden_digest():
+def _seeded_pairs(cats):
+    """Per category: 15 seeded random presheaf pairs and (top, top)."""
     rng = random.Random(11)
-    h = hashlib.sha256()
-    for name, cat in suites._day_categories():
-        fld = cat.field
-        h1 = representable(cat, cat.unit)
+    for name, cat in cats:
         top = representable(cat, cat.size - 1)
         pairs = [
             (suites._random_day_presheaf(cat, rng, 3), suites._random_day_presheaf(cat, rng, 3))
             for _ in range(15)
         ] + [(top, top)]
         for F, G in pairs:
-            IH = internal_hom(F, G)
-            doc = {
-                "hom": jsonio.day_presheaf_to_json(IH.presheaf, category_name=name),
-                "offsets": IH.offsets,
-                "bases": [[jsonio.vector_to_json(fld, v) for v in B.vectors()] for B in IH.bases],
-                "nat": [[jsonio.matrix_to_json(m) for m in t.mats] for t in nat_space(F, G)],
-                "rho": [jsonio.matrix_to_json(m) for m in unit_right_iso(day_convolve(F, h1)).mats],
-                "lam": [jsonio.matrix_to_json(m) for m in unit_left_iso(day_convolve(h1, G)).mats],
-            }
-            h.update(jsonio.canonical_json(doc).encode())
-    assert h.hexdigest() == DAY_OUTPUTS_SHA256
+            yield name, cat, F, G
+
+
+def _day_outputs_digest(cats):
+    h = hashlib.sha256()
+    for name, cat, F, G in _seeded_pairs(cats):
+        fld = cat.field
+        h1 = representable(cat, cat.unit)
+        IH = internal_hom(F, G)
+        doc = {
+            "hom": jsonio.day_presheaf_to_json(IH.presheaf, category_name=name),
+            "offsets": IH.offsets,
+            "bases": [[jsonio.vector_to_json(fld, v) for v in B.vectors()] for B in IH.bases],
+            "nat": [[jsonio.matrix_to_json(m) for m in t.mats] for t in nat_space(F, G)],
+            "rho": [jsonio.matrix_to_json(m) for m in unit_right_iso(day_convolve(F, h1)).mats],
+            "lam": [jsonio.matrix_to_json(m) for m in unit_left_iso(day_convolve(h1, G)).mats],
+        }
+        h.update(jsonio.canonical_json(doc).encode())
+    return h.hexdigest()
+
+
+# sha256 of the canonical internal homs, natural transformation spaces and
+# unit isomorphisms of a seeded set of random presheaves (recorded before the
+# naturality builder and the unit isomorphisms were merged; the Q and F_4
+# digest before the sparse relation builder)
+DAY_OUTPUTS_SHA256 = "a5a6679dd1831a132cc2bea744a6edb4157633e35c4bd2e43a2d2d4be6f36e79"
+DAY_OUTPUTS_GENERIC_SHA256 = "163de84f1c9412ee3cc54d39cd1723dd9cf49f61d6ea3f6e513d8fd328aa9aec"
+
+
+def test_day_outputs_golden_digest():
+    assert _day_outputs_digest(suites._day_categories()) == DAY_OUTPUTS_SHA256
+
+
+def test_day_outputs_golden_digest_over_q_and_f4():
+    assert _day_outputs_digest(GENERIC_CATS) == DAY_OUTPUTS_GENERIC_SHA256
+
+
+# sha256 of repr(relations[U]) and relation_tags[U] of every DayTensor(F, G)
+# above, recorded before the relation columns were built sparse
+DAY_RELATIONS_SHA256 = "be00a8111dac9d15af54c042c1d5fb57bd024754b031268d7f8c8bc41e975457"
+
+
+def test_day_relation_data_golden_digest():
+    h = hashlib.sha256()
+    for name, cat, F, G in _seeded_pairs(suites._day_categories() + GENERIC_CATS):
+        T = DayTensor(F, G)
+        for U in range(cat.size):
+            h.update(f"{name} {U} {T.relations[U]!r} {T.relation_tags[U]!r}\n".encode())
+    assert h.hexdigest() == DAY_RELATIONS_SHA256

@@ -120,6 +120,48 @@ def test_roots_in_field():
     assert roots == [2, 3]
 
 
+def _seeded_polynomials(rng, field):
+    """Random polynomials of degree 1..9, and products g^2 h k of random
+    factors so that repeated factors occur."""
+    def draw(lo, hi):
+        while True:
+            f = Polynomial.from_ints(field, [rng.randint(-6, 6) for _ in range(rng.randint(lo, hi) + 1)])
+            if f.degree >= lo:
+                return f
+
+    out = [draw(1, 9) for _ in range(15)]
+    for _ in range(10):
+        g, h, k = draw(1, 3), draw(1, 2), draw(1, 4)
+        out.append(g * g * h * k)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=repr)
+def test_factor_polynomial_against_sympy(field):
+    sympy = pytest.importorskip(
+        "sympy", reason="sympy is not installed: factoring cross-check against sympy skipped")
+    x = sympy.Symbol("x")
+    if field == QQ:
+        options = {"domain": sympy.QQ}
+        to_sympy = lambda c: sympy.Rational(c.numerator, c.denominator)
+        back = lambda c: Fraction(int(c.p), int(c.q))
+    else:
+        options = {"modulus": field.p}
+        to_sympy = int
+        back = lambda c: int(c) % field.p
+    rng = random.Random(5)
+    for f in _seeded_polynomials(rng, field):
+        expr = sum(to_sympy(c) * x**i for i, c in enumerate(f.coeffs))
+        _, sympy_factors = sympy.Poly(expr, x, **options).factor_list()
+        want = sorted(
+            (tuple(back(c) for c in reversed(g.monic().all_coeffs())), m)
+            for g, m in sympy_factors
+        )
+        unit, factors = factor_polynomial(f)
+        assert unit == f.leading()
+        assert sorted((g.coeffs, m) for g, m in factors) == want, f.coeffs
+
+
 @pytest.mark.parametrize(
     "field,count",
     [(F2, 1000), (F3, 1000), (F5, 1000), (QQ, 1000), (F4, 400), (F9, 400)],

@@ -344,8 +344,9 @@ def _sparse_matrix(rng, field, rows, cols):
 
 
 def _kernel_outputs(rng, field):
-    """repr of rref/kernel/@/apply/ArtinAlgebra.mul/minimal_polynomial results
-    on seeded inputs, and every entry they hold."""
+    """repr of rref/kernel/@/apply/ArtinAlgebra.mul/minimal_polynomial and
+    Subspace pivots/coordinates results on seeded inputs, and every entry
+    they hold."""
     from coalgkit.coalgebra import ArtinAlgebra
 
     outs, entries = [], []
@@ -372,13 +373,45 @@ def _kernel_outputs(rng, field):
         T = _sparse_matrix(rng, field, n, n)
         outs.append(repr(minimal_polynomial(T).coeffs))
         entries += minimal_polynomial(T).coeffs
+    for rows, cols in [(0, 3), (3, 0), (1, 1), (20, 9)] + shapes[6:]:
+        M = _sparse_matrix(rng, field, rows, cols)
+        outs += _subspace_outputs(rng, field, M, entries)
     return outs, entries
+
+
+def _subspace_outputs(rng, field, M, entries):
+    """repr of pivots and coordinates on the row space of M, the zero
+    subspace and the full space, for a vector inside the row space, one
+    outside it (when it is proper) and a random one."""
+    S = Subspace.from_vectors(field, M.cols, M.data)
+    inside = [field.zero] * M.cols
+    for v in S.vectors():
+        c = field.random(rng)
+        inside = [field.add(a, field.mul(c, b)) for a, b in zip(inside, v)]
+    free = [j for j in range(M.cols) if j not in S.pivots()]
+    outside = list(inside)
+    if free:
+        j = rng.choice(free)
+        outside[j] = field.add(outside[j], field.one)
+    other = _sparse_matrix(rng, field, 1, M.cols).data[0] if M.cols else []
+    assert S.coordinates(inside) is not None
+    assert (S.coordinates(outside) is None) == bool(free)
+    outs = []
+    zero, full = Subspace.zero(field, M.cols), Subspace.full(field, M.cols)
+    assert zero.coordinates(outside) is None or not any(outside)
+    assert full.coordinates(other) == other
+    for space in (S, zero, full):
+        coords = [space.coordinates(v) for v in (inside, outside, other)]
+        outs.append(repr((space.pivots(), coords)))
+        entries += [a for c in coords if c is not None for a in c]
+    return outs
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
 def test_row_kernels_match_field_methods(monkeypatch, field):
     """The F_p and Q kernels return byte-identical results to the reference
-    path that runs every entry through the field's own methods."""
+    path that runs every entry through the field's own methods, including
+    Subspace.coordinates returning None outside the span."""
     from coalgkit import linalg
 
     assert linalg.row_kernel(field) is not linalg._FieldMethods
@@ -417,3 +450,43 @@ def test_rank_and_rref_against_sympy(field):
             assert D.rank() == rank
         assert list(spivots) == pivots
         assert R.data == want
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=repr)
+def test_minimal_polynomial_against_sympy(field):
+    """sympy's characteristic polynomial, with each irreducible factor
+    divided out while the quotient still annihilates the matrix, is the
+    minimal polynomial."""
+    sympy = pytest.importorskip(
+        "sympy", reason="sympy is not installed: minimal polynomial cross-check against sympy skipped")
+    from sympy.polys.matrices import DomainMatrix
+
+    if field == QQ:
+        K = sympy.QQ
+        to_sympy = lambda a: K(a.numerator, a.denominator)
+        back = lambda c: Fraction(int(c.numerator), int(c.denominator))
+    else:
+        K = sympy.GF(field.p)
+        to_sympy = K
+        back = lambda c: int(c) % field.p
+    x = sympy.Symbol("x")
+    rng = random.Random(91)
+    smaller = 0
+    for trial in range(24):
+        n = rng.randint(1, 6)
+        T = _sparse_matrix(rng, field, n, n)
+        if trial % 4 == 0:  # block diagonal diag(T, T): degree below the size
+            T = kronecker(Matrix.identity(field, 2), T)
+        n = T.rows
+        D = DomainMatrix([[to_sympy(a) for a in row] for row in T.data], (n, n), K)
+        P = sympy.Poly.from_list(D.charpoly(), x, domain=K)
+        for g, _ in P.factor_list()[1]:
+            while True:
+                q, r = P.div(g.monic())
+                if not r.is_zero or not D.eval_poly([K.convert(c) for c in q.all_coeffs()]).is_zero_matrix:
+                    break
+                P = q
+        want = [back(K.convert(c)) for c in reversed(P.all_coeffs())]
+        assert list(minimal_polynomial(T).coeffs) == want
+        smaller += len(want) - 1 < n
+    assert smaller >= 6

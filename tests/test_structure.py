@@ -429,3 +429,57 @@ def test_zero_dimensional_through_the_machinery():
     comps, iso = irreducible_components(Z)
     assert comps == [] and iso.matrix.rows == 0
     assert gp_adjunction_checks(C=Z)["ok"]
+
+
+# -- search exhaustion ------------------------------------------------------
+
+# F_2 x F_2 x F_2 has no generator, so the primitive-element search tries
+# 3 basis vectors, 3 pairwise sums and 3 products, the seeded draws and all
+# 2^3 vectors
+EXHAUSTED_SEARCH = (
+    "after 417 candidates (basis vectors, pairwise sums and products, 400 seeded draws, "
+    "all 2^3 vectors, within the exhaustive bound 65536)"
+)
+
+
+def _split_f2_cubed():
+    from coalgkit.coalgebra import dual_algebra
+
+    return dual_algebra(diagonal_coalgebra(3, F2))
+
+
+def test_primitive_element_search_exhaustion_is_typed():
+    from coalgkit.errors import ComputationError, SearchExhausted
+
+    with pytest.raises(SearchExhausted) as info:
+        structure.primitive_element(_split_f2_cubed())
+    assert isinstance(info.value, ComputationError)
+    assert str(info.value) == (
+        "no primitive element found (input is not a field?) " + EXHAUSTED_SEARCH
+    )
+
+
+def test_split_search_exhaustion_is_typed(monkeypatch):
+    from coalgkit.errors import SearchExhausted
+
+    # every candidate looks like an element of a proper subfield
+    monkeypatch.setattr(structure, "element_min_poly", lambda B, x: Polynomial.from_ints(F2, [0, 1]))
+    with pytest.raises(SearchExhausted) as info:
+        structure.split_semisimple(_split_f2_cubed())
+    assert str(info.value) == "could not split semisimple algebra " + EXHAUSTED_SEARCH
+
+
+def test_search_exhaustion_exits_4(monkeypatch, capsys):
+    import os
+
+    from coalgkit import cli
+
+    search = structure.primitive_element
+    monkeypatch.setattr(
+        structure, "primitive_element", lambda B, seed=0: search(_split_f2_cubed(), seed)
+    )
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "data", "diagonal3.json")
+    assert cli.main(["etale", path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("computation error: no primitive element found")
+    assert EXHAUSTED_SEARCH in err

@@ -66,6 +66,22 @@ def unique_retraction(C, etale_data):
     return out
 
 
+
+def primitive_idempotents(A):
+    """All primitive idempotents of a commutative algebra A, by walking every
+    element (q^dim at most 2^16): the nonzero e with e^2 = e such that every
+    idempotent f gives ef = 0 or ef = e."""
+    F = A.field
+    if F.order is None or F.order**A.dim > 1 << 16:
+        raise ValueError("idempotent enumeration out of range")
+    zero = [F.zero] * A.dim
+    idempotents = []
+    for entries in itertools.product(F.elements(), repeat=A.dim):
+        e = list(entries)
+        if e != zero and A.mul(e, e) == e:
+            idempotents.append(e)
+    return [e for e in idempotents if all(A.mul(e, f) in (zero, e) for f in idempotents)]
+
 def enumerate_subpresheaves(F):
     """All restriction-closed subspace families of a presheaf (tiny cases)."""
     field = F.category.field

@@ -295,6 +295,28 @@ def test_cli_day_commands():
     assert _stdout_sha256(proc) == DAY_STDOUT_SHA256["day-subgen"]
 
 
+
+# sha256 of the --format json stdout of each structure command over the
+# coalgebras in demos/data, recorded before the Newton lift, the projected
+# component radicals and the refining split
+STRUCTURE_STDOUT_SHA256 = {
+    "decompose": "9327d88a13a04b239f252b8eaae3bae5b252d01cb1b8b0b2cf8baf50b7823d61",
+    "etale": "7a109ba7b98887458b8fbe5ed0bd05c6262b446dbc3acffb8f61c4afa383d107",
+    "grouplikes": "e867a9bcb5db0c66f4b7338082d3dc140d320ebeb67d206aa58f1c22087ec9a7",
+    "retract": "7c36acac5ba928e288c4256d8b5df53631432ba38ecb793bb99a24567db953c7",
+}
+
+
+@pytest.mark.parametrize("command", sorted(STRUCTURE_STDOUT_SHA256))
+def test_cli_structure_commands_golden_digest(command, capsys):
+    from coalgkit import cli
+
+    h = hashlib.sha256()
+    for name in ["F4dual.json", "diagonal3.json", "dual_numbers.json"]:
+        assert cli.main(["--format", "json", command, os.path.join(DATA, name)]) == 0
+        h.update(capsys.readouterr().out.encode("utf-8"))
+    assert h.hexdigest() == STRUCTURE_STDOUT_SHA256[command]
+
 def test_cli_galois_commands():
     galois = os.path.join(DATA, "galois_F4.json")
     gset = os.path.join(DATA, "gset_regular.json")

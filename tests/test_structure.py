@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -132,6 +133,65 @@ def test_local_decomposition_random_reassembly():
             assert c.radical.dim == c.dim - c.residue.dim
 
 
+F4 = GF(2, [1, 1, 1])
+
+
+def _decomposition_doc(C):
+    """Canonical form of decomposition(C) and etale_part(C)."""
+    F = C.field
+    dec = decomposition(C)
+    data = etale_part(C)
+    return {
+        "idempotents": [jsonio.vector_to_json(F, e) for e in dec.idempotents],
+        "components": [
+            {
+                "dim": c.dim,
+                "radical": [jsonio.vector_to_json(F, v) for v in c.radical.vectors()],
+                "nilpotency": c.nilpotency_index,
+                "primitive": jsonio.vector_to_json(F, c.residue.primitive_element),
+                "minpoly": jsonio.vector_to_json(F, c.residue.minimal_poly.coeffs),
+            }
+            for c in dec.components
+        ],
+        "inclusion": jsonio.matrix_to_json(data.inclusion.matrix),
+        "retraction": jsonio.matrix_to_json(data.retraction.matrix),
+    }
+
+
+# sha256 of the canonical decompositions and etale parts of seeded corpus
+# coalgebras, recorded before the Newton lift, the projected component
+# radicals and the refining split
+DECOMPOSITION_SHA256 = "0b3d12a22c968e9ef0031b4ddef6c1bf85e64ab12c05eac40d2621ab0c2beca5"
+
+
+def test_decomposition_golden_digest():
+    import hashlib
+
+    rng = random.Random(41)
+    coalgebras = [
+        corpus.random_coalgebra(rng, field, 6) for field in [QQ, F2, F3, F5, F4] for _ in range(20)
+    ]
+    # (x^2 + x + 1)^2 (x + 1) over F_2, x^2 (x^2 - 2) over Q, (x^2 + 1)^2 over F_3
+    for field, ints in [(F2, [1, 1, 1, 1, 1, 1]), (QQ, [0, 0, -2, 0, 1]), (F3, [1, 0, 2, 0, 1])]:
+        coalgebras.append(dual_coalgebra(pqa(field, ints)))
+    h = hashlib.sha256()
+    for C in coalgebras:
+        h.update(jsonio.canonical_json(_decomposition_doc(C)).encode())
+    assert h.hexdigest() == DECOMPOSITION_SHA256
+
+
+
+@pytest.mark.parametrize("field, max_dim", [(F2, 8), (F3, 6), (F4, 5)])
+def test_idempotents_against_enumeration(field, max_dim):
+    from coalgkit.coalgebra import dual_algebra
+    from coalgkit.oracles import primitive_idempotents
+
+    rng = random.Random(42)
+    for _ in range(24):
+        C = corpus.random_coalgebra(rng, field, max_dim)
+        expected = sorted(primitive_idempotents(dual_algebra(C)))
+        assert sorted(decomposition(C).idempotents) == expected
+
 # -- Wedderburn / Hensel -------------------------------------------------------
 
 
@@ -147,6 +207,21 @@ def test_hensel_witness():
     ]
     assert lifted in roots and len(roots) == 2
 
+
+
+@pytest.mark.parametrize(
+    "field, ints, a",
+    [
+        (QQ, [0, 1], [QQ.coerce(Fraction(3, 2))]),  # Newton alone would return 0
+        (F2, [1, 0, 1, 0, 1], [0, 1, 0, 0]),  # xbar in F_2[x]/((x^2 + x + 1)^2)
+        (F3, [0, 1, 1], [2, 0]),  # -1 in F_3[x]/(x^2 + x) = F_3 x F_3
+    ],
+)
+def test_lift_idempotent_rejects_non_idempotents(field, ints, a):
+    from coalgkit.errors import ValidationError
+
+    with pytest.raises(ValidationError, match="^element is not idempotent modulo the radical$"):
+        structure.lift_idempotent(pqa(field, ints), a)
 
 def test_wedderburn_field_case():
     A = pqa(F2, [1, 1, 1])  # already a field

@@ -75,11 +75,8 @@ def primitive_idempotents(A):
     if F.order is None or F.order**A.dim > 1 << 16:
         raise ValueError("idempotent enumeration out of range")
     zero = [F.zero] * A.dim
-    idempotents = []
-    for entries in itertools.product(F.elements(), repeat=A.dim):
-        e = list(entries)
-        if e != zero and A.mul(e, e) == e:
-            idempotents.append(e)
+    elements = [list(v) for v in itertools.product(F.elements(), repeat=A.dim)]
+    idempotents = [e for e in elements if e != zero and A.mul(e, e) == e]
     return [e for e in idempotents if all(A.mul(e, f) in (zero, e) for f in idempotents)]
 
 def enumerate_subpresheaves(F):

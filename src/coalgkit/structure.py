@@ -155,106 +155,84 @@ def primitive_element(B, seed=_SEARCH_SEED):
 
 
 def split_semisimple(B, seed=_SEARCH_SEED):
-    """Primitive orthogonal idempotents of a commutative semisimple algebra."""
+    """Primitive orthogonal idempotents of a commutative semisimple algebra.
+
+    Each candidate x of one seeded stream refines the blocks, starting from
+    {1}, by the CRT idempotents eps_f of k[x] = k[t]/(m), m = prod f: a block
+    e splits into the nonzero e eps_f, and is closed when deg f = dim(eB)
+    (Eberly and Giesbrecht, J. Symb. Comput. 29, 2000).  B needs no
+    generator: F_2 x F_2 x F_2, which has none, is split by basis vectors.
+    """
     F = B.field
-    if B.dim == 0:
-        return []
+    if B.dim <= 1:
+        return [list(B.unit)] if B.dim else []
     out = []
-    stack = [(B, Matrix.identity(F, B.dim))]
-    while stack:
-        Balg, embed = stack.pop()
-        pieces = _split_once(Balg, seed)
-        if pieces is None:
-            out.append(embed.apply(Balg.unit))
-            continue
-        for e in pieces:
-            comp, E, _ = component_of_idempotent(Balg, e)
-            stack.append((comp, embed @ E))
-    out.sort(key=lambda v: tuple(F.sort_key(c) for c in v))
-    return out
-
-
-def _split_once(B, seed):
-    """Nontrivial orthogonal idempotents of semisimple B, or None if a field."""
-    if B.dim == 1:
-        return None
-    F = B.field
-    rng = derived_rng(seed, B.dim, 1)
+    blocks = [(list(B.unit), B.dim)]  # the open blocks e with dim(eB)
     tried = 0
-    for x in _candidate_elements(B, rng):
+    for x in _candidate_elements(B, derived_rng(seed, B.dim, 1)):
         tried += 1
         m = element_min_poly(B, x)
         _, factors = factor_polynomial(m)
         if any(mult > 1 for _, mult in factors):
             raise ValidationError("repeated factor in a semisimple algebra; corrupt input")
-        if len(factors) == 1:
-            if m.degree == B.dim:
-                return None  # primitive element of a field
-            continue
-        idems = []
+        crt = []  # (eps_f, deg f)
         for f, _ in factors:
             g = m // f
-            d, u, _ = _poly_ext_gcd(g, f)
-            if not d.is_one():
-                raise ValidationError("minimal polynomial factors not coprime")
-            idems.append(B.eval_poly(u * g, x))
-        return idems
+            crt.append((B.eval_poly(_inverse_mod(g, f) * g, x), f.degree))
+        refined = []
+        for e, dim in blocks:
+            pieces = [(B.mul(e, eps), degree) for eps, degree in crt]
+            pieces = [(p, degree) for p, degree in pieces if any(not F.is_zero(c) for c in p)]
+            for p, degree in pieces:
+                p_dim = dim if len(pieces) == 1 else B.mult_matrix(p).rank()
+                if degree == p_dim:
+                    out.append(p)
+                else:
+                    refined.append((p, p_dim))
+        blocks = refined
+        if not blocks:
+            out.sort(key=lambda v: tuple(F.sort_key(c) for c in v))
+            return out
     raise _search_exhausted("could not split semisimple algebra", B, tried)
 
 
-def _poly_ext_gcd(a, b):
-    F = a.field
-    r0, r1 = a, b
+def _inverse_mod(g, f):
+    """u with u g = 1 mod f, by the extended Euclidean algorithm."""
+    F = f.field
+    r0, r1 = g, f
     s0, s1 = Polynomial.one(F), Polynomial.zero(F)
-    t0, t1 = Polynomial.zero(F), Polynomial.one(F)
     while not r1.is_zero():
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lead = r0.leading()
-    inv = F.inv(lead)
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+    if r0.degree != 0:
+        raise ValidationError("minimal polynomial factors not coprime")
+    return s0.scale(F.inv(r0.leading()))
 
 
 def lift_idempotent(A, a):
     """The unique idempotent of A congruent to a mod radical.
 
-    Characteristic-free: the minimal polynomial of a is t^i (t-1)^j, and the
-    Bezout identity u t^i + v (t-1)^j = 1 produces the idempotent (u g)(a)
-    inside k[a].
+    Newton's iteration for t^2 - t (Lam, A First Course in Noncommutative
+    Rings, section 21): e <- 3e^2 - 2e^3, the Newton step with (2e - 1)^-1
+    replaced by 2e - 1, its own inverse modulo e^2 - e.  Each step squares
+    e^2 - e up to a unit, and a nilpotent of A has index at most dim A, so
+    bit_length(dim A) steps make it zero.  The iteration alone would accept
+    a non-idempotent (3/2 goes to 0), so a - e must be nilpotent too.
     """
     F = A.field
-    m = element_min_poly(A, a)
-    t = Polynomial.x(F)
-    one = Polynomial.one(F)
-    alpha = 0
-    while m.degree > 0 and (m % t).is_zero():
-        m = m // t
-        alpha += 1
-    beta = 0
-    tm1 = t - one
-    while m.degree > 0 and (m % tm1).is_zero():
-        m = m // tm1
-        beta += 1
-    if not m.is_one():
-        raise ValidationError("element is not idempotent modulo the radical")
-    if alpha == 0:
-        return list(A.unit)
-    if beta == 0:
-        return [F.zero] * A.dim
-    g = t**alpha
-    h = tm1**beta
-    # e = (u*g)(a) with u*g + v*h = 1: kills the t-part, is 1 on the (t-1)-part
-    d, u, _ = _poly_ext_gcd(g, h)
-    if not d.is_one():
-        raise ValidationError("idempotent lift Bezout failure")
-    e = A.eval_poly(u * g, a)
-    if A.mul(e, e) != e:
-        raise ComputationError("idempotent lift did not converge")
-    return e
+    two, three = F.from_int(2), F.from_int(3)
+    e = list(a)
+    for _ in range(A.dim.bit_length() + 1):
+        square = A.mul(e, e)
+        if square == e:
+            diff = [F.sub(x, y) for x, y in zip(a, e)]
+            if all(F.is_zero(c) for c in A.power(diff, A.dim)):
+                return e
+            break
+        cube = A.mul(square, e)
+        e = [F.sub(F.mul(three, s), F.mul(two, c)) for s, c in zip(square, cube)]
+    raise ValidationError("element is not idempotent modulo the radical")
 
 
 def component_of_idempotent(A, e):
@@ -368,7 +346,8 @@ def local_decomposition(A, seed=_SEARCH_SEED):
     components = []
     for e in idems:
         comp, E, P = component_of_idempotent(A, e)
-        rad_i = radical(comp)
+        # rad(eA) = e rad(A), so its canonical basis is that of P rad(A)
+        rad_i = Subspace.from_vectors(F, comp.dim, [P.apply(v) for v in rad.vectors()])
         nilp = _nilpotency_index(comp, rad_i)
         Kbar, rproj, rsect = quotient_algebra(comp, rad_i)
         prim, minpoly = primitive_element(Kbar, seed)
@@ -409,16 +388,17 @@ def _nilpotency_index(A, rad):
     return index
 
 
-def hensel_lift_root(A, p, start, max_steps=64):
+def hensel_lift_root(A, p, start):
     """Newton iteration x <- x - p(x)/p'(x) from a residue root upward.
 
-    Requires p'(start) invertible in A (separability); converges
-    quadratically against the nilpotent radical.
+    Requires p'(start) invertible in A (separability).  Each step squares
+    p(x) up to a unit, so a residue root becomes a root within the step bound
+    of `lift_idempotent`; any other start fails after as many steps.
     """
     F = A.field
     x = list(start)
     dp = p.derivative()
-    for _ in range(max_steps):
+    for _ in range(A.dim.bit_length() + 1):
         px = A.eval_poly(p, x)
         if all(F.is_zero(c) for c in px):
             return x

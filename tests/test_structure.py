@@ -209,6 +209,21 @@ def test_hensel_witness():
 
 
 
+
+def test_hensel_lift_from_a_non_root_fails_fast():
+    """1 is no root of t^2 - 2 modulo the radical of Q[t]/((t^2 - 2)^2): the
+    lift gives up after the derived Newton bound instead of iterating on
+    ever larger rationals."""
+    import time
+
+    from coalgkit.errors import ComputationError
+
+    p = Polynomial.from_ints(QQ, [-2, 0, 1])
+    started = time.perf_counter()
+    with pytest.raises(ComputationError, match="^Hensel lift did not converge$"):
+        hensel_lift_root(pqa(QQ, [4, 0, -4, 0, 1]), p, [QQ.one] + [QQ.zero] * 3)
+    assert time.perf_counter() - started < 0.5
+
 @pytest.mark.parametrize(
     "field, ints, a",
     [

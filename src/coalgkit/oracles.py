@@ -66,7 +66,6 @@ def unique_retraction(C, etale_data):
     return out
 
 
-
 def primitive_idempotents(A):
     """All primitive idempotents of a commutative algebra A, by walking every
     element (q^dim at most 2^16): the nonzero e with e^2 = e such that every
@@ -78,6 +77,7 @@ def primitive_idempotents(A):
     elements = [list(v) for v in itertools.product(F.elements(), repeat=A.dim)]
     idempotents = [e for e in elements if e != zero and A.mul(e, e) == e]
     return [e for e in idempotents if all(A.mul(e, f) in (zero, e) for f in idempotents)]
+
 
 def enumerate_subpresheaves(F):
     """All restriction-closed subspace families of a presheaf (tiny cases)."""

@@ -295,7 +295,6 @@ def test_cli_day_commands():
     assert _stdout_sha256(proc) == DAY_STDOUT_SHA256["day-subgen"]
 
 
-
 # sha256 of the --format json stdout of each structure command over the
 # coalgebras in demos/data, recorded before the Newton lift, the projected
 # component radicals and the refining split
@@ -316,6 +315,7 @@ def test_cli_structure_commands_golden_digest(command, capsys):
         assert cli.main(["--format", "json", command, os.path.join(DATA, name)]) == 0
         h.update(capsys.readouterr().out.encode("utf-8"))
     assert h.hexdigest() == STRUCTURE_STDOUT_SHA256[command]
+
 
 def test_cli_galois_commands():
     galois = os.path.join(DATA, "galois_F4.json")

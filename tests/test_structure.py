@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -36,6 +37,7 @@ from coalgkit.structure import (
 F2 = GF(2)
 F3 = GF(3)
 F5 = GF(5)
+F4 = GF(2, [1, 1, 1])
 
 
 def pqa(field, ints):
@@ -133,9 +135,6 @@ def test_local_decomposition_random_reassembly():
             assert c.radical.dim == c.dim - c.residue.dim
 
 
-F4 = GF(2, [1, 1, 1])
-
-
 def _decomposition_doc(C):
     """Canonical form of decomposition(C) and etale_part(C)."""
     F = C.field
@@ -165,8 +164,6 @@ DECOMPOSITION_SHA256 = "0b3d12a22c968e9ef0031b4ddef6c1bf85e64ab12c05eac40d2621ab
 
 
 def test_decomposition_golden_digest():
-    import hashlib
-
     rng = random.Random(41)
     coalgebras = [
         corpus.random_coalgebra(rng, field, 6) for field in [QQ, F2, F3, F5, F4] for _ in range(20)
@@ -180,7 +177,6 @@ def test_decomposition_golden_digest():
     assert h.hexdigest() == DECOMPOSITION_SHA256
 
 
-
 @pytest.mark.parametrize("field, max_dim", [(F2, 8), (F3, 6), (F4, 5)])
 def test_idempotents_against_enumeration(field, max_dim):
     from coalgkit.coalgebra import dual_algebra
@@ -191,6 +187,7 @@ def test_idempotents_against_enumeration(field, max_dim):
         C = corpus.random_coalgebra(rng, field, max_dim)
         expected = sorted(primitive_idempotents(dual_algebra(C)))
         assert sorted(decomposition(C).idempotents) == expected
+
 
 # -- Wedderburn / Hensel -------------------------------------------------------
 
@@ -208,8 +205,6 @@ def test_hensel_witness():
     assert lifted in roots and len(roots) == 2
 
 
-
-
 def test_hensel_lift_from_a_non_root_fails_fast():
     """1 is no root of t^2 - 2 modulo the radical of Q[t]/((t^2 - 2)^2): the
     lift gives up after the derived Newton bound instead of iterating on
@@ -224,6 +219,7 @@ def test_hensel_lift_from_a_non_root_fails_fast():
         hensel_lift_root(pqa(QQ, [4, 0, -4, 0, 1]), p, [QQ.one] + [QQ.zero] * 3)
     assert time.perf_counter() - started < 0.5
 
+
 @pytest.mark.parametrize(
     "field, ints, a",
     [
@@ -237,6 +233,7 @@ def test_lift_idempotent_rejects_non_idempotents(field, ints, a):
 
     with pytest.raises(ValidationError, match="^element is not idempotent modulo the radical$"):
         structure.lift_idempotent(pqa(field, ints), a)
+
 
 def test_wedderburn_field_case():
     A = pqa(F2, [1, 1, 1])  # already a field

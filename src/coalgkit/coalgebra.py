@@ -158,12 +158,8 @@ class ArtinAlgebra:
 
     def mult_matrix(self, x):
         """Matrix of multiplication by x."""
-        n = self.dim
-        cols = []
-        basis = std_basis(self.field, n)
-        for k in range(n):
-            cols.append(self.mul(x, basis[k]))
-        return Matrix.from_cols(self.field, cols, n)
+        F = self.field
+        return Matrix(F, self.dim, self.dim, row_kernel(F).mult_matrix(F, self, x))
 
     def power(self, x, m):
         out = list(self.unit)

@@ -302,14 +302,18 @@ def _find_rational_root(g):
         return None  # divisor enumeration not worth it; Zassenhaus will catch it
     from fractions import Fraction
 
+    # g(u/v) = 0 exactly when the homogeneous form sum g_i u^i v^(n-i) is 0
     for u in _divisors(abs(a0)):
         for v in _divisors(abs(an)):
             if math.gcd(u, v) != 1:
                 continue
-            for sign in (1, -1):
-                r = Fraction(sign * u, v)
-                if _int_eval(g, r) == 0:
-                    return r
+            for su in (u, -u):
+                acc, vpow = 0, 1
+                for c in reversed(g):
+                    acc = acc * su + c * vpow
+                    vpow *= v
+                if acc == 0:
+                    return Fraction(su, v)
     return None
 
 
@@ -323,13 +327,6 @@ def _divisors(n):
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def _int_eval(g, x):
-    acc = 0
-    for c in reversed(g):
-        acc = acc * x + c
-    return acc
 
 
 def _int_divide_linear(g, root):

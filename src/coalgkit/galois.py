@@ -580,12 +580,12 @@ def adjunction_checks(D, X=None, C=None):
     checks = []
     if X is not None:
         kX = kbar_functor(D, X)
-        _, unit_report = unit_map(D, X, kresult=kX)
+        R = right_adjoint(D, kX.coalgebra)
+        unit_idx, unit_report = unit_map(D, X, kresult=kX, radj=R)
         checks.append(("unit-bijective", unit_report["bijective"]))
         checks.append(("unit-equivariant", unit_report["equivariant"]))
         # triangle 2: counit_{kbar X} o kbar[unit] = id
-        counit2, kY2, R2 = counit_morphism(D, kX.coalgebra)
-        unit_idx, _ = unit_map(D, X, kresult=kX, radj=R2)
+        counit2, kY2, _ = counit_morphism(D, kX.coalgebra, radj=R)
         kbar_unit = kbar_on_map(D, unit_idx, kX, kY2)
         composite = counit2.matrix @ kbar_unit.matrix
         checks.append(

@@ -96,7 +96,7 @@ def matrix_from_json(field, obj):
         data = [[field.parse(s) for s in row] for row in entries]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad matrix: {exc}") from None
-    return Matrix(field, rows, cols, data)
+    return Matrix.checked(field, rows, cols, data)
 
 
 def vector_to_json(field, vec):
@@ -150,11 +150,11 @@ def coalgebra_from_json(obj):
     cols = obj["delta"]
     if len(cols) != n or any(len(c) != n * n for c in cols):
         raise ParseError("delta must hold dim columns of dim^2 entries")
-    delta = Matrix(
+    delta = Matrix.checked(
         field, n * n, n,
         [[field.parse(cols[j][r]) for j in range(n)] for r in range(n * n)],
     )
-    eps = Matrix(field, 1, n, [vector_from_json(field, obj["epsilon"])])
+    eps = Matrix.checked(field, 1, n, [vector_from_json(field, obj["epsilon"])])
     return Coalgebra(field, n, delta, eps)
 
 

@@ -7,11 +7,17 @@ field values.
 Tensor index convention, used by every module: the basis vector e_i (x) e_j
 of k^m (x) k^n sits at index i*n + j (row-major on the factors).
 
-Row reduction, products, RowReducer and subspace coordinates run on a kernel
-per field kind (see `row_kernel`): Q on integer rows over a common
-denominator, fraction-free, to control coefficient growth; F_p on plain ints
-reduced mod p; F_q through the field's methods.  Reduced row echelon form is
+Row reduction, products, RowReducer, subspace coordinates and the products
+and multiplication matrices of an ArtinAlgebra run on a kernel per field
+kind (see `row_kernel`): Q on integer rows over a common denominator,
+fraction-free, to control coefficient growth; F_p on plain ints reduced
+mod p; F_q through the field's methods.  Reduced row echelon form is
 canonical, so equal subspaces have identical bases.
+
+`minimal_polynomial` is that of a matrix.  The minimal polynomial of an
+algebra element x (`structure.element_min_poly`) is the first dependence
+among the powers 1, x, x^2, ... in the algebra, which is that of its
+multiplication matrix without building it.
 """
 
 from fractions import Fraction
@@ -26,14 +32,22 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field, rows, cols, data):
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ShapeMismatch(f"data does not match shape {rows}x{cols}")
+        """data must be rows lists of cols entries; it is not checked here,
+        since the kernel's own results have that shape by construction.
+        Data from outside goes through `checked`."""
         self.field = field
         self.rows = rows
         self.cols = cols
         self.data = data
 
     # -- constructors --------------------------------------------------
+    @classmethod
+    def checked(cls, field, rows, cols, data):
+        """Matrix(field, rows, cols, data) after checking the shape of data."""
+        if len(data) != rows or any(len(r) != cols for r in data):
+            raise ShapeMismatch(f"data does not match shape {rows}x{cols}")
+        return cls(field, rows, cols, data)
+
     @classmethod
     def zeros(cls, field, rows, cols):
         z = field.zero
@@ -49,14 +63,16 @@ class Matrix:
         rows = [list(r) for r in rows]
         if cols is None:
             cols = len(rows[0]) if rows else 0
-        return cls(field, len(rows), cols, rows)
+        return cls.checked(field, len(rows), cols, rows)
 
     @classmethod
     def from_cols(cls, field, cols, rows=None):
         cols = [list(c) for c in cols]
         if rows is None:
             rows = len(cols[0]) if cols else 0
-        data = [[cols[j][i] for j in range(len(cols))] for i in range(rows)]
+        if any(len(c) != rows for c in cols):
+            raise ShapeMismatch(f"columns do not have {rows} entries")
+        data = [[c[i] for c in cols] for i in range(rows)]
         return cls(field, rows, len(cols), data)
 
     @classmethod
@@ -278,8 +294,8 @@ class Matrix:
 # -- per-field row kernels --------------------------------------------------
 #
 # The entry loops of rref, matrix products, RowReducer.add, ArtinAlgebra.mul
-# and Subspace.pivots/coordinates, one implementation per field kind, picked
-# by `row_kernel`.
+# and mult_matrix, and Subspace.pivots/coordinates, one implementation per
+# field kind, picked by `row_kernel`.
 # `_FieldMethods` sends every entry through the field's own methods; F_q
 # runs on it, and the F_p and Q kernels return byte-identical results to it.
 
@@ -383,6 +399,15 @@ class _FieldMethods:
                     if not F.is_zero(t):
                         out[i] = F.add(out[i], F.mul(c, t))
         return out
+
+    @staticmethod
+    def mult_matrix(F, A, x):
+        """Rows of the matrix of multiplication by x: column k is x * e_k."""
+        n = A.dim
+        z, o = F.zero, F.one
+        cols = [_FieldMethods.algebra_mul(F, A, x, [o if i == k else z for i in range(n)])
+                for k in range(n)]
+        return [[c[i] for c in cols] for i in range(n)]
 
     @staticmethod
     def pivots(F, rows):
@@ -495,6 +520,11 @@ class _PrimeKernel:
     def algebra_mul(F, A, x, y):
         p = F.p
         return [s % p for s in _int_algebra_mul(A, x, y)]
+
+    @staticmethod
+    def mult_matrix(F, A, x):
+        p = F.p
+        return [[s % p for s in row] for row in _int_mult_matrix(A, x)]
 
     pivots = staticmethod(_nonzero_pivots)
 
@@ -613,6 +643,12 @@ class _RationalKernel:
         sums = _int_algebra_mul(A, xn, yn)
         return [_fraction(s, d * den) for s, d in zip(sums, A.int_table()[1])]
 
+    @staticmethod
+    def mult_matrix(F, A, x):
+        xn, xd = clear_denominators(x)
+        rows = _int_mult_matrix(A, xn)
+        return [[_fraction(s, d * xd) for s in row] for row, d in zip(rows, A.int_table()[1])]
+
     pivots = staticmethod(_nonzero_pivots)
 
     @staticmethod
@@ -640,6 +676,19 @@ def _int_algebra_mul(A, x, y):
                     c = a * b
                     for i, t in terms:
                         out[i] += c * t
+    return out
+
+
+def _int_mult_matrix(A, x):
+    """Numerator rows of the matrix of multiplication by x over
+    A.int_table(), for integer coordinates x, filled in one pass."""
+    n = A.dim
+    out = [[0] * n for _ in range(n)]
+    for a, row in zip(x, A.int_table()[0]):
+        if a:
+            for k, terms in enumerate(row):
+                for i, t in terms:
+                    out[i][k] += a * t
     return out
 
 

@@ -19,6 +19,17 @@ class Polynomial:
         self.coeffs = tuple(coeffs)
 
     @classmethod
+    def _trusted(cls, field, coeffs):
+        """From a list of field values that an operation has just computed:
+        trims trailing zeros, skips `coerce`."""
+        while coeffs and field.is_zero(coeffs[-1]):
+            coeffs.pop()
+        poly = cls.__new__(cls)
+        poly.field = field
+        poly.coeffs = tuple(coeffs)
+        return poly
+
+    @classmethod
     def zero(cls, field):
         return cls(field, [])
 
@@ -66,7 +77,7 @@ class Polynomial:
             out[i] = c
         for i, c in enumerate(other.coeffs):
             out[i] = F.add(out[i], c)
-        return Polynomial(F, out)
+        return Polynomial._trusted(F, out)
 
     def __sub__(self, other):
         self._check(other)
@@ -77,11 +88,11 @@ class Polynomial:
             out[i] = c
         for i, c in enumerate(other.coeffs):
             out[i] = F.sub(out[i], c)
-        return Polynomial(F, out)
+        return Polynomial._trusted(F, out)
 
     def __neg__(self):
         F = self.field
-        return Polynomial(F, [F.neg(c) for c in self.coeffs])
+        return Polynomial._trusted(F, [F.neg(c) for c in self.coeffs])
 
     def __mul__(self, other):
         self._check(other)
@@ -95,12 +106,12 @@ class Polynomial:
             for j, b in enumerate(other.coeffs):
                 if not F.is_zero(b):
                     out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return Polynomial(F, out)
+        return Polynomial._trusted(F, out)
 
     def scale(self, c):
         F = self.field
         c = F.coerce(c)
-        return Polynomial(F, [F.mul(c, a) for a in self.coeffs])
+        return Polynomial._trusted(F, [F.mul(c, a) for a in self.coeffs])
 
     def __pow__(self, n):
         result = Polynomial.one(self.field)
@@ -129,7 +140,7 @@ class Polynomial:
             if not F.is_zero(c):
                 for i, b in enumerate(other.coeffs):
                     rem[k + i] = F.sub(rem[k + i], F.mul(c, b))
-        return Polynomial(F, q), Polynomial(F, rem[:dd])
+        return Polynomial._trusted(F, q), Polynomial._trusted(F, rem[:dd])
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -153,7 +164,7 @@ class Polynomial:
         out = []
         for i in range(1, len(self.coeffs)):
             out.append(F.mul(F.from_int(i), self.coeffs[i]))
-        return Polynomial(F, out)
+        return Polynomial._trusted(F, out)
 
     def pow_mod(self, n, modulus):
         result = Polynomial.one(self.field)

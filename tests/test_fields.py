@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -216,3 +217,59 @@ def test_rational_factor_hard_cases():
         f = f * Polynomial.from_ints(QQ, c)
     _, factors = factor_polynomial(f)
     assert len(factors) == 4 and all(m == 1 for _, m in factors)
+
+
+def _rational_root_by_fractions(g):
+    """The rational-root search with Horner's rule on Fractions: candidates
+    +-u/v, u | g_0 and v | g_n coprime, ascending, + before -."""
+    a0, an = g[0], g[-1]
+    if a0 == 0:
+        return Fraction(0)
+    if abs(a0) > 10**7 or abs(an) > 10**7:
+        return None
+    divisors = lambda n: [d for d in range(1, n + 1) if n % d == 0]
+    for u in divisors(abs(a0)):
+        for v in divisors(abs(an)):
+            if math.gcd(u, v) != 1:
+                continue
+            for r in (Fraction(u, v), Fraction(-u, v)):
+                acc = Fraction(0)
+                for c in reversed(g):
+                    acc = acc * r + c
+                if acc == 0:
+                    return r
+    return None
+
+
+def _int_poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_rational_root_test_against_fraction_evaluation():
+    from coalgkit.factor import _find_rational_root
+
+    rng = random.Random(57)
+    cases = []
+    for _ in range(60):
+        h = [rng.randint(-20, 20) for _ in range(rng.randint(2, 6))]
+        h[0] = h[0] or 7
+        h[-1] = h[-1] or 3
+        u, v = rng.randint(1, 12), rng.randint(1, 12)
+        g = u // math.gcd(u, v), v // math.gcd(u, v)
+        cases.append(_int_poly_mul([rng.choice([-1, 1]) * g[0], -g[1]], h))  # root +-u/v
+        cases.append(h)  # usually no rational root
+        cases.append([0] + h)  # a0 == 0
+    N = 10**7 + 3
+    big = [_int_poly_mul([-1, 1], [N, 0, 1]), _int_poly_mul([-1, 1], [1, N])]  # root 1
+    planted = 0
+    for g in cases + big:
+        root = _find_rational_root(g)
+        assert root == _rational_root_by_fractions(g)
+        assert root is None or type(root) is Fraction
+        planted += root is not None
+    assert planted >= 120
+    assert [_find_rational_root(g) for g in big] == [None, None]

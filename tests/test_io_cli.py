@@ -198,6 +198,44 @@ def test_numeric_entries_are_parse_errors():
         jsonio.vector_from_json(F2, [1, 0])
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("dual_numbers_algebra.json", "mult", {"rows": 2, "cols": 4,
+                                           "entries": [["1", "0", "0", "0"], ["0", "1", "1"]]}),
+    ("dual_numbers_algebra.json", "mult", {"rows": 3, "cols": 4,
+                                           "entries": [["1", "0", "0", "0"], ["0", "1", "1", "0"]]}),
+    ("dual_numbers.json", "epsilon", ["1"]),
+], ids=["ragged-row", "missing-row", "short-epsilon"])
+def test_document_of_the_wrong_shape_is_a_shape_mismatch(tmp_path, capsys, name, key, value):
+    """Matrix() trusts its data; the parsers check the shape of what a
+    document holds, and the CLI maps the error to exit 4."""
+    from coalgkit import cli
+    from coalgkit.errors import ShapeMismatch
+
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc[key] = value
+    with pytest.raises(ShapeMismatch, match="^data does not match shape"):
+        jsonio.parse_entity(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("computation error: data does not match shape")
+
+
+def test_matrix_constructors_check_outside_data():
+    from coalgkit.errors import ShapeMismatch
+
+    with pytest.raises(ShapeMismatch):
+        Matrix.from_rows(F2, [[1, 0], [1]])
+    with pytest.raises(ShapeMismatch):
+        Matrix.from_rows(F2, [[1, 0]], cols=3)
+    with pytest.raises(ShapeMismatch):
+        Matrix.from_cols(F2, [[1, 0], [1]])
+    with pytest.raises(ShapeMismatch):
+        Matrix.checked(F2, 2, 1, [[1]])
+    assert Matrix.from_cols(F2, [[1, 0], [0, 1]]) == Matrix.identity(F2, 2)
+
+
 def test_cli_validation_error_exit_3():
     import tempfile
 

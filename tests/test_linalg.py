@@ -344,8 +344,8 @@ def _sparse_matrix(rng, field, rows, cols):
 
 
 def _kernel_outputs(rng, field):
-    """repr of rref/kernel/@/apply/ArtinAlgebra.mul/minimal_polynomial and
-    Subspace pivots/coordinates results on seeded inputs, and every entry
+    """repr of rref/kernel/@/apply/ArtinAlgebra.mul/mult_matrix/
+    minimal_polynomial and Subspace pivots/coordinates results on seeded inputs, and every entry
     they hold."""
     from coalgkit.coalgebra import ArtinAlgebra
 
@@ -370,6 +370,10 @@ def _kernel_outputs(rng, field):
             product = A.mul(u, v)
             outs.append(repr(product))
             entries += product
+        for u in (x, y, A.unit, [field.zero] * n):
+            L = A.mult_matrix(u)
+            outs.append(repr(L.data))
+            entries += [a for row in L.data for a in row]
         T = _sparse_matrix(rng, field, n, n)
         outs.append(repr(minimal_polynomial(T).coeffs))
         entries += minimal_polynomial(T).coeffs

@@ -94,6 +94,104 @@ def test_semisimple_quotient_has_nondegenerate_trace_form():
         assert trace_form_nondegenerate(Abar)
 
 
+# -- element-level kernels ------------------------------------------------------
+
+
+def _element_cases():
+    """Seeded algebras over Q, F_2, F_3, F_5 and F_4 in random bases, plus
+    non-reduced ones and F_2 x F_2 x F_2, each with elements to test."""
+    from coalgkit.coalgebra import dual_algebra
+
+    rng = random.Random(43)
+    algebras = [
+        corpus.random_algebra(rng, field, rng.randint(1, 6))
+        for field in [QQ, F2, F3, F5, F4]
+        for _ in range(6)
+    ]
+    algebras += [
+        pqa(F2, [1, 0, 1, 0, 1]),  # (x^2 + x + 1)^2
+        pqa(QQ, [0, 0, -2, 0, 1]),  # x^2 (x^2 - 2)
+        pqa(F4, [0, 0, 0, 1]),  # x^3
+        pqa(F4, [1, 0, 1]),  # (x + 1)^2
+        dual_algebra(diagonal_coalgebra(3, F2)),  # F_2 x F_2 x F_2
+    ]
+    for A in algebras:
+        F = A.field
+        basis = Matrix.identity(F, A.dim).data
+        elements = basis + [list(A.unit), [F.zero] * A.dim]
+        elements += [[F.random(rng) for _ in range(A.dim)] for _ in range(4)]
+        yield A, elements
+
+
+def test_element_min_poly_is_that_of_the_multiplication_matrix():
+    from coalgkit.linalg import minimal_polynomial
+
+    for A, elements in _element_cases():
+        for x in elements:
+            m = structure.element_min_poly(A, x)
+            want = minimal_polynomial(A.mult_matrix(x))
+            assert m == want and repr(m.coeffs) == repr(want.coeffs)
+
+
+def test_quotient_algebra_matches_the_kronecker_formula():
+    from coalgkit.linalg import kronecker, quotient_maps
+
+    nonzero_f4_radical = False
+    for A, elements in _element_cases():  # elements start with the basis
+        rad = radical(A)
+        # the radical, and its sum with the ideal eA of one idempotent e
+        e = local_decomposition(A).idempotents[0]
+        eA = [A.mul(e, v) for v in elements[: A.dim]]
+        for ideal in [rad, Subspace.from_vectors(A.field, A.dim, rad.vectors() + eA)]:
+            Q, q, s = structure.quotient_algebra(A, ideal)
+            want_q, want_s = quotient_maps(ideal)
+            assert (q, s) == (want_q, want_s)
+            want = q @ A.mult @ kronecker(s, s)
+            assert repr(Q.mult.data) == repr(want.data)
+            assert Q.unit == q.apply(A.unit)
+        nonzero_f4_radical |= A.field == F4 and rad.dim > 0
+    assert nonzero_f4_radical
+
+
+def test_trace_form_matches_multiplication_matrix_traces():
+    for A, _ in _element_cases():
+        F = A.field
+        basis = Matrix.identity(F, A.dim).data
+        want = [[A.mult_matrix(A.mul(u, v)).trace() for v in basis] for u in basis]
+        assert repr(structure._trace_form(A).data) == repr(want)
+
+
+def test_decomposition_builds_no_matrix_powers_and_no_kronecker(monkeypatch):
+    """Exact work counts on the dual of Q^6: minimal polynomials come from
+    powers of elements and the quotient from a column selection.  The
+    search takes 11 minimal polynomials: the splitting candidates e_0 .. e_4
+    and one primitive element per residue field."""
+    import sys
+
+    from coalgkit import linalg
+
+    counts = {"minimal_polynomial": 0, "kronecker_in_quotient": 0, "element_min_poly": 0}
+
+    def counting(name, original, caller=None):
+        def wrapper(*args, **kwargs):
+            if caller is None or sys._getframe(1).f_code.co_name == caller:
+                counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    matrix_min_poly = counting("minimal_polynomial", linalg.minimal_polynomial)
+    monkeypatch.setattr(linalg, "minimal_polynomial", matrix_min_poly)
+    monkeypatch.setattr(structure, "minimal_polynomial", matrix_min_poly, raising=False)
+    monkeypatch.setattr(
+        linalg, "kronecker", counting("kronecker_in_quotient", linalg.kronecker, "quotient_algebra"))
+    monkeypatch.setattr(
+        structure, "element_min_poly", counting("element_min_poly", structure.element_min_poly))
+    dec = decomposition(diagonal_coalgebra(6, QQ))
+    assert len(dec.components) == 6
+    assert counts == {"minimal_polynomial": 0, "kronecker_in_quotient": 0, "element_min_poly": 11}
+
+
 # -- local decomposition ------------------------------------------------------
 
 

@@ -203,6 +203,11 @@ class ArtinAlgebra:
         return f"ArtinAlgebra(dim {self.dim} over {self.field})"
 
 
+def is_multiplicative(A, B, M):
+    """Whether the linear map M: A -> B satisfies M(xy) = M(x)M(y)."""
+    return M @ A.mult == B.mult @ kronecker(M, M)
+
+
 def std_basis(field, n):
     """The standard basis vectors e_0 .. e_(n-1) of k^n."""
     z, o = field.zero, field.one

@@ -34,8 +34,9 @@ class DegreeCapExceeded(ComputationError):
 
 
 class SearchExhausted(ComputationError):
-    """The candidate-element search of a primitive element or a splitting
-    element ran out; the message names its bounds and the count tried."""
+    """A bounded search ran out: the candidate elements of a primitive
+    element or splitting element, or the random trials of a Cantor-Zassenhaus
+    split.  The message names its bounds and the count tried."""
 
 
 class NotSupported(ComputationError):

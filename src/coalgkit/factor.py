@@ -1,10 +1,11 @@
 """Univariate polynomial factorization.
 
 Finite fields: squarefree decomposition, distinct-degree splitting, then
-Berlekamp splitting (exhaustive over the field for small orders, seeded
-Cantor-Zassenhaus beyond).  Rationals: rational-root extraction followed by
-Zassenhaus (good prime, quadratic Hensel lifting on a factor tree, bounded
-subset recombination), with a configurable degree cap.
+seeded Cantor-Zassenhaus equal-degree splitting, with a bounded number of
+random trials per split.  Rationals: the same squarefree decomposition,
+rational-root extraction, then Zassenhaus (good prime, quadratic Hensel
+lifting on a factor tree in `gfpoly` arithmetic mod p^e, bounded subset
+recombination), with a configurable degree cap.
 
 factor_polynomial returns (leading unit, [(monic irreducible, multiplicity)])
 with factors sorted deterministically.
@@ -12,14 +13,14 @@ with factors sorted deterministically.
 
 import math
 
-from .errors import DegreeCapExceeded, NotSupported
+from . import gfpoly
+from .errors import DegreeCapExceeded, NotSupported, SearchExhausted
 from .fields import ExtensionField, PrimeField, QQ, RationalField, is_prime
-from .linalg import Matrix
 from .polys import Polynomial
 from .seeding import derived_rng
 
 DEFAULT_DEGREE_CAP = 16
-_SMALL_ORDER = 256  # exhaustive Berlekamp splitting below this field size
+_SPLIT_TRIALS = 64  # random trials per Cantor-Zassenhaus split
 
 
 def factor_polynomial(f, degree_cap=None, seed=0):
@@ -64,15 +65,18 @@ def is_irreducible(f, seed=0):
 
 def _factor_finite(f, seed):
     out = []
-    for g, mult in _squarefree_finite(f):
+    for g, mult in _squarefree(f):
         for h, d in _distinct_degree(g):
             for piece in _equal_degree(h, d, seed):
                 out.append((piece, mult))
     return out
 
 
-def _squarefree_finite(f):
-    """Monic f over a finite field -> [(squarefree part, multiplicity)]."""
+def _squarefree(f):
+    """Yun's algorithm: monic f -> [(squarefree part, multiplicity)].
+
+    In characteristic p the part of f that is a polynomial in x^p is taken
+    apart by p-th roots; in characteristic zero that branch never runs."""
     F = f.field
     p = F.characteristic
     out = {}
@@ -138,54 +142,17 @@ def _equal_degree(f, d, seed):
     """Split monic squarefree f whose irreducible factors all have degree d."""
     if f.degree == d:
         return [f]
-    F = f.field
-    if F.order <= _SMALL_ORDER:
-        return _berlekamp_split(f)
     return _cantor_zassenhaus(f, d, derived_rng(seed, f.degree, d))
 
 
-def _frobenius_matrix(f):
-    """Matrix of h -> h^q on F[x]/(f) in the power basis."""
-    F = f.field
-    n = f.degree
-    xq = Polynomial.x(F).pow_mod(F.order, f)
-    cols = []
-    power = Polynomial.one(F)
-    for _ in range(n):
-        cols.append(list(power.coeffs) + [F.zero] * (n - len(power.coeffs)))
-        power = (power * xq) % f
-    return Matrix.from_cols(F, cols, n)
-
-
-def _berlekamp_split(f):
-    """Deterministic splitting: gcd(f, v - c) over all c for kernel vectors v."""
-    F = f.field
-    n = f.degree
-    B = _frobenius_matrix(f) - Matrix.identity(F, n)
-    kernel_polys = [Polynomial(F, v) for v in B.kernel().vectors()]
-    r = len(kernel_polys)
-    factors = [f]
-    for v in kernel_polys:
-        if v.degree <= 0:
-            continue
-        if len(factors) == r:
-            break
-        next_factors = []
-        for h in factors:
-            pieces = []
-            for c in F.elements():
-                g = h.gcd(v - Polynomial(F, [c]))
-                if 0 < g.degree:
-                    pieces.append(g.monic())
-            if len(pieces) <= 1:
-                next_factors.append(h)
-            else:
-                next_factors.extend(pieces)
-        factors = next_factors
-    return factors
-
-
 def _cantor_zassenhaus(f, d, rng):
+    """Cantor-Zassenhaus splitting (Math. Comp. 36, 1981).
+
+    A random v mod g splits g by gcd(g, v^((q^d - 1)/2) - 1) in odd
+    characteristic and by gcd(g, v + v^2 + v^4 + ... + v^(2^(kd - 1))) over
+    F_(2^k).  Each trial splits with probability at least 4/9, so
+    _SPLIT_TRIALS trials per split fail with probability below 10^-16;
+    the bound guards against a broken random source."""
     F = f.field
     q = F.order
     out = []
@@ -195,7 +162,7 @@ def _cantor_zassenhaus(f, d, rng):
         if g.degree == d:
             out.append(g)
             continue
-        while True:
+        for _ in range(_SPLIT_TRIALS):
             v = Polynomial(F, [F.random(rng) for _ in range(g.degree)])
             if v.degree < 1:
                 continue
@@ -214,6 +181,12 @@ def _cantor_zassenhaus(f, d, rng):
                 stack.append(h.monic())
                 stack.append((g // h).monic())
                 break
+        else:
+            raise SearchExhausted(
+                f"Cantor-Zassenhaus split of a degree-{g.degree} polynomial over {F} into "
+                f"degree-{d} factors failed after {_SPLIT_TRIALS} trials "
+                f"(bound _SPLIT_TRIALS = {_SPLIT_TRIALS})"
+            )
     return out
 
 
@@ -235,27 +208,10 @@ def _factor_rationals(f, degree_cap):
             f"degree {f.degree} exceeds rational factorization cap {degree_cap}"
         )
     out = {}
-    for part, mult in _squarefree_char0(f):
+    for part, mult in _squarefree(f):
         for g in _factor_squarefree_q(part):
             out[g] = out.get(g, 0) + mult
     return list(out.items())
-
-
-def _squarefree_char0(f):
-    """Yun's algorithm; f monic over Q."""
-    out = []
-    g = f.gcd(f.derivative())
-    w = (f // g).monic()
-    i = 1
-    while w.degree > 0:
-        y = w.gcd(g)
-        z = (w // y).monic()
-        if z.degree > 0:
-            out.append((z, i))
-        w = y
-        g = g // y
-        i += 1
-    return out
 
 
 def _factor_squarefree_q(f):
@@ -270,7 +226,9 @@ def _factor_squarefree_q(f):
         if root is None:
             break
         factors.append(Polynomial(QQ, [-root, QQ.one]))
-        g = _int_divide_linear(g, root)
+        # Gauss's lemma: the quotient is primitive with a positive leading
+        # coefficient, like g
+        g = _zdivide_exact(g, [-root.numerator, root.denominator])
     if len(g) == 2:
         factors.append(Polynomial.from_ints(QQ, g).monic())
         return factors
@@ -329,14 +287,6 @@ def _divisors(n):
     return small + large[::-1]
 
 
-def _int_divide_linear(g, root):
-    """Exact division of an integer poly by (x - root), back to primitive."""
-    f = Polynomial.from_ints(QQ, g)
-    q, r = f.divmod(Polynomial(QQ, [-root, QQ.one]))
-    assert r.is_zero()
-    return _to_primitive_int(q.monic())
-
-
 def _zassenhaus(g):
     """Primitive squarefree integer poly, degree >= 2, no rational roots."""
     lc = g[-1]
@@ -385,65 +335,6 @@ def _good_prime(g):
         p += 2
 
 
-# integer polynomial helpers (dense ascending lists)
-
-
-def _ztrim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _zmul(f, g, m=None):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    if m is not None:
-        out = [c % m for c in out]
-    return _ztrim(out)
-
-
-def _zsub(f, g, m=None):
-    out = [0] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] = a
-    for i, b in enumerate(g):
-        out[i] -= b
-    if m is not None:
-        out = [c % m for c in out]
-    return _ztrim(out)
-
-
-def _zadd(f, g, m=None):
-    out = [0] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] = a
-    for i, b in enumerate(g):
-        out[i] += b
-    if m is not None:
-        out = [c % m for c in out]
-    return _ztrim(out)
-
-
-def _zdivmod_monic(f, g, m):
-    """divmod by monic g with coefficients mod m."""
-    f = [c % m for c in f]
-    _ztrim(f)
-    q = [0] * max(len(f) - len(g) + 1, 0)
-    while len(f) >= len(g):
-        c = f[-1] % m
-        d = len(f) - len(g)
-        q[d] = c
-        for i, b in enumerate(g):
-            f[d + i] = (f[d + i] - c * b) % m
-        _ztrim(f)
-    return _ztrim(q), f
-
-
 def _symmetric(f, m):
     half = m // 2
     return [c - m if c > half else c for c in f]
@@ -452,14 +343,15 @@ def _symmetric(f, m):
 def _hensel_step(f, g, h, s, t, m):
     """One quadratic step: from f = g*h, s*g + t*h = 1 (mod m) to mod m^2."""
     m2 = m * m
-    e = _zsub(f, _zmul(g, h, m2), m2)
-    q, r = _zdivmod_monic(_zmul(s, e, m2), h, m2)
-    g1 = _zadd(_zadd(g, _zmul(t, e, m2), m2), _zmul(q, g, m2), m2)
-    h1 = _zadd(h, r, m2)
-    b = _zsub(_zadd(_zmul(s, g1, m2), _zmul(t, h1, m2), m2), [1], m2)
-    c, d = _zdivmod_monic(_zmul(s, b, m2), h1, m2)
-    s1 = _zsub(s, d, m2)
-    t1 = _zsub(_zsub(t, _zmul(t, b, m2), m2), _zmul(c, g1, m2), m2)
+    add, sub, mul = gfpoly.add, gfpoly.sub, gfpoly.mul
+    e = sub(f, mul(g, h, m2), m2)
+    q, r = gfpoly.divmod_(mul(s, e, m2), h, m2)
+    g1 = add(add(g, mul(t, e, m2), m2), mul(q, g, m2), m2)
+    h1 = add(h, r, m2)
+    b = sub(add(mul(s, g1, m2), mul(t, h1, m2), m2), [1], m2)
+    c, d = gfpoly.divmod_(mul(s, b, m2), h1, m2)
+    s1 = sub(s, d, m2)
+    t1 = sub(sub(t, mul(t, b, m2), m2), mul(c, g1, m2), m2)
     return g1, h1, s1, t1
 
 
@@ -472,7 +364,7 @@ def _hensel_pair(f, g, h, s, t, p, target):
 
 
 def _modlist(f, m):
-    return _ztrim([c % m for c in f])
+    return gfpoly.trim([c % m for c in f])
 
 
 def _hensel_multifactor(f, mods, p, target):
@@ -480,8 +372,6 @@ def _hensel_multifactor(f, mods, p, target):
     if len(mods) == 1:
         return [_modlist(f, target)]
     k = len(mods) // 2
-    from . import gfpoly
-
     g0 = [1]
     for m in mods[:k]:
         g0 = gfpoly.mul(g0, m, p)
@@ -509,8 +399,8 @@ def _recombine(f, lifted, modulus):
         for combo in itertools.combinations(remaining, size):
             cand = [1]
             for i in combo:
-                cand = _zmul(cand, lifted[i], modulus)
-            cand = _symmetric(_modlist(cand, modulus), modulus)
+                cand = gfpoly.mul(cand, lifted[i], modulus)
+            cand = _symmetric(cand, modulus)
             quotient = _zdivide_exact(current, cand)
             if quotient is not None:
                 out.append(Polynomial.from_ints(QQ, cand))

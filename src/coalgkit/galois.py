@@ -15,6 +15,7 @@ from .coalgebra import (
     ArtinAlgebra,
     CoalgebraMorphism,
     dual_coalgebra,
+    is_multiplicative,
     polynomial_quotient_algebra,
     subalgebra_on_basis,
     validate,
@@ -88,7 +89,8 @@ class GaloisDatum:
                 raise ValidationError(f"automorphism {i} does not fix the unit")
             if M.rank() != g:
                 raise ValidationError(f"automorphism {i} is not invertible")
-            _require_multiplicative(L, M, f"automorphism {i}")
+            if not is_multiplicative(L, L, M):
+                raise ValidationError(f"automorphism {i} is not multiplicative")
         for i in range(g):
             for j in range(g):
                 if not (self.automorphisms[i] @ self.automorphisms[j] == self.automorphisms[self.table[i][j]]):
@@ -159,13 +161,6 @@ def _close_subgroup(table, seed, identity):
                     out.add(c)
                     changed = True
     return out
-
-
-def _require_multiplicative(L, M, what):
-    from .linalg import kronecker
-
-    if not (M @ L.mult == L.mult @ kronecker(M, M)):
-        raise ValidationError(f"{what} is not multiplicative")
 
 
 def frobenius_galois_datum(p, modulus_ints):

@@ -1,9 +1,12 @@
-"""Dense polynomial arithmetic over F_p on plain coefficient lists.
+"""Dense polynomial arithmetic on plain coefficient lists mod m.
 
 A polynomial a_0 + a_1*x + ... + a_n*x^n is the list [a_0, ..., a_n] of ints
-in [0, p); the zero polynomial is [].  These helpers back the extension-field
-element arithmetic and the irreducibility test used when constructing F_q;
-higher-level factorization works with the generic Polynomial class instead.
+in [0, m); the zero polynomial is [].  With m a prime p these helpers back
+the extension-field element arithmetic and the irreducibility test used when
+constructing F_q.  `add`, `sub`, `mul` and `divmod_` (by a divisor whose
+leading coefficient is a unit mod m) work for any modulus: the Hensel
+lifting of rational factorization runs on them mod p^e.  `monic`, `gcd`,
+`ext_gcd` and `is_irreducible` need m prime.
 """
 
 
@@ -13,36 +16,29 @@ def trim(f):
     return f
 
 
-def add(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
+def add(f, g, m):
+    out = list(f) + [0] * (len(g) - len(f))
     for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return trim(out)
+        out[i] += c
+    return trim([c % m for c in out])
 
 
-def sub(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
+def sub(f, g, m):
+    out = list(f) + [0] * (len(g) - len(f))
     for i, c in enumerate(g):
-        out[i] = (out[i] - c) % p
-    return trim(out)
+        out[i] -= c
+    return trim([c % m for c in out])
 
 
-def mul(f, g, p):
+def mul(f, g, m):
     if not f or not g:
         return []
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % p
-    return trim(out)
+                out[i + j] += a * b
+    return trim([c % m for c in out])
 
 
 def scale(f, c, p):
@@ -52,21 +48,23 @@ def scale(f, c, p):
     return trim([(a * c) % p for a in f])
 
 
-def divmod_(f, g, p):
+def divmod_(f, g, m):
+    """(q, r) with f = q*g + r mod m and deg r < deg g; the leading
+    coefficient of g must be a unit mod m."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     f = list(f)
     q = [0] * max(len(f) - len(g) + 1, 0)
-    inv_lead = pow(g[-1], p - 2, p)
+    inv_lead = pow(g[-1], -1, m)
     while len(f) >= len(g) and any(f):
         trim(f)
         if len(f) < len(g):
             break
-        c = (f[-1] * inv_lead) % p
+        c = (f[-1] * inv_lead) % m
         d = len(f) - len(g)
         q[d] = c
         for i, b in enumerate(g):
-            f[d + i] = (f[d + i] - c * b) % p
+            f[d + i] = (f[d + i] - c * b) % m
         trim(f)
     return trim(q), trim(f)
 

@@ -21,6 +21,7 @@ from .coalgebra import (
     direct_sum,
     dual_algebra,
     dual_coalgebra,
+    is_multiplicative,
     polynomial_quotient_algebra,
     std_basis,
 )
@@ -474,22 +475,13 @@ def wedderburn_splitting(component, seed=_SEARCH_SEED):
         raise ComputationError("A is not K (+) m; Hensel data inconsistent")
     retract = Matrix(F, d, A.dim, [Pinv.data[i] for i in range(d)])
     K = polynomial_quotient_algebra(F, p)
-    _verify_algebra_map(A, K, retract)
+    if retract.apply(A.unit) != list(K.unit):
+        raise ComputationError("retract does not preserve the unit")
+    if not is_multiplicative(A, K, retract):
+        raise ComputationError("retract is not multiplicative")
     prim = std_basis(F, d)[1] if d > 1 else [F.neg(p.coeffs[0])]
     datum = FieldDatum(K, prim, p)
     return WedderburnSplitting(datum, E, retract, root)
-
-
-def _verify_algebra_map(A, B, M):
-    """Check M: A -> B respects unit and multiplication."""
-    from .linalg import kronecker
-
-    if M.apply(A.unit) != list(B.unit):
-        raise ComputationError("retract does not preserve the unit")
-    lhs = M @ A.mult
-    rhs = B.mult @ kronecker(M, M)
-    if not (lhs == rhs):
-        raise ComputationError("retract is not multiplicative")
 
 
 def product_algebra(field, algebras):
@@ -519,10 +511,9 @@ class EtaleData:
         "retraction",
         "decomposition",
         "splittings",
-        "offsets",
     )
 
-    def __init__(self, coalgebra, simples, etale, inclusion, retraction, decomposition, splittings, offsets):
+    def __init__(self, coalgebra, simples, etale, inclusion, retraction, decomposition, splittings):
         self.coalgebra = coalgebra
         self.simples = simples
         self.etale = etale
@@ -530,7 +521,6 @@ class EtaleData:
         self.retraction = retraction
         self.decomposition = decomposition
         self.splittings = splittings
-        self.offsets = offsets
 
     def is_split(self):
         """All residue fields equal to the base field."""
@@ -572,8 +562,6 @@ def _etale_data(C, seed):
     q_blocks = []
     s_blocks = []
     simples = []
-    offsets = []
-    offset = 0
     for comp, w in zip(dec.components, splittings):
         q_i = w.retract @ comp.projection  # A -> K_i
         s_i = comp.embedding @ w.embedding  # K_i -> A
@@ -581,8 +569,6 @@ def _etale_data(C, seed):
         s_blocks.append(s_i)
         simple = dual_coalgebra(w.field_datum.as_algebra)
         simples.append((simple, CoalgebraMorphism(simple, C, q_i.transpose())))
-        offsets.append(offset)
-        offset += q_i.rows
     if q_blocks:
         Q = q_blocks[0]
         for b in q_blocks[1:]:
@@ -600,7 +586,7 @@ def _etale_data(C, seed):
     check = retraction.matrix @ inclusion.matrix
     if not (check == Matrix.identity(F, etale.dim)):
         raise ComputationError("retraction does not split the inclusion")
-    return EtaleData(C, simples, etale, inclusion, retraction, dec, splittings, offsets)
+    return EtaleData(C, simples, etale, inclusion, retraction, dec, splittings)
 
 
 def irreducible_components(C, seed=_SEARCH_SEED):
@@ -650,9 +636,7 @@ def group_likes(C, etale=None, seed=_SEARCH_SEED):
     """Group-like elements: one per dual local component with residue k."""
     data = etale if etale is not None else etale_part(C, seed)
     elements = []
-    for comp, w, off in zip(
-        data.decomposition.components, data.splittings, data.offsets
-    ):
+    for comp, w in zip(data.decomposition.components, data.splittings):
         if w.field_datum.dim == 1:
             q_i = w.retract @ comp.projection
             elements.append(q_i.row(0))

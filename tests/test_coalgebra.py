@@ -13,6 +13,7 @@ from coalgkit.coalgebra import (
     dual_coalgebra,
     dual_morphism,
     generated_subcoalgebra,
+    is_multiplicative,
     polynomial_quotient_algebra,
     pushout,
     quotient,
@@ -229,3 +230,18 @@ def test_pushout_universal_property():
     assert validate(CoalgebraMorphism(P, k, w)) == []
     # uniqueness: (fB, fC) jointly surject onto P
     assert stacked.rank() == P.dim
+
+
+def test_is_multiplicative():
+    F5 = GF(5)
+    A = polynomial_quotient_algebra(F5, Polynomial.from_ints(F5, [2, 0, 1]))  # F_25
+    frobenius = Matrix.from_cols(F5, [A.power(b, 5) for b in ([1, 0], [0, 1])], 2)
+    assert is_multiplicative(A, A, Matrix.identity(F5, 2))
+    assert is_multiplicative(A, A, frobenius)
+    # x -> 2x fixes the unit but (2x)^2 = 4x^2 is not 2x^2
+    assert not is_multiplicative(A, A, Matrix.from_int_rows(F5, [[1, 0], [0, 2]]))
+    # the projection of F_5 x F_5 onto a factor is an algebra map; onto the sum it is not
+    P = dual_algebra(diagonal_coalgebra(2, F5))
+    K = dual_algebra(diagonal_coalgebra(1, F5))
+    assert is_multiplicative(P, K, Matrix.from_int_rows(F5, [[1, 0]]))
+    assert not is_multiplicative(P, K, Matrix.from_int_rows(F5, [[1, 1]]))

@@ -4,7 +4,14 @@ import random
 import pytest
 from fractions import Fraction
 
-from coalgkit.errors import DegreeCapExceeded, DivisionByZero, ParseError, ValidationError
+from coalgkit import gfpoly
+from coalgkit.errors import (
+    DegreeCapExceeded,
+    DivisionByZero,
+    ParseError,
+    SearchExhausted,
+    ValidationError,
+)
 from coalgkit.factor import factor_polynomial, is_irreducible, roots_in_field
 from coalgkit.fields import GF, QQ, field_arith, field_from_json, is_prime
 from coalgkit.polys import Polynomial
@@ -14,6 +21,9 @@ F3 = GF(3)
 F4 = GF(2, [1, 1, 1])
 F5 = GF(5)
 F9 = GF(3, [1, 0, 1])
+F257 = GF(257)
+F_MERSENNE = GF(2**31 - 1)
+F512 = GF(2, [1, 1, 0, 0, 0, 0, 0, 0, 0, 1])  # x^9 + x + 1
 
 
 def test_rational_arithmetic():
@@ -137,7 +147,7 @@ def _seeded_polynomials(rng, field):
     return out
 
 
-@pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=repr)
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5, F257, F_MERSENNE], ids=repr)
 def test_factor_polynomial_against_sympy(field):
     sympy = pytest.importorskip(
         "sympy", reason="sympy is not installed: factoring cross-check against sympy skipped")
@@ -165,7 +175,7 @@ def test_factor_polynomial_against_sympy(field):
 
 @pytest.mark.parametrize(
     "field,count",
-    [(F2, 1000), (F3, 1000), (F5, 1000), (QQ, 1000), (F4, 400), (F9, 400)],
+    [(F2, 1000), (F3, 1000), (F5, 1000), (QQ, 1000), (F4, 400), (F9, 400), (F512, 30)],
 )
 def test_refactor_property(field, count):
     """factor_polynomial output re-multiplies to the input exactly, and
@@ -186,6 +196,108 @@ def test_refactor_property(field, count):
             for g, _ in factors:
                 u2, fs2 = factor_polynomial(g)
                 assert field.is_one(u2) and fs2 == [(g, 1)]
+
+
+def test_factorization_does_not_depend_on_the_seed():
+    """The seed only steers Cantor-Zassenhaus; the factorization is unique."""
+    rng = random.Random(13)
+    for field in (F2, F3, F4, F9, F257, F_MERSENNE, F512):
+        polys = _seeded_polynomials(rng, field)
+        # products of distinct linear factors force equal-degree splitting
+        roots = {field.random(rng) for _ in range(6)}
+        split = Polynomial.one(field)
+        for r in roots:
+            split = split * Polynomial(field, [field.neg(r), field.one])
+        for f in polys[:5] + [split]:
+            results = [factor_polynomial(f, seed=s) for s in range(5)]
+            assert all(r == results[0] for r in results), (field, f.coeffs)
+        assert len(factor_polynomial(split)[1]) == len(roots)
+
+
+class _ZeroRng:
+    """A random source that only ever draws 0: no trial can split."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def randrange(self, n):
+        self.draws += 1
+        return 0
+
+
+@pytest.mark.parametrize("field,draws_per_coefficient", [(F5, 1), (F4, 2)], ids=repr)
+def test_cantor_zassenhaus_trials_are_bounded(field, draws_per_coefficient):
+    from coalgkit.factor import _SPLIT_TRIALS, _cantor_zassenhaus
+
+    f = Polynomial.one(field)
+    for r in list(field.elements())[:3]:
+        f = f * Polynomial(field, [field.neg(r), field.one])
+    rng = _ZeroRng()
+    with pytest.raises(SearchExhausted) as info:
+        _cantor_zassenhaus(f, 1, rng)
+    assert rng.draws == _SPLIT_TRIALS * f.degree * draws_per_coefficient
+    message = str(info.value)
+    assert f"after {_SPLIT_TRIALS} trials" in message and "_SPLIT_TRIALS" in message
+
+
+def _int_long_division(f, g):
+    """f = q*g + r over the integers, for monic g."""
+    r = list(f)
+    q = [0] * max(len(f) - len(g) + 1, 0)
+    for d in range(len(f) - len(g), -1, -1):
+        c = r[d + len(g) - 1]
+        q[d] = c
+        for i, b in enumerate(g):
+            r[d + i] -= c * b
+    return q, r[: len(g) - 1]
+
+
+def test_gfpoly_divmod_at_a_prime_power():
+    m = 3**5
+    reduce = lambda f: gfpoly.trim([c % m for c in f])
+    rng = random.Random(35)
+    for _ in range(200):
+        f = [rng.randrange(m) for _ in range(rng.randint(0, 9))]
+        g = [rng.randrange(m) for _ in range(rng.randint(0, 4))] + [1]
+        q, r = _int_long_division(f, g)
+        assert gfpoly.divmod_(reduce(f), g, m) == (reduce(q), reduce(r))
+        # a leading coefficient that is a unit mod 3^5 but not 1
+        g = g[:-1] + [rng.choice([2, 4, 5, 242])]
+        q, r = gfpoly.divmod_(reduce(f), g, m)
+        assert len(r) < len(g)
+        assert gfpoly.add(gfpoly.mul(q, g, m), r, m) == reduce(f)
+
+
+def test_hensel_multifactor_lifts_to_a_prime_power():
+    from coalgkit.factor import _good_prime, _hensel_multifactor
+
+    rng = random.Random(71)
+    lifted_any = 0
+    tried = 0
+    while tried < 40:
+        f = [1]
+        for _ in range(rng.randint(2, 4)):
+            f = _int_poly_mul(f, [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [1])
+        fq = Polynomial.from_ints(QQ, f)
+        if fq.gcd(fq.derivative()).degree > 0:
+            continue
+        tried += 1
+        p = _good_prime(f)
+        _, modular = factor_polynomial(Polynomial(GF(p), [c % p for c in f]))
+        mods = [list(g.coeffs) for g, _ in modular]
+        for e in (1, 2, 5):
+            target = p**e
+            lifts = _hensel_multifactor(f, mods, p, target)
+            assert len(lifts) == len(mods)
+            prod = [1]
+            for lift, mod in zip(lifts, mods):
+                assert lift[-1] == 1 and len(lift) == len(mod)
+                assert all(0 <= c < target for c in lift)
+                assert gfpoly.trim([c % p for c in lift]) == mod
+                prod = gfpoly.mul(prod, lift, target)
+            assert prod == gfpoly.trim([c % target for c in f])
+        lifted_any += len(mods) > 1
+    assert lifted_any >= 20
 
 
 def test_is_irreducible():

@@ -51,9 +51,14 @@ def test_datum_validation():
     bad_autos = [D4.automorphisms[0], D4.automorphisms[0]]
     with pytest.raises(ValidationError):
         GaloisDatum(F2, D4.L, bad_autos, D4.table)
-    # non-multiplicative automorphism is rejected
-    with pytest.raises(ValidationError):
+    # a map that moves the unit is rejected
+    with pytest.raises(ValidationError, match="does not fix the unit"):
         GaloisDatum(F2, D4.L, [D4.automorphisms[0], Matrix.from_int_rows(F2, [[0, 1], [1, 0]])], D4.table)
+    # non-multiplicative automorphism is rejected: in F_2[x]/(x^4 + x + 1),
+    # swapping x and x^2 fixes 1 and is invertible, but sends x*x to x, not x^2*x^2 = x + 1
+    swap = Matrix.from_int_rows(F2, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    with pytest.raises(ValidationError, match="automorphism 1 is not multiplicative"):
+        GaloisDatum(F2, D16.L, [D16.automorphisms[0], swap] + D16.automorphisms[2:], D16.table)
 
 
 def test_rational_datum():

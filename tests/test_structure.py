@@ -510,6 +510,23 @@ def test_gp_adjunction_examples():
     assert all(name != "split-counit-iso-onto-etale" for name, _ in rep["checks"])
 
 
+# sha256 of the canonical gp-adjunction check lists of seeded corpus
+# coalgebras, recorded while the triangle still decomposed k^delta[gp(C)]
+GP_CHECKS_SHA256 = "d569119f2852875f751c3192c5f53c3b809929a1689dbc3df31574de0629fa33"
+
+
+def test_gp_adjunction_checks_golden_digest():
+    rng = random.Random(43)
+    coalgebras = [
+        corpus.random_coalgebra(rng, field, 6) for field in [QQ, F2, F3, F5, F4] for _ in range(20)
+    ]
+    coalgebras += [dual_numbers(), dual_coalgebra(pqa(F2, [1, 1, 1])), diagonal_coalgebra(0, F3)]
+    h = hashlib.sha256()
+    for C in coalgebras:
+        h.update(jsonio.canonical_json(gp_adjunction_checks(C=C)["checks"]).encode())
+    assert h.hexdigest() == GP_CHECKS_SHA256
+
+
 # -- one decomposition per coalgebra and seed --------------------------------------
 
 

@@ -35,8 +35,9 @@ class DegreeCapExceeded(ComputationError):
 
 class SearchExhausted(ComputationError):
     """A bounded search ran out: the candidate elements of a primitive
-    element or splitting element, or the random trials of a Cantor-Zassenhaus
-    split.  The message names its bounds and the count tried."""
+    element or splitting element, the random trials of a Cantor-Zassenhaus
+    split, or the odd primes tried for Hensel lifting.  The message names its
+    bounds and the count tried."""
 
 
 class NotSupported(ComputationError):

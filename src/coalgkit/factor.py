@@ -325,14 +325,30 @@ def _monicize(g):
 
 
 def _good_prime(g):
-    p = 3
-    while True:
-        if is_prime(p) and g[-1] % p != 0:
-            field = PrimeField(p)
-            fbar = Polynomial(field, [c % p for c in g])
-            if fbar.degree == len(g) - 1 and fbar.gcd(fbar.derivative()).is_one():
-                return p
+    """The least odd prime p with g mod p squarefree of the same degree.
+
+    Only the primes dividing lc(g) * Res(g, g') fail, and for squarefree g
+    there are fewer odd ones than the bit length of |lc(g)| times the
+    Hadamard bound |g|^(n-1) |g'|^n on the Sylvester matrix of g and g'.
+    When that many odd primes all fail, g is not squarefree."""
+    n = len(g) - 1
+    dg = [i * g[i] for i in range(1, n + 1)]
+    hadamard = math.isqrt(sum(c * c for c in g) ** (n - 1) * sum(c * c for c in dg) ** n) + 1
+    bound = (abs(g[-1]) * hadamard).bit_length()
+    p, tried = 3, 0
+    while tried < bound:
+        if is_prime(p):
+            tried += 1
+            if g[-1] % p != 0:
+                fbar = Polynomial(PrimeField(p), [c % p for c in g])
+                if fbar.gcd(fbar.derivative()).is_one():
+                    return p
         p += 2
+    raise SearchExhausted(
+        f"no odd prime keeps the degree-{n} integer polynomial squarefree: all {tried} "
+        f"tried failed (bound: bit length of lc(g) times the Hadamard bound on "
+        f"Sylvester(g, g'), {bound}); the polynomial is not squarefree"
+    )
 
 
 def _symmetric(f, m):

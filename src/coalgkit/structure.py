@@ -661,6 +661,15 @@ def gp_adjunction_checks(C=None, X=None, field=None, seed=_SEARCH_SEED):
     the triangle identities on the instance, and (when every dual residue
     field is the base field) that the counit corestricts to an isomorphism
     onto Et(C) compatible with the retraction.
+
+    `triangle-gp` is the identity gp(counit) o unit = id on gp(C), checked
+    index by index.  The unit sends the i-th group-like of C to the basis
+    vector e_i of k^delta[gp(C)], so the check is that every e_i is group-like
+    (delta(e_i) = e_i (x) e_i exactly and eps(e_i) = 1), that the counit maps
+    e_i to the i-th group-like of C, and that the counts agree.  The basis
+    vectors are then all of gp(k^delta[gp(C)]), with no decomposition of that
+    coalgebra: distinct group-likes are linearly independent, so a coalgebra
+    of dimension |gp(C)| has at most |gp(C)| of them.
     """
     from .coalgebra import validate
 
@@ -691,13 +700,15 @@ def gp_adjunction_checks(C=None, X=None, field=None, seed=_SEARCH_SEED):
             data.inclusion.image().contains_vector(c) for c in gl.elements
         )
         checks.append(("counit-lands-in-etale", image_ok))
-        # triangle on the instance: gp(counit) o unit = id on gp(C)
-        source_gl = group_likes(counit.source, seed=seed)
-        unit_indices = []
-        for c in source_gl.elements:
-            img = counit.matrix.apply(c)
-            unit_indices.append(img in gl.elements)
-        checks.append(("triangle-gp", all(unit_indices) and len(source_gl.elements) == len(gl.elements)))
+        D = counit.source
+        F = C.field
+        basis = std_basis(F, D.dim)
+        triangle = len(basis) == len(gl.elements) and all(
+            _group_like_quadratic(D, e) and D.counit_of(e) == F.one
+            and counit.matrix.apply(e) == g
+            for e, g in zip(basis, gl.elements)
+        )
+        checks.append(("triangle-gp", triangle))
         if data.is_split():
             core = data.retraction.matrix @ counit.matrix
             iso = CoalgebraMorphism(counit.source, data.etale, core)

@@ -300,6 +300,28 @@ def test_hensel_multifactor_lifts_to_a_prime_power():
     assert lifted_any >= 20
 
 
+def test_good_prime_search_is_bounded():
+    """(x - 1)^2 (x + 2) is not squarefree, so every prime fails: the search
+    stops at its named bound, 11 odd primes here, within a second."""
+    import signal
+
+    from coalgkit.factor import _good_prime
+
+    def too_slow(signum, frame):
+        raise TimeoutError("_good_prime ran past 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(SearchExhausted) as info:
+            _good_prime([2, -3, 0, 1])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    message = str(info.value)
+    assert "all 11 tried failed" in message and "Hadamard bound" in message
+
+
 def test_is_irreducible():
     assert is_irreducible(Polynomial.from_ints(F2, [1, 1, 1]))
     assert not is_irreducible(Polynomial.from_ints(F2, [1, 0, 1]))

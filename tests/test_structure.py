@@ -510,6 +510,27 @@ def test_gp_adjunction_examples():
     assert all(name != "split-counit-iso-onto-etale" for name, _ in rep["checks"])
 
 
+@pytest.mark.parametrize("fault", ["coproduct", "counit"])
+@pytest.mark.parametrize("field", [QQ, F3], ids=["Q", "F3"])
+def test_gp_triangle_rejects_a_faulty_pointwise_coalgebra(monkeypatch, field, fault):
+    """One planted fault in k^delta[gp(C)]: delta(e_0) gains e_0 (x) e_1, or
+    eps(e_0) = 2.  e_0 is then not group-like, and the triangle must say so."""
+    original = structure.diagonal_coalgebra
+
+    def faulty(size, fld):
+        D = original(size, fld)
+        if fault == "coproduct":
+            D.delta.data[1][0] = fld.one
+        else:
+            D.epsilon.data[0][0] = fld.add(fld.one, fld.one)
+        return D
+
+    monkeypatch.setattr(structure, "diagonal_coalgebra", faulty)
+    C = dual_coalgebra(pqa(field, [0, -1, 0, 1]))  # x (x - 1) (x + 1): three group-likes
+    rep = gp_adjunction_checks(C=C)
+    assert dict(rep["checks"])["triangle-gp"] is False and not rep["ok"]
+
+
 # sha256 of the canonical gp-adjunction check lists of seeded corpus
 # coalgebras, recorded while the triangle still decomposed k^delta[gp(C)]
 GP_CHECKS_SHA256 = "d569119f2852875f751c3192c5f53c3b809929a1689dbc3df31574de0629fa33"
@@ -568,9 +589,8 @@ def test_structure_views_share_one_decomposition(monkeypatch, field, ints):
     C = jsonio.coalgebra_from_json(doc)
     calls = _count_decompositions(monkeypatch)
     shared = {name: _view(C, name) for name in VIEWS}
-    n_group_likes = len(group_likes(C))
-    # C once, then the pointwise coalgebra on its group-likes in the gp check
-    assert calls == [(C.dim, structure._SEARCH_SEED), (n_group_likes, structure._SEARCH_SEED)]
+    # C only: the gp check verifies k^delta[gp(C)] on its basis
+    assert calls == [(C.dim, structure._SEARCH_SEED)]
     fresh = {name: _view(jsonio.coalgebra_from_json(doc), name) for name in VIEWS}
     assert jsonio.canonical_json(shared) == jsonio.canonical_json(fresh)
 

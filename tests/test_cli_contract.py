@@ -166,6 +166,13 @@ LINES = {
                    ["day-hom", "day_cat_Z2.json", "{}", "day_G.json"]],
     "day_G.json": [["validate", "{}"], ["day-convolve", "day_cat_Z2.json", "day_F.json", "{}"],
                    ["day-hom", "day_cat_Z2.json", "day_F.json", "{}"]],
+    "day_cat_poset2.json": [["validate", "{}"],
+                            ["day-convolve", "{}", "day_poset_F.json", "day_poset_G.json"],
+                            ["day-hom", "{}", "day_poset_F.json", "day_poset_G.json"]],
+    "day_poset_F.json": [["validate", "{}"],
+                         ["day-convolve", "day_cat_poset2.json", "{}", "day_poset_G.json"]],
+    "day_poset_G.json": [["validate", "{}"],
+                         ["day-convolve", "day_cat_poset2.json", "day_poset_F.json", "{}"]],
     "day_graded_coalg.json": [["validate", "{}"], ["day-subgen", "{}", "day_line_t.json"]],
     "day_line_t.json": [["day-subgen", "day_graded_coalg.json", "{}"]],
 }

@@ -388,3 +388,33 @@ def test_day_relation_data_golden_digest():
         for U in range(cat.size):
             h.update(f"{name} {U} {T.relations[U]!r} {T.relation_tags[U]!r}\n".encode())
     assert h.hexdigest() == DAY_RELATIONS_SHA256
+
+
+def _matrices_json(mats):
+    return [jsonio.matrix_to_json(m) for m in mats]
+
+
+def _quotient_digest():
+    """sha256 of the quotient every DayTensor(F, G) above computes: the
+    convolution's dims and actions, its projections and sections, and the
+    matrices of the symmetry isomorphism and of convolve_nat(id, id)."""
+    h = hashlib.sha256()
+    for name, cat, F, G in _seeded_pairs(suites._day_categories() + GENERIC_CATS):
+        T = DayTensor(F, G)
+        doc = {
+            "presheaf": jsonio.day_presheaf_to_json(T.presheaf, category_name=name),
+            "projections": _matrices_json(T.projections),
+            "sections": _matrices_json(T.sections),
+            "symmetry": _matrices_json(symmetry_iso(T, DayTensor(G, F)).mats),
+            "id": _matrices_json(convolve_nat(T, T, identity_nat(F), identity_nat(G)).mats),
+        }
+        h.update(jsonio.canonical_json(doc).encode())
+    return h.hexdigest()
+
+
+# recorded before the quotient was taken from the sparse relation columns
+DAY_QUOTIENT_SHA256 = "9a20b8855de9289605c6b5a4383d20c853678372a28e0ea0e14271bd4bd6dc32"
+
+
+def test_day_quotient_golden_digest():
+    assert _quotient_digest() == DAY_QUOTIENT_SHA256

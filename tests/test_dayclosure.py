@@ -1,4 +1,8 @@
+import hashlib
+
 import pytest
+
+from coalgkit import jsonio
 
 from coalgkit.coalgebra import polynomial_quotient_algebra
 from coalgkit.errors import MapsEqual
@@ -14,6 +18,8 @@ from coalgkit.day import (
     poset_max_category,
     representable,
     cyclic_group_category,
+    day_direct_sum,
+    unit_day_coalgebra,
 )
 from coalgkit.dayclosure import (
     SubPresheaf,
@@ -162,3 +168,61 @@ def test_separate_by_generator():
     )
     with pytest.raises(MapsEqual):
         separate_by_generator(GD, eta, eta)
+
+
+def _closure_examples():
+    """(name, FC, seed assignments): the graded dual numbers of the examples
+    above over F_2 and F_3 and direct sums of two and three copies (whose
+    relations cancel), and the unit coalgebra h_1 of the dual numbers
+    category, alone and doubled."""
+    GD = graded_dual_numbers()
+    GD3 = graded_dual_numbers(cyclic_group_category(GF(3), 2))
+    GD2 = day_direct_sum(GD, GD)
+    H = unit_day_coalgebra(OB)
+    for name, FC in (("GD", GD), ("GD/F3", GD3), ("GD+GD", GD2), ("GD+GD+GD", day_direct_sum(GD2, GD))):
+        d0, d1 = FC.presheaf.dims
+        yield name, FC, [{}, {0: [[1] * d0]}, {1: [[1] * d1]},
+                         {0: [[1] + [0] * (d0 - 1)], 1: [[0] * (d1 - 1) + [1]]}]
+    yield "h1/dualnum", H, [{}, {0: [[0, 1]]}]
+    yield "h1+h1/dualnum", day_direct_sum(H, H), [{0: [[0, 1, 0, 0]]}, {0: [[0, 0, 0, 1]]}]
+
+
+def _pure_examples():
+    """(name, M, M0, N): the purity examples above."""
+    M, N = poset_fixture()
+    yield "poset", M, SubPresheaf.from_vectors(M, {0: [[0, 1]]}), N
+    yield "poset-top", M, SubPresheaf.from_vectors(M, {1: [[1, 1]]}), M
+    Mob = representable(OB, 0)
+    Nob = DayPresheaf(OB, [1], {(0, 0, 0): Matrix.identity(F2, 1), (0, 0, 1): Matrix.zeros(F2, 1, 1)})
+    yield "dualnum", Mob, SubPresheaf.from_vectors(Mob, {0: [[0, 1]]}), Nob
+    yield "dualnum-self", Mob, SubPresheaf.from_vectors(Mob, {0: [[0, 1]]}), Mob
+
+
+def _spaces_json(sub):
+    fld = sub.presheaf.category.field
+    return [[jsonio.vector_to_json(fld, v) for v in s.vectors()] for s in sub.spaces]
+
+
+# sha256 of the spaces of every closure of _closure_examples and
+# _pure_examples, and of the coproduct of each generated subcoalgebra,
+# recorded before the quotient was taken from the sparse relation columns
+CLOSURE_SPACES_SHA256 = "0e45790e05f252e5e683c49678964e0c0379617994e96097c6d7c34cc5d1a1de"
+
+
+def test_closure_spaces_golden_digest():
+    h = hashlib.sha256()
+    for name, FC, assignments in _closure_examples():
+        for assignment in assignments:
+            M0 = SubPresheaf.from_vectors(FC.presheaf, assignment)
+            sub, _, spaces = generated_day_subcoalgebra(FC, M0)
+            doc = {
+                "fc": name,
+                "seed": {str(U): v for U, v in assignment.items()},
+                "invariant": _spaces_json(invariant_closure(FC, M0)),
+                "generated": _spaces_json(spaces),
+                "delta": [jsonio.matrix_to_json(m) for m in sub.delta.mats],
+            }
+            h.update(jsonio.canonical_json(doc).encode())
+    for name, M, M0, N in _pure_examples():
+        h.update(f"{name} {jsonio.canonical_json(_spaces_json(pure_closure(M, M0, N)))}\n".encode())
+    assert h.hexdigest() == CLOSURE_SPACES_SHA256

@@ -302,6 +302,8 @@ DAY_STDOUT_SHA256 = {
     "day-convolve": "09d39ef0cb236102180733c65094795ce73727f9a91a33b756e59571c835b865",
     "day-hom": "6ad785a9e3011170cd19266893232d503404fe93226934921a93da7f08306008",
     "day-subgen": "71bd51af68c15b65734cd15a3f0ff718d5bd8fe979cf8009bff4c2f4dee76fb2",
+    # a two-object chain over F_3 whose convolution has relations to quotient
+    "day-convolve-poset2": "f22561cdde0c1dc29079f648b9420faab9956d26952b70d0a5e484136be5946d",
 }
 
 
@@ -331,6 +333,15 @@ def test_cli_day_commands():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dims"] == [1, 1]
     assert _stdout_sha256(proc) == DAY_STDOUT_SHA256["day-subgen"]
+
+
+def test_cli_day_convolve_with_relations():
+    args = [os.path.join(DATA, n) for n in ("day_cat_poset2.json", "day_poset_F.json",
+                                             "day_poset_G.json")]
+    proc = run_cli("--format", "json", "day-convolve", *args)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["verification"] == {"dims": [2, 3], "presheaf-valid": True}
+    assert _stdout_sha256(proc) == DAY_STDOUT_SHA256["day-convolve-poset2"]
 
 
 # sha256 of the --format json stdout of each structure command over the

@@ -7,12 +7,14 @@ field values.
 Tensor index convention, used by every module: the basis vector e_i (x) e_j
 of k^m (x) k^n sits at index i*n + j (row-major on the factors).
 
-Row reduction, products, RowReducer, subspace coordinates and the products
-and multiplication matrices of an ArtinAlgebra run on a kernel per field
-kind (see `row_kernel`): Q on integer rows over a common denominator,
-fraction-free, to control coefficient growth; F_p on plain ints reduced
-mod p; F_q through the field's methods.  Reduced row echelon form is
-canonical, so equal subspaces have identical bases.
+Row reduction, products, RowReducer, subspace coordinates, the span of
+sparse vectors and the products and multiplication matrices of an
+ArtinAlgebra run on a kernel per field kind (see `row_kernel`): Q on
+integer rows over a common denominator, fraction-free, to control
+coefficient growth (the sparse span excepted, which runs on the field's
+methods); F_p on plain ints reduced mod p; F_q through the field's
+methods.  Reduced row echelon form is canonical, so equal subspaces have
+identical bases.
 
 `minimal_polynomial` is that of a matrix.  The minimal polynomial of an
 algebra element x (`structure.element_min_poly`) is the first dependence
@@ -294,8 +296,8 @@ class Matrix:
 # -- per-field row kernels --------------------------------------------------
 #
 # The entry loops of rref, matrix products, RowReducer.add, ArtinAlgebra.mul
-# and mult_matrix, and Subspace.pivots/coordinates, one implementation per
-# field kind, picked by `row_kernel`.
+# and mult_matrix, and Subspace.from_sparse/pivots/coordinates, one
+# implementation per field kind, picked by `row_kernel`.
 # `_FieldMethods` sends every entry through the field's own methods; F_q
 # runs on it, and the F_p and Q kernels return byte-identical results to it.
 
@@ -410,6 +412,41 @@ class _FieldMethods:
         return [[c[i] for c in cols] for i in range(n)]
 
     @staticmethod
+    def sparse_rref(F, ambient, vectors):
+        """Subspace.from_sparse: the RREF rows spanned by {index: value}
+        maps.  An echelon pass keeps one row per leading index, scaled to
+        lead with one, and stops once the rank is the ambient dimension;
+        back-substitution, from the last leading index down, then clears
+        the other rows' leading indices out of each row."""
+        rows = {}  # leading index -> {index: nonzero value}
+        for vec in vectors:
+            v = {j: a for j, a in vec.items() if not F.is_zero(a)}
+            while v:
+                c = min(v)
+                if c not in rows:
+                    inv = F.inv(v[c])
+                    rows[c] = {j: F.mul(inv, a) for j, a in v.items()}
+                    break
+                _FieldMethods._sub_multiple(F, v, v[c], rows[c])
+            if len(rows) == ambient:
+                break
+        for c in sorted(rows, reverse=True):
+            row = rows[c]
+            for k in [j for j in row if j != c and j in rows]:
+                _FieldMethods._sub_multiple(F, row, row[k], rows[k])
+        return _dense_rows(F.zero, ambient, rows)
+
+    @staticmethod
+    def _sub_multiple(F, v, f, row):
+        """v -= f * row on {index: nonzero value} maps."""
+        for j, b in row.items():
+            w = F.sub(v.get(j, F.zero), F.mul(f, b))
+            if F.is_zero(w):
+                v.pop(j, None)
+            else:
+                v[j] = w
+
+    @staticmethod
     def pivots(F, rows):
         out = []
         for row in rows:
@@ -432,6 +469,17 @@ class _FieldMethods:
         if any(not F.is_zero(a) for a in v):
             return None
         return coords
+
+
+def _dense_rows(zero, ambient, rows):
+    """The {index: value} rows of a sparse_rref, dense, by leading index."""
+    out = []
+    for c in sorted(rows):
+        dense = [zero] * ambient
+        for j, a in rows[c].items():
+            dense[j] = a
+        out.append(dense)
+    return out
 
 
 def _nonzero_pivots(F, rows):
@@ -526,6 +574,28 @@ class _PrimeKernel:
         p = F.p
         return [[s % p for s in row] for row in _int_mult_matrix(A, x)]
 
+    @staticmethod
+    def sparse_rref(F, ambient, vectors):
+        """_FieldMethods.sparse_rref on ints, one `% p` per entry written."""
+        p = F.p
+        rows = {}
+        for vec in vectors:
+            v = {j: a % p for j, a in vec.items() if a % p}
+            while v:
+                c = min(v)
+                if c not in rows:
+                    inv = pow(v[c], -1, p)
+                    rows[c] = {j: a * inv % p for j, a in v.items()}
+                    break
+                _sub_multiple_mod(p, v, v[c], rows[c])
+            if len(rows) == ambient:
+                break
+        for c in sorted(rows, reverse=True):
+            row = rows[c]
+            for k in [j for j in row if j != c and j in rows]:
+                _sub_multiple_mod(p, row, row[k], rows[k])
+        return _dense_rows(0, ambient, rows)
+
     pivots = staticmethod(_nonzero_pivots)
 
     @staticmethod
@@ -540,6 +610,16 @@ class _PrimeKernel:
             if c:
                 v = [a - c * b for a, b in zip(v, row)]
         return None if any(a % p for a in v) else coords
+
+
+def _sub_multiple_mod(p, v, f, row):
+    """v -= f * row mod p on {index: nonzero int} maps."""
+    for j, b in row.items():
+        w = (v.get(j, 0) - f * b) % p
+        if w:
+            v[j] = w
+        else:
+            v.pop(j, None)
 
 
 def clear_denominators(vec):
@@ -649,6 +729,7 @@ class _RationalKernel:
         rows = _int_mult_matrix(A, xn)
         return [[_fraction(s, d * xd) for s in row] for row, d in zip(rows, A.int_table()[1])]
 
+    sparse_rref = staticmethod(_FieldMethods.sparse_rref)
     pivots = staticmethod(_nonzero_pivots)
 
     @staticmethod
@@ -713,6 +794,13 @@ class Subspace:
         M = Matrix.from_rows(field, [list(v) for v in vectors], ambient)
         R, rank, _ = M.rref()
         return cls(field, ambient, Matrix(field, rank, ambient, R.data[:rank]))
+
+    @classmethod
+    def from_sparse(cls, field, ambient, vectors):
+        """from_vectors for vectors given as {index: value} maps of their
+        nonzero entries; the basis is the same."""
+        rows = row_kernel(field).sparse_rref(field, ambient, vectors)
+        return cls(field, ambient, Matrix(field, len(rows), ambient, rows))
 
     @classmethod
     def zero(cls, field, ambient):

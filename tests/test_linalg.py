@@ -494,3 +494,64 @@ def test_minimal_polynomial_against_sympy(field):
         assert list(minimal_polynomial(T).coeffs) == want
         smaller += len(want) - 1 < n
     assert smaller >= 6
+
+
+# -- Subspace.from_sparse -------------------------------------------------------
+
+SPARSE_FIELDS = KERNEL_FIELDS + [GF(2, [1, 1, 1])]
+
+
+def _sparse_vectors(rng, field, ambient):
+    """Seeded {index: value} maps, with zero maps, explicit zero entries,
+    duplicates and nonzero scalar multiples planted among them."""
+    vecs = []
+    for _ in range(rng.randint(0, 14)):
+        kind = rng.random()
+        if vecs and kind < 0.15:
+            vecs.append(dict(rng.choice(vecs)))
+        elif vecs and kind < 0.3:
+            c = field.random(rng)
+            while field.is_zero(c):
+                c = field.random(rng)
+            vecs.append({j: field.mul(c, a) for j, a in rng.choice(vecs).items()})
+        elif kind < 0.4 or not ambient:
+            vecs.append({j: field.zero for j in rng.sample(range(ambient), min(ambient, 2))})
+        else:
+            density = rng.choice([0.1, 0.3, 1.0])
+            vecs.append({j: field.random(rng) for j in range(ambient) if rng.random() < density})
+    return vecs
+
+
+def _stops_at_full_rank(vectors):
+    """vectors, then an error if the span reads further."""
+    yield from vectors
+    raise AssertionError("read past full rank")
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+def test_from_sparse_matches_from_vectors(field):
+    """The same basis, entry for entry and of the same types, as the dense
+    RREF of the same vectors."""
+    one, zero = field.one, field.zero
+    rng = random.Random(31)
+    cases = [(0, []), (0, [{}, {}]), (3, []), (3, [{}, {1: zero}])]
+    for n in range(1, 6):
+        # rank n after n vectors, the first leading at the last index
+        cases.append((n, [{j: one} for j in reversed(range(n))] + [{0: one, n - 1: one}]))
+        cases.append((n, [{j: one, n - 1: one} for j in range(n)] + [{0: one}]))
+    cases += [(n, _sparse_vectors(rng, field, n)) for n in [0, 1, 2] + list(range(1, 15)) * 6]
+    full = 0
+    for ambient, vecs in cases:
+        dense = [[v.get(j, zero) for j in range(ambient)] for v in vecs]
+        want = Subspace.from_vectors(field, ambient, dense)
+        got = Subspace.from_sparse(field, ambient, vecs)
+        assert got == want, (ambient, vecs)
+        assert [[type(a) for a in r] for r in got.basis.data] == \
+               [[type(a) for a in r] for r in want.basis.data]
+        if want.dim == ambient > 0:
+            full += 1
+            # the span reads no vector once its rank is the ambient dimension
+            reached = next(i for i in range(len(vecs) + 1)
+                           if Subspace.from_vectors(field, ambient, dense[:i]).dim == ambient)
+            assert Subspace.from_sparse(field, ambient, _stops_at_full_rank(vecs[:reached])) == want
+    assert full > 12

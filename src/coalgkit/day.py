@@ -17,6 +17,17 @@ hom(U, X (x) Y) (x) F(X) (x) G(Y); bilinearity makes basis-indexed relations
 sufficient.  The quotient coordinates come from the canonical non-pivot
 projection, so convolutions are deterministic.
 
+The quotient is taken from the relation columns as they are built:
+{index: value} maps of their nonzero entries, whose span
+`Subspace.from_sparse` reduces without a dense matrix or a transpose.  The
+free (non-pivot) indices of D(U), DayTensor.free[U], are the quotient
+coordinates, and sections[U] is the identity on them, so a product with a
+section selects columns.  The action of a basis morphism f: a -> b comes
+from the blocks of D(b): in each, the precomposition matrix of f sends a
+free index of D(b) to indices of D(a), which map through the nonzero
+entries of the columns of projections[a] (DayTensor.qcols[a]).  No D-level
+action matrix is built.
+
 D-level layout.  The direct sum D(U) is stored as one block per object pair
 (X, Y) with hom(U, X (x) Y), F(X) and G(Y) all nonzero, in the order of X,
 then Y.  DayTensor.blocks[U] lists them as (X, Y, off, hd, fd, gd), the
@@ -31,6 +42,7 @@ DayTensor.insert, DayTensor.legs and d_level_nat, and through the
 projections (D(U) -> Q(U)) and sections (Q(U) -> D(U)) of the quotient.
 """
 
+from bisect import bisect_left
 from functools import partial
 
 from .errors import CategoryMismatch, ComputationError, ShapeMismatch, ValidationError
@@ -518,6 +530,9 @@ class DayTensor:
         self.blocks = []      # per U: list of (X, Y, offset, hd, fd, gd)
         self.block_index = [] # per U: dict (X, Y) -> position in blocks[U]
         self.d_dims = []
+        self.free = []        # per U: the indices of D(U) the sections pick
+        self.qcols = []       # per U, per index of D(U): the nonzero
+                              # (row, value) of that column of projections[U]
         self.projections = []
         self.sections = []
         self.relations = []
@@ -543,18 +558,20 @@ class DayTensor:
             self.blocks.append(blocks)
             self.block_index.append(index)
             self.d_dims.append(off)
-            rel, tags = self._relation_matrix(U, terms)
+            rel, tags, cols = self._relation_matrix(U, terms)
             self.relations.append(rel)
             self.relation_tags.append(tags)
-            image = rel.column_space() if rel.cols else Subspace.zero(fld, off)
+            image = Subspace.from_sparse(fld, off, cols)
+            pivots = set(image.pivots())
+            self.free.append([j for j in range(off) if j not in pivots])
             q, s = quotient_maps(image)
             self.projections.append(q)
             self.sections.append(s)
+            self.qcols.append(_nonzero_cols(fld, q))
             dims.append(q.rows)
         actions = {}
         for (a, b, i) in cat.all_basis_mors():
-            D = self._d_level_action(a, b, i)
-            actions[(a, b, i)] = self.projections[a] @ D @ self.sections[b]
+            actions[(a, b, i)] = self._action(a, b, i, dims)
         self.presheaf = DayPresheaf(cat, dims, actions)
 
     def _relation_terms(self):
@@ -594,7 +611,8 @@ class DayTensor:
     def _relation_matrix(self, U, terms):
         """Relation columns of D(U), one per (alpha, beta, phi, s, t), each
         built from its nonzero entries; a column that cancels to zero (as
-        every identity (x) identity one does) is left out."""
+        every identity (x) identity one does) is left out.  Returns the
+        matrix, the column tags and the columns as {index: value} maps."""
         cat = self.category
         fld = cat.field
         cols = []  # {index: nonzero value}
@@ -644,30 +662,49 @@ class DayTensor:
         for j, col in enumerate(cols):
             for i, v in col.items():
                 data[i][j] = v
-        return Matrix(fld, self.d_dims[U], len(cols), data), tags
+        return Matrix(fld, self.d_dims[U], len(cols), data), tags, cols
 
-    def _d_level_action(self, a, b, i):
-        """Direct-sum level map D(b) -> D(a) precomposing the hom factor."""
+    def _action(self, a, b, i, dims):
+        """The action of f: a -> b on the convolution,
+        projections[a] @ D(f) @ sections[b], from the blocks of D(b).
+
+        The section picks the free indices of D(b).  D(f) precomposes the
+        hom factor: it sends index (pj, s, t) of block (X, Y) of D(b) to
+        the sum over pi of P[pi][pj] times index (pi, s, t) of block
+        (X, Y) of D(a), P being the matrix of g -> g o f."""
         cat = self.category
         fld = cat.field
         f = cat.basis_mor(a, b, i)
-        M = Matrix.zeros(fld, self.d_dims[a], self.d_dims[b])
+        free = self.free[b]
+        entries = []  # (index of D(a), column, value) of D(f) @ sections[b]
         index_a = self.block_index[a]
-        for (X, Y, off_b, hd_b, fd, gd) in self.blocks[b]:
+        for (X, Y, off, hd, fd, gd) in self.blocks[b]:
             if (X, Y) not in index_a:
                 continue
-            _, _, off_a, hd_a, _, _ = self.blocks[a][index_a[(X, Y)]]
-            P = cat.precompose_matrix(f, cat.tensor_obj[X][Y])
-            for pj in range(hd_b):
-                for pi in range(hd_a):
-                    c = P.data[pi][pj]
-                    if fld.is_zero(c):
-                        continue
-                    for s in range(fd):
-                        for t in range(gd):
-                            M.data[off_a + (pi * fd + s) * gd + t][
-                                off_b + (pj * fd + s) * gd + t
-                            ] = c
+            off_a = self.blocks[a][index_a[(X, Y)]][2]
+            P = cat.precompose_matrix(f, cat.tensor_obj[X][Y]).data
+            size = fd * gd
+            for k in range(bisect_left(free, off), bisect_left(free, off + hd * size)):
+                pj, st = divmod(free[k] - off, size)
+                for pi, prow in enumerate(P):
+                    if not fld.is_zero(prow[pj]):
+                        entries.append((off_a + pi * size + st, k, prow[pj]))
+        return self.project(a, dims[b], entries)
+
+    def project(self, U, ncols, entries):
+        """projections[U] @ X for the D(U)-level matrix X with ncols columns
+        whose nonzero entries are the (index, column, value) triples: each
+        adds value times the column of the projection at index, read from
+        its nonzero entries.  Most entries of the result are written once,
+        and most values are one, so those take no field operation."""
+        fld = self.category.field
+        M = Matrix.zeros(fld, self.projections[U].rows, ncols)
+        for idx, k, c in entries:
+            unit = fld.is_one(c)
+            for r, v in self.qcols[U][idx]:
+                w = v if unit else fld.mul(c, v)
+                cur = M.data[r][k]
+                M.data[r][k] = w if fld.is_zero(cur) else fld.add(cur, w)
         return M
 
     def insert(self, U, X, Y, phi_coords, svec, tvec):
@@ -764,11 +801,23 @@ def d_level_nat(tensor_src, tensor_dst, alpha, beta):
 
 def quotient_nat(tensor_src, tensor_dst, d_level):
     """The map of convolutions induced by D-level matrices (one per object)
-    that carry relations into relations."""
-    mats = [
-        tensor_dst.projections[U] @ M @ tensor_src.sections[U] for U, M in enumerate(d_level)
-    ]
+    that carry relations into relations:
+    projections[U] @ M @ sections[U] of the two convolutions."""
+    fld = tensor_src.category.field
+    mats = []
+    for U, M in enumerate(d_level):
+        free = tensor_src.free[U]
+        entries = [(r, k, row[j]) for r, row in enumerate(M.data)
+                   for k, j in enumerate(free) if not fld.is_zero(row[j])]
+        mats.append(tensor_dst.project(U, len(free), entries))
     return NatTransform(tensor_src.presheaf, tensor_dst.presheaf, mats)
+
+
+def _free_columns(M, free):
+    """M @ sections[U] for the sections of a convolution with free indices
+    `free`: the section sends the k-th quotient basis vector to the basis
+    vector free[k] of D(U), so the product selects those columns."""
+    return Matrix(M.field, M.rows, len(free), [[row[j] for j in free] for row in M.data])
 
 
 def convolve_nat(tensor_src, tensor_dst, alpha, beta):
@@ -788,7 +837,7 @@ def _descend_iso(tensor, mats, target):
         rel = tensor.relations[U]
         if rel.cols and not (mats[U] @ rel).is_zero():
             raise ComputationError("candidate map does not respect the coequalizer")
-        out.append(mats[U] @ tensor.sections[U])
+        out.append(_free_columns(mats[U], tensor.free[U]))
     return NatTransform(tensor.presheaf, target, out)
 
 

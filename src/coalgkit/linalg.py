@@ -944,7 +944,8 @@ def quotient_maps(sub):
     for i, p in enumerate(pivots):
         row = sub.basis.data[i]
         for idx, j in enumerate(free):
-            q.data[idx][p] = F.neg(row[j])
+            if not F.is_zero(row[j]):
+                q.data[idx][p] = F.neg(row[j])
     s = Matrix.zeros(F, n, len(free))
     for idx, j in enumerate(free):
         s.data[j][idx] = F.one

@@ -148,19 +148,30 @@ def purity_kernels(M, sub, N):
 
     Returns (kernels, conv_sub, conv_amb, lifts), lifts[U] being the D-level
     matrix of incl (x) id_N at U."""
+    return _purity_kernels(sub, DayTensor(M, N))
+
+
+def _purity_kernels(sub, conv_amb):
+    """purity_kernels against the ambient convolution conv_amb = M (x) N."""
+    N = conv_amb.G
     subp, incl = sub.as_presheaf()
     conv_sub = DayTensor(subp, N)
-    conv_amb = DayTensor(M, N)
     lifts = d_level_nat(conv_sub, conv_amb, incl, identity_nat(N))
     kappa = quotient_nat(conv_sub, conv_amb, lifts)
-    return [kappa.at(U).kernel() for U in range(M.category.size)], conv_sub, conv_amb, lifts
+    return [kappa.at(U).kernel() for U in range(N.category.size)], conv_sub, conv_amb, lifts
 
 
 def pure_closure(M, M0, N):
     """Enlarge M0 inside M until tensoring the inclusion with N is injective."""
+    return _pure_closure(M0, DayTensor(M, N))
+
+
+def _pure_closure(M0, conv_amb):
+    """pure_closure against the ambient convolution conv_amb = M (x) N,
+    which every round shares."""
     current = M0.close()
     while True:
-        kernels, conv_sub, conv_amb, lifts = purity_kernels(M, current, N)
+        kernels, conv_sub, _, lifts = _purity_kernels(current, conv_amb)
         if all(k.dim == 0 for k in kernels):
             return current
         additions = {}
@@ -252,7 +263,7 @@ def generated_day_subcoalgebra(FC, M0):
         before = current.dims()
         stage, _ = current.as_presheaf()
         current = pure_closure(F, current, stage)
-        current = pure_closure(F, current, F)
+        current = _pure_closure(current, FC.conv)
         current = invariant_closure(FC, current)
         if current.dims() == before:
             break

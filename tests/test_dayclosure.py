@@ -11,6 +11,7 @@ from coalgkit.linalg import Matrix
 from coalgkit.polys import Polynomial
 from coalgkit.day import (
     DayPresheaf,
+    DayTensor,
     NatTransform,
     identity_nat,
     is_day_morphism,
@@ -226,3 +227,27 @@ def test_closure_spaces_golden_digest():
     for name, M, M0, N in _pure_examples():
         h.update(f"{name} {jsonio.canonical_json(_spaces_json(pure_closure(M, M0, N)))}\n".encode())
     assert h.hexdigest() == CLOSURE_SPACES_SHA256
+
+
+def test_generated_subcoalgebra_builds_no_second_square(monkeypatch):
+    """The ambient square F (x) F is FC.conv: the closures build no other
+    DayTensor(F, F), and pure_closure builds M (x) N once, not per round."""
+    from coalgkit import dayclosure
+
+    built = []
+
+    def counting(F, G):
+        built.append((F, G))
+        return DayTensor(F, G)
+
+    monkeypatch.setattr(dayclosure, "DayTensor", counting)
+    H = unit_day_coalgebra(OB)
+    FC = day_direct_sum(H, H)
+    F = FC.presheaf
+    generated_day_subcoalgebra(FC, SubPresheaf.from_vectors(F, {0: [[0, 1, 0, 0]]}))
+    assert built and not any(a is F and b is F for a, b in built)
+
+    M, N = poset_fixture()
+    built.clear()
+    pure_closure(M, SubPresheaf.from_vectors(M, {0: [[0, 1]]}), N)
+    assert [(a, b) for a, b in built if a is M] == [(M, N)]

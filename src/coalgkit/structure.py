@@ -683,15 +683,14 @@ def gp_adjunction_checks(C=None, X=None, field=None, seed=_SEARCH_SEED):
         # triangle on the pointwise side: counit o (pointwise functor of the
         # unit) is the identity on the pointwise coalgebra
         found_sorted = found if gl is not None else sorted(found)
-        triangle = all(
-            found_sorted[_index_of(found_sorted, basis[x])] == basis[x]
-            for x in range(X)
-        ) and len(found_sorted) == X
-        counit_cols = Matrix.from_cols(field, found_sorted, X) if X else Matrix.zeros(field, 0, 0)
-        unit_perm = Matrix.zeros(field, X, X)
-        for x in range(X):
-            unit_perm.data[_index_of(found_sorted, basis[x])][x] = field.one
-        triangle = triangle and (counit_cols @ unit_perm == Matrix.identity(field, X))
+        positions = [_index_of(found_sorted, basis[x]) for x in range(X)]
+        triangle = None not in positions and len(found_sorted) == X
+        if triangle:
+            counit_cols = Matrix.from_cols(field, found_sorted, X) if X else Matrix.zeros(field, 0, 0)
+            unit_perm = Matrix.zeros(field, X, X)
+            for x, i in enumerate(positions):
+                unit_perm.data[i][x] = field.one
+            triangle = counit_cols @ unit_perm == Matrix.identity(field, X)
         checks.append(("triangle-pointwise", triangle))
     if C is not None:
         counit, gl, data = counit_of_gp_adjunction(C, seed=seed)
@@ -720,10 +719,8 @@ def gp_adjunction_checks(C=None, X=None, field=None, seed=_SEARCH_SEED):
 
 
 def _index_of(vectors, target):
-    for i, v in enumerate(vectors):
-        if v == target:
-            return i
-    raise ValidationError("group-like basis vector missing")
+    """The position of target in vectors, or None when it is missing."""
+    return next((i for i, v in enumerate(vectors) if v == target), None)
 
 
 def brute_force_group_likes(C):

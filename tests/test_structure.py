@@ -531,6 +531,24 @@ def test_gp_triangle_rejects_a_faulty_pointwise_coalgebra(monkeypatch, field, fa
     assert dict(rep["checks"])["triangle-gp"] is False and not rep["ok"]
 
 
+@pytest.mark.parametrize("field", [QQ, F3], ids=["Q", "F3"])
+def test_gp_unit_reports_a_missing_group_like(monkeypatch, field):
+    """When the group-likes found in k^delta[X] miss a basis vector, the X
+    branch reports the unit and the pointwise triangle as failed instead of
+    raising.  Over F_3 the brute-force search runs, over Q the decomposition."""
+    for name in ("group_likes", "brute_force_group_likes"):
+        original = getattr(structure, name)
+
+        def dropping(*args, original=original, **kwargs):
+            gl = original(*args, **kwargs)
+            return structure.GroupLikeSet(gl.coalgebra, gl.elements[1:])
+
+        monkeypatch.setattr(structure, name, dropping)
+    rep = gp_adjunction_checks(X=3, field=field)
+    assert rep == {"checks": [("unit-bijective", False), ("triangle-pointwise", False)],
+                   "ok": False}
+
+
 # sha256 of the canonical gp-adjunction check lists of seeded corpus
 # coalgebras, recorded while the triangle still decomposed k^delta[gp(C)]
 GP_CHECKS_SHA256 = "d569119f2852875f751c3192c5f53c3b809929a1689dbc3df31574de0629fa33"

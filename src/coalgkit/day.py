@@ -813,13 +813,6 @@ def quotient_nat(tensor_src, tensor_dst, d_level):
     return NatTransform(tensor_src.presheaf, tensor_dst.presheaf, mats)
 
 
-def _free_columns(M, free):
-    """M @ sections[U] for the sections of a convolution with free indices
-    `free`: the section sends the k-th quotient basis vector to the basis
-    vector free[k] of D(U), so the product selects those columns."""
-    return Matrix(M.field, M.rows, len(free), [[row[j] for j in free] for row in M.data])
-
-
 def convolve_nat(tensor_src, tensor_dst, alpha, beta):
     """alpha (x) beta on convolutions: (F (*) G) -> (F' (*) G')."""
     return quotient_nat(tensor_src, tensor_dst, d_level_nat(tensor_src, tensor_dst, alpha, beta))
@@ -837,7 +830,11 @@ def _descend_iso(tensor, mats, target):
         rel = tensor.relations[U]
         if rel.cols and not (mats[U] @ rel).is_zero():
             raise ComputationError("candidate map does not respect the coequalizer")
-        out.append(_free_columns(mats[U], tensor.free[U]))
+        # mats[U] @ sections[U]: the section sends the k-th quotient basis
+        # vector to the basis vector free[k] of D(U)
+        free = tensor.free[U]
+        out.append(Matrix(cat.field, mats[U].rows, len(free),
+                          [[row[j] for j in free] for row in mats[U].data]))
     return NatTransform(tensor.presheaf, target, out)
 
 

@@ -6,16 +6,28 @@ Conventions.  Objects are indices into `objects`; a morphism is a triple
 Presheaves are contravariant: the action of a basis morphism f: a -> b is a
 matrix F(b) -> F(a).
 
-The convolution (F (*) G)(U) is computed as the cokernel of the single
-relation matrix collecting, for all basis morphisms (alpha, beta) and all
-basis tensors phi (x) s (x) t, the difference
+The convolution (F (*) G)(U) is the cokernel of one relation matrix inside
+the direct sum over object pairs (X, Y) of hom(U, X (x) Y) (x) F(X) (x) G(Y).
+The coend relations are, for alpha: Xp -> X, beta: Yp -> Y,
+phi: U -> Xp (x) Yp, s in F(X) and t in G(Y),
 
-    ((alpha (x) beta) o phi) (x) s (x) t  -  phi (x) alpha*(s) (x) beta*(t)
+    R(alpha, beta)(phi, s, t)
+        = ((alpha (x) beta) o phi) (x) s (x) t  -  phi (x) alpha*(s) (x) beta*(t).
 
-inside the direct sum over object pairs (X, Y) of
-hom(U, X (x) Y) (x) F(X) (x) G(Y); bilinearity makes basis-indexed relations
-sufficient.  The quotient coordinates come from the canonical non-pivot
-projection, so convolutions are deterministic.
+The matrix holds only the one-sided ones, (alpha, id_Y) and (id_X, beta), for
+basis morphisms alpha and beta and basis vectors phi, s and t; (id, id)
+gives zero and is skipped.  They span all the others:
+
+    R(alpha, beta)(phi, s, t)
+        = R(alpha, 1)((1 (x) beta) o phi, s, t) + R(1, beta)(phi, alpha*(s), t)
+
+by the interchange law (alpha (x) 1) o (1 (x) beta) = alpha (x) beta, and
+each side is linear in phi, s and t.  Bilinearity in (alpha, beta) then
+leaves the basis pairs.  An identity that is not a basis morphism (as may
+happen in a one-object category) enters as id_mor and acts by the identity
+matrix; that it acts so is functoriality, which every valid presheaf has.
+The quotient coordinates come from the canonical non-pivot projection, so
+convolutions are deterministic and do not depend on the spanning set.
 
 The quotient is taken from the relation columns as they are built:
 {index: value} maps of their nonzero entries, whose span
@@ -575,44 +587,49 @@ class DayTensor:
         self.presheaf = DayPresheaf(cat, dims, actions)
 
     def _relation_terms(self):
-        """The part of the relations that does not depend on U, per pair of
-        basis morphisms alpha: Xp -> X, beta: Yp -> Y with F(X), G(Y) nonzero:
-        (X, Y, Xp, Yp, ai, bi, alpha (x) beta, minus), where minus[s][t]
-        lists the nonzero entries of -F(alpha)(s) (x) G(beta)(t) as
-        (offset in a phi row of the (Xp, Yp) block, value)."""
+        """The part of the relations that does not depend on U, per pair
+        (alpha, beta) with one side an identity (see the module docstring):
+        alpha: Xp -> X and beta: Yp -> Y with F(X), G(Y) nonzero, as
+        (X, Y, Xp, Yp, ai, bi, alpha (x) beta, minus).  The basis index ai
+        or bi of the identity side is None; minus[s][t] lists the nonzero
+        entries of -F(alpha)(s) (x) G(beta)(t) as (offset in a phi row of
+        the (Xp, Yp) block, value)."""
         cat = self.category
         fld = cat.field
         F, G = self.F, self.G
-        betas = [
-            (Yp, Y, bi, cat.basis_mor(Yp, Y, bi), _nonzero_cols(fld, G.action(Yp, Y, bi)))
-            for (Yp, Y, bi) in cat.all_basis_mors()
-            if G.dims[Y]
-        ]
+        neg = partial(fld.sub, fld.zero)
         terms = []
         for (Xp, X, ai) in cat.all_basis_mors():
-            if F.dims[X] == 0:
-                continue
             alpha = cat.basis_mor(Xp, X, ai)
+            if F.dims[X] == 0 or alpha == cat.id_mor(X):
+                continue
             Fcols = _nonzero_cols(fld, F.action(Xp, X, ai))
-            for Yp, Y, bi, beta, Gcols in betas:
-                gd_p = G.dims[Yp]
-                minus = [
-                    [
-                        [(i2 * gd_p + j2, fld.sub(fld.zero, fld.mul(u, v)))
-                         for i2, u in fs for j2, v in gt]
-                        for gt in Gcols
-                    ]
-                    for fs in Fcols
-                ]
-                tm = cat.tensor_mor_pair(alpha, beta)
-                terms.append((X, Y, Xp, Yp, ai, bi, tm, minus))
+            for Y in range(cat.size):
+                gd = G.dims[Y]
+                if gd:
+                    minus = [[[(i2 * gd + t, neg(u)) for i2, u in fs] for t in range(gd)]
+                             for fs in Fcols]
+                    tm = cat.tensor_mor_pair(alpha, cat.id_mor(Y))
+                    terms.append((X, Y, Xp, Y, ai, None, tm, minus))
+        for (Yp, Y, bi) in cat.all_basis_mors():
+            beta = cat.basis_mor(Yp, Y, bi)
+            if G.dims[Y] == 0 or beta == cat.id_mor(Y):
+                continue
+            Gcols = _nonzero_cols(fld, G.action(Yp, Y, bi))
+            gd_p = G.dims[Yp]
+            for X in range(cat.size):
+                if F.dims[X]:
+                    minus = [[[(s * gd_p + j2, neg(v)) for j2, v in gt] for gt in Gcols]
+                             for s in range(F.dims[X])]
+                    tm = cat.tensor_mor_pair(cat.id_mor(X), beta)
+                    terms.append((X, Y, X, Yp, None, bi, tm, minus))
         return terms
 
     def _relation_matrix(self, U, terms):
-        """Relation columns of D(U), one per (alpha, beta, phi, s, t), each
-        built from its nonzero entries; a column that cancels to zero (as
-        every identity (x) identity one does) is left out.  Returns the
-        matrix, the column tags and the columns as {index: value} maps."""
+        """Relation columns of D(U), one per term of _relation_terms and
+        (phi, s, t), each built from its nonzero entries; a column that
+        cancels to zero is left out.  Returns the matrix, the column tags
+        and the columns as {index: value} maps."""
         cat = self.category
         fld = cat.field
         cols = []  # {index: nonzero value}

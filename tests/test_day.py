@@ -5,10 +5,10 @@ import pytest
 
 from coalgkit import jsonio, suites
 
-from coalgkit.coalgebra import polynomial_quotient_algebra
+from coalgkit.coalgebra import polynomial_quotient_algebra, subalgebra_on_basis
 from coalgkit.errors import ValidationError
 from coalgkit.fields import GF, QQ
-from coalgkit.linalg import Matrix
+from coalgkit.linalg import Matrix, Subspace
 from coalgkit.polys import Polynomial
 from coalgkit.day import (
     DayCoalgebra,
@@ -376,12 +376,86 @@ def test_day_outputs_golden_digest_over_q_and_f4():
     assert _day_outputs_digest(GENERIC_CATS) == DAY_OUTPUTS_GENERIC_SHA256
 
 
+def _d_vector(T, U, X, Y, phi, svec, tvec):
+    """phi (x) svec (x) tvec in D(U) as an {index: value} map, read from the
+    block layout of T."""
+    fld = T.category.field
+    vec = {}
+    if (X, Y) not in T.block_index[U]:
+        return vec
+    _, _, off, _, fd, gd = T.blocks[U][T.block_index[U][(X, Y)]]
+    for pi, pv in enumerate(phi):
+        for s, sv in enumerate(svec):
+            for t, tv in enumerate(tvec):
+                c = fld.mul(pv, fld.mul(sv, tv))
+                if not fld.is_zero(c):
+                    idx = off + (pi * fd + s) * gd + t
+                    vec[idx] = fld.add(vec.get(idx, fld.zero), c)
+    return {i: v for i, v in vec.items() if not fld.is_zero(v)}
+
+
+def _two_sided_relations(T, U):
+    """Reference: the coend relation of D(U) for every pair of basis
+    morphisms alpha: Xp -> X, beta: Yp -> Y and basis phi, s, t,
+    ((alpha (x) beta) o phi) (x) s (x) t - phi (x) F(alpha)(s) (x) G(beta)(t),
+    as {index: value} maps."""
+    cat, F, G = T.category, T.F, T.G
+    fld = cat.field
+    cols = []
+    for (Xp, X, ai) in cat.all_basis_mors():
+        alpha = cat.basis_mor(Xp, X, ai)
+        for (Yp, Y, bi) in cat.all_basis_mors():
+            beta = cat.basis_mor(Yp, Y, bi)
+            tm = cat.tensor_mor_pair(alpha, beta)
+            src = cat.tensor_obj[Xp][Yp]
+            for pi in range(cat.hom_dim(U, src)):
+                phi = cat.basis_mor(U, src, pi)
+                chi = cat.compose_mor(tm, phi)[2]
+                for s in range(F.dims[X]):
+                    svec = [fld.one if i == s else fld.zero for i in range(F.dims[X])]
+                    for t in range(G.dims[Y]):
+                        tvec = [fld.one if i == t else fld.zero for i in range(G.dims[Y])]
+                        col = _d_vector(T, U, X, Y, chi, svec, tvec)
+                        back = _d_vector(T, U, Xp, Yp, phi[2], F.action(Xp, X, ai).apply(svec),
+                                         G.action(Yp, Y, bi).apply(tvec))
+                        for i, v in back.items():
+                            col[i] = fld.sub(col.get(i, fld.zero), v)
+                        cols.append({i: v for i, v in col.items() if not fld.is_zero(v)})
+    return cols
+
+
+# k[x]/(x^2) over F_3 in the basis 1 + x, x: its identity 1 = (1, -1) is
+# not a basis morphism
+SKEW_DUALNUM = ("skew-dualnum/F3", one_object_algebra_category(
+    F3, subalgebra_on_basis(
+        polynomial_quotient_algebra(F3, Polynomial.from_ints(F3, [0, 0, 1])), [[1, 1], [0, 1]]
+    )[0]))
+
+
+def test_day_relations_span_the_two_sided_family():
+    """The one-sided relations (alpha, id) and (id, beta) span the same
+    subspace of D(U) as the relations of all pairs of basis morphisms."""
+    cats = suites._day_categories() + GENERIC_CATS + [SKEW_DUALNUM]
+    assert SKEW_DUALNUM[1].id_mor(0)[2] == (1, 2)
+    for name, cat, F, G in _seeded_pairs(cats):
+        T = DayTensor(F, G)
+        for U in range(cat.size):
+            fld, amb = cat.field, T.d_dims[U]
+            built = [
+                {i: v for i, v in enumerate(T.relations[U].col(j)) if not fld.is_zero(v)}
+                for j in range(T.relations[U].cols)
+            ]
+            assert Subspace.from_sparse(fld, amb, built) == Subspace.from_sparse(
+                fld, amb, _two_sided_relations(T, U)
+            ), (name, U)
+
+
 # sha256 of repr(relations[U]) and relation_tags[U] of every DayTensor(F, G)
-# above, recorded before the relation columns were built sparse
-DAY_RELATIONS_SHA256 = "be00a8111dac9d15af54c042c1d5fb57bd024754b031268d7f8c8bc41e975457"
+# above, recorded when the relations were cut to the one-sided pairs
+DAY_RELATIONS_SHA256 = "f30601dfd6874ef1c95610fc0ea3f3565de600f0f63e93da0d290ba269756b6c"
 
 
-def test_day_relation_data_golden_digest():
+def test_day_one_sided_relation_data_golden_digest():
     h = hashlib.sha256()
     for name, cat, F, G in _seeded_pairs(suites._day_categories() + GENERIC_CATS):
         T = DayTensor(F, G)

@@ -1036,27 +1036,34 @@ class InternalHom:
             actions[(a, b, i)] = self._action(a, b, i)
         self.presheaf = DayPresheaf(cat, [basis.dim for basis in self.bases], actions)
 
-    def family_component(self, U, vec, X):
-        """The component theta_X: F(X) -> G(U (x) X) of a raw family vector."""
-        cat = self.category
-        return _component(
-            cat.field, vec, self.offsets[U][X], self.G.dims[cat.tensor_obj[U][X]], self.F.dims[X]
-        )
-
     def _action(self, a, b, i):
-        """[F,G](b) -> [F,G](a) along f: a -> b: theta -> G(f (x) id) o theta."""
+        """[F,G](b) -> [F,G](a) along f: a -> b: theta -> G(f (x) id) o theta.
+
+        Per object X, one product of G(f (x) id_X) with the components
+        theta_X: F(X) -> G(b (x) X) of all basis vectors of [F,G](b), placed
+        side by side."""
         cat = self.category
         fld = cat.field
         f = cat.basis_mor(a, b, i)
-        Gmaps = [self.G.action_of(cat.tensor_mor_pair(f, cat.id_mor(X))) for X in range(cat.size)]
+        vecs = self.bases[b].vectors()
+        imgs = [[fld.zero] * self.bases[a].ambient for _ in vecs]
+        for X in range(cat.size):
+            fd = self.F.dims[X]
+            if fd == 0 or not vecs:
+                continue
+            off_b, off_a = self.offsets[b][X], self.offsets[a][X]
+            rows = self.G.dims[cat.tensor_obj[b][X]]
+            theta = Matrix(fld, rows, len(vecs) * fd, [
+                [v for vec in vecs for v in vec[off_b + r * fd : off_b + (r + 1) * fd]]
+                for r in range(rows)
+            ])
+            moved = self.G.action_of(cat.tensor_mor_pair(f, cat.id_mor(X))) @ theta
+            for k, img in enumerate(imgs):
+                img[off_a : off_a + moved.rows * fd] = [
+                    v for row in moved.data for v in row[k * fd : (k + 1) * fd]
+                ]
         cols = []
-        for basis_vec in self.bases[b].vectors():
-            img = [fld.zero] * self.bases[a].ambient
-            for X, Gmap in enumerate(Gmaps):
-                theta = self.family_component(b, basis_vec, X)
-                moved = Gmap @ theta
-                offX = self.offsets[a][X]
-                img[offX : offX + moved.rows * moved.cols] = [v for row in moved.data for v in row]
+        for img in imgs:
             coords = self.bases[a].coordinates(img)
             if coords is None:
                 raise ComputationError("internal hom action left the end")

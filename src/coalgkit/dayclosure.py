@@ -75,13 +75,12 @@ class SubPresheaf:
         while changed:
             changed = False
             for (a, b, i) in cat.all_basis_mors():
-                if a == b:
+                if cat.basis_mor(a, b, i) == cat.id_mor(a):
                     continue
                 M = self.presheaf.action(a, b, i)
                 extra = [
-                    M.apply(v)
-                    for v in spaces[b].vectors()
-                    if not spaces[a].contains_vector(M.apply(v))
+                    w for w in map(M.apply, spaces[b].vectors())
+                    if not spaces[a].contains_vector(w)
                 ]
                 if extra:
                     spaces[a] = Subspace.from_vectors(

@@ -154,6 +154,24 @@ def test_generated_minimality_exhaustive():
                 pytest.fail(f"smaller carrier {c.dims()} inside {spaces.dims()}")
 
 
+def test_closures_follow_endomorphisms():
+    """In the dual-numbers category the endomorphism x is not a scalar, so
+    closing under restrictions must apply it: 1 + x in h_1 generates all of
+    h_1, and the coproduct legs of x + x' in h_1 + h_1 all of it.  Each
+    result is the only invariant sub-presheaf containing the seed."""
+    H = unit_day_coalgebra(OB)
+    for FC, vec, dims in ((H, [1, 1], [2]), (day_direct_sum(H, H), [0, 1, 0, 1], [4])):
+        M0 = SubPresheaf.from_vectors(FC.presheaf, {0: [vec]})
+        assert M0.close().is_closed()
+        inv = invariant_closure(FC, M0)
+        sub, incl, spaces = generated_day_subcoalgebra(FC, M0)
+        assert inv.dims() == spaces.dims() == dims
+        assert inv.is_closed() and spaces.is_closed()
+        assert sub.validate() == [] and is_day_morphism(sub, FC, incl)
+        assert [s.dims() for s in enumerate_subpresheaves(FC.presheaf)
+                if s.contains(M0) and is_invariant_subpresheaf(FC, s)] == [dims]
+
+
 def test_separate_by_generator():
     GD = graded_dual_numbers()
     eta = identity_nat(GD.presheaf)

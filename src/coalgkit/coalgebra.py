@@ -22,10 +22,11 @@ from .linalg import Matrix, Subspace, clear_denominators, kronecker, row_kernel,
 
 class Coalgebra:
     """A coalgebra is immutable once constructed: data derived from it (the
-    sparse coproduct columns here, the local decomposition and etale data
-    kept by `structure`) is computed on first use and stored on the object."""
+    sparse coproduct columns here, raw and cleared, the local decomposition
+    and etale data kept by `structure`) is computed on first use and stored
+    on the object."""
 
-    __slots__ = ("field", "dim", "delta", "epsilon", "_cols", "_structure")
+    __slots__ = ("field", "dim", "delta", "epsilon", "_cols", "_cleared", "_structure")
 
     def __init__(self, field, dim, delta, epsilon):
         if delta.rows != dim * dim or delta.cols != dim:
@@ -37,6 +38,7 @@ class Coalgebra:
         self.delta = delta
         self.epsilon = epsilon
         self._cols = None
+        self._cleared = None
         self._structure = None
 
     def delta_columns(self):
@@ -54,6 +56,23 @@ class Coalgebra:
                 cols.append(col)
             self._cols = cols
         return self._cols
+
+    def cleared(self):
+        """(cols, d, eps, e, one): the coproduct and the counit on the footing
+        of the field's row kernel (`Matrix.cleared_columns`), which the axiom
+        checks contract.  cols[j] lists (i * n + k, i, k, v) for the nonzero
+        coproduct entries of column j, eps maps i to the nonzero counit
+        entries, and the true values are v / d and eps[i] / e; one is 1 on
+        that footing."""
+        if self._cleared is None:
+            F, n = self.field, self.dim
+            cols, d = self.delta.cleared_columns()
+            cols = [[(r, r // n, r % n, v) for r, v in col] for col in cols]
+            kernel = row_kernel(F)
+            eps, e = kernel.cleared(F, self.epsilon.data[0])
+            ((_, one),), _ = kernel.cleared(F, [F.one])
+            self._cleared = cols, d, dict(eps), e, one
+        return self._cleared
 
     def counit_of(self, vec):
         return self.epsilon.apply(vec)[0]
@@ -204,8 +223,32 @@ class ArtinAlgebra:
 
 
 def is_multiplicative(A, B, M):
-    """Whether the linear map M: A -> B satisfies M(xy) = M(x)M(y)."""
-    return M @ A.mult == B.mult @ kronecker(M, M)
+    """Whether the linear map M: A -> B satisfies M(xy) = M(x)M(y).
+
+    M(e_j e_k) is compared with M(e_j) M(e_k) for every pair (j, k), as
+    sparse contractions of the cleared structure constants of A and B and
+    the cleared columns of M on the field's row kernel (see `validate`);
+    no Kronecker square of M is built."""
+    if A.field != B.field or M.field != A.field:
+        raise SpecMismatch("algebras and map over different fields")
+    if M.rows != B.dim or M.cols != A.dim:
+        raise ShapeMismatch("map shape does not match the algebras")
+    F = A.field
+    n, m = A.dim, B.dim
+    contract = row_kernel(F).contract
+    mult_A, alpha = A.mult.cleared_columns()
+    mult_B, beta = B.mult.cleared_columns()
+    cols, mu = M.cleared_columns()
+    for j in range(n):
+        for k in range(n):
+            # M(e_j e_k) over alpha mu; M(e_j) (x) M(e_k) over mu^2, multiplied
+            # out in B over mu^2 beta
+            lhs = contract(F, ((r, t, a) for i, t in mult_A[j * n + k] for r, a in cols[i]), mu * beta)
+            outer = contract(F, ((a * m + b, x, y) for a, x in cols[j] for b, y in cols[k]))
+            rhs = contract(F, ((r, xy, u) for ab, xy in outer.items() for r, u in mult_B[ab]), alpha)
+            if lhs != rhs:
+                return False
+    return True
 
 
 def std_basis(field, n):
@@ -215,7 +258,8 @@ def std_basis(field, n):
 
 
 def polynomial_quotient_algebra(field, poly):
-    """k[t]/(poly) in the power basis 1, t, .., t^(deg-1)."""
+    """k[t]/(poly) in the power basis 1, t, .., t^(deg-1): t^i t^j is the
+    remainder of t^(i+j), and each remainder is the previous one times t."""
     d = poly.degree
     if d < 1:
         raise ShapeMismatch("quotient by a constant polynomial")
@@ -223,10 +267,12 @@ def polynomial_quotient_algebra(field, poly):
     from .polys import Polynomial
 
     t = Polynomial.x(field)
+    rems = [Polynomial.one(field)]
+    for _ in range(2 * d - 2):
+        rems.append((rems[-1] * t) % poly)
     for i in range(d):
         for j in range(d):
-            rem = (t ** (i + j)) % poly
-            for a, c in enumerate(rem.coeffs):
+            for a, c in enumerate(rems[i + j].coeffs):
                 mult.data[a][i * d + j] = c
     unit = [field.one] + [field.zero] * (d - 1)
     return ArtinAlgebra(field, d, mult, unit)
@@ -256,6 +302,12 @@ def validate(obj):
     """Axiom report for a Coalgebra, CoalgebraMorphism or ArtinAlgebra.
 
     Returns a list of (identity, witness-index) pairs; empty means valid.
+    The coalgebra and morphism identities are checked column by column as
+    sparse contractions on the field's row kernel (`linalg.row_kernel`):
+    over Q on the integers of `Coalgebra.cleared` and `Matrix.cleared_columns`,
+    each side compared cross-multiplied by the other's denominator; over F_p
+    on ints with one `% p` per key; over F_q through the field's methods.
+    A morphism's columns are iterated over their nonzero entries.
     """
     if isinstance(obj, Coalgebra):
         return _validate_coalgebra(obj)
@@ -269,50 +321,23 @@ def validate(obj):
 def _validate_coalgebra(C):
     F = C.field
     n = C.dim
+    contract = row_kernel(F).contract
+    cols, d, eps, e, one = C.cleared()
     failures = []
-    cols = C.delta_columns()
-    eps = C.epsilon.data[0]
-    for j in range(n):
-        col = cols[j]
-        # cocommutativity: tau . delta = delta
-        sym = {}
-        for (i, k), v in col:
-            sym[(i, k)] = v
-        if any(sym.get((k, i), F.zero) != v for (i, k), v in col):
+    for j, col in enumerate(cols):
+        # cocommutativity: tau . delta = delta, on one denominator
+        sym = {r: v for r, _, _, v in col}
+        if any(sym.get(k * n + i) != v for _, i, k, v in col):
             failures.append(("cocommutativity", j))
-        # counitality on both legs
-        left = [F.zero] * n
-        right = [F.zero] * n
-        for (i, k), v in col:
-            if not F.is_zero(eps[i]):
-                left[k] = F.add(left[k], F.mul(eps[i], v))
-            if not F.is_zero(eps[k]):
-                right[i] = F.add(right[i], F.mul(v, eps[k]))
-        unit_j = [F.one if t == j else F.zero for t in range(n)]
-        if left != unit_j:
+        # counitality on both legs: e_j over e d
+        unit = contract(F, [(j, one, one)], e * d)
+        if contract(F, ((k, eps[i], v) for _, i, k, v in col if i in eps)) != unit:
             failures.append(("counit-left", j))
-        if right != unit_j:
+        if contract(F, ((i, v, eps[k]) for _, i, k, v in col if k in eps)) != unit:
             failures.append(("counit-right", j))
-        # coassociativity by sparse contraction of both sides
-        lhs = {}
-        rhs = {}
-        for (i, k), v in col:
-            for (a, b), w in cols[i]:
-                key = (a, b, k)
-                acc = lhs.get(key, F.zero)
-                acc = F.add(acc, F.mul(w, v))
-                if F.is_zero(acc):
-                    lhs.pop(key, None)
-                else:
-                    lhs[key] = acc
-            for (a, b), w in cols[k]:
-                key = (i, a, b)
-                acc = rhs.get(key, F.zero)
-                acc = F.add(acc, F.mul(v, w))
-                if F.is_zero(acc):
-                    rhs.pop(key, None)
-                else:
-                    rhs[key] = acc
+        # coassociativity: both sides over d^2, keyed by the index of e_a (x) e_b (x) e_c
+        lhs = contract(F, ((r * n + k, w, v) for _, i, k, v in col for r, _, _, w in cols[i]))
+        rhs = contract(F, ((i * n * n + r, v, w) for _, i, k, v in col for r, _, _, w in cols[k]))
         if lhs != rhs:
             failures.append(("coassociativity", j))
     return failures
@@ -323,51 +348,23 @@ def _validate_morphism(phi):
     if C.field != D.field:
         return [("field-mismatch", None)]
     F = C.field
-    m = D.dim
+    n, m = C.dim, D.dim
+    contract = row_kernel(F).contract
+    cols_C, d_C, eps_C, e_C, one = C.cleared()
+    cols_D, d_D, eps_D, e_D, _ = D.cleared()
+    M, mu = phi.matrix.cleared_columns()
     failures = []
-    cols_C = C.delta_columns()
-    M = phi.matrix
-    for j in range(C.dim):
-        # delta_D(phi e_j)
-        lhs = {}
-        for i in range(m):
-            a = M.data[i][j]
-            if F.is_zero(a):
-                continue
-            for (r, s), v in D.delta_columns()[i]:
-                key = (r, s)
-                acc = F.add(lhs.get(key, F.zero), F.mul(a, v))
-                if F.is_zero(acc):
-                    lhs.pop(key, None)
-                else:
-                    lhs[key] = acc
-        # (phi (x) phi) delta_C(e_j)
-        rhs = {}
-        for (i, k), v in cols_C[j]:
-            for r in range(m):
-                a = M.data[r][i]
-                if F.is_zero(a):
-                    continue
-                av = F.mul(a, v)
-                for s in range(m):
-                    b = M.data[s][k]
-                    if F.is_zero(b):
-                        continue
-                    key = (r, s)
-                    acc = F.add(rhs.get(key, F.zero), F.mul(av, b))
-                    if F.is_zero(acc):
-                        rhs.pop(key, None)
-                    else:
-                        rhs[key] = acc
+    for j in range(n):
+        # delta_D(phi e_j) over mu d_D against (phi (x) phi) delta_C(e_j) over
+        # d_C mu^2, the latter through (phi (x) id) delta_C(e_j) keyed (r, k)
+        lhs = contract(F, ((r * m + s, a, w) for i, a in M[j] for _, r, s, w in cols_D[i]), d_C * mu)
+        half = contract(F, (((r, k), v, a) for _, i, k, v in cols_C[j] for r, a in M[i]))
+        rhs = contract(F, ((r * m + s, x, b) for (r, k), x in half.items() for s, b in M[k]), d_D)
         if lhs != rhs:
             failures.append(("comultiplicativity", j))
-        # counit preservation
-        eps_phi = F.zero
-        for i in range(m):
-            a = M.data[i][j]
-            if not F.is_zero(a):
-                eps_phi = F.add(eps_phi, F.mul(D.epsilon.data[0][i], a))
-        if eps_phi != C.epsilon.data[0][j]:
+        # counit preservation: eps_D(phi e_j) over e_D mu against eps_C(e_j) over e_C
+        image = contract(F, ((0, eps_D[i], a) for i, a in M[j] if i in eps_D), e_C)
+        if image != contract(F, [(0, eps_C[j], one)] if j in eps_C else [], e_D * mu):
             failures.append(("counit-preservation", j))
     return failures
 

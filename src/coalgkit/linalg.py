@@ -8,13 +8,13 @@ Tensor index convention, used by every module: the basis vector e_i (x) e_j
 of k^m (x) k^n sits at index i*n + j (row-major on the factors).
 
 Row reduction, products, RowReducer, subspace coordinates, the span of
-sparse vectors and the products and multiplication matrices of an
-ArtinAlgebra run on a kernel per field kind (see `row_kernel`): Q on
-integer rows over a common denominator, fraction-free, to control
-coefficient growth (the sparse span excepted, which runs on the field's
-methods); F_p on plain ints reduced mod p; F_q through the field's
-methods.  Reduced row echelon form is canonical, so equal subspaces have
-identical bases.
+sparse vectors, the products and multiplication matrices of an
+ArtinAlgebra and the sparse contractions of the axiom checks run on a
+kernel per field kind (see `row_kernel`): Q on integer rows over a common
+denominator, fraction-free, to control coefficient growth (the sparse span
+excepted, which runs on the field's methods); F_p on plain ints reduced
+mod p; F_q through the field's methods.  Reduced row echelon form is
+canonical, so equal subspaces have identical bases.
 
 `minimal_polynomial` is that of a matrix.  The minimal polynomial of an
 algebra element x (`structure.element_min_poly`) is the first dependence
@@ -183,6 +183,19 @@ class Matrix:
     def copy(self):
         return Matrix(self.field, self.rows, self.cols, [list(r) for r in self.data])
 
+    def cleared_columns(self):
+        """(cols, scale): cols[j] lists the (i, a) of the nonzero entries of
+        column j on the footing of the row kernel, the entry being a / scale
+        (`row_kernel(F).cleared`)."""
+        F = self.field
+        n = self.cols
+        pairs, scale = row_kernel(F).cleared(F, [a for row in self.data for a in row])
+        cols = [[] for _ in range(n)]
+        for t, a in pairs:
+            i, j = divmod(t, n)
+            cols[j].append((i, a))
+        return cols, scale
+
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -296,8 +309,13 @@ class Matrix:
 # -- per-field row kernels --------------------------------------------------
 #
 # The entry loops of rref, matrix products, RowReducer.add, ArtinAlgebra.mul
-# and mult_matrix, and Subspace.from_sparse/pivots/coordinates, one
-# implementation per field kind, picked by `row_kernel`.
+# and mult_matrix, Subspace.from_sparse/pivots/coordinates, and the sparse
+# contraction the axiom checks compare, one implementation per field kind,
+# picked by `row_kernel`.  `cleared` puts a vector on a kernel's footing:
+# its nonzero (index, value) pairs and an int scale, the entry being
+# value / scale; `contract(F, terms, scale)` sums a * b per key over the
+# (key, a, b) of terms, times scale, and drops the zero sums.  Two sides
+# over scales s and t are equal when contract(lhs, t) == contract(rhs, s).
 # `_FieldMethods` sends every entry through the field's own methods; F_q
 # runs on it, and the F_p and Q kernels return byte-identical results to it.
 
@@ -470,6 +488,21 @@ class _FieldMethods:
             return None
         return coords
 
+    @staticmethod
+    def cleared(F, vec):
+        return [(i, a) for i, a in enumerate(vec) if not F.is_zero(a)], 1
+
+    @staticmethod
+    def contract(F, terms, scale=1):
+        acc = {}
+        for key, a, b in terms:
+            ab = F.mul(a, b)
+            acc[key] = F.add(acc[key], ab) if key in acc else ab
+        if scale != 1:
+            s = F.from_int(scale)
+            acc = {key: F.mul(s, v) for key, v in acc.items()}
+        return {key: v for key, v in acc.items() if not F.is_zero(v)}
+
 
 def _dense_rows(zero, ambient, rows):
     """The {index: value} rows of a sparse_rref, dense, by leading index."""
@@ -611,6 +644,21 @@ class _PrimeKernel:
                 v = [a - c * b for a, b in zip(v, row)]
         return None if any(a % p for a in v) else coords
 
+    @staticmethod
+    def cleared(F, vec):
+        return [(i, a) for i, a in enumerate(vec) if a], 1
+
+    @staticmethod
+    def contract(F, terms, scale=1):
+        """One `% p` per key."""
+        p = F.p
+        out = {}
+        for key, s in _int_contract(terms).items():
+            s = s * scale % p
+            if s:
+                out[key] = s
+        return out
+
 
 def _sub_multiple_mod(p, v, f, row):
     """v -= f * row mod p on {index: nonzero int} maps."""
@@ -745,6 +793,27 @@ class _RationalKernel:
             f = c.numerator * (scale // (c.denominator * rd))
             v = [a - f * b for a, b in zip(v, rn)]
         return None if any(v) else coords
+
+    @staticmethod
+    def cleared(F, vec):
+        """The numerators over the lcm of the denominators."""
+        pairs = [(i, a) for i, a in enumerate(vec) if a]
+        den = lcm(*[a.denominator for _, a in pairs])
+        return [(i, a.numerator * (den // a.denominator)) for i, a in pairs], den
+
+    @staticmethod
+    def contract(F, terms, scale=1):
+        """On integers: the sides of a check are compared cross-multiplied
+        by each other's scale, and no Fraction is built."""
+        return {key: s * scale for key, s in _int_contract(terms).items() if s}
+
+
+def _int_contract(terms):
+    """The integer sums of a * b per key over the (key, a, b) of terms."""
+    acc = {}
+    for key, a, b in terms:
+        acc[key] = acc.get(key, 0) + a * b
+    return acc
 
 
 def _int_algebra_mul(A, x, y):

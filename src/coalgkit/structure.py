@@ -29,7 +29,7 @@ from .errors import ComputationError, NonSeparableResidue, SearchExhausted, Vali
 from .factor import factor_polynomial
 # minimal_polynomial (of a matrix) stays importable from here, where the
 # bench's tracer also wraps it; element_min_poly does not call it
-from .linalg import Matrix, RowReducer, Subspace, minimal_polynomial, quotient_maps  # noqa: F401
+from .linalg import Matrix, RowReducer, Subspace, minimal_polynomial, quotient_maps, row_kernel  # noqa: F401
 from .polys import Polynomial
 from .seeding import derived_rng
 
@@ -108,18 +108,29 @@ def quotient_algebra(A, ideal):
     return ArtinAlgebra(A.field, q.rows, q @ products, unit), q, s
 
 
+class _MinimalPolynomial(Polynomial):
+    """A minimal polynomial m of an algebra element x that keeps the powers
+    1, x, .., x^(deg m - 1) it was found from, a basis of k[x]."""
+
+    __slots__ = ("powers",)
+
+
 def element_min_poly(A, x):
     """Minimal polynomial of x: the first dependence among 1, x, x^2, ...
 
     It is that of the multiplication matrix L_x, since m(L_x) = L_{m(x)}
-    and L_a(1) = a."""
+    and L_a(1) = a.  The result keeps the independent powers as `powers`."""
     F = A.field
     red = RowReducer(F)
+    powers = []
     power = list(A.unit)
     while True:
         combo = red.add(power)
         if combo is not None:
-            return Polynomial(F, combo)
+            m = _MinimalPolynomial(F, combo)
+            m.powers = powers
+            return m
+        powers.append(power)
         power = A.mul(power, x)
 
 
@@ -187,6 +198,8 @@ def split_semisimple(B, seed=_SEARCH_SEED):
     e splits into the nonzero e eps_f, and is closed when deg f = dim(eB)
     (Eberly and Giesbrecht, J. Symb. Comput. 29, 2000).  B needs no
     generator: F_2 x F_2 x F_2, which has none, is split by basis vectors.
+    eps_f = (u g)(x), with g = m / f and u g = 1 mod f, has degree below
+    deg m, so it is a combination of the powers of x that gave m.
     """
     F = B.field
     if B.dim <= 1:
@@ -200,10 +213,14 @@ def split_semisimple(B, seed=_SEARCH_SEED):
         _, factors = factor_polynomial(m)
         if any(mult > 1 for _, mult in factors):
             raise ValidationError("repeated factor in a semisimple algebra; corrupt input")
+        # a minimal polynomial from elsewhere carries no powers
+        powers = getattr(m, "powers", None) or [B.power(x, i) for i in range(m.degree)]
+        P = Matrix.from_cols(F, powers, B.dim)
         crt = []  # (eps_f, deg f)
         for f, _ in factors:
             g = m // f
-            crt.append((B.eval_poly(_inverse_mod(g, f) * g, x), f.degree))
+            c = list((_inverse_mod(g, f) * g).coeffs)
+            crt.append((P.apply(c + [F.zero] * (m.degree - len(c))), f.degree))
         refined = []
         for e, dim in blocks:
             pieces = [(B.mul(e, eps), degree) for eps, degree in crt]
@@ -752,28 +769,15 @@ def brute_force_group_likes(C):
 
 
 def _group_like_quadratic(C, vec):
+    """Whether delta(vec) = vec (x) vec, as sparse contractions on the
+    field's row kernel: delta(vec) over d xi against vec (x) vec over xi^2."""
     F = C.field
     n = C.dim
-    cols = C.delta_columns()
-    expected = {}
-    for i in range(n):
-        vi = vec[i]
-        if F.is_zero(vi):
-            continue
-        for k in range(n):
-            if not F.is_zero(vec[k]):
-                expected[(i, k)] = F.mul(vi, vec[k])
-    actual = {}
-    for j in range(n):
-        c = vec[j]
-        if F.is_zero(c):
-            continue
-        for key, v in cols[j]:
-            acc = F.add(actual.get(key, F.zero), F.mul(c, v))
-            if F.is_zero(acc):
-                actual.pop(key, None)
-            else:
-                actual[key] = acc
+    kernel = row_kernel(F)
+    cols, d, _, _, _ = C.cleared()
+    x, xi = kernel.cleared(F, vec)
+    actual = kernel.contract(F, ((r, w, a) for j, a in x for r, _, _, w in cols[j]), xi)
+    expected = kernel.contract(F, ((i * n + k, a, b) for i, a in x for k, b in x), d)
     return actual == expected
 
 

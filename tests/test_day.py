@@ -424,6 +424,44 @@ def _two_sided_relations(T, U):
     return cols
 
 
+def _random_matrix(fld, rng, rows, cols):
+    return Matrix(fld, rows, cols, [[fld.random(rng) for _ in range(cols)] for _ in range(rows)])
+
+
+def _nilpotent_presheaf(cat, rng):
+    """A random module over k[x]/(x^n) on one object: x acts by a random
+    strictly upper triangular S with S^n = 0, in a random basis."""
+    fld, n = cat.field, cat.hom_dim(0, 0)
+    d = rng.randint(0, 3)
+    while True:
+        S = Matrix(fld, d, d, [[fld.random(rng) if j > i else fld.zero for j in range(d)]
+                               for i in range(d)])
+        powers = [Matrix.identity(fld, d)]
+        for _ in range(n):
+            powers.append(powers[-1] @ S)
+        if powers[n].is_zero():
+            break
+    while True:
+        P = _random_matrix(fld, rng, d, d)
+        if P.rank() == d:
+            break
+    Pinv = P.inverse() if d else P
+    return DayPresheaf(cat, [d], {(0, 0, j): P @ powers[j] @ Pinv for j in range(n)})
+
+
+def _nilpotent_pairs():
+    """15 seeded pairs of modules with x acting nilpotently
+    (`_nilpotent_presheaf`) on each of k[x]/(x^2) and k[x]/(x^3) over F_2,
+    F_3 and Q, where `suites._random_day_presheaf` mostly draws zero."""
+    rng = random.Random(13)
+    for fname, fld in (("F2", F2), ("F3", F3), ("Q", QQ)):
+        for n in (2, 3):
+            cat = one_object_algebra_category(
+                fld, polynomial_quotient_algebra(fld, Polynomial.from_ints(fld, [0] * n + [1])))
+            for _ in range(15):
+                yield f"x^{n}/{fname}", cat, _nilpotent_presheaf(cat, rng), _nilpotent_presheaf(cat, rng)
+
+
 # k[x]/(x^2) over F_3 in the basis 1 + x, x: its identity 1 = (1, -1) is
 # not a basis morphism
 SKEW_DUALNUM = ("skew-dualnum/F3", one_object_algebra_category(
@@ -434,10 +472,14 @@ SKEW_DUALNUM = ("skew-dualnum/F3", one_object_algebra_category(
 
 def test_day_relations_span_the_two_sided_family():
     """The one-sided relations (alpha, id) and (id, beta) span the same
-    subspace of D(U) as the relations of all pairs of basis morphisms."""
+    subspace of D(U) as the relations of all pairs of basis morphisms, also
+    on modules over k[x]/(x^n) where x does not act by a scalar."""
     cats = suites._day_categories() + GENERIC_CATS + [SKEW_DUALNUM]
     assert SKEW_DUALNUM[1].id_mor(0)[2] == (1, 2)
-    for name, cat, F, G in _seeded_pairs(cats):
+    nilpotent = list(_nilpotent_pairs())
+    modules = [P for _, _, F, G in nilpotent for P in (F, G)]
+    assert sum(1 for P in modules if P.total_dim()) > len(modules) / 2
+    for name, cat, F, G in list(_seeded_pairs(cats)) + nilpotent:
         T = DayTensor(F, G)
         for U in range(cat.size):
             fld, amb = cat.field, T.d_dims[U]

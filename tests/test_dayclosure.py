@@ -38,7 +38,7 @@ from coalgkit.oracles import (
     is_pure_subpresheaf,
     minimal_enlargements,
 )
-from tests.test_day import graded_dual_numbers
+from tests.test_day import _nilpotent_presheaf, _random_matrix, graded_dual_numbers
 
 F2 = GF(2)
 Z2 = cyclic_group_category(F2, 2)
@@ -248,10 +248,6 @@ def test_closure_spaces_golden_digest():
     assert h.hexdigest() == CLOSURE_SPACES_SHA256
 
 
-def _random_matrix(fld, rng, rows, cols):
-    return Matrix(fld, rows, cols, [[fld.random(rng) for _ in range(cols)] for _ in range(rows)])
-
-
 def _chain_presheaf(cat, rng):
     """A random presheaf on a poset_max_category: a random restriction
     along each a -> a + 1 and their products along the longer morphisms."""
@@ -266,27 +262,6 @@ def _chain_presheaf(cat, rng):
             if b + 1 < n:
                 M = M @ steps[b]
     return DayPresheaf(cat, dims, actions)
-
-
-def _nilpotent_presheaf(cat, rng):
-    """A random module over k[x]/(x^n) on one object: x acts by a random
-    strictly upper triangular S with S^n = 0, in a random basis."""
-    fld, n = cat.field, cat.hom_dim(0, 0)
-    d = rng.randint(0, 3)
-    while True:
-        S = Matrix(fld, d, d, [[fld.random(rng) if j > i else fld.zero for j in range(d)]
-                               for i in range(d)])
-        powers = [Matrix.identity(fld, d)]
-        for _ in range(n):
-            powers.append(powers[-1] @ S)
-        if powers[n].is_zero():
-            break
-    while True:
-        P = _random_matrix(fld, rng, d, d)
-        if P.rank() == d:
-            break
-    Pinv = P.inverse() if d else P
-    return DayPresheaf(cat, [d], {(0, 0, j): P @ powers[j] @ Pinv for j in range(n)})
 
 
 def _random_pure_examples():

@@ -356,3 +356,60 @@ def test_planted_faults_report_identically(monkeypatch, field):
         assert _fault_reports(random.Random(1313), field) == reports
     digest = hashlib.sha256(repr(reports).encode()).hexdigest()
     assert digest == FAULT_REPORTS_SHA256[repr(field)]
+
+
+def _algebra_fault_reports(rng, F):
+    """`validate` reports of seeded corpus algebras and of copies with one
+    planted fault each: a perturbed structure constant, a perturbed unit and
+    a non-commutative pair of products."""
+    from coalgkit.coalgebra import ArtinAlgebra
+
+    reports = []
+    for _ in range(20):
+        A = corpus.random_algebra(rng, F, rng.randint(1, 5))
+        n = A.dim
+        reports.append(validate(A))
+        reports.append(validate(ArtinAlgebra(F, n, _perturbed(rng, A.mult), A.unit)))
+        unit = list(A.unit)
+        t = rng.randrange(n)
+        unit[t] = F.add(unit[t], _nonzero(rng, F))
+        reports.append(validate(ArtinAlgebra(F, n, A.mult, unit)))
+        if n >= 2:
+            j, k = rng.sample(range(n), 2)
+            mult = A.mult.copy()
+            i = rng.randrange(n)
+            mult.data[i][j * n + k] = F.add(mult.data[i][k * n + j], _nonzero(rng, F))
+            reports.append(validate(ArtinAlgebra(F, n, mult, A.unit)))
+    return reports
+
+
+# sha256 of repr(_algebra_fault_reports(random.Random(1717), F)) per field,
+# recorded before the algebra axioms moved onto the row kernels
+ALGEBRA_FAULT_REPORTS_SHA256 = {
+    "GF(2)": "90f2187d2796656866c46e3615ba2f3a2dff35246a1404d2563f82a090da81a7",
+    "GF(3)": "ce586917a5c2572b2644c16c53be5b013f6e4abff012af8bd634cb1691e30e9d",
+    "GF(5)": "59cb01f1d105aa632f53b4aa1161287298196e8041850866cd31f4fe2b121c9d",
+    "GF(2147483647)": "bf2a180a968490c33272e3775ea7dc760b2295be357cd3e3ab1b3427806e765d",
+    "QQ": "5bbdba48ed1fd7f8d95ff0351a4ece1d10ec4e766da9444091df3266a5fc51c8",
+    "GF(2^2)": "ce93f195c943341eacc6fead817fc18346022f40205a24e7a0d31c87e1d21aa8",
+}
+
+
+@pytest.mark.parametrize("field", FAULT_FIELDS, ids=repr)
+def test_planted_algebra_faults_report_identically(monkeypatch, field):
+    """The failure lists of `validate` on algebras, witnesses and order
+    included: equal to the reference path and to the recorded digest."""
+    import hashlib
+
+    from coalgkit import linalg
+
+    reports = _algebra_fault_reports(random.Random(1717), field)
+    flat = [name for r in reports for name, _ in r]
+    for identity in ("unitality", "commutativity", "associativity"):
+        assert identity in flat, identity
+    assert [] in reports
+    if field.kind != "Fq":
+        monkeypatch.setattr(linalg, "_ROW_KERNELS", {})
+        assert _algebra_fault_reports(random.Random(1717), field) == reports
+    digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+    assert digest == ALGEBRA_FAULT_REPORTS_SHA256[repr(field)]

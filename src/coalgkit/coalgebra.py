@@ -17,7 +17,7 @@ from .errors import (
     SpecMismatch,
     ValidationError,
 )
-from .linalg import Matrix, Subspace, clear_denominators, kronecker, row_kernel, tensor_swap
+from .linalg import Matrix, Subspace, kronecker, row_kernel, tensor_swap
 
 
 class Coalgebra:
@@ -158,18 +158,14 @@ class ArtinAlgebra:
         return self._table
 
     def int_table(self):
-        """(terms, dens): e_j * e_k is the sum of a / dens[i] * e_i over
-        (i, a) in terms[j][k], with integer a != 0.  The Q and F_p kernels
-        multiply on it."""
+        """(terms, den): the structure constants on the footing of the
+        field's row kernel (`Matrix.cleared_columns`), e_j * e_k being the
+        sum of a / den * e_i over (i, a) in terms[j][k], a != 0.  The Q and
+        F_p kernels multiply on it, and the axiom checks contract it."""
         if self._int_table is None:
             n = self.dim
-            rows = [clear_denominators(row) for row in self.mult.data]
-            terms = [
-                [[(i, nums[j * n + k]) for i, (nums, _) in enumerate(rows) if nums[j * n + k]]
-                 for k in range(n)]
-                for j in range(n)
-            ]
-            self._int_table = terms, [den for _, den in rows]
+            cols, den = self.mult.cleared_columns()
+            self._int_table = [cols[j * n:(j + 1) * n] for j in range(n)], den
         return self._int_table
 
     def mul(self, x, y):
@@ -226,26 +222,26 @@ def is_multiplicative(A, B, M):
     """Whether the linear map M: A -> B satisfies M(xy) = M(x)M(y).
 
     M(e_j e_k) is compared with M(e_j) M(e_k) for every pair (j, k), as
-    sparse contractions of the cleared structure constants of A and B and
-    the cleared columns of M on the field's row kernel (see `validate`);
-    no Kronecker square of M is built."""
+    sparse contractions of the cleared structure constants of A and B
+    (`ArtinAlgebra.int_table`) and the cleared columns of M on the field's
+    row kernel (see `validate`); no Kronecker square of M is built."""
     if A.field != B.field or M.field != A.field:
         raise SpecMismatch("algebras and map over different fields")
     if M.rows != B.dim or M.cols != A.dim:
         raise ShapeMismatch("map shape does not match the algebras")
     F = A.field
-    n, m = A.dim, B.dim
+    n = A.dim
     contract = row_kernel(F).contract
-    mult_A, alpha = A.mult.cleared_columns()
-    mult_B, beta = B.mult.cleared_columns()
+    mult_A, alpha = A.int_table()
+    mult_B, beta = B.int_table()
     cols, mu = M.cleared_columns()
     for j in range(n):
         for k in range(n):
             # M(e_j e_k) over alpha mu; M(e_j) (x) M(e_k) over mu^2, multiplied
             # out in B over mu^2 beta
-            lhs = contract(F, ((r, t, a) for i, t in mult_A[j * n + k] for r, a in cols[i]), mu * beta)
-            outer = contract(F, ((a * m + b, x, y) for a, x in cols[j] for b, y in cols[k]))
-            rhs = contract(F, ((r, xy, u) for ab, xy in outer.items() for r, u in mult_B[ab]), alpha)
+            lhs = contract(F, ((r, t, a) for i, t in mult_A[j][k] for r, a in cols[i]), mu * beta)
+            outer = contract(F, (((a, b), x, y) for a, x in cols[j] for b, y in cols[k]))
+            rhs = contract(F, ((r, xy, u) for (a, b), xy in outer.items() for r, u in mult_B[a][b]), alpha)
             if lhs != rhs:
                 return False
     return True
@@ -302,9 +298,9 @@ def validate(obj):
     """Axiom report for a Coalgebra, CoalgebraMorphism or ArtinAlgebra.
 
     Returns a list of (identity, witness-index) pairs; empty means valid.
-    The coalgebra and morphism identities are checked column by column as
-    sparse contractions on the field's row kernel (`linalg.row_kernel`):
-    over Q on the integers of `Coalgebra.cleared` and `Matrix.cleared_columns`,
+    The identities are checked column by column as sparse contractions on
+    the field's row kernel (`linalg.row_kernel`): over Q on the integers of
+    `Coalgebra.cleared`, `ArtinAlgebra.int_table` and `Matrix.cleared_columns`,
     each side compared cross-multiplied by the other's denominator; over F_p
     on ints with one `% p` per key; over F_q through the field's methods.
     A morphism's columns are iterated over their nonzero entries.
@@ -372,21 +368,30 @@ def _validate_morphism(phi):
 def _validate_algebra(A):
     F = A.field
     n = A.dim
+    kernel = row_kernel(F)
+    contract = kernel.contract
+    terms, d = A.int_table()
+    unit, v = kernel.cleared(F, A.unit)
+    ((_, one),), _ = kernel.cleared(F, [F.one])
     failures = []
-    table = A.table()
-    basis = std_basis(F, n)
     for j in range(n):
-        if A.mul(A.unit, basis[j]) != basis[j] or A.mul(basis[j], A.unit) != basis[j]:
+        # 1 e_j and e_j 1 over d v against e_j
+        e_j = contract(F, [(j, one, one)], d * v)
+        left = contract(F, ((i, u, t) for r, u in unit for i, t in terms[r][j]))
+        right = contract(F, ((i, u, t) for r, u in unit for i, t in terms[j][r]))
+        if left != e_j or right != e_j:
             failures.append(("unitality", j))
     for j in range(n):
         for k in range(n):
-            if table[j][k] != table[k][j]:
+            if terms[j][k] != terms[k][j]:
                 failures.append(("commutativity", (j, k)))
     for i in range(n):
         for j in range(n):
-            left = table[i][j]
             for k in range(n):
-                if A.mul(left, basis[k]) != A.mul(basis[i], table[j][k]):
+                # (e_i e_j) e_k against e_i (e_j e_k), both over d^2
+                lhs = contract(F, ((s, a, b) for r, a in terms[i][j] for s, b in terms[r][k]))
+                rhs = contract(F, ((s, a, b) for r, a in terms[j][k] for s, b in terms[i][r]))
+                if lhs != rhs:
                     failures.append(("associativity", (i, j, k)))
     return failures
 

@@ -2,10 +2,12 @@
 
 Finite fields: squarefree decomposition, distinct-degree splitting, then
 seeded Cantor-Zassenhaus equal-degree splitting, with a bounded number of
-random trials per split.  Rationals: the same squarefree decomposition,
-rational-root extraction, then Zassenhaus (good prime, quadratic Hensel
-lifting on a factor tree in `gfpoly` arithmetic mod p^e, bounded subset
-recombination), with a configurable degree cap.
+random trials per split.  Rationals, on integer coefficient lists: a
+modular certificate that f is squarefree (else the same squarefree
+decomposition, its gcds on integers), rational-root extraction, then
+Zassenhaus (the certificate's prime, quadratic Hensel lifting on a factor
+tree in `gfpoly` arithmetic mod p^e, bounded subset recombination), with a
+configurable degree cap.
 
 factor_polynomial returns (leading unit, [(monic irreducible, multiplicity)])
 with factors sorted deterministically.
@@ -207,19 +209,31 @@ def _factor_rationals(f, degree_cap):
         raise DegreeCapExceeded(
             f"degree {f.degree} exceeds rational factorization cap {degree_cap}"
         )
+    g = gfpoly.primitive(f.coeffs)
+    p = _squarefree_prime(g)
+    if p is not None:
+        return [(h, 1) for h in _factor_squarefree_q(g, p)]
     out = {}
     for part, mult in _squarefree(f):
-        for g in _factor_squarefree_q(part):
-            out[g] = out.get(g, 0) + mult
+        g = gfpoly.primitive(part.coeffs)
+        for h in _factor_squarefree_q(g, _good_prime(g)):
+            out[h] = out.get(h, 0) + mult
     return list(out.items())
 
 
-def _factor_squarefree_q(f):
-    """Monic squarefree f over Q -> list of monic irreducible factors."""
-    if f.degree == 1:
-        return [f]
+def is_separable(f):
+    """Whether gcd(f, f') = 1.  Over Q a certifying prime (see
+    `_squarefree_prime`) answers first; without one, the gcd decides."""
+    if f.field.kind == "Q" and _squarefree_prime(gfpoly.primitive(f.coeffs)) is not None:
+        return True
+    return f.gcd(f.derivative()).degree == 0
+
+
+def _factor_squarefree_q(g, p):
+    """Primitive squarefree integer g of degree >= 1, p a prime that
+    certifies it squarefree -> the monic irreducible factors over Q.  p
+    serves every factor of g as well."""
     factors = []
-    g = _to_primitive_int(f)
     # peel off rational roots first
     while len(g) > 2:
         root = _find_rational_root(g)
@@ -228,28 +242,14 @@ def _factor_squarefree_q(f):
         factors.append(Polynomial(QQ, [-root, QQ.one]))
         # Gauss's lemma: the quotient is primitive with a positive leading
         # coefficient, like g
-        g = _zdivide_exact(g, [-root.numerator, root.denominator])
+        g = gfpoly.zdivide_exact(g, [-root.numerator, root.denominator])
     if len(g) == 2:
         factors.append(Polynomial.from_ints(QQ, g).monic())
         return factors
     if len(g) <= 1:
         return factors
-    factors.extend(_zassenhaus(g))
+    factors.extend(_zassenhaus(g, p))
     return factors
-
-
-def _to_primitive_int(f):
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in f.coeffs]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, abs(c))
-    ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
 
 
 def _find_rational_root(g):
@@ -287,13 +287,15 @@ def _divisors(n):
     return small + large[::-1]
 
 
-def _zassenhaus(g):
-    """Primitive squarefree integer poly, degree >= 2, no rational roots."""
+def _zassenhaus(g, p):
+    """Primitive squarefree integer poly, degree >= 2, no rational roots; p
+    a prime that certifies it squarefree."""
     lc = g[-1]
     if lc != 1:
-        # monicize by substitution y = lc*x, factor, substitute back
+        # monicize by substitution y = lc*x (p does not divide lc, so it
+        # certifies the result too), factor, substitute back
         monic = _monicize(g)
-        parts = _zassenhaus(monic)
+        parts = _zassenhaus(monic, p)
         out = []
         for part in parts:
             coeffs = part.coeffs
@@ -303,7 +305,6 @@ def _zassenhaus(g):
             scaled = [coeffs[i] * Fraction(lc) ** i for i in range(n + 1)]
             out.append(Polynomial(QQ, scaled).monic())
         return out
-    p = _good_prime(g)
     field = PrimeField(p)
     fbar = Polynomial(field, [c % p for c in g])
     _, modular = factor_polynomial(fbar)
@@ -324,31 +325,51 @@ def _monicize(g):
     return [g[i] * lc ** (n - 1 - i) for i in range(n)] + [1]
 
 
-def _good_prime(g):
-    """The least odd prime p with g mod p squarefree of the same degree.
+def _squarefree_prime(g):
+    """The least odd prime p that certifies the integer polynomial g
+    squarefree over Q, or None.
 
-    Only the primes dividing lc(g) * Res(g, g') fail, and for squarefree g
-    there are fewer odd ones than the bit length of |lc(g)| times the
-    Hadamard bound |g|^(n-1) |g'|^n on the Sylvester matrix of g and g'.
-    When that many odd primes all fail, g is not squarefree."""
-    n = len(g) - 1
-    dg = [i * g[i] for i in range(1, n + 1)]
-    hadamard = math.isqrt(sum(c * c for c in g) ** (n - 1) * sum(c * c for c in dg) ** n) + 1
-    bound = (abs(g[-1]) * hadamard).bit_length()
+    p certifies g when it does not divide lc(g) and gcd(g, g') = 1 mod p:
+    then p does not divide Res(g, g'), which is therefore not 0 (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 14-15).  A prime that
+    fails proves nothing.  Only the primes dividing lc(g) * Res(g, g')
+    fail, and for squarefree g there are fewer odd ones than the bit length
+    of |lc(g)| times the Hadamard bound |g|^(n-1) |g'|^n on the Sylvester
+    matrix of g and g', so the search stops after that many."""
+    dg = _derivative(g)
+    bound = _prime_bound(g, dg)
     p, tried = 3, 0
     while tried < bound:
         if is_prime(p):
             tried += 1
-            if g[-1] % p != 0:
-                fbar = Polynomial(PrimeField(p), [c % p for c in g])
-                if fbar.gcd(fbar.derivative()).is_one():
-                    return p
+            if g[-1] % p and gfpoly.gcd(_modlist(g, p), _modlist(dg, p), p) == [1]:
+                return p
         p += 2
-    raise SearchExhausted(
-        f"no odd prime keeps the degree-{n} integer polynomial squarefree: all {tried} "
-        f"tried failed (bound: bit length of lc(g) times the Hadamard bound on "
-        f"Sylvester(g, g'), {bound}); the polynomial is not squarefree"
-    )
+    return None
+
+
+def _derivative(g):
+    return [i * g[i] for i in range(1, len(g))]
+
+
+def _prime_bound(g, dg):
+    n = len(g) - 1
+    hadamard = math.isqrt(sum(c * c for c in g) ** (n - 1) * sum(c * c for c in dg) ** n) + 1
+    return (abs(g[-1]) * hadamard).bit_length()
+
+
+def _good_prime(g):
+    """The least odd prime that certifies g squarefree; when every prime
+    within the bound fails, g is not squarefree."""
+    p = _squarefree_prime(g)
+    if p is None:
+        bound = _prime_bound(g, _derivative(g))
+        raise SearchExhausted(
+            f"no odd prime keeps the degree-{len(g) - 1} integer polynomial squarefree: all {bound} "
+            f"tried failed (bound: bit length of lc(g) times the Hadamard bound on "
+            f"Sylvester(g, g'), {bound}); the polynomial is not squarefree"
+        )
+    return p
 
 
 def _symmetric(f, m):
@@ -417,7 +438,7 @@ def _recombine(f, lifted, modulus):
             for i in combo:
                 cand = gfpoly.mul(cand, lifted[i], modulus)
             cand = _symmetric(cand, modulus)
-            quotient = _zdivide_exact(current, cand)
+            quotient = gfpoly.zdivide_exact(current, cand)
             if quotient is not None:
                 out.append(Polynomial.from_ints(QQ, cand))
                 current = quotient
@@ -429,20 +450,3 @@ def _recombine(f, lifted, modulus):
     if len(current) > 1:
         out.append(Polynomial.from_ints(QQ, current))
     return out
-
-
-def _zdivide_exact(f, g):
-    """Exact integer polynomial division f / g, or None."""
-    if not g or len(g) > len(f):
-        return None
-    f = list(f)
-    q = [0] * (len(f) - len(g) + 1)
-    for d in range(len(f) - len(g), -1, -1):
-        if f[d + len(g) - 1] % g[-1] != 0:
-            return None
-        c = f[d + len(g) - 1] // g[-1]
-        q[d] = c
-        if c:
-            for i, b in enumerate(g):
-                f[d + i] -= c * b
-    return q if not any(f) else None

@@ -27,6 +27,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import AmbientMismatch, ShapeMismatch, SpecMismatch
+from .gfpoly import clear_denominators
 from .polys import Polynomial
 
 
@@ -309,8 +310,9 @@ class Matrix:
 # -- per-field row kernels --------------------------------------------------
 #
 # The entry loops of rref, matrix products, RowReducer.add, ArtinAlgebra.mul
-# and mult_matrix, Subspace.from_sparse/pivots/coordinates, and the sparse
-# contraction the axiom checks compare, one implementation per field kind,
+# and mult_matrix, the power chain of a minimal polynomial,
+# Subspace.from_sparse/pivots/coordinates, and the sparse contraction the
+# axiom checks compare, one implementation per field kind,
 # picked by `row_kernel`.  `cleared` puts a vector on a kernel's footing:
 # its nonzero (index, value) pairs and an int scale, the entry being
 # value / scale; `contract(F, terms, scale)` sums a * b per key over the
@@ -318,6 +320,36 @@ class Matrix:
 # over scales s and t are equal when contract(lhs, t) == contract(rhs, s).
 # `_FieldMethods` sends every entry through the field's own methods; F_q
 # runs on it, and the F_p and Q kernels return byte-identical results to it.
+
+
+def _min_poly_powers(F, A, x):
+    """(combo, powers): the first dependence among 1, x, x^2, .. of an
+    algebra element, as `RowReducer.add` returns it, and the independent
+    powers before it."""
+    red = RowReducer(F)
+    powers = []
+    power = list(A.unit)
+    while True:
+        combo = red.add(power)
+        if combo is not None:
+            return combo, powers
+        powers.append(power)
+        power = A.mul(power, x)
+
+
+def _lift_idempotent(F, A, a, steps):
+    """`structure.lift_idempotent` through A.mul: e, or None when the
+    steps end without an idempotent e with a - e nilpotent."""
+    two, three = F.from_int(2), F.from_int(3)
+    e = list(a)
+    for _ in range(steps):
+        square = A.mul(e, e)
+        if square == e:
+            diff = [F.sub(x, y) for x, y in zip(a, e)]
+            return e if all(F.is_zero(c) for c in A.power(diff, A.dim)) else None
+        cube = A.mul(square, e)
+        e = [F.sub(F.mul(three, s), F.mul(two, c)) for s, c in zip(square, cube)]
+    return None
 
 
 class _FieldMethods:
@@ -428,6 +460,9 @@ class _FieldMethods:
         cols = [_FieldMethods.algebra_mul(F, A, x, [o if i == k else z for i in range(n)])
                 for k in range(n)]
         return [[c[i] for c in cols] for i in range(n)]
+
+    min_poly_powers = staticmethod(_min_poly_powers)
+    lift_idempotent = staticmethod(_lift_idempotent)
 
     @staticmethod
     def sparse_rref(F, ambient, vectors):
@@ -607,6 +642,9 @@ class _PrimeKernel:
         p = F.p
         return [[s % p for s in row] for row in _int_mult_matrix(A, x)]
 
+    min_poly_powers = staticmethod(_min_poly_powers)
+    lift_idempotent = staticmethod(_lift_idempotent)
+
     @staticmethod
     def sparse_rref(F, ambient, vectors):
         """_FieldMethods.sparse_rref on ints, one `% p` per entry written."""
@@ -668,15 +706,6 @@ def _sub_multiple_mod(p, v, f, row):
             v[j] = w
         else:
             v.pop(j, None)
-
-
-def clear_denominators(vec):
-    """(nums, den): vec == [Fraction(a, den) for a in nums], den the lcm."""
-    dens = [a.denominator for a in vec]
-    den = lcm(*dens)
-    if den == 1:
-        return [a.numerator for a in vec], 1
-    return [a.numerator * (den // d) for a, d in zip(vec, dens)], den
 
 
 _Q_ZERO = Fraction(0)
@@ -742,40 +771,62 @@ class _RationalKernel:
 
     @staticmethod
     def add_row(F, rows, vec, count):
-        """RowReducer.add over integer rows of (vector + combo, pivot), each
-        standing for its rational multiples."""
-        nums, den = clear_denominators(vec)
-        n = len(nums)
-        w = nums + [0] * count + [den]
-        for row, pivot in rows:
-            c = w[pivot]
-            if c:
-                pv = row[pivot]
-                w = [pv * a - c * b for a, b in zip(w, row)] + [pv * a for a in w[len(row):]]
-                g = gcd(*w)
-                if g > 1:
-                    w = [a // g for a in w]
-        for j in range(n):
-            if w[j]:
-                break
-        else:
-            return [Fraction(a, w[-1]) for a in w[n:]]
-        rows.append((w, j))
-        return None
+        return _add_int_row(rows, *clear_denominators(vec), count)
 
     @staticmethod
     def algebra_mul(F, A, x, y):
         xn, xd = clear_denominators(x)
         yn, yd = clear_denominators(y)
-        den = xd * yd
-        sums = _int_algebra_mul(A, xn, yn)
-        return [_fraction(s, d * den) for s, d in zip(sums, A.int_table()[1])]
+        den = A.int_table()[1] * xd * yd
+        return [_fraction(s, den) for s in _int_algebra_mul(A, xn, yn)]
 
     @staticmethod
     def mult_matrix(F, A, x):
         xn, xd = clear_denominators(x)
-        rows = _int_mult_matrix(A, xn)
-        return [[_fraction(s, d * xd) for s in row] for row, d in zip(rows, A.int_table()[1])]
+        den = A.int_table()[1] * xd
+        return [[_fraction(s, den) for s in row] for row in _int_mult_matrix(A, xn)]
+
+    @staticmethod
+    def min_poly_powers(F, A, x):
+        """The powers of x as integer numerators over one denominator: x is
+        cleared once, and each power goes to the reducer as it is; only the
+        returned powers are built from Fractions."""
+        xn, xd = clear_denominators(x)
+        step = A.int_table()[1] * xd
+        rows, powers = [], []
+        nums, den = clear_denominators(A.unit)
+        while True:
+            combo = _add_int_row(rows, nums, den, len(powers))
+            if combo is not None:
+                return combo, [[_fraction(a, d) for a in p] for p, d in powers]
+            powers.append((nums, den))
+            nums = _int_algebra_mul(A, nums, xn)
+            den *= step
+            g = gcd(den, *nums)
+            if g > 1:
+                nums, den = [a // g for a in nums], den // g
+
+    @staticmethod
+    def lift_idempotent(F, A, a, steps):
+        """On integer numerators e over one denominator D: e^2 is s / (D^2 d)
+        and e^3 is c / (D^3 d^2) over the int_table's d, and whether
+        (a - e)^dim is 0 does not depend on the scale of a - e."""
+        d = A.int_table()[1]
+        an, ad = clear_denominators(a)
+        e, den = an, ad
+        for _ in range(steps):
+            square = _int_algebra_mul(A, e, e)
+            step = den * d
+            if square == [x * step for x in e]:
+                diff = [x * den - y * ad for x, y in zip(an, e)]  # (a - e) ad D
+                return None if any(_int_power(A, diff, A.dim)) else [_fraction(x, den) for x in e]
+            cube = _int_algebra_mul(A, square, e)
+            e = [3 * s * step - 2 * c for s, c in zip(square, cube)]
+            den *= step * step
+            g = gcd(den, *e)
+            if g > 1:
+                e, den = [x // g for x in e], den // g
+        return None
 
     sparse_rref = staticmethod(_FieldMethods.sparse_rref)
     pivots = staticmethod(_nonzero_pivots)
@@ -808,6 +859,28 @@ class _RationalKernel:
         return {key: s * scale for key, s in _int_contract(terms).items() if s}
 
 
+def _add_int_row(rows, nums, den, count):
+    """RowReducer.add over integer rows of (vector + combo, pivot), each
+    standing for its rational multiples, for the vector nums / den."""
+    n = len(nums)
+    w = nums + [0] * count + [den]
+    for row, pivot in rows:
+        c = w[pivot]
+        if c:
+            pv = row[pivot]
+            w = [pv * a - c * b for a, b in zip(w, row)] + [pv * a for a in w[len(row):]]
+            g = gcd(*w)
+            if g > 1:
+                w = [a // g for a in w]
+    for j in range(n):
+        if w[j]:
+            break
+    else:
+        return [Fraction(a, w[-1]) for a in w[n:]]
+    rows.append((w, j))
+    return None
+
+
 def _int_contract(terms):
     """The integer sums of a * b per key over the (key, a, b) of terms."""
     acc = {}
@@ -826,6 +899,17 @@ def _int_algebra_mul(A, x, y):
                     c = a * b
                     for i, t in terms:
                         out[i] += c * t
+    return out
+
+
+def _int_power(A, x, m):
+    """Numerators of x^m, m >= 1, up to a nonzero scale, for integer
+    coordinates x."""
+    out = x
+    for bit in bin(m)[3:]:
+        out = _int_algebra_mul(A, out, out)
+        if bit == "1":
+            out = _int_algebra_mul(A, out, x)
     return out
 
 

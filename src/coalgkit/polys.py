@@ -3,8 +3,16 @@
 Coefficients are raw field values in ascending order; the zero polynomial
 has an empty coefficient list.  Construction normalizes away trailing zeros,
 so equal polynomials compare equal structurally.
+
+Over Q, division and gcd run on integer coefficient lists (`gfpoly`): each
+operand is its numerators over one denominator, division is pseudo-division
+and the gcd a primitive remainder sequence, and only the result is built
+from `Fraction`s.
 """
 
+from fractions import Fraction
+
+from . import gfpoly
 from .errors import DivisionByZero, SpecMismatch
 
 
@@ -128,6 +136,14 @@ class Polynomial:
         F = self.field
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
+        if F.kind == "Q":
+            # scale a = q b + r on numerators, a = A / da and b = B / db
+            A, da = gfpoly.clear_denominators(self.coeffs)
+            B, db = gfpoly.clear_denominators(other.coeffs)
+            q, r, scale = gfpoly.pseudo_divmod(A, B)
+            den = scale * da
+            return (Polynomial._trusted(F, [Fraction(c * db, den) for c in q]),
+                    Polynomial._trusted(F, [Fraction(c, den) for c in r]))
         rem = list(self.coeffs)
         dn, dd = len(rem) - 1, other.degree
         if dn < dd:
@@ -154,6 +170,11 @@ class Polynomial:
         return self.scale(self.field.inv(self.coeffs[-1]))
 
     def gcd(self, other):
+        """The monic gcd; 0 when both are 0."""
+        if self.field.kind == "Q":
+            self._check(other)
+            g = gfpoly.zgcd(self.coeffs, other.coeffs)
+            return Polynomial._trusted(self.field, [Fraction(c, g[-1]) for c in g])
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b

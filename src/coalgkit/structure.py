@@ -12,7 +12,9 @@ additive map x -> x^(p^m) with p^m >= dim, linearized through a coordinate
 Frobenius substitution.  Both are exact over the implemented perfect fields.
 """
 
+from fractions import Fraction
 
+from . import gfpoly
 from .coalgebra import (
     ArtinAlgebra,
     Coalgebra,
@@ -26,10 +28,10 @@ from .coalgebra import (
     std_basis,
 )
 from .errors import ComputationError, NonSeparableResidue, SearchExhausted, ValidationError
-from .factor import factor_polynomial
+from .factor import factor_polynomial, is_separable
 # minimal_polynomial (of a matrix) stays importable from here, where the
 # bench's tracer also wraps it; element_min_poly does not call it
-from .linalg import Matrix, RowReducer, Subspace, minimal_polynomial, quotient_maps, row_kernel  # noqa: F401
+from .linalg import Matrix, Subspace, minimal_polynomial, quotient_maps, row_kernel  # noqa: F401
 from .polys import Polynomial
 from .seeding import derived_rng
 
@@ -121,17 +123,10 @@ def element_min_poly(A, x):
     It is that of the multiplication matrix L_x, since m(L_x) = L_{m(x)}
     and L_a(1) = a.  The result keeps the independent powers as `powers`."""
     F = A.field
-    red = RowReducer(F)
-    powers = []
-    power = list(A.unit)
-    while True:
-        combo = red.add(power)
-        if combo is not None:
-            m = _MinimalPolynomial(F, combo)
-            m.powers = powers
-            return m
-        powers.append(power)
-        power = A.mul(power, x)
+    combo, powers = row_kernel(F).min_poly_powers(F, A, x)
+    m = _MinimalPolynomial(F, combo)
+    m.powers = powers
+    return m
 
 
 def _candidate_elements(B, rng):
@@ -239,8 +234,17 @@ def split_semisimple(B, seed=_SEARCH_SEED):
 
 
 def _inverse_mod(g, f):
-    """u with u g = 1 mod f, by the extended Euclidean algorithm."""
+    """u with u g = 1 mod f, by the extended Euclidean algorithm; over Q
+    fraction-free on integers (`gfpoly.zinverse_mod`), u = s d / c for the
+    numerators g d of g and s g d = c mod f."""
     F = f.field
+    if F.kind == "Q":
+        nums, d = gfpoly.clear_denominators(g.coeffs)
+        found = gfpoly.zinverse_mod(nums, gfpoly.primitive(f.coeffs))
+        if found is None:
+            raise ValidationError("minimal polynomial factors not coprime")
+        s, c = found
+        return Polynomial._trusted(F, [Fraction(a * d, c) for a in s])
     r0, r1 = g, f
     s0, s1 = Polynomial.one(F), Polynomial.zero(F)
     while not r1.is_zero():
@@ -263,18 +267,10 @@ def lift_idempotent(A, a):
     a non-idempotent (3/2 goes to 0), so a - e must be nilpotent too.
     """
     F = A.field
-    two, three = F.from_int(2), F.from_int(3)
-    e = list(a)
-    for _ in range(A.dim.bit_length() + 1):
-        square = A.mul(e, e)
-        if square == e:
-            diff = [F.sub(x, y) for x, y in zip(a, e)]
-            if all(F.is_zero(c) for c in A.power(diff, A.dim)):
-                return e
-            break
-        cube = A.mul(square, e)
-        e = [F.sub(F.mul(three, s), F.mul(two, c)) for s, c in zip(square, cube)]
-    raise ValidationError("element is not idempotent modulo the radical")
+    e = row_kernel(F).lift_idempotent(F, A, a, A.dim.bit_length() + 1)
+    if e is None:
+        raise ValidationError("element is not idempotent modulo the radical")
+    return e
 
 
 def component_of_idempotent(A, e):
@@ -472,7 +468,7 @@ def wedderburn_splitting(component, seed=_SEARCH_SEED):
     F = A.field
     residue = component.residue
     p = residue.minimal_poly
-    if p.gcd(p.derivative()).degree != 0:
+    if not is_separable(p):
         raise NonSeparableResidue("residue minimal polynomial is not separable")
     start = component.residue_projection.solve(residue.primitive_element)
     if start is None:

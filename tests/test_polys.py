@@ -133,3 +133,84 @@ def test_q_split_golden_digest(monkeypatch):
     assert sum(kind == "split" for kind, *_ in results) >= 20
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
     assert digest == Q_SPLIT_SHA256
+
+
+def _sympy_pairs(rng, count=220):
+    """Seeded pairs (a, b) of rational polynomials; every third pair shares
+    a factor, and every fifth a has a repeated factor."""
+    def draw(lo, hi):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(lo, hi))]
+        return Polynomial(QQ, coeffs + [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))])
+
+    pairs = []
+    for i in range(count):
+        a, b = draw(0, 6), draw(1, 4)
+        if i % 3 == 0:
+            c = draw(1, 2)
+            a, b = a * c, b * c
+        if i % 5 == 0:
+            c = draw(1, 2)
+            a = a * c * c
+        pairs.append((a, b))
+    return pairs
+
+
+def test_q_polynomial_routines_against_sympy():
+    """gcd, quotient and remainder, the CRT inverse and the squarefree
+    parts agree with sympy on seeded pairs, and a prime certifies exactly
+    the squarefree inputs."""
+    sympy = pytest.importorskip(
+        "sympy", reason="sympy is not installed: rational polynomial cross-check skipped")
+    from coalgkit.factor import _squarefree, _squarefree_prime, is_separable
+    from coalgkit.gfpoly import primitive
+
+    x = sympy.Symbol("x")
+
+    def to_sympy(f):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)],
+                          x, domain=sympy.QQ)
+
+    def back(poly):
+        return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())) if not poly.is_zero else ()
+
+    inverses = squarefree = 0
+    pairs = _sympy_pairs(random.Random(2323))
+    assert len(pairs) >= 200
+    for a, b in pairs:
+        sa, sb = to_sympy(a), to_sympy(b)
+        assert a.gcd(b).coeffs == back(sa.gcd(sb))
+        q, r = a.divmod(b)
+        sq, sr = sa.div(sb)
+        assert (q.coeffs, r.coeffs) == (back(sq), back(sr))
+        if a.degree >= 1 and a.gcd(b).degree == 0:
+            assert structure._inverse_mod(a, b).coeffs == back(sa.invert(sb))
+            inverses += 1
+        if a.degree >= 1:
+            _, parts = sa.sqf_list()
+            assert [(p.coeffs, m) for p, m in _squarefree(a.monic())] == [(back(p), m) for p, m in parts]
+            separable = sa.gcd(sa.diff(x)).degree() == 0
+            assert is_separable(a) == separable
+            assert (_squarefree_prime(primitive(a.coeffs)) is not None) == separable
+            squarefree += separable
+    assert inverses >= 100 and 50 <= squarefree < len(pairs) - 50
+
+
+def test_q_errors_are_still_raised():
+    """The repeated-factor check of `split_semisimple` on an algebra that is
+    not semisimple, the separability check of `wedderburn_splitting` on a
+    corrupt residue, and the coprimality check of `_inverse_mod`."""
+    from coalgkit.errors import NonSeparableResidue, ValidationError
+    from coalgkit.fields import GF
+    from coalgkit.structure import FieldDatum, local_decomposition, wedderburn_splitting
+
+    with pytest.raises(ValidationError, match="^repeated factor in a semisimple algebra; corrupt input$"):
+        structure.split_semisimple(polynomial_quotient_algebra(QQ, _ints([0, 0, 1])))
+    for field, p in [(QQ, [-2, 0, 1]), (GF(3), [1, 0, 1])]:
+        q = Polynomial.from_ints(field, p)
+        comp = local_decomposition(polynomial_quotient_algebra(field, q * q)).components[0]
+        residue = comp.residue
+        comp.residue = FieldDatum(residue.as_algebra, residue.primitive_element, q * q)
+        with pytest.raises(NonSeparableResidue, match="^residue minimal polynomial is not separable$"):
+            wedderburn_splitting(comp)
+    with pytest.raises(ValidationError, match="^minimal polynomial factors not coprime$"):
+        structure._inverse_mod(_ints([-2, 1, 1]), _ints([-1, 1]) * _ints([3, 1]))

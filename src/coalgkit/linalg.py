@@ -8,9 +8,9 @@ Tensor index convention, used by every module: the basis vector e_i (x) e_j
 of k^m (x) k^n sits at index i*n + j (row-major on the factors).
 
 Row reduction, products, RowReducer, subspace coordinates, the span of
-sparse vectors, the products and multiplication matrices of an
-ArtinAlgebra and the sparse contractions of the axiom checks run on a
-kernel per field kind (see `row_kernel`): Q on integer rows over a common
+sparse vectors, the products, multiplication matrices, power chains and
+idempotent lift of an ArtinAlgebra and the sparse contractions of the
+axiom checks run on a kernel per field kind (see `row_kernel`): Q on integer rows over a common
 denominator, fraction-free, to control coefficient growth (the sparse span
 excepted, which runs on the field's methods); F_p on plain ints reduced
 mod p; F_q through the field's methods.  Reduced row echelon form is
@@ -310,9 +310,9 @@ class Matrix:
 # -- per-field row kernels --------------------------------------------------
 #
 # The entry loops of rref, matrix products, RowReducer.add, ArtinAlgebra.mul
-# and mult_matrix, the power chain of a minimal polynomial,
-# Subspace.from_sparse/pivots/coordinates, and the sparse contraction the
-# axiom checks compare, one implementation per field kind,
+# and mult_matrix, the power chain of a minimal polynomial, the Newton lift
+# of an idempotent, Subspace.from_sparse/pivots/coordinates, and the sparse
+# contraction the axiom checks compare, one implementation per field kind,
 # picked by `row_kernel`.  `cleared` puts a vector on a kernel's footing:
 # its nonzero (index, value) pairs and an int scale, the entry being
 # value / scale; `contract(F, terms, scale)` sums a * b per key over the

@@ -121,7 +121,9 @@ def element_min_poly(A, x):
     """Minimal polynomial of x: the first dependence among 1, x, x^2, ...
 
     It is that of the multiplication matrix L_x, since m(L_x) = L_{m(x)}
-    and L_a(1) = a.  The result keeps the independent powers as `powers`."""
+    and L_a(1) = a.  The result keeps the independent powers as `powers`.
+    The chain runs on the field's row kernel: over Q on integer numerators
+    over one denominator, x cleared once."""
     F = A.field
     combo, powers = row_kernel(F).min_poly_powers(F, A, x)
     m = _MinimalPolynomial(F, combo)
@@ -264,7 +266,8 @@ def lift_idempotent(A, a):
     replaced by 2e - 1, its own inverse modulo e^2 - e.  Each step squares
     e^2 - e up to a unit, and a nilpotent of A has index at most dim A, so
     bit_length(dim A) steps make it zero.  The iteration alone would accept
-    a non-idempotent (3/2 goes to 0), so a - e must be nilpotent too.
+    a non-idempotent (3/2 goes to 0), so a - e must be nilpotent too.  It
+    runs on the field's row kernel, over Q on integer numerators.
     """
     F = A.field
     e = row_kernel(F).lift_idempotent(F, A, a, A.dim.bit_length() + 1)

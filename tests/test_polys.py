@@ -129,10 +129,18 @@ def test_q_polynomial_golden_digest():
 
 
 def test_q_split_golden_digest(monkeypatch):
+    """Also equal on the reference path, every entry through the field's
+    methods, which runs the power chains and the idempotent lift on
+    `Fraction`s."""
+    from coalgkit import linalg
+
     results = _split_results(monkeypatch)
     assert sum(kind == "split" for kind, *_ in results) >= 20
     digest = hashlib.sha256(repr(results).encode()).hexdigest()
     assert digest == Q_SPLIT_SHA256
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "_ROW_KERNELS", {})
+    assert _split_results(monkeypatch) == results
 
 
 def _sympy_pairs(rng, count=220):

@@ -23,6 +23,10 @@ from .seeding import derived_rng
 
 DEFAULT_DEGREE_CAP = 16
 _SPLIT_TRIALS = 64  # random trials per Cantor-Zassenhaus split
+# odd primes the squarefree certificate tries before Yun's algorithm: every
+# prime fails on a polynomial that is not squarefree, and the search to the
+# bound of `_good_prime` costs more than Yun's gcds
+_CERTIFICATE_PRIMES = 5
 
 
 def factor_polynomial(f, degree_cap=None, seed=0):
@@ -210,7 +214,7 @@ def _factor_rationals(f, degree_cap):
             f"degree {f.degree} exceeds rational factorization cap {degree_cap}"
         )
     g = gfpoly.primitive(f.coeffs)
-    p = _squarefree_prime(g)
+    p = _squarefree_prime(g, _CERTIFICATE_PRIMES)
     if p is not None:
         return [(h, 1) for h in _factor_squarefree_q(g, p)]
     out = {}
@@ -222,10 +226,12 @@ def _factor_rationals(f, degree_cap):
 
 
 def is_separable(f):
-    """Whether gcd(f, f') = 1.  Over Q a certifying prime (see
-    `_squarefree_prime`) answers first; without one, the gcd decides."""
-    if f.field.kind == "Q" and _squarefree_prime(gfpoly.primitive(f.coeffs)) is not None:
-        return True
+    """Whether gcd(f, f') = 1.  Over Q a certifying prime among the first
+    few (see `_squarefree_prime`) answers first; without one, the gcd
+    decides."""
+    if f.field.kind == "Q" and f.degree > 0:
+        if _squarefree_prime(gfpoly.primitive(f.coeffs), _CERTIFICATE_PRIMES):
+            return True
     return f.gcd(f.derivative()).degree == 0
 
 
@@ -325,21 +331,17 @@ def _monicize(g):
     return [g[i] * lc ** (n - 1 - i) for i in range(n)] + [1]
 
 
-def _squarefree_prime(g):
-    """The least odd prime p that certifies the integer polynomial g
-    squarefree over Q, or None.
+def _squarefree_prime(g, limit):
+    """The least of the first `limit` odd primes that certifies the integer
+    polynomial g squarefree over Q, or None.
 
     p certifies g when it does not divide lc(g) and gcd(g, g') = 1 mod p:
     then p does not divide Res(g, g'), which is therefore not 0 (von zur
     Gathen and Gerhard, Modern Computer Algebra, ch. 14-15).  A prime that
-    fails proves nothing.  Only the primes dividing lc(g) * Res(g, g')
-    fail, and for squarefree g there are fewer odd ones than the bit length
-    of |lc(g)| times the Hadamard bound |g|^(n-1) |g'|^n on the Sylvester
-    matrix of g and g', so the search stops after that many."""
+    fails proves nothing."""
     dg = _derivative(g)
-    bound = _prime_bound(g, dg)
     p, tried = 3, 0
-    while tried < bound:
+    while tried < limit:
         if is_prime(p):
             tried += 1
             if g[-1] % p and gfpoly.gcd(_modlist(g, p), _modlist(dg, p), p) == [1]:
@@ -352,18 +354,23 @@ def _derivative(g):
     return [i * g[i] for i in range(1, len(g))]
 
 
-def _prime_bound(g, dg):
+def _prime_bound(g):
     n = len(g) - 1
+    dg = _derivative(g)
     hadamard = math.isqrt(sum(c * c for c in g) ** (n - 1) * sum(c * c for c in dg) ** n) + 1
     return (abs(g[-1]) * hadamard).bit_length()
 
 
 def _good_prime(g):
-    """The least odd prime that certifies g squarefree; when every prime
-    within the bound fails, g is not squarefree."""
-    p = _squarefree_prime(g)
+    """The least odd prime that certifies g squarefree.
+
+    Only the primes dividing lc(g) * Res(g, g') fail, and for squarefree g
+    there are fewer odd ones than the bit length of |lc(g)| times the
+    Hadamard bound |g|^(n-1) |g'|^n on the Sylvester matrix of g and g'.
+    When that many odd primes all fail, g is not squarefree."""
+    bound = _prime_bound(g)
+    p = _squarefree_prime(g, bound)
     if p is None:
-        bound = _prime_bound(g, _derivative(g))
         raise SearchExhausted(
             f"no odd prime keeps the degree-{len(g) - 1} integer polynomial squarefree: all {bound} "
             f"tried failed (bound: bit length of lc(g) times the Hadamard bound on "

@@ -10,11 +10,12 @@ of k^m (x) k^n sits at index i*n + j (row-major on the factors).
 Row reduction, products, RowReducer, subspace coordinates, the span of
 sparse vectors, the products, multiplication matrices, power chains and
 idempotent lift of an ArtinAlgebra and the sparse contractions of the
-axiom checks run on a kernel per field kind (see `row_kernel`): Q on integer rows over a common
-denominator, fraction-free, to control coefficient growth (the sparse span
-excepted, which runs on the field's methods); F_p on plain ints reduced
-mod p; F_q through the field's methods.  Reduced row echelon form is
-canonical, so equal subspaces have identical bases.
+axiom checks run on a kernel per field kind (see `row_kernel`): Q on
+integer rows over a common denominator, fraction-free, to control
+coefficient growth (the sparse span excepted, which runs on the field's
+methods); F_p on plain ints reduced mod p; F_q through the field's
+methods.  Reduced row echelon form is canonical, so equal subspaces have
+identical bases.
 
 `minimal_polynomial` is that of a matrix.  The minimal polynomial of an
 algebra element x (`structure.element_min_poly`) is the first dependence

@@ -165,11 +165,11 @@ def _sympy_pairs(rng, count=220):
 
 def test_q_polynomial_routines_against_sympy():
     """gcd, quotient and remainder, the CRT inverse and the squarefree
-    parts agree with sympy on seeded pairs, and a prime certifies exactly
-    the squarefree inputs."""
+    parts agree with sympy on seeded pairs, and within the bound of
+    `_good_prime` a prime certifies exactly the squarefree inputs."""
     sympy = pytest.importorskip(
         "sympy", reason="sympy is not installed: rational polynomial cross-check skipped")
-    from coalgkit.factor import _squarefree, _squarefree_prime, is_separable
+    from coalgkit.factor import _prime_bound, _squarefree, _squarefree_prime, is_separable
     from coalgkit.gfpoly import primitive
 
     x = sympy.Symbol("x")
@@ -198,7 +198,9 @@ def test_q_polynomial_routines_against_sympy():
             assert [(p.coeffs, m) for p, m in _squarefree(a.monic())] == [(back(p), m) for p, m in parts]
             separable = sa.gcd(sa.diff(x)).degree() == 0
             assert is_separable(a) == separable
-            assert (_squarefree_prime(primitive(a.coeffs)) is not None) == separable
+            g = primitive(a.coeffs)
+            assert (_squarefree_prime(g, _prime_bound(g)) is not None) == separable
+            assert _squarefree_prime(g, 1) is None or separable
             squarefree += separable
     assert inverses >= 100 and 50 <= squarefree < len(pairs) - 50
 

@@ -35,7 +35,8 @@ def _seeded_q_polynomials(rng, count=40):
     discriminant."""
     def draw(lo, hi):
         coeffs = [Fraction(rng.randint(-12, 12), rng.randint(1, 9)) for _ in range(rng.randint(lo, hi))]
-        return Polynomial(QQ, coeffs + [Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 9))])
+        lead = Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 9))
+        return Polynomial(QQ, coeffs + [lead])
 
     polys = [draw(1, 7) for _ in range(count)]
     polys += [p.scale(Fraction(10**12 + 39, 7**9)) for p in polys[:10]]
@@ -179,7 +180,9 @@ def test_q_polynomial_routines_against_sympy():
                           x, domain=sympy.QQ)
 
     def back(poly):
-        return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())) if not poly.is_zero else ()
+        if poly.is_zero:
+            return ()
+        return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs()))
 
     inverses = squarefree = 0
     pairs = _sympy_pairs(random.Random(2323))

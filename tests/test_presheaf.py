@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from coalgkit import jsonio
 from coalgkit.coalgebra import (
     Coalgebra,
     CoalgebraMorphism,
@@ -156,9 +159,9 @@ def chain3_category():
     )
 
 
-def test_random_presheaves_all_reports_clean():
-    """Etale subpresheaf and adjunction reports stay clean on 100 randomized
-    presheaves over index categories with up to three objects."""
+def random_presheaves():
+    """100 randomized presheaves over F_2 on the arrow and the three-object
+    chain, restricting along the idempotent inclusion o retraction."""
     import random
 
     from coalgkit import corpus
@@ -189,7 +192,37 @@ def test_random_presheaves_all_reports_clean():
                  CoalgebraMorphism(C, C, proj @ proj)],
             )
             assert F.validate() == []
+        yield F
+        count += 1
+
+
+def test_random_presheaves_all_reports_clean():
+    """Etale subpresheaf and adjunction reports stay clean on 100 randomized
+    presheaves over index categories with up to three objects."""
+    for F in random_presheaves():
         E, incl, split = etale_subpresheaf(F)
         assert incl.validate() == [] and split.validate() == []
         assert presheaf_gp_adjunction(F=F)["ok"]
-        count += 1
+
+
+# sha256 of the canonical presheaf gp-adjunction reports (both branches),
+# recorded while the presheaf still ran its own sectionwise counit checks
+PRESHEAF_GP_SHA256 = "6398009a458914e008b93a1edb69e3799cbb84f35276eba3af8547aecb76bb03"
+
+
+def test_presheaf_gp_adjunction_golden_digest():
+    X = SetPresheaf(arrow_category(), [2, 3], [[0, 1], [0, 1, 2], [0, 1, 1]])
+    D = dual_numbers()
+    C4 = dual_coalgebra(
+        polynomial_quotient_algebra(F2, Polynomial.from_ints(F2, [1, 1, 1]))
+    )
+    reports = [
+        presheaf_gp_adjunction(X=X, field=F2),
+        presheaf_gp_adjunction(F=arrow_presheaf(D, D, Matrix.identity(F2, 2))),
+        presheaf_gp_adjunction(F=arrow_presheaf(trivial_coalgebra(F2), C4, C4.epsilon)),
+    ]
+    reports += [presheaf_gp_adjunction(F=F) for F in random_presheaves()]
+    h = hashlib.sha256()
+    for rep in reports:
+        h.update(jsonio.canonical_json(rep).encode())
+    assert h.hexdigest() == PRESHEAF_GP_SHA256

@@ -566,6 +566,19 @@ def test_gp_adjunction_checks_golden_digest():
     assert h.hexdigest() == GP_CHECKS_SHA256
 
 
+# sha256 of the canonical X-branch reports gp_adjunction_checks(X=n, field=F),
+# n = 0..6, recorded while the branch still searched k^delta[X] for group-likes
+GP_UNIT_SHA256 = "9ed1fd20c11ad809069ade6c7afdfdbaca6541f96d317f6b4034a5ededdef7db"
+
+
+def test_gp_unit_reports_golden_digest():
+    h = hashlib.sha256()
+    for field in [QQ, F2, F3, F5, F4]:
+        for n in range(7):
+            h.update(jsonio.canonical_json(gp_adjunction_checks(X=n, field=field)).encode())
+    assert h.hexdigest() == GP_UNIT_SHA256
+
+
 # -- one decomposition per coalgebra and seed --------------------------------------
 
 

@@ -217,6 +217,13 @@ class FiniteGSet:
         return f"FiniteGSet(size {self.size})"
 
 
+def trivial_datum(field):
+    """The trivial extension k/k: L = k, G = 1.  Its G-sets are plain sets,
+    and its adjunction is the pointwise-coalgebra / group-like one."""
+    one = Matrix.identity(field, 1)
+    return GaloisDatum(field, ArtinAlgebra(field, 1, one, [field.one]), [one], [[0]])
+
+
 def trivial_gset(D, n):
     return FiniteGSet(n, [list(range(n)) for _ in range(D.size)], D.table)
 
@@ -579,13 +586,15 @@ def adjunction_checks(D, X=None, C=None):
         unit_idx, unit_report = unit_map(D, X, kresult=kX, radj=R)
         checks.append(("unit-bijective", unit_report["bijective"]))
         checks.append(("unit-equivariant", unit_report["equivariant"]))
-        # triangle 2: counit_{kbar X} o kbar[unit] = id
-        counit2, kY2, _ = counit_morphism(D, kX.coalgebra, radj=R)
-        kbar_unit = kbar_on_map(D, unit_idx, kX, kY2)
-        composite = counit2.matrix @ kbar_unit.matrix
-        checks.append(
-            ("triangle-kbar", composite == Matrix.identity(D.base, kX.coalgebra.dim))
-        )
+        # triangle 2: counit_{kbar X} o kbar[unit] = id; kbar[unit] exists only
+        # for an equivariant unit, so one that misses a map fails here
+        triangle = unit_report["equivariant"]
+        if triangle:
+            counit2, kY2, _ = counit_morphism(D, kX.coalgebra, radj=R)
+            kbar_unit = kbar_on_map(D, unit_idx, kX, kY2)
+            composite = counit2.matrix @ kbar_unit.matrix
+            triangle = composite == Matrix.identity(D.base, kX.coalgebra.dim)
+        checks.append(("triangle-kbar", triangle))
     if C is not None:
         counit, kY, R = counit_morphism(D, C)
         checks.append(("counit-valid-morphism", not validate(counit)))

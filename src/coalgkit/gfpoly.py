@@ -60,20 +60,18 @@ def divmod_(f, g, m):
     coefficient of g must be a unit mod m."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
+    f = trim(list(f))
     q = [0] * max(len(f) - len(g) + 1, 0)
     inv_lead = pow(g[-1], -1, m)
-    while len(f) >= len(g) and any(f):
-        trim(f)
-        if len(f) < len(g):
-            break
+    # f stays trimmed, so it is zero exactly when it is empty
+    while len(f) >= len(g):
         c = (f[-1] * inv_lead) % m
         d = len(f) - len(g)
         q[d] = c
         for i, b in enumerate(g):
             f[d + i] = (f[d + i] - c * b) % m
         trim(f)
-    return trim(q), trim(f)
+    return trim(q), f
 
 
 def mod(f, g, p):

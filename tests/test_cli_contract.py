@@ -85,6 +85,8 @@ STRUCTURE = {"factor", "seeding", "structure"}
 BOUNDARY = [
     (["validate", "dual_numbers.json"], BASE),
     (["etale", "dual_numbers.json"], BASE | STRUCTURE),
+    # the gp-adjunction check runs the C branch, which needs no galois
+    (["adjunction-gp", "dual_numbers.json"], BASE | STRUCTURE),
     (["galois-adjunction", "galois_F4.json", "F4dual.json"], BASE | STRUCTURE | {"galois"}),
     (["day-convolve", "day_cat_Z2.json", "day_F.json", "day_G.json"], BASE | {"day"}),
     (["day-subgen", "day_graded_coalg.json", "day_line_t.json"], BASE | {"day", "dayclosure"}),

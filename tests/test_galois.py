@@ -24,6 +24,7 @@ from coalgkit.galois import (
     orbits_and_stabilizers,
     right_adjoint,
     right_adjoint_R,
+    trivial_datum,
     trivial_gset,
     unit_map,
 )
@@ -213,6 +214,27 @@ def test_adjunction_examples():
     Dn = Coalgebra(F2, 2, delta, Matrix(F2, 1, 2, [[1, 0]]))
     rep = adjunction_checks(D4, C=Dn)
     assert rep["ok"]  # counit image = span{g} = Et(C), a proper subspace
+
+
+@pytest.mark.parametrize("datum", ["F4/F2", "F3/F3"])
+def test_unit_missing_a_map_is_reported(monkeypatch, datum):
+    """One root of one residue polynomial is dropped, so R(kbar[X]) misses a
+    map: the unit and the triangle report False instead of raising."""
+    import coalgkit.galois as galois
+
+    D = D4 if datum == "F4/F2" else trivial_datum(F3)
+    original = galois._roots_in_extension
+    calls = []
+
+    def dropping(D, poly):
+        calls.append(poly)
+        roots = original(D, poly)
+        return roots[1:] if len(calls) == 1 else roots
+
+    monkeypatch.setattr(galois, "_roots_in_extension", dropping)
+    rep = adjunction_checks(D, X=trivial_gset(D, 3))
+    assert rep == {"checks": [("unit-bijective", False), ("unit-equivariant", False),
+                              ("triangle-kbar", False)], "ok": False}
 
 
 def test_adjunction_all_data():

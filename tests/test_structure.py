@@ -13,6 +13,7 @@ from coalgkit.coalgebra import (
     diagonal_coalgebra,
     dual_coalgebra,
     polynomial_quotient_algebra,
+    std_basis,
     validate,
 )
 from coalgkit.fields import GF, QQ
@@ -533,20 +534,48 @@ def test_gp_triangle_rejects_a_faulty_pointwise_coalgebra(monkeypatch, field, fa
 
 @pytest.mark.parametrize("field", [QQ, F3], ids=["Q", "F3"])
 def test_gp_unit_reports_a_missing_group_like(monkeypatch, field):
-    """When the group-likes found in k^delta[X] miss a basis vector, the X
+    """When the unit misses a group-like of k^delta[X] (one root of one
+    residue polynomial is dropped in the Galois adjunction at k/k), the X
     branch reports the unit and the pointwise triangle as failed instead of
-    raising.  Over F_3 the brute-force search runs, over Q the decomposition."""
-    for name in ("group_likes", "brute_force_group_likes"):
-        original = getattr(structure, name)
+    raising."""
+    from coalgkit import galois
 
-        def dropping(*args, original=original, **kwargs):
-            gl = original(*args, **kwargs)
-            return structure.GroupLikeSet(gl.coalgebra, gl.elements[1:])
+    original = galois._roots_in_extension
+    calls = []
 
-        monkeypatch.setattr(structure, name, dropping)
+    def dropping(D, poly):
+        calls.append(poly)
+        roots = original(D, poly)
+        return roots[1:] if len(calls) == 1 else roots
+
+    monkeypatch.setattr(galois, "_roots_in_extension", dropping)
     rep = gp_adjunction_checks(X=3, field=field)
     assert rep == {"checks": [("unit-bijective", False), ("triangle-pointwise", False)],
                    "ok": False}
+
+
+def test_group_likes_are_the_maps_to_the_base_field():
+    """gp(C) is the right adjoint of the Galois adjunction at k/k: the
+    group-likes are the algebra maps C^dual -> k, row 0 of its maps."""
+    from coalgkit.galois import right_adjoint, trivial_datum
+
+    rng = random.Random(47)
+    for field in [QQ, F2, F3, F5, F4]:
+        D = trivial_datum(field)
+        for _ in range(20):
+            C = corpus.random_coalgebra(rng, field, 5)
+            maps = [psi.row(0) for psi in right_adjoint(D, C).maps]
+            assert sorted(group_likes(C).elements) == sorted(maps)
+
+
+def test_brute_force_group_likes_of_pointwise_coalgebras():
+    """The group-likes of k^delta[n] are exactly its basis vectors."""
+    for field in [F2, F3, F5, F4]:
+        n = 0
+        while field.order**n <= 4096:
+            found = brute_force_group_likes(diagonal_coalgebra(n, field)).elements
+            assert sorted(found) == sorted(std_basis(field, n)), (field, n)
+            n += 1
 
 
 # sha256 of the canonical gp-adjunction check lists of seeded corpus

@@ -18,7 +18,8 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("path", DEMOS, ids=[os.path.basename(p) for p in DEMOS])
 def test_demo_runs(path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    path_var = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path_var)
     proc = subprocess.run([sys.executable, path], capture_output=True, text=True, env=env,
                           cwd=ROOT, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr

@@ -259,17 +259,16 @@ def polynomial_quotient_algebra(field, poly):
     d = poly.degree
     if d < 1:
         raise ShapeMismatch("quotient by a constant polynomial")
-    mult = Matrix.zeros(field, d, d * d)
     from .polys import Polynomial
 
     t = Polynomial.x(field)
     rems = [Polynomial.one(field)]
     for _ in range(2 * d - 2):
         rems.append((rems[-1] * t) % poly)
-    for i in range(d):
-        for j in range(d):
-            for a, c in enumerate(rems[i + j].coeffs):
-                mult.data[a][i * d + j] = c
+    mult = Matrix.from_entries(field, d, d * d, [
+        (a, i * d + j, c)
+        for i in range(d) for j in range(d) for a, c in enumerate(rems[i + j].coeffs)
+    ])
     unit = [field.one] + [field.zero] * (d - 1)
     return ArtinAlgebra(field, d, mult, unit)
 
@@ -423,9 +422,7 @@ def trivial_coalgebra(field):
 def diagonal_coalgebra(size, field):
     """Free pointwise coalgebra on a finite set: each basis vector group-like."""
     n = size
-    delta = Matrix.zeros(field, n * n, n)
-    for j in range(n):
-        delta.data[j * n + j][j] = field.one
+    delta = Matrix.from_entries(field, n * n, n, [(j * n + j, j, field.one) for j in range(n)])
     eps = Matrix(field, 1, n, [[field.one] * n])
     return Coalgebra(field, n, delta, eps)
 
@@ -436,21 +433,18 @@ def direct_sum(C, D):
     F = C.field
     m, n = C.dim, D.dim
     t = m + n
-    delta = Matrix.zeros(F, t * t, t)
-    for j in range(m):
-        for (i, k), v in C.delta_columns()[j]:
-            delta.data[i * t + k][j] = v
-    for j in range(n):
-        for (i, k), v in D.delta_columns()[j]:
-            delta.data[(m + i) * t + (m + k)][m + j] = v
+    entries = [
+        (i * t + k, j, v) for j, col in enumerate(C.delta_columns()) for (i, k), v in col
+    ]
+    entries += [
+        ((m + i) * t + (m + k), m + j, v)
+        for j, col in enumerate(D.delta_columns()) for (i, k), v in col
+    ]
+    delta = Matrix.from_entries(F, t * t, t, entries)
     eps = Matrix(F, 1, t, [C.epsilon.row(0) + D.epsilon.row(0)])
     S = Coalgebra(F, t, delta, eps)
-    inc_C = Matrix.zeros(F, t, m)
-    for i in range(m):
-        inc_C.data[i][i] = F.one
-    inc_D = Matrix.zeros(F, t, n)
-    for i in range(n):
-        inc_D.data[m + i][i] = F.one
+    inc_C = Matrix.from_entries(F, t, m, [(i, i, F.one) for i in range(m)])
+    inc_D = Matrix.from_entries(F, t, n, [(m + i, i, F.one) for i in range(n)])
     return S, CoalgebraMorphism(C, S, inc_C), CoalgebraMorphism(D, S, inc_D)
 
 
@@ -476,16 +470,9 @@ def tensor_morphism(phi, psi):
 def direct_sum_morphism(phi, psi):
     src, _, _ = direct_sum(phi.source, psi.source)
     tgt, _, _ = direct_sum(phi.target, psi.target)
-    F = phi.matrix.field
-    M = Matrix.zeros(F, tgt.dim, src.dim)
-    for i in range(phi.target.dim):
-        for j in range(phi.source.dim):
-            M.data[i][j] = phi.matrix.data[i][j]
-    oi, oj = phi.target.dim, phi.source.dim
-    for i in range(psi.target.dim):
-        for j in range(psi.source.dim):
-            M.data[oi + i][oj + j] = psi.matrix.data[i][j]
-    return CoalgebraMorphism(src, tgt, M)
+    A, B = phi.matrix, psi.matrix
+    top = A.hstack(Matrix.zeros(A.field, A.rows, B.cols))
+    return CoalgebraMorphism(src, tgt, top.vstack(Matrix.zeros(A.field, B.rows, A.cols).hstack(B)))
 
 
 def counit_morphism(C):

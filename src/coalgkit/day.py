@@ -165,13 +165,8 @@ class LinearMonoidalCategory:
         a, b, _ = f
         F = self.field
         rows, cols = self.hom_dim(a, X), self.hom_dim(b, X)
-        M = Matrix.zeros(F, rows, cols)
-        for j in range(cols):
-            g = self.basis_mor(b, X, j)
-            _, _, comp = self.compose_mor(g, f)
-            for t in range(rows):
-                M.data[t][j] = comp[t]
-        return M
+        comps = [self.compose_mor(self.basis_mor(b, X, j), f)[2] for j in range(cols)]
+        return Matrix(F, rows, cols, [[comp[t] for comp in comps] for t in range(rows)])
 
     def validate(self):
         """Category, strict monoidal, and symmetry axioms on basis elements."""
@@ -414,14 +409,8 @@ def direct_sum_presheaf(F, G):
     for (a, b, i) in cat.all_basis_mors():
         MF = F.action(a, b, i)
         MG = G.action(a, b, i)
-        M = Matrix.zeros(cat.field, dims[a], dims[b])
-        for r in range(MF.rows):
-            for c in range(MF.cols):
-                M.data[r][c] = MF.data[r][c]
-        for r in range(MG.rows):
-            for c in range(MG.cols):
-                M.data[F.dims[a] + r][F.dims[b] + c] = MG.data[r][c]
-        actions[(a, b, i)] = M
+        top = MF.hstack(Matrix.zeros(cat.field, MF.rows, MG.cols))
+        actions[(a, b, i)] = top.vstack(Matrix.zeros(cat.field, MG.rows, MF.cols).hstack(MG))
     return DayPresheaf(cat, dims, actions)
 
 
@@ -675,11 +664,8 @@ class DayTensor:
                         if col:
                             cols.append(col)
                             tags.append((X, Y, Xp, Yp, ai, bi, pi, s, t))
-        data = [[fld.zero] * len(cols) for _ in range(self.d_dims[U])]
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                data[i][j] = v
-        return Matrix(fld, self.d_dims[U], len(cols), data), tags, cols
+        entries = [(i, j, v) for j, col in enumerate(cols) for i, v in col.items()]
+        return Matrix.from_entries(fld, self.d_dims[U], len(cols), entries), tags, cols
 
     def _action(self, a, b, i, dims):
         """The action of f: a -> b on the convolution,
@@ -715,14 +701,14 @@ class DayTensor:
         its nonzero entries.  Most entries of the result are written once,
         and most values are one, so those take no field operation."""
         fld = self.category.field
-        M = Matrix.zeros(fld, self.projections[U].rows, ncols)
+        qcols = self.qcols[U]
+        triples = []
         for idx, k, c in entries:
-            unit = fld.is_one(c)
-            for r, v in self.qcols[U][idx]:
-                w = v if unit else fld.mul(c, v)
-                cur = M.data[r][k]
-                M.data[r][k] = w if fld.is_zero(cur) else fld.add(cur, w)
-        return M
+            if fld.is_one(c):
+                triples += [(r, k, v) for r, v in qcols[idx]]
+            else:
+                triples += [(r, k, fld.mul(c, v)) for r, v in qcols[idx]]
+        return Matrix.from_entries(fld, self.projections[U].rows, ncols, triples)
 
     def insert(self, U, X, Y, phi_coords, svec, tvec):
         """Image in the convolution of phi (x) svec (x) tvec."""
@@ -786,7 +772,7 @@ def d_level_nat(tensor_src, tensor_dst, alpha, beta):
     fld = cat.field
     mats = []
     for U in range(cat.size):
-        M = Matrix.zeros(fld, tensor_dst.d_dims[U], tensor_src.d_dims[U])
+        entries = []
         index_dst = tensor_dst.block_index[U]
         for (X, Y, off_s, hd, fd_s, gd_s) in tensor_src.blocks[U]:
             if (X, Y) not in index_dst:
@@ -807,12 +793,11 @@ def d_level_nat(tensor_src, tensor_dst, alpha, beta):
                                 if fld.is_zero(b):
                                     continue
                                 dst_idx = off_d + (pi * fd_d + s2) * gd_d + t2
-                                M.data[dst_idx][src_idx] = fld.add(
-                                    M.data[dst_idx][src_idx], fld.mul(a, b)
-                                )
+                                entries.append((dst_idx, src_idx, fld.mul(a, b)))
             if hd != hd_d:
                 raise ComputationError("hom dimensions disagree between convolutions")
-        mats.append(M)
+        rows, cols = tensor_dst.d_dims[U], tensor_src.d_dims[U]
+        mats.append(Matrix.from_entries(fld, rows, cols, entries))
     return mats
 
 
@@ -864,7 +849,7 @@ def _unit_iso(tensor, right):
     F = tensor.F if right else tensor.G
     mats = []
     for U in range(cat.size):
-        M = Matrix.zeros(fld, F.dims[U], tensor.d_dims[U])
+        entries = []
         for (X, Y, off, hd, fd, gd) in tensor.blocks[U]:
             for pi in range(hd):
                 phi = cat.basis_mor(U, cat.tensor_obj[X][Y], pi)
@@ -877,10 +862,10 @@ def _unit_iso(tensor, right):
                     for k in range(fd if right else gd):
                         s, t = (k, j) if right else (j, k)
                         col = off + (pi * fd + s) * gd + t
-                        for r, v in enumerate(act.col(k)):
-                            if not fld.is_zero(v):
-                                M.data[r][col] = fld.add(M.data[r][col], v)
-        mats.append(M)
+                        entries += [
+                            (r, col, v) for r, v in enumerate(act.col(k)) if not fld.is_zero(v)
+                        ]
+        mats.append(Matrix.from_entries(fld, F.dims[U], tensor.d_dims[U], entries))
     return _descend_iso(tensor, mats, F)
 
 
@@ -906,7 +891,7 @@ def yoneda_iso(tensor, X, Y):
     target = representable(cat, target_obj)
     mats = []
     for U in range(cat.size):
-        M = Matrix.zeros(fld, target.dims[U], tensor.d_dims[U])
+        entries = []
         for (A, B, off, hd, fd, gd) in tensor.blocks[U]:
             for s in range(fd):
                 smor = cat.basis_mor(A, X, s)
@@ -916,11 +901,11 @@ def yoneda_iso(tensor, X, Y):
                     for pi in range(hd):
                         phi = cat.basis_mor(U, cat.tensor_obj[A][B], pi)
                         chi = cat.compose_mor(tm, phi)
-                        for r, cv in enumerate(chi[2]):
-                            if not fld.is_zero(cv):
-                                idx = off + (pi * fd + s) * gd + t
-                                M.data[r][idx] = fld.add(M.data[r][idx], cv)
-        mats.append(M)
+                        idx = off + (pi * fd + s) * gd + t
+                        entries += [
+                            (r, idx, cv) for r, cv in enumerate(chi[2]) if not fld.is_zero(cv)
+                        ]
+        mats.append(Matrix.from_entries(fld, target.dims[U], tensor.d_dims[U], entries))
     forward = _descend_iso(tensor, mats, target)
     back_mats = []
     idX = cat.id_mor(X)[2]
@@ -942,7 +927,7 @@ def symmetry_iso(tensor_FG, tensor_GF):
     fld = cat.field
     mats = []
     for U in range(cat.size):
-        M = Matrix.zeros(fld, tensor_GF.d_dims[U], tensor_FG.d_dims[U])
+        entries = []
         index_t = tensor_GF.block_index[U]
         for (X, Y, off, hd, fd, gd) in tensor_FG.blocks[U]:
             if (Y, X) not in index_t:
@@ -959,8 +944,9 @@ def symmetry_iso(tensor_FG, tensor_GF):
                             if fld.is_zero(cv):
                                 continue
                             dst = off2 + (r * gd2 + t) * fd2 + s
-                            M.data[dst][src] = fld.add(M.data[dst][src], cv)
-        mats.append(M)
+                            entries.append((dst, src, cv))
+        rows, cols = tensor_GF.d_dims[U], tensor_FG.d_dims[U]
+        mats.append(Matrix.from_entries(fld, rows, cols, entries))
     return quotient_nat(tensor_FG, tensor_GF, mats)
 
 
@@ -970,7 +956,7 @@ def associator_iso(tensor_FG, tensor_FG_H, tensor_GH, tensor_F_GH):
     fld = cat.field
     mats = []
     for U in range(cat.size):
-        M = Matrix.zeros(fld, tensor_F_GH.dim(U), tensor_FG_H.d_dims[U])
+        entries = []
         for (W, Z, off, hd, fdW, gdZ) in tensor_FG_H.blocks[U]:
             # fdW = dim (F (*) G)(W); lift its basis to the inner D-level
             sect = tensor_FG.sections[W]
@@ -1004,10 +990,11 @@ def associator_iso(tensor_FG, tensor_FG_H, tensor_GH, tensor_F_GH):
                                         for r, ov in enumerate(outer):
                                             if not fld.is_zero(ov):
                                                 acc[r] = fld.add(acc[r], fld.mul(c, ov))
-                        for r, av in enumerate(acc):
-                            if not fld.is_zero(av):
-                                M.data[r][out_col_idx] = av
-        mats.append(M)
+                        entries += [
+                            (r, out_col_idx, av) for r, av in enumerate(acc) if not fld.is_zero(av)
+                        ]
+        rows, cols = tensor_F_GH.dim(U), tensor_FG_H.d_dims[U]
+        mats.append(Matrix.from_entries(fld, rows, cols, entries))
     return _descend_iso(tensor_FG_H, mats, tensor_F_GH.presheaf)
 
 
@@ -1205,9 +1192,8 @@ def _sum_inclusion(F1, F2, S, first):
     fld = S.category.field
     mats = []
     for U in range(S.category.size):
-        M = Matrix.zeros(fld, S.dims[U], F1.dims[U] if first else F2.dims[U])
+        n = F1.dims[U] if first else F2.dims[U]
         off = 0 if first else F1.dims[U]
-        for i in range(M.cols):
-            M.data[off + i][i] = fld.one
-        mats.append(M)
+        entries = [(off + i, i, fld.one) for i in range(n)]
+        mats.append(Matrix.from_entries(fld, S.dims[U], n, entries))
     return NatTransform(F1 if first else F2, S, mats)

@@ -4,6 +4,11 @@ Matrices act on column vectors; a morphism into an m-dimensional space from
 an n-dimensional one is an m x n matrix.  Vectors are plain lists of raw
 field values.
 
+A Matrix holds dense rows of raw field values, and only this module writes
+them.  A matrix is built by a constructor (`from_rows`, `from_cols`, `zeros`,
+`hstack`, ..., or entry by entry with `from_entries`) and never written after
+construction; code elsewhere only reads `data`.
+
 Tensor index convention, used by every module: the basis vector e_i (x) e_j
 of k^m (x) k^n sits at index i*n + j (row-major on the factors).
 
@@ -33,6 +38,10 @@ from .polys import Polynomial
 
 
 class Matrix:
+    """rows lists of cols raw field values in data.  Built by a constructor,
+    `from_entries` entry by entry, and never written afterwards: `__hash__`
+    reads the rows, and results may share rows with their inputs."""
+
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field, rows, cols, data):
@@ -56,6 +65,19 @@ class Matrix:
     def zeros(cls, field, rows, cols):
         z = field.zero
         return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
+
+    @classmethod
+    def from_entries(cls, field, rows, cols, entries):
+        """The (i, j) entry is the sum of the values of the (i, j, value)
+        triples, zero where there are none; a value on an untouched cell is
+        stored as it is (zero + value = value in every field)."""
+        z, add = field.zero, field.add
+        data = [[z] * cols for _ in range(rows)]
+        for i, j, v in entries:
+            row = data[i]
+            cur = row[j]
+            row[j] = v if cur is z else add(cur, v)
+        return cls(field, rows, cols, data)
 
     @classmethod
     def identity(cls, field, n):

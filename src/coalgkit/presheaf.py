@@ -9,7 +9,7 @@ content is that the sectionwise data assembles to presheaf morphisms, which
 the functoriality and naturality of the etale machinery guarantees.
 """
 
-from .coalgebra import CoalgebraMorphism, diagonal_coalgebra, validate
+from .coalgebra import CoalgebraMorphism, diagonal_coalgebra, std_basis, validate
 from .errors import ReportedFailure, ShapeMismatch, ValidationError
 from .linalg import Matrix
 from .structure import etale_part, gp_adjunction_checks, group_likes
@@ -195,9 +195,8 @@ def pointwise_coalgebra_presheaf(X, field):
     restrictions = []
     for f, m in enumerate(X.maps):
         a, b = X.index.src(f), X.index.dst(f)
-        M = Matrix.zeros(field, X.sizes[a], X.sizes[b])
-        for x in range(X.sizes[b]):
-            M.data[m[x]][x] = field.one
+        entries = [(y, x, field.one) for x, y in enumerate(m)]
+        M = Matrix.from_entries(field, X.sizes[a], X.sizes[b], entries)
         restrictions.append(CoalgebraMorphism(sections[b], sections[a], M))
     return CoalgebraPresheaf(X.index, sections, restrictions)
 
@@ -232,21 +231,22 @@ def presheaf_gp_adjunction(F=None, X=None, field=None, seed=None):
     checks = []
     kwargs = {} if seed is None else {"seed": seed}
     if X is not None:
+        # the unit sends x in X(a) to the basis vector e_x of k^delta[X(a)];
+        # a group-like the search misses is a failed check, not a lookup error
         KX = pointwise_coalgebra_presheaf(X, field)
-        GX, gls_X = group_like_presheaf(KX)
-        checks.append(("unit-sectionwise-bijective", GX.sizes == X.sizes))
-
-        def basis_vec(size, x):
-            return [field.one if i == x else field.zero for i in range(size)]
-
-        natural = True
-        for f in range(len(X.index.morphisms)):
-            a, b = X.index.src(f), X.index.dst(f)
-            for x in range(X.sizes[b]):
-                idx_b = gls_X[b].elements.index(basis_vec(X.sizes[b], x))
-                image = gls_X[a].elements[GX.maps[f][idx_b]]
-                if image != basis_vec(X.sizes[a], X.maps[f][x]):
-                    natural = False
+        units = [std_basis(field, n) for n in X.sizes]
+        found = [{tuple(g) for g in group_likes(C).elements} for C in KX.sections]
+        checks.append((
+            "unit-sectionwise-bijective",
+            all(g == {tuple(e) for e in u} for g, u in zip(found, units)),
+        ))
+        natural = all(
+            tuple(units[b][x]) in found[b]
+            and tuple(units[a][y]) in found[a]
+            and KX.restrictions[f].matrix.apply(units[b][x]) == units[a][y]
+            for f, (_, a, b) in enumerate(X.index.morphisms)
+            for x, y in enumerate(X.maps[f])
+        )
         checks.append(("unit-natural", natural))
     if F is not None:
         # the sectionwise counit checks are those of each section's own report

@@ -77,7 +77,7 @@ def _trace_form(A):
         for k in range(n):
             acc = F.add(acc, row[k][k])
         traces.append(acc)
-    G = Matrix.zeros(F, n, n)
+    entries = []
     for i in range(n):
         for j in range(i, n):
             acc = F.zero
@@ -85,9 +85,10 @@ def _trace_form(A):
             for t in range(n):
                 if not F.is_zero(prod[t]):
                     acc = F.add(acc, F.mul(prod[t], traces[t]))
-            G.data[i][j] = acc
-            G.data[j][i] = acc
-    return G
+            entries.append((i, j, acc))
+            if i != j:
+                entries.append((j, i, acc))
+    return Matrix.from_entries(F, n, n, entries)
 
 
 def trace_form_nondegenerate(A):
@@ -503,19 +504,18 @@ def wedderburn_splitting(component, seed=_SEARCH_SEED):
 def product_algebra(field, algebras):
     dims = [B.dim for B in algebras]
     n = sum(dims)
-    mult = Matrix.zeros(field, n, n * n)
+    entries = []
     unit = []
     offset = 0
     for B in algebras:
         d = B.dim
-        for i in range(d):
-            for j in range(d):
-                col = B.mult.col(i * d + j)
-                for a in range(d):
-                    mult.data[offset + a][(offset + i) * n + (offset + j)] = col[a]
+        for a, row in enumerate(B.mult.data):
+            for ij, c in enumerate(row):
+                i, j = divmod(ij, d)
+                entries.append((offset + a, (offset + i) * n + offset + j, c))
         unit.extend(B.unit)
         offset += d
-    return ArtinAlgebra(field, n, mult, unit)
+    return ArtinAlgebra(field, n, Matrix.from_entries(field, n, n * n, entries), unit)
 
 
 class EtaleData:

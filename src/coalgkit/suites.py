@@ -599,7 +599,7 @@ def suite_closure(seed=0, separation_pairs=50):
                     if not (combo >> bit) & 1:
                         continue
                     if mats is None:
-                        mats = [m.copy() for m in base.mats]
+                        mats = base.mats
                     else:
                         mats = [a + b for a, b in zip(mats, base.mats)]
                 nat = day_mod.NatTransform(FC1.presheaf, FC2.presheaf, mats)

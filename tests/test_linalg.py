@@ -1,9 +1,12 @@
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
 from fractions import Fraction
 
+from coalgkit import linalg
 from coalgkit.errors import AmbientMismatch
 from coalgkit.fields import GF, QQ
 from coalgkit.linalg import (
@@ -555,3 +558,93 @@ def test_from_sparse_matches_from_vectors(field):
                            if Subspace.from_vectors(field, ambient, dense[:i]).dim == ambient)
             assert Subspace.from_sparse(field, ambient, _stops_at_full_rank(vecs[:reached])) == want
     assert full > 12
+
+
+@pytest.mark.parametrize("field", [QQ, F3, GF(2, [1, 1, 1])], ids=repr)
+def test_from_entries_matches_the_dense_build(field):
+    """Values at one position are summed and every other entry is zero: the
+    result equals, entry for entry and of the same types, the matrix built
+    by Matrix.zeros and field.add, and a sum that cancels reads as zero."""
+    rng = random.Random(43)
+    shapes = [(0, 0, 0), (0, 4, 0), (4, 0, 0), (3, 3, 0)]
+    shapes += [(rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 20)) for _ in range(40)]
+    zero = Matrix.zeros(field, 1, 1).data[0][0]
+    cancelled = 0
+    for rows, cols, count in shapes:
+        entries = []
+        for _ in range(count):
+            i, j, v = rng.randrange(rows), rng.randrange(cols), field.random(rng)
+            entries.append((i, j, v))
+            if rng.random() < 0.3:
+                entries.append((i, j, field.neg(v)))
+        rng.shuffle(entries)
+        dense = Matrix.zeros(field, rows, cols)
+        for i, j, v in entries:
+            dense.data[i][j] = field.add(dense.data[i][j], v)
+        built = Matrix.from_entries(field, rows, cols, entries)
+        assert (built.rows, built.cols, len(built.data)) == (rows, cols, rows)
+        assert built == dense and hash(built) == hash(dense)
+        assert [[type(a) for a in r] for r in built.data] == \
+               [[type(a) for a in r] for r in dense.data]
+        touched = {(i, j) for i, j, _ in entries}
+        for i in range(rows):
+            for j in range(cols):
+                if (i, j) not in touched:
+                    assert built.data[i][j] is field.zero
+                elif field.is_zero(dense.data[i][j]):
+                    cancelled += 1
+                    assert built.data[i][j] == zero
+    assert cancelled >= 5
+
+
+def _data_writes(tree):
+    """Line numbers of the assignments in tree that write into a subscript
+    of a `.data` attribute or rebind one."""
+
+    def writes(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(writes(t) for t in target.elts)
+        if isinstance(target, ast.Starred):
+            return writes(target.value)
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        return isinstance(target, ast.Attribute) and target.attr == "data"
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(writes(t) for t in targets):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_data_writes_are_detected():
+    source = "\n".join([
+        "M.data[0][1] = v",
+        "M.data[i] += [v]",
+        "a, M.data[0][0] = 1, 2",
+        "M.data = []",
+        "x: int = M.data[0][0]",
+        "row = M.data[0]",
+        "data[0][0] = v",
+        "M.other[0] = v",
+    ])
+    assert _data_writes(ast.parse(source)) == [1, 2, 3, 4]
+
+
+def test_only_linalg_writes_matrix_entries():
+    """A matrix is built by a constructor and never written afterwards: no
+    kernel module but linalg assigns into a Matrix's data."""
+    package = pathlib.Path(linalg.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name != "linalg.py":
+            lines = _data_writes(ast.parse(path.read_text(), str(path)))
+            if lines:
+                found[path.name] = lines
+    assert found == {}

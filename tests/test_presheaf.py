@@ -124,6 +124,25 @@ def test_gp_adjunction_set_presheaf():
     assert KX.validate() == []
 
 
+def test_gp_unit_reports_a_missing_group_like(monkeypatch):
+    """When the group-like search misses one basis vector of the 3-element
+    section, the X branch reports the unit as failed instead of raising."""
+    from coalgkit import presheaf
+    from coalgkit.structure import GroupLikeSet
+
+    original = presheaf.group_likes
+
+    def dropping(C, **kwargs):
+        found = original(C, **kwargs)
+        return GroupLikeSet(C, found.elements[:-1]) if C.dim == 3 else found
+
+    monkeypatch.setattr(presheaf, "group_likes", dropping)
+    X = SetPresheaf(arrow_category(), [2, 3], [[0, 1], [0, 1, 2], [0, 1, 1]])
+    rep = presheaf_gp_adjunction(X=X, field=F2)
+    assert ("unit-sectionwise-bijective", False) in rep["checks"]
+    assert rep["ok"] is False
+
+
 def test_gp_adjunction_coalgebra_presheaf():
     D = dual_numbers()
     F = arrow_presheaf(D, D, Matrix.identity(F2, 2))

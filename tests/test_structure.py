@@ -11,6 +11,7 @@ from coalgkit.coalgebra import (
     CoalgebraMorphism,
     counit_morphism,
     diagonal_coalgebra,
+    dual_algebra,
     dual_coalgebra,
     polynomial_quotient_algebra,
     std_basis,
@@ -765,3 +766,75 @@ def test_search_exhaustion_exits_4(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("computation error: no primitive element found")
     assert EXHAUSTED_SEARCH in err
+
+
+def _canonical_structure(C, seed):
+    """What the search seed must not change: the etale inclusion and
+    retraction, the component dims and iso, the group-likes and the
+    idempotents."""
+    data = etale_part(C, seed)
+    return (
+        data.inclusion.matrix,
+        data.retraction.matrix,
+        [c.dim for c in data.decomposition.components],
+        irreducible_components(C, seed)[1].matrix,
+        group_likes(C, data).elements,
+        data.decomposition.idempotents,
+    )
+
+
+def test_structure_does_not_depend_on_the_search_seed():
+    """Each seed draws other candidate elements and factors other
+    polynomials, but the results are canonical."""
+    for C in corpus.corpus(0, 48):
+        ref = _canonical_structure(C, 0)
+        for seed in (1, 2, 7):
+            assert _canonical_structure(C, seed) == ref
+
+
+def test_rational_structure_against_sympy():
+    """An independent check of the rational decomposition of A = C^dual.
+    The characteristic polynomial of multiplication by x is, on a local
+    component of dim d with residue field K, f^(d / deg f) for the minimal
+    polynomial f of the image of x in K; a generic x gives distinct f of
+    degree [K : Q], so sympy's factors over QQ recount the components, their
+    residue degrees and dims, and the group-likes."""
+    sympy = pytest.importorskip(
+        "sympy", reason="sympy is not installed: rational structure cross-check against sympy skipped")
+    t = sympy.Symbol("t")
+
+    def rational(a):
+        return sympy.Rational(a.numerator, a.denominator)
+
+    rng = random.Random(67)
+    for C in corpus.corpus(0, 40, fields=[QQ]):
+        A = dual_algebra(C)
+        n = A.dim
+        data = etale_part(C)
+        comps = data.decomposition.components
+        draws = []
+        for _ in range(3):
+            L = A.mult_matrix([QQ.from_int(rng.randint(-99, 99)) for _ in range(n)])
+            charpoly = sympy.Matrix([[rational(a) for a in row] for row in L.data]).charpoly(t)
+            draws.append(charpoly.factor_list()[1])
+        assert all(len(factors) <= len(comps) for factors in draws)
+        best = max(draws, key=lambda factors: (len(factors), sum(f.degree() for f, _ in factors)))
+        assert len(best) == len(comps)
+        assert sum(f.degree() == 1 for f, _ in best) == len(group_likes(C, data).elements)
+        assert sorted((f.degree(), m) for f, m in best) == \
+               sorted((c.residue.dim, Fraction(c.dim, c.residue.dim)) for c in comps)
+        for c in comps:
+            p = sympy.Poly([rational(a) for a in reversed(c.residue.minimal_poly.coeffs)], t)
+            assert p.degree() == c.residue.dim and p.is_irreducible
+
+        # orthogonal idempotents summing to 1, multiplied out from the
+        # structure constants
+        def mul(x, y):
+            return [sum(x[i] * y[j] * row[i * n + j] for i in range(n) for j in range(n))
+                    for row in A.mult.data]
+
+        idems = data.decomposition.idempotents
+        for i, e in enumerate(idems):
+            for j, f in enumerate(idems):
+                assert mul(e, f) == (e if i == j else [0] * n)
+        assert [sum(col) for col in zip(*idems)] == list(A.unit)

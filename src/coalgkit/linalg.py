@@ -75,8 +75,10 @@ class Matrix:
         data = [[z] * cols for _ in range(rows)]
         for i, j, v in entries:
             row = data[i]
-            cur = row[j]
-            row[j] = v if cur is z else add(cur, v)
+            if row[j] is z:
+                row[j] = v
+            else:
+                row[j] = add(row[j], v)
         return cls(field, rows, cols, data)
 
     @classmethod

@@ -143,6 +143,30 @@ def test_gp_unit_reports_a_missing_group_like(monkeypatch):
     assert rep["ok"] is False
 
 
+def test_gp_counit_reports_a_missing_group_like(monkeypatch):
+    """When the group-like search of the source section misses the image of a
+    group-like of the target section, the F branch reports the counit as not
+    natural instead of raising."""
+    from coalgkit import presheaf
+    from coalgkit.structure import GroupLikeSet
+
+    original = presheaf.group_likes
+    calls = []
+
+    def dropping(C, **kwargs):
+        found = original(C, **kwargs)
+        calls.append(C)
+        return GroupLikeSet(C, found.elements[:-1]) if len(calls) == 1 else found
+
+    monkeypatch.setattr(presheaf, "group_likes", dropping)
+    D = diagonal_coalgebra(2, F2)
+    rep = presheaf_gp_adjunction(F=arrow_presheaf(D, D, Matrix.identity(F2, 2)))
+    assert calls
+    assert rep == {"checks": [("counit-sectionwise-valid", True), ("counit-lands-in-etale", True),
+                              ("counit-natural", False), ("split-iso-onto-etale-sections", True)],
+                   "ok": False}
+
+
 def test_gp_adjunction_coalgebra_presheaf():
     D = dual_numbers()
     F = arrow_presheaf(D, D, Matrix.identity(F2, 2))

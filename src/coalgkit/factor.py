@@ -2,8 +2,9 @@
 
 Finite fields: squarefree decomposition, distinct-degree splitting, then
 seeded Cantor-Zassenhaus equal-degree splitting, with a bounded number of
-random trials per split.  Rationals, on integer coefficient lists: a
-modular certificate that f is squarefree (else the same squarefree
+random trials per split; the same splits find one root of a product of
+distinct linear factors (`_one_root`).  Rationals, on integer coefficient
+lists: a modular certificate that f is squarefree (else the same squarefree
 decomposition, its gcds on integers), rational-root extraction, then
 Zassenhaus (the certificate's prime, quadratic Hensel lifting on a factor
 tree in `gfpoly` arithmetic mod p^e, bounded subset recombination), with a
@@ -152,15 +153,8 @@ def _equal_degree(f, d, seed):
 
 
 def _cantor_zassenhaus(f, d, rng):
-    """Cantor-Zassenhaus splitting (Math. Comp. 36, 1981).
-
-    A random v mod g splits g by gcd(g, v^((q^d - 1)/2) - 1) in odd
-    characteristic and by gcd(g, v + v^2 + v^4 + ... + v^(2^(kd - 1))) over
-    F_(2^k).  Each trial splits with probability at least 4/9, so
-    _SPLIT_TRIALS trials per split fail with probability below 10^-16;
-    the bound guards against a broken random source."""
-    F = f.field
-    q = F.order
+    """Cantor-Zassenhaus splitting (Math. Comp. 36, 1981) of f into its
+    degree-d factors."""
     out = []
     stack = [f]
     while stack:
@@ -168,32 +162,58 @@ def _cantor_zassenhaus(f, d, rng):
         if g.degree == d:
             out.append(g)
             continue
-        for _ in range(_SPLIT_TRIALS):
-            v = Polynomial(F, [F.random(rng) for _ in range(g.degree)])
-            if v.degree < 1:
-                continue
-            if F.characteristic == 2:
-                t = Polynomial.zero(F)
-                w = v % g
-                bits = d * _log2_order(F)
-                for _ in range(bits):
-                    t = (t + w) % g
-                    w = (w * w) % g
-                h = g.gcd(t)
-            else:
-                w = v.pow_mod((q**d - 1) // 2, g)
-                h = g.gcd(w - Polynomial.one(F))
-            if 0 < h.degree < g.degree:
-                stack.append(h.monic())
-                stack.append((g // h).monic())
-                break
-        else:
-            raise SearchExhausted(
-                f"Cantor-Zassenhaus split of a degree-{g.degree} polynomial over {F} into "
-                f"degree-{d} factors failed after {_SPLIT_TRIALS} trials "
-                f"(bound _SPLIT_TRIALS = {_SPLIT_TRIALS})"
-            )
+        h = _split(g, d, rng)
+        stack.append(h)
+        stack.append((g // h).monic())
     return out
+
+
+def _one_root(f, seed=0):
+    """One root in its coefficient field of a monic f that is a product of
+    distinct linear factors there: Cantor-Zassenhaus with d = 1, keeping the
+    smaller factor of each split."""
+    rng = derived_rng(seed, f.degree, 1)
+    g = f
+    while g.degree > 1:
+        h = _split(g, 1, rng)
+        rest = (g // h).monic()
+        g = h if h.degree <= rest.degree else rest
+    return f.field.neg(g.coeffs[0])
+
+
+def _split(g, d, rng):
+    """A proper monic factor of monic squarefree g, all of whose irreducible
+    factors have degree d.
+
+    A random v mod g splits g by gcd(g, v^((q^d - 1)/2) - 1) in odd
+    characteristic and by gcd(g, v + v^2 + v^4 + ... + v^(2^(kd - 1))) over
+    F_(2^k).  Each trial splits with probability at least 4/9, so
+    _SPLIT_TRIALS trials fail with probability below 10^-16; the bound
+    guards against a broken random source."""
+    F = g.field
+    q = F.order
+    for _ in range(_SPLIT_TRIALS):
+        v = Polynomial(F, [F.random(rng) for _ in range(g.degree)])
+        if v.degree < 1:
+            continue
+        if F.characteristic == 2:
+            t = Polynomial.zero(F)
+            w = v % g
+            bits = d * _log2_order(F)
+            for _ in range(bits):
+                t = (t + w) % g
+                w = (w * w) % g
+            h = g.gcd(t)
+        else:
+            w = v.pow_mod((q**d - 1) // 2, g)
+            h = g.gcd(w - Polynomial.one(F))
+        if 0 < h.degree < g.degree:
+            return h.monic()
+    raise SearchExhausted(
+        f"Cantor-Zassenhaus split of a degree-{g.degree} polynomial over {F} into "
+        f"degree-{d} factors failed after {_SPLIT_TRIALS} trials "
+        f"(bound _SPLIT_TRIALS = {_SPLIT_TRIALS})"
+    )
 
 
 def _log2_order(F):

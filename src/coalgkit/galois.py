@@ -4,11 +4,14 @@ the induced adjunction between finite G-sets and coalgebras.
 A GaloisDatum packages a field extension L/k as an ArtinAlgebra with its
 automorphism matrices and group multiplication table (table[i][j] is the
 index of sigma_i o sigma_j).  The left adjoint sends a finite G-set X to the
-dual coalgebra of the algebra of equivariant maps X -> L (for one orbit with
-stabilizer H this is the fixed field L^H, and disjoint unions go to direct
-sums).  The right adjoint of a coalgebra C is the G-set of algebra maps
-C^dual -> L, computed per dual local component by finding the roots of the
-residue minimal polynomial in L; G acts by postcomposition.
+dual coalgebra of the algebra of equivariant maps X -> L.  It is built one
+orbit at a time: on an orbit with stabilizer H the equivariant maps are the
+fixed field L^H, spread over the orbit by the automorphisms, and disjoint
+unions go to direct sums.  The right adjoint of a coalgebra C is the G-set of
+algebra maps C^dual -> L, one per root in L of the residue minimal polynomial
+of each dual local component.  Over a prime field one root is found in L and
+the others are its images under G, which acts transitively on them; G acts
+on the maps by postcomposition, that is, by moving the roots.
 """
 
 from .coalgebra import (
@@ -28,7 +31,7 @@ from .errors import (
     SpecMismatch,
     ValidationError,
 )
-from .factor import roots_in_field
+from .factor import _one_root, roots_in_field
 from .fields import ExtensionField, PrimeField, RationalField
 from .linalg import Matrix, Subspace
 from .polys import Polynomial
@@ -36,7 +39,9 @@ from .structure import FieldDatum, etale_part, primitive_element
 
 
 class GaloisDatum:
-    __slots__ = ("base", "L", "automorphisms", "table", "size", "identity", "_primitive")
+    __slots__ = (
+        "base", "L", "automorphisms", "table", "size", "identity", "_primitive", "_fixed",
+    )
 
     def __init__(self, base, L, automorphisms, table, check=True):
         self.base = base
@@ -46,6 +51,7 @@ class GaloisDatum:
         self.size = len(automorphisms)
         self.identity = _table_identity(self.table)
         self._primitive = None
+        self._fixed = {}
         if check:
             self._validate()
 
@@ -106,15 +112,18 @@ class GaloisDatum:
         return self._primitive
 
     def fixed_space(self, H):
-        F = self.base
-        g = self.L.dim
-        rows = []
-        I = Matrix.identity(F, g)
-        for h in H:
-            rows.extend((self.automorphisms[h] - I).data)
-        if not rows:
-            return Subspace.full(F, g)
-        return Matrix.from_rows(F, rows, g).kernel()
+        """L^H as a subspace of L (cached per index tuple H)."""
+        if H not in self._fixed:
+            F = self.base
+            g = self.L.dim
+            rows = []
+            I = Matrix.identity(F, g)
+            for h in H:
+                rows.extend((self.automorphisms[h] - I).data)
+            self._fixed[H] = (
+                Matrix.from_rows(F, rows, g).kernel() if rows else Subspace.full(F, g)
+            )
+        return self._fixed[H]
 
     def subgroups(self):
         """All subgroups, as sorted index tuples (exhaustive; small groups)."""
@@ -338,46 +347,64 @@ class KbarResult:
 
 
 def kbar_functor(D, X):
-    """Equivariant maps X -> L as an algebra; its dual is the value on X."""
+    """Equivariant maps X -> L as an algebra; its dual is the value on X.
+
+    Built one orbit at a time.  On the orbit of x with stabilizer H, an
+    equivariant f is fixed by v = f(x), which lies in L^H, through
+    f(g.x) = sigma_g(v): so the functions from a basis of each L^H span the
+    equivariant maps (kbar[G/H] = (L^H)^dual), and their RREF is the canonical
+    basis, that of the kernel of the equivariance equations.  Orbits have
+    disjoint supports, so each basis row lies in one orbit and rows of two
+    orbits multiply to zero: only the products inside an orbit are formed
+    (one per unordered pair, L being commutative), with their coordinates
+    over the orbit's rows.
+    """
     F = D.base
-    n = D.L.dim
-    N = n * X.size
-    rows = []
-    for g in range(D.size):
-        M = D.automorphisms[g]
-        for x in range(X.size):
-            y = X.action[g][x]
-            # v[y*n + c] - sum_d M[c][d] v[x*n + d] = 0
-            for c in range(n):
-                row = [F.zero] * N
-                row[y * n + c] = F.add(row[y * n + c], F.one)
-                for d in range(n):
-                    if not F.is_zero(M.data[c][d]):
-                        row[x * n + d] = F.sub(row[x * n + d], M.data[c][d])
-                rows.append(row)
-    basis_space = (
-        Matrix.from_rows(F, rows, N).kernel() if rows else Subspace.full(F, N)
-    )
-    B = basis_space.basis
+    L = D.L
+    n = L.dim
+    orbits = orbits_and_stabilizers(D, X)
+    functions = []
+    for orbit, H, reps in orbits:
+        for v in D.fixed_space(H).vectors():
+            f = {}
+            for y, g in zip(orbit, reps):
+                for c, a in enumerate(D.automorphisms[g].apply(v)):
+                    f[y * n + c] = a
+            functions.append(f)
+    space = Subspace.from_sparse(F, n * X.size, functions)
+    B = space.basis
     m = B.rows
-    Bt = B.transpose()
     unit_vec = []
     for _ in range(X.size):
-        unit_vec.extend(D.L.unit)
-    unit = Bt.solve(unit_vec)
-    prods = []
-    for i in range(m):
-        bi = B.row(i)
-        for j in range(m):
-            bj = B.row(j)
-            vec = []
-            for x in range(X.size):
-                vec.extend(D.L.mul(bi[x * n : (x + 1) * n], bj[x * n : (x + 1) * n]))
-            prods.append(vec)
-    mult = Bt.solve_matrix(Matrix.from_cols(F, prods, N)) if m else Matrix.zeros(F, 0, 0)
-    if unit is None or mult is None:
+        unit_vec.extend(L.unit)
+    unit = space.coordinates(unit_vec)
+    if unit is None:
         raise ComputationError("equivariant function algebra is not closed")
-    A_X = ArtinAlgebra(F, m, mult, unit if unit is not None else [])
+    orbit_of = {y: t for t, (orbit, _, _) in enumerate(orbits) for y in orbit}
+    members = [[] for _ in orbits]  # basis rows of each orbit
+    for i, p in enumerate(space.pivots()):
+        members[orbit_of[p // n]].append(i)
+    entries = []
+    for (orbit, _, _), rows in zip(orbits, members):
+        # the orbit's rows on the orbit's slots: still in RREF
+        cols = [y * n + c for y in sorted(orbit) for c in range(n)]
+        block = [[B.data[i][c] for c in cols] for i in rows]
+        local = Subspace(F, len(cols), Matrix(F, len(rows), len(cols), block))
+        for a, i in enumerate(rows):
+            for b in range(a, len(rows)):
+                j = rows[b]
+                prod = []
+                for s in range(0, len(cols), n):
+                    prod.extend(L.mul(block[a][s : s + n], block[b][s : s + n]))
+                coords = local.coordinates(prod)
+                if coords is None:
+                    raise ComputationError("equivariant function algebra is not closed")
+                for k, c in zip(rows, coords):
+                    if not F.is_zero(c):
+                        entries.append((k, i * m + j, c))
+                        if i != j:
+                            entries.append((k, j * m + i, c))
+    A_X = ArtinAlgebra(F, m, Matrix.from_entries(F, m, m * m, entries), unit)
     return KbarResult(dual_coalgebra(A_X), A_X, B, X, D)
 
 
@@ -410,7 +437,14 @@ def kbar_on_map(D, f, kX, kY):
 
 
 def _roots_in_extension(D, poly):
-    """Roots of a base-field polynomial inside L, as coordinate vectors."""
+    """Roots of a base-field polynomial inside L, as coordinate vectors.
+
+    Over a prime field the residue polynomial p is irreducible (the minimal
+    polynomial of a primitive element of a field), so it has roots in
+    L = F_(p^e) exactly when deg p divides e, and then deg p distinct ones.
+    One root r is found by Cantor-Zassenhaus in L; G acts transitively on
+    the roots, so they are the images sigma_g(r).
+    """
     F = D.base
     L = D.L
     if poly.degree == 1:
@@ -419,13 +453,21 @@ def _roots_in_extension(D, poly):
     if L.dim == 1:
         return [[F.mul(r, u) for u in L.unit] for r, _ in roots_in_field(poly)]
     if isinstance(F, PrimeField):
+        if L.dim % poly.degree:
+            return []
         theta, f_L = D.primitive()
         ext = ExtensionField(F.p, [int(c) for c in f_L.coeffs])
-        lifted = Polynomial(ext, [ext.from_int(c) for c in poly.coeffs])
-        out = []
-        for r, _ in roots_in_field(lifted):
-            out.append(L.eval_poly(Polynomial(F, list(r)), theta))
-        return out
+        r = _one_root(Polynomial(ext, [ext.from_int(c) for c in poly.coeffs]))
+        root = L.eval_poly(Polynomial(F, list(r)), theta)
+        if any(not F.is_zero(c) for c in L.eval_poly(poly, root)):
+            raise ComputationError("a root of the residue polynomial is not a root in L")
+        orbit = {tuple(M.apply(root)): None for M in D.automorphisms}
+        if len(orbit) != poly.degree:
+            raise ComputationError(
+                f"the Galois orbit of a root of a degree-{poly.degree} residue polynomial "
+                f"has {len(orbit)} elements"
+            )
+        return [list(x) for x in orbit]
     if isinstance(F, RationalField):
         raise NotSupported(
             "root finding inside a nontrivial number field requires number-field "
@@ -488,42 +530,49 @@ class RightAdjointData:
 
 
 def right_adjoint(D, C):
-    """All algebra maps C^dual -> L as a G-set (postcomposition action)."""
+    """All algebra maps C^dual -> L as a G-set (postcomposition action).
+
+    The maps of a dual local component are psi_r = (t -> r) o q onto its
+    residue field k[t]/(p), one per root r of p in L, and
+    sigma_g o psi_r = psi_(sigma_g(r)): the action permutes the roots."""
     if C.field != D.base:
         raise SpecMismatch("coalgebra and Galois datum over different fields")
     data = etale_part(C)
     maps = []
     comp_idx = []
     dims = []
+    moved = []  # moved[t][g]: the index of sigma_g o maps[t]
     for i, (comp, w) in enumerate(zip(data.decomposition.components, data.splittings)):
         q_i = w.retract @ comp.projection  # A -> K_i = k[t]/(p_i)
         p_i = w.field_datum.minimal_poly
-        for root in _roots_in_extension(D, p_i):
+        roots = _roots_in_extension(D, p_i)
+        index_of = {tuple(r): len(maps) + j for j, r in enumerate(roots)}
+        for root in roots:
             powers = []
             acc = list(D.L.unit)
             for _ in range(p_i.degree):
                 powers.append(acc)
                 acc = D.L.mul(acc, root)
             emb = Matrix.from_cols(D.base, powers, D.L.dim)
+            images = []
+            for M in D.automorphisms:
+                key = tuple(M.apply(root))
+                if key not in index_of:
+                    raise ComputationError("Galois action left the computed map set")
+                images.append(index_of[key])
             maps.append(emb @ q_i)
             comp_idx.append(i)
             dims.append(p_i.degree)
+            moved.append(images)
     order = sorted(range(len(maps)), key=lambda t: maps[t].sort_key())
+    position = [0] * len(maps)
+    for s, t in enumerate(order):
+        position[t] = s
+    action = [[position[moved[t][g]] for t in order] for g in range(D.size)]
+    gset = FiniteGSet(len(maps), action, D.table)
     maps = [maps[t] for t in order]
     comp_idx = [comp_idx[t] for t in order]
     dims = [dims[t] for t in order]
-    index_of = {m.sort_key(): t for t, m in enumerate(maps)}
-    action = []
-    for g in range(D.size):
-        M = D.automorphisms[g]
-        perm = []
-        for psi in maps:
-            key = (M @ psi).sort_key()
-            if key not in index_of:
-                raise ComputationError("Galois action left the computed map set")
-            perm.append(index_of[key])
-        action.append(perm)
-    gset = FiniteGSet(len(maps), action, D.table)
     return RightAdjointData(D, C, maps, gset, comp_idx, dims, data)
 
 

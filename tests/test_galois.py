@@ -327,3 +327,205 @@ def test_empty_gset_and_zero_coalgebra():
     Z = diagonal_coalgebra(0, F2)
     assert right_adjoint(D4, Z).gset.size == 0
     assert adjunction_checks(D4, C=Z)["ok"]
+
+
+# -- pinned bytes of the functor, the right adjoint and the checks ---------------
+
+DATA = {"F4/F2": D4, "F8/F2": D8, "F9/F3": D9, "F16/F2": D16}
+
+
+def coset_unions(D, max_size=6):
+    """Every disjoint union of cosets G/H of total size <= max_size, the empty
+    one first, with its parts in the order of `D.subgroups()`."""
+    subs = D.subgroups()
+    out = []
+
+    def extend(start, parts, size):
+        out.append(disjoint_union(D, [coset_gset(D, H) for H in parts]))
+        for i in range(start, len(subs)):
+            orbit = D.size // len(subs[i])
+            if size + orbit <= max_size:
+                extend(i, parts + [subs[i]], size + orbit)
+
+    extend(0, [], 0)
+    return out
+
+
+def relabelled(D, X, rng):
+    """X with its points renamed by a random permutation, so that the orbits
+    interleave."""
+    perm = list(range(X.size))
+    rng.shuffle(perm)
+    action = []
+    for g in range(D.size):
+        moved = [0] * X.size
+        for x in range(X.size):
+            moved[perm[x]] = perm[X.action[g][x]]
+        action.append(moved)
+    return FiniteGSet(X.size, action, D.table)
+
+
+def galois_gsets(D, seed=3):
+    import random
+
+    rng = random.Random(seed)
+    unions = coset_unions(D)
+    return unions + [relabelled(D, X, rng) for X in unions]
+
+
+def _right_adjoint_json(R):
+    from coalgkit import jsonio
+
+    return {
+        "maps": [jsonio.matrix_to_json(m) for m in R.maps],
+        "action": R.gset.action,
+        "components": R.components,
+        "image_dims": R.image_dims,
+    }
+
+
+def _kbar_json(D, X):
+    from coalgkit import jsonio
+
+    kX = kbar_functor(D, X)
+    return {
+        "basis": jsonio.matrix_to_json(kX.basis),
+        "mult": jsonio.matrix_to_json(kX.algebra.mult),
+        "unit": jsonio.vector_to_json(D.base, kX.algebra.unit),
+        "right_adjoint": _right_adjoint_json(right_adjoint(D, kX.coalgebra)),
+    }
+
+
+def galois_coalgebras(D, seed=11):
+    """30 corpus coalgebras over the base, then 10 duals of algebras whose
+    residue fields all embed into L."""
+    import random
+
+    from coalgkit import corpus
+
+    rng = random.Random(seed)
+    out = [corpus.random_coalgebra(rng, D.base, 5) for _ in range(30)]
+    degrees = [k for k in range(1, D.size + 1) if D.size % k == 0]
+    for _ in range(10):
+        A = corpus.random_subfield_compatible_algebra(rng, D.base, rng.randint(1, 6), degrees)
+        out.append(dual_coalgebra(A))
+    return out
+
+
+# sha256 of the k̄[X] basis, multiplication and unit and of R(k̄[X]) on every
+# coset union of size <= 6 (and a relabelling of each), then of the adjunction
+# reports and the right adjoints of seeded coalgebras, per datum; recorded
+# while k̄[X] was still the kernel of the equivariance equations and the roots
+# came from a full factorization over L
+GALOIS_SHA256 = {
+    "F4/F2": "55f8cca87c9a990107e93f38562b07ea6f195b6323c9964a2a0900f0951f422b",
+    "F8/F2": "cfcc32d987c6212f0658a28f2224597a2603b9b847b1e9f83c6f5d23e1ce0efa",
+    "F9/F3": "1ed08bcca6ce4ef286d80becbc7c46670524710f2e3f942f86c7d47e60e2cda8",
+    "F16/F2": "8e07a4c1d026e838664748f0057f9b13f606f993f57f687b6724ec14b0ccf747",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DATA))
+def test_galois_golden_digest(name):
+    import hashlib
+
+    from coalgkit import jsonio
+
+    D = DATA[name]
+    h = hashlib.sha256()
+    for X in galois_gsets(D):
+        h.update(jsonio.canonical_json(_kbar_json(D, X)).encode())
+    for C in galois_coalgebras(D):
+        h.update(jsonio.canonical_json(adjunction_checks(D, C=C)).encode())
+        h.update(jsonio.canonical_json(_right_adjoint_json(right_adjoint(D, C))).encode())
+    assert h.hexdigest() == GALOIS_SHA256[name]
+
+
+def equivariance_kernel(D, X):
+    """The functions f: X -> L with f(g.x) = sigma_g(f(x)) for all g and x,
+    as the kernel of those linear equations on L^X (slot-major)."""
+    from coalgkit.linalg import Subspace
+
+    F = D.base
+    n = D.L.dim
+    N = n * X.size
+    rows = []
+    for g in range(D.size):
+        M = D.automorphisms[g]
+        for x in range(X.size):
+            y = X.action[g][x]
+            for c in range(n):
+                row = [F.zero] * N
+                row[y * n + c] = F.add(row[y * n + c], F.one)
+                for d in range(n):
+                    row[x * n + d] = F.sub(row[x * n + d], M.data[c][d])
+                rows.append(row)
+    return Matrix.from_rows(F, rows, N).kernel() if rows else Subspace.full(F, N)
+
+
+@pytest.mark.parametrize("name", sorted(DATA))
+def test_kbar_basis_is_the_equivariance_kernel(name):
+    D = DATA[name]
+    for X in galois_gsets(D, seed=5):
+        kX = kbar_functor(D, X)
+        assert kX.basis == equivariance_kernel(D, X).basis
+        assert kX.basis.rows == X.size  # dim k̄[G/H] = [L^H : k] = |G/H|
+
+
+@pytest.mark.parametrize("name", sorted(DATA))
+def test_roots_in_extension_against_factoring_over_L(name):
+    """One root found in L and its Galois orbit are the roots that factoring
+    the lift of p to L finds, for seeded irreducible p of degree 1 to 4."""
+    import random
+
+    from coalgkit import corpus
+    from coalgkit.factor import roots_in_field
+    from coalgkit.fields import ExtensionField
+    from coalgkit.galois import _roots_in_extension
+
+    D = DATA[name]
+    F, L = D.base, D.L
+    theta, f_L = D.primitive()
+    ext = ExtensionField(F.p, [int(c) for c in f_L.coeffs])
+    rng = random.Random(17)
+    for degree in range(1, 5):
+        for _ in range(6):
+            p = corpus.random_irreducible(rng, F, degree)
+            roots = _roots_in_extension(D, p)
+            lifted = Polynomial(ext, [ext.from_int(c) for c in p.coeffs])
+            expected = {
+                tuple(L.eval_poly(Polynomial(F, list(r)), theta)) for r, _ in roots_in_field(lifted)
+            }
+            assert {tuple(r) for r in roots} == expected
+            assert len(roots) == (degree if L.dim % degree == 0 else 0)
+            assert all(L.eval_poly(p, r) == [F.zero] * L.dim for r in roots)
+
+
+@pytest.mark.parametrize("name", sorted(DATA))
+def test_roots_in_extension_rejects_a_short_orbit_and_a_false_root(name, monkeypatch):
+    import coalgkit.galois as galois
+    from coalgkit.errors import ComputationError
+
+    D = DATA[name]
+    _, p = D.primitive()  # irreducible of degree [L:k], so it splits in L
+    assert len(galois._roots_in_extension(D, p)) == p.degree
+    # every automorphism replaced by the identity: the orbit of a root is short
+    flat = GaloisDatum(D.base, D.L, [D.automorphisms[D.identity]] * D.size, D.table, check=False)
+    with pytest.raises(ComputationError, match="orbit"):
+        galois._roots_in_extension(flat, p)
+    # a root finder that returns 0, which is no root of p
+    monkeypatch.setattr(galois, "_one_root", lambda f: f.field.zero)
+    with pytest.raises(ComputationError, match="not a root"):
+        galois._roots_in_extension(D, p)
+
+
+def test_right_adjoint_rejects_an_action_outside_its_maps(monkeypatch):
+    """With one of the two roots of x^2 + x + 1 in F_4 dropped, Frobenius sends
+    the remaining map to one that is not computed."""
+    import coalgkit.galois as galois
+    from coalgkit.errors import ComputationError
+
+    original = galois._roots_in_extension
+    monkeypatch.setattr(galois, "_roots_in_extension", lambda D, poly: original(D, poly)[1:])
+    with pytest.raises(ComputationError, match="left the computed map set"):
+        right_adjoint(D4, dual_coalgebra(pqa(F2, [1, 1, 1])))

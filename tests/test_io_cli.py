@@ -382,3 +382,26 @@ def test_cli_galois_commands():
         "--format", "json", "galois-adjunction", galois, os.path.join(DATA, "F4dual.json")
     )
     assert proc.returncode == 0 and json.loads(proc.stdout)["ok"] is True
+
+
+# sha256 of the --format json stdout of the Galois commands over galois_F4.json,
+# recorded while k̄[X] was still the kernel of the equivariance equations and
+# the roots came from a full factorization over L
+GALOIS_STDOUT_SHA256 = {
+    "galois-functor gset_regular.json": "bed22e7f8e6a3b83260c494600646f8d530bf9758aa99e6da8ebc036d40dd59c",
+    "galois-adjunction gset_regular.json": "9dc6713281c47011541cfd7e2fba8fde3da175f0bb31404ad490d045976afd22",
+    "galois-adjunction F4dual.json": "9c55d5d75bcaf4a241f67e4fd1e8a3d0a1d065c057cdf8b9ac98c6ea875cbf52",
+    "galois-adjunction diagonal3.json": "9c55d5d75bcaf4a241f67e4fd1e8a3d0a1d065c057cdf8b9ac98c6ea875cbf52",
+    "galois-adjunction dual_numbers.json": "9c55d5d75bcaf4a241f67e4fd1e8a3d0a1d065c057cdf8b9ac98c6ea875cbf52",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GALOIS_STDOUT_SHA256))
+def test_cli_galois_commands_golden_digest(case, capsys):
+    from coalgkit import cli
+
+    command, name = case.split()
+    argv = ["--format", "json", command, os.path.join(DATA, "galois_F4.json"), os.path.join(DATA, name)]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GALOIS_STDOUT_SHA256[case]

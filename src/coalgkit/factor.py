@@ -168,11 +168,11 @@ def _cantor_zassenhaus(f, d, rng):
     return out
 
 
-def _one_root(f, seed=0):
+def _one_root(f):
     """One root in its coefficient field of a monic f that is a product of
     distinct linear factors there: Cantor-Zassenhaus with d = 1, keeping the
-    smaller factor of each split."""
-    rng = derived_rng(seed, f.degree, 1)
+    smaller factor of each split, on the stream of `_equal_degree` at seed 0."""
+    rng = derived_rng(0, f.degree, 1)
     g = f
     while g.degree > 1:
         h = _split(g, 1, rng)

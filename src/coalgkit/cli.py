@@ -33,8 +33,7 @@ class Workspace:
     """Named entities loaded from files; names are unique and every entity
     is validated on load."""
 
-    def __init__(self, seed):
-        self.seed = seed
+    def __init__(self):
         self.entities = {}
 
     def add(self, name, entity):
@@ -172,7 +171,7 @@ def main(argv=None):
         saved_cap, factor.DEFAULT_DEGREE_CAP = factor.DEFAULT_DEGREE_CAP, opts.degree_cap
     try:
         seed = _seed(opts.seed)
-        workspace = Workspace(seed)
+        workspace = Workspace()
         for item in opts.load:
             name, _, path = item.partition("=")
             if not path:

@@ -94,11 +94,6 @@ class LinearMonoidalCategory:
     def hom_dim(self, a, b):
         return self.hom_dims.get((a, b), 0)
 
-    def mor(self, a, b, coords):
-        if len(coords) != self.hom_dim(a, b):
-            raise ShapeMismatch("morphism coordinate length mismatch")
-        return (a, b, tuple(coords))
-
     def id_mor(self, a):
         return (a, a, tuple(self.identities[a]))
 

@@ -31,16 +31,17 @@ from .errors import (
     SpecMismatch,
     ValidationError,
 )
-from .factor import _one_root, roots_in_field
+from .factor import _one_root
 from .fields import ExtensionField, PrimeField, RationalField
 from .linalg import Matrix, Subspace
 from .polys import Polynomial
-from .structure import FieldDatum, etale_part, primitive_element
+from .structure import FieldDatum, etale_part, power_basis, primitive_element
 
 
 class GaloisDatum:
     __slots__ = (
-        "base", "L", "automorphisms", "table", "size", "identity", "_primitive", "_fixed",
+        "base", "L", "automorphisms", "table", "size", "identity", "_primitive", "_extension",
+        "_fixed",
     )
 
     def __init__(self, base, L, automorphisms, table, check=True):
@@ -51,6 +52,7 @@ class GaloisDatum:
         self.size = len(automorphisms)
         self.identity = _table_identity(self.table)
         self._primitive = None
+        self._extension = None
         self._fixed = {}
         if check:
             self._validate()
@@ -110,6 +112,15 @@ class GaloisDatum:
         if self._primitive is None:
             self._primitive = primitive_element(self.L)
         return self._primitive
+
+    def _extension_field(self):
+        """L over a prime base as an ExtensionField on the minimal polynomial
+        of primitive() (cached: building one tests that polynomial for
+        irreducibility)."""
+        if self._extension is None:
+            _, f_L = self.primitive()
+            self._extension = ExtensionField(self.base.p, [int(c) for c in f_L.coeffs])
+        return self._extension
 
     def fixed_space(self, H):
         """L^H as a subspace of L (cached per index tuple H)."""
@@ -192,11 +203,11 @@ class FiniteGSet:
 
     __slots__ = ("size", "action")
 
-    def __init__(self, size, action, table=None, identity=None):
+    def __init__(self, size, action, table=None):
         self.size = size
         self.action = [list(p) for p in action]
         if table is not None:
-            self._validate(table, identity)
+            self._validate(table)
 
     def validate(self):
         """No violations to report: the action is checked against a group
@@ -204,7 +215,7 @@ class FiniteGSet:
         to check it against."""
         return []
 
-    def _validate(self, table, identity):
+    def _validate(self, table):
         g = len(table)
         if len(self.action) != g:
             raise InvalidAction("one permutation per group element required")
@@ -212,8 +223,7 @@ class FiniteGSet:
             # the length first: a declared size is not allocated unchecked
             if len(p) != self.size or sorted(p) != list(range(self.size)):
                 raise InvalidAction("action entries must be permutations")
-        if identity is None:
-            identity = _table_identity(table)
+        identity = _table_identity(table)
         if self.action[identity] != list(range(self.size)):
             raise InvalidAction("identity does not act trivially")
         for i in range(g):
@@ -437,13 +447,14 @@ def kbar_on_map(D, f, kX, kY):
 
 
 def _roots_in_extension(D, poly):
-    """Roots of a base-field polynomial inside L, as coordinate vectors.
+    """Roots of a residue polynomial inside L, as coordinate vectors.
 
-    Over a prime field the residue polynomial p is irreducible (the minimal
-    polynomial of a primitive element of a field), so it has roots in
-    L = F_(p^e) exactly when deg p divides e, and then deg p distinct ones.
-    One root r is found by Cantor-Zassenhaus in L; G acts transitively on
-    the roots, so they are the images sigma_g(r).
+    A residue polynomial p is irreducible (the minimal polynomial of a
+    primitive element of a field).  So at L = k one of degree > 1 has no
+    root, and no factoring is needed to say so.  Over a prime field p has
+    roots in L = F_(p^e) exactly when deg p divides e, and then deg p
+    distinct ones.  One root r is found by Cantor-Zassenhaus in L; G acts
+    transitively on the roots, so they are the images sigma_g(r).
     """
     F = D.base
     L = D.L
@@ -451,12 +462,12 @@ def _roots_in_extension(D, poly):
         c = F.neg(poly.coeffs[0])
         return [[F.mul(c, u) for u in L.unit]]
     if L.dim == 1:
-        return [[F.mul(r, u) for u in L.unit] for r, _ in roots_in_field(poly)]
+        return []
     if isinstance(F, PrimeField):
         if L.dim % poly.degree:
             return []
-        theta, f_L = D.primitive()
-        ext = ExtensionField(F.p, [int(c) for c in f_L.coeffs])
+        theta, _ = D.primitive()
+        ext = D._extension_field()
         r = _one_root(Polynomial(ext, [ext.from_int(c) for c in poly.coeffs]))
         root = L.eval_poly(Polynomial(F, list(r)), theta)
         if any(not F.is_zero(c) for c in L.eval_poly(poly, root)):
@@ -534,7 +545,9 @@ def right_adjoint(D, C):
 
     The maps of a dual local component are psi_r = (t -> r) o q onto its
     residue field k[t]/(p), one per root r of p in L, and
-    sigma_g o psi_r = psi_(sigma_g(r)): the action permutes the roots."""
+    sigma_g o psi_r = psi_(sigma_g(r)): the action permutes the roots.  q is
+    read off `etale_part`: the inclusion of the component's simple
+    subcoalgebra is q^T."""
     if C.field != D.base:
         raise SpecMismatch("coalgebra and Galois datum over different fields")
     data = etale_part(C)
@@ -542,18 +555,13 @@ def right_adjoint(D, C):
     comp_idx = []
     dims = []
     moved = []  # moved[t][g]: the index of sigma_g o maps[t]
-    for i, (comp, w) in enumerate(zip(data.decomposition.components, data.splittings)):
-        q_i = w.retract @ comp.projection  # A -> K_i = k[t]/(p_i)
+    for i, ((_, inc), w) in enumerate(zip(data.simples, data.splittings)):
+        q_i = inc.matrix.transpose()  # A -> K_i = k[t]/(p_i)
         p_i = w.field_datum.minimal_poly
         roots = _roots_in_extension(D, p_i)
         index_of = {tuple(r): len(maps) + j for j, r in enumerate(roots)}
         for root in roots:
-            powers = []
-            acc = list(D.L.unit)
-            for _ in range(p_i.degree):
-                powers.append(acc)
-                acc = D.L.mul(acc, root)
-            emb = Matrix.from_cols(D.base, powers, D.L.dim)
+            emb = Matrix.from_cols(D.base, power_basis(D.L, root, p_i.degree), D.L.dim)
             images = []
             for M in D.automorphisms:
                 key = tuple(M.apply(root))
@@ -611,14 +619,7 @@ def counit_morphism(D, C, radj=None):
     """kbar[R(C)] -> C, dual to evaluation a -> (psi -> psi(a))."""
     R = radj if radj is not None else right_adjoint(D, C)
     kY = kbar_functor(D, R.gset)
-    F = D.base
-    n = D.L.dim
-    if R.maps:
-        T = R.maps[0]
-        for psi in R.maps[1:]:
-            T = T.vstack(psi)
-    else:
-        T = Matrix.zeros(F, 0, C.dim)
+    T = Matrix.from_rows(D.base, [row for psi in R.maps for row in psi.data], C.dim)
     coords = kY.basis.transpose().solve_matrix(T)
     if coords is None:
         raise ComputationError("evaluation image is not equivariant")

@@ -289,14 +289,12 @@ class Matrix:
         aug = self.hstack(B)
         R, _, pivots = aug.rref()
         n = self.cols
+        if any(p >= n for p in pivots):
+            return None  # a pivot in the rhs block: inconsistent
+        rows = [[F.zero] * B.cols for _ in range(n)]
         for i, p in enumerate(pivots):
-            if p >= n:
-                return None  # a pivot in the rhs block: inconsistent
-        X = Matrix.zeros(F, n, B.cols)
-        for i, p in enumerate(pivots):
-            for j in range(B.cols):
-                X.data[p][j] = R.data[i][n + j]
-        return X
+            rows[p] = R.data[i][n:]
+        return Matrix(F, n, B.cols, rows)
 
     def inverse(self):
         if self.rows != self.cols:
@@ -1078,7 +1076,7 @@ def kronecker(A, B):
     if A.field != B.field:
         raise SpecMismatch("kronecker over different fields")
     F = A.field
-    out = Matrix.zeros(F, A.rows * B.rows, A.cols * B.cols)
+    rows = [[F.zero] * (A.cols * B.cols) for _ in range(A.rows * B.rows)]
     for i in range(A.rows):
         for k in range(A.cols):
             a = A.data[i][k]
@@ -1086,22 +1084,19 @@ def kronecker(A, B):
                 continue
             for j in range(B.rows):
                 brow = B.data[j]
-                orow = out.data[i * B.rows + j]
+                orow = rows[i * B.rows + j]
                 base = k * B.cols
                 for l in range(B.cols):
                     b = brow[l]
                     if not F.is_zero(b):
                         orow[base + l] = F.mul(a, b)
-    return out
+    return Matrix(F, A.rows * B.rows, A.cols * B.cols, rows)
 
 
 def tensor_swap(field, m, n):
     """Permutation matrix k^m (x) k^n -> k^n (x) k^m, e_i(x)e_j -> e_j(x)e_i."""
-    T = Matrix.zeros(field, m * n, m * n)
-    for i in range(m):
-        for j in range(n):
-            T.data[j * m + i][i * n + j] = field.one
-    return T
+    entries = [(j * m + i, i * n + j, field.one) for i in range(m) for j in range(n)]
+    return Matrix.from_entries(field, m * n, m * n, entries)
 
 
 def quotient_maps(sub):
@@ -1116,18 +1111,18 @@ def quotient_maps(sub):
     pivots = sub.pivots()
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
-    q = Matrix.zeros(F, len(free), n)
+    z, one = F.zero, F.one
+    q = [[z] * n for _ in free]
+    s = [[z] * len(free) for _ in range(n)]
     for idx, j in enumerate(free):
-        q.data[idx][j] = F.one
+        q[idx][j] = one
+        s[j][idx] = one
     for i, p in enumerate(pivots):
         row = sub.basis.data[i]
         for idx, j in enumerate(free):
             if not F.is_zero(row[j]):
-                q.data[idx][p] = F.neg(row[j])
-    s = Matrix.zeros(F, n, len(free))
-    for idx, j in enumerate(free):
-        s.data[j][idx] = F.one
-    return q, s
+                q[idx][p] = F.neg(row[j])
+    return Matrix(F, len(free), n, q), Matrix(F, n, len(free), s)
 
 
 class Coequalizer:

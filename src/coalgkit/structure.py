@@ -17,10 +17,8 @@ from fractions import Fraction
 from . import gfpoly
 from .coalgebra import (
     ArtinAlgebra,
-    Coalgebra,
     CoalgebraMorphism,
     diagonal_coalgebra,
-    direct_sum,
     dual_algebra,
     dual_coalgebra,
     is_multiplicative,
@@ -328,10 +326,9 @@ class LocalComponent:
         "nilpotency_index",
         "residue",
         "residue_projection",
-        "residue_section",
     )
 
-    def __init__(self, algebra, embedding, projection, idempotent, rad, nilp, residue, rproj, rsect):
+    def __init__(self, algebra, embedding, projection, idempotent, rad, nilp, residue, rproj):
         self.algebra = algebra
         self.embedding = embedding
         self.projection = projection
@@ -340,7 +337,6 @@ class LocalComponent:
         self.nilpotency_index = nilp
         self.residue = residue
         self.residue_projection = rproj
-        self.residue_section = rsect
 
     @property
     def dim(self):
@@ -357,10 +353,6 @@ class LocalDecomposition:
         self.algebra = algebra
         self.idempotents = idempotents
         self.components = components
-
-    @property
-    def radicals(self):
-        return [c.radical for c in self.components]
 
     def __repr__(self):
         dims = [c.dim for c in self.components]
@@ -391,12 +383,10 @@ def local_decomposition(A, seed=_SEARCH_SEED):
         # rad(eA) = e rad(A), so its canonical basis is that of P rad(A)
         rad_i = Subspace.from_vectors(F, comp.dim, [P.apply(v) for v in rad.vectors()])
         nilp = _nilpotency_index(comp, rad_i)
-        Kbar, rproj, rsect = quotient_algebra(comp, rad_i)
+        Kbar, rproj, _ = quotient_algebra(comp, rad_i)
         prim, minpoly = primitive_element(Kbar, seed)
         residue = FieldDatum(Kbar, prim, minpoly)
-        components.append(
-            LocalComponent(comp, E, P, e, rad_i, nilp, residue, rproj, rsect)
-        )
+        components.append(LocalComponent(comp, E, P, e, rad_i, nilp, residue, rproj))
     # residue degree leads and coordinates are compared reversed: both are
     # needed so that an already block-diagonal semisimple algebra decomposes
     # into its blocks in block order, which makes the etale construction a
@@ -452,17 +442,24 @@ def hensel_lift_root(A, p, start):
     raise ComputationError("Hensel lift did not converge")
 
 
-class WedderburnSplitting:
-    __slots__ = ("field_datum", "embedding", "retract", "root")
+def power_basis(A, x, d):
+    """The powers 1, x, .., x^(d - 1) of x in the algebra A."""
+    powers = []
+    for i in range(d):
+        powers.append(A.mul(powers[-1], x) if i else list(A.unit))
+    return powers
 
-    def __init__(self, field_datum, embedding, retract, root):
+
+class WedderburnSplitting:
+    __slots__ = ("field_datum", "embedding", "retract")
+
+    def __init__(self, field_datum, embedding, retract):
         self.field_datum = field_datum
         self.embedding = embedding
         self.retract = retract
-        self.root = root
 
 
-def wedderburn_splitting(component, seed=_SEARCH_SEED):
+def wedderburn_splitting(component):
     """Subfield K of a local algebra with A = K (+) m, by Hensel lifting.
 
     Returns (K as FieldDatum over the base, embedding K -> A, retract A -> K);
@@ -479,11 +476,7 @@ def wedderburn_splitting(component, seed=_SEARCH_SEED):
         raise ComputationError("cannot lift residue primitive element")
     root = hensel_lift_root(A, p, start)
     d = p.degree
-    powers = []
-    acc = list(A.unit)
-    for _ in range(d):
-        powers.append(acc)
-        acc = A.mul(acc, root)
+    powers = power_basis(A, root, d)
     E = Matrix.from_cols(F, powers, A.dim)
     rad_basis = component.radical.vectors()
     P = Matrix.from_cols(F, powers + rad_basis, A.dim)
@@ -498,7 +491,7 @@ def wedderburn_splitting(component, seed=_SEARCH_SEED):
         raise ComputationError("retract is not multiplicative")
     prim = std_basis(F, d)[1] if d > 1 else [F.neg(p.coeffs[0])]
     datum = FieldDatum(K, prim, p)
-    return WedderburnSplitting(datum, E, retract, root)
+    return WedderburnSplitting(datum, E, retract)
 
 
 def product_algebra(field, algebras):
@@ -574,31 +567,22 @@ def etale_part(C, seed=_SEARCH_SEED):
 def _etale_data(C, seed):
     F = C.field
     dec = decomposition(C, seed)
-    splittings = [wedderburn_splitting(c, seed) for c in dec.components]
-    q_blocks = []
-    s_blocks = []
+    splittings = [wedderburn_splitting(c) for c in dec.components]
+    # the inclusion stacks the q_i^T side by side, the retraction the s_i^T
+    # on top of each other
+    inclusion_cols = []
+    retraction_rows = []
     simples = []
     for comp, w in zip(dec.components, splittings):
         q_i = w.retract @ comp.projection  # A -> K_i
         s_i = comp.embedding @ w.embedding  # K_i -> A
-        q_blocks.append(q_i)
-        s_blocks.append(s_i)
+        inclusion_cols.extend(q_i.data)
+        retraction_rows.extend(s_i.transpose().data)
         simple = dual_coalgebra(w.field_datum.as_algebra)
         simples.append((simple, CoalgebraMorphism(simple, C, q_i.transpose())))
-    if q_blocks:
-        Q = q_blocks[0]
-        for b in q_blocks[1:]:
-            Q = Q.vstack(b)
-        S = s_blocks[0]
-        for b in s_blocks[1:]:
-            S = S.hstack(b)
-    else:
-        Q = Matrix.zeros(F, 0, C.dim)
-        S = Matrix.zeros(F, C.dim, 0)
-    P = product_algebra(F, [w.field_datum.as_algebra for w in splittings])
-    etale = dual_coalgebra(P)
-    inclusion = CoalgebraMorphism(etale, C, Q.transpose())
-    retraction = CoalgebraMorphism(C, etale, S.transpose())
+    etale = dual_coalgebra(product_algebra(F, [w.field_datum.as_algebra for w in splittings]))
+    inclusion = CoalgebraMorphism(etale, C, Matrix.from_cols(F, inclusion_cols, C.dim))
+    retraction = CoalgebraMorphism(C, etale, Matrix.from_rows(F, retraction_rows, C.dim))
     check = retraction.matrix @ inclusion.matrix
     if not (check == Matrix.identity(F, etale.dim)):
         raise ComputationError("retraction does not split the inclusion")
@@ -608,23 +592,20 @@ def _etale_data(C, seed):
 def irreducible_components(C, seed=_SEARCH_SEED):
     """Duals of the local factors of C^dual; returns (components, iso).
 
-    components is a list of (Coalgebra, inclusion); iso is the coalgebra
-    isomorphism from their direct sum onto C.
+    components is a list of (Coalgebra, inclusion), the inclusion being the
+    transpose of the component's projection.  iso is the coalgebra
+    isomorphism onto C from their direct sum, which is built in one step as
+    the dual of the product of the local factors (as `etale_part` builds
+    Et(C)); its matrix has the rows of the projections as its columns.
     """
+    F = C.field
     dec = decomposition(C, seed)
     comps = []
     for comp in dec.components:
         coalg = dual_coalgebra(comp.algebra)
         comps.append((coalg, CoalgebraMorphism(coalg, C, comp.projection.transpose())))
-    if comps:
-        total = comps[0][0]
-        M = comps[0][1].matrix
-        for coalg, inc in comps[1:]:
-            total, _, _ = direct_sum(total, coalg)
-            M = M.hstack(inc.matrix)
-    else:
-        total = Coalgebra(C.field, 0, Matrix.zeros(C.field, 0, 0), Matrix.zeros(C.field, 1, 0))
-        M = Matrix.zeros(C.field, C.dim, 0)
+    total = dual_coalgebra(product_algebra(F, [comp.algebra for comp in dec.components]))
+    M = Matrix.from_cols(F, [row for comp in dec.components for row in comp.projection.data], C.dim)
     iso = CoalgebraMorphism(total, C, M)
     if M.rank() != C.dim:
         raise ComputationError("component sum is not an isomorphism")
@@ -649,14 +630,13 @@ class GroupLikeSet:
 
 
 def group_likes(C, etale=None, seed=_SEARCH_SEED):
-    """Group-like elements: one per dual local component with residue k."""
+    """Group-like elements: one per dual local component with residue k.
+
+    Such a component's simple subcoalgebra is the line of its group-like:
+    column 0 of the simple's inclusion in `etale_part`, which is q_i^T for
+    the algebra map q_i: C^dual -> k of the Wedderburn splitting."""
     data = etale if etale is not None else etale_part(C, seed)
-    elements = []
-    for comp, w in zip(data.decomposition.components, data.splittings):
-        if w.field_datum.dim == 1:
-            q_i = w.retract @ comp.projection
-            elements.append(q_i.row(0))
-    return GroupLikeSet(C, elements)
+    return GroupLikeSet(C, [inc.matrix.col(0) for simple, inc in data.simples if simple.dim == 1])
 
 
 def counit_of_gp_adjunction(C, seed=_SEARCH_SEED):

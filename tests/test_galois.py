@@ -529,3 +529,64 @@ def test_right_adjoint_rejects_an_action_outside_its_maps(monkeypatch):
     monkeypatch.setattr(galois, "_roots_in_extension", lambda D, poly: original(D, poly)[1:])
     with pytest.raises(ComputationError, match="left the computed map set"):
         right_adjoint(D4, dual_coalgebra(pqa(F2, [1, 1, 1])))
+
+
+# -- the Galois adjunction at k/k on coalgebras that are not split ---------------
+
+
+def non_split_coalgebras(field, seed=29, count=6):
+    """Seeded duals of algebras with a residue field of degree 2 or 3: at
+    L = k their residue polynomials of degree > 1 have no root."""
+    import random
+
+    from coalgkit import corpus
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        A = corpus.random_subfield_compatible_algebra(rng, field, rng.randint(2, 5), [1, 2, 3])
+        C = dual_coalgebra(A)
+        if not etale_part(C).is_split():
+            out.append(C)
+    return out
+
+
+# sha256 of the adjunction reports and the right adjoints at k/k of
+# non_split_coalgebras over F_2, F_3 and Q, recorded while the roots at L = k
+# still came from factoring each residue polynomial
+TRIVIAL_DATUM_SHA256 = "1f3b8c4bfb01e4e6606353fef7109a1fcfc5a15aa0b98947619216fc8a6b80d4"
+
+
+def test_trivial_datum_on_non_split_coalgebras_golden_digest():
+    import hashlib
+
+    from coalgkit import jsonio
+
+    h = hashlib.sha256()
+    for field in (F2, F3, QQ):
+        D = trivial_datum(field)
+        for C in non_split_coalgebras(field):
+            h.update(jsonio.canonical_json(adjunction_checks(D, C=C)).encode())
+            h.update(jsonio.canonical_json(_right_adjoint_json(right_adjoint(D, C))).encode())
+    assert h.hexdigest() == TRIVIAL_DATUM_SHA256
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_roots_at_k_of_an_irreducible_need_no_factoring(field, monkeypatch):
+    """A residue polynomial is irreducible, so at L = k one of degree 2 to 4
+    has no root, and no factorization is needed to say so."""
+    import random
+
+    from coalgkit import corpus, factor
+    from coalgkit.galois import _roots_in_extension
+
+    rng = random.Random(31)
+    D = trivial_datum(field)
+    polys = [corpus.random_irreducible(rng, field, degree) for degree in (2, 3, 4) for _ in range(4)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a residue polynomial was factored at L = k")
+
+    monkeypatch.setattr(factor, "factor_polynomial", refuse)
+    for p in polys:
+        assert _roots_in_extension(D, p) == []

@@ -648,3 +648,13 @@ def test_only_linalg_writes_matrix_entries():
             if lines:
                 found[path.name] = lines
     assert found == {}
+
+
+def test_linalg_writes_matrix_entries_only_in_the_constructor():
+    """Inside linalg too, a matrix is filled in local rows and then built:
+    the one assignment to a `.data` is the constructor's own."""
+    tree = ast.parse(pathlib.Path(linalg.__file__).read_text())
+    matrix = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Matrix")
+    init = next(node for node in matrix.body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    assert len(_data_writes(init)) == 1
+    assert _data_writes(tree) == _data_writes(init)

@@ -11,7 +11,7 @@ from coalgkit.coalgebra import (
     polynomial_quotient_algebra,
     trivial_coalgebra,
 )
-from coalgkit.fields import GF
+from coalgkit.fields import GF, QQ
 from coalgkit.linalg import Matrix
 from coalgkit.polys import Polynomial
 from coalgkit.presheaf import (
@@ -125,18 +125,20 @@ def test_gp_adjunction_set_presheaf():
 
 
 def test_gp_unit_reports_a_missing_group_like(monkeypatch):
-    """When the group-like search misses one basis vector of the 3-element
-    section, the X branch reports the unit as failed instead of raising."""
-    from coalgkit import presheaf
-    from coalgkit.structure import GroupLikeSet
+    """When the unit of a section misses a group-like (one root of one
+    residue polynomial is dropped in the Galois adjunction at k/k), the X
+    branch reports the unit as failed instead of raising."""
+    from coalgkit import galois
 
-    original = presheaf.group_likes
+    original = galois._roots_in_extension
+    calls = []
 
-    def dropping(C, **kwargs):
-        found = original(C, **kwargs)
-        return GroupLikeSet(C, found.elements[:-1]) if C.dim == 3 else found
+    def dropping(D, poly):
+        calls.append(poly)
+        roots = original(D, poly)
+        return roots[1:] if len(calls) == 1 else roots
 
-    monkeypatch.setattr(presheaf, "group_likes", dropping)
+    monkeypatch.setattr(galois, "_roots_in_extension", dropping)
     X = SetPresheaf(arrow_category(), [2, 3], [[0, 1], [0, 1, 2], [0, 1, 1]])
     rep = presheaf_gp_adjunction(X=X, field=F2)
     assert ("unit-sectionwise-bijective", False) in rep["checks"]
@@ -269,3 +271,33 @@ def test_presheaf_gp_adjunction_golden_digest():
     for rep in reports:
         h.update(jsonio.canonical_json(rep).encode())
     assert h.hexdigest() == PRESHEAF_GP_SHA256
+
+
+def unit_presheaves():
+    """Set presheaves with an empty section and with maps that are not
+    injective, on the arrow and the three-object chain."""
+    arrow = arrow_category()
+    chain = chain3_category()
+    return [
+        SetPresheaf(arrow, [3, 0], [[0, 1, 2], [], []]),
+        SetPresheaf(arrow, [0, 0], [[], [], []]),
+        SetPresheaf(arrow, [2, 4], [[0, 1], [0, 1, 2, 3], [1, 0, 0, 1]]),
+        SetPresheaf(arrow, [1, 3], [[0], [0, 1, 2], [0, 0, 0]]),
+        SetPresheaf(chain, [2, 3, 0], [[0, 1], [0, 1, 2], [], [1, 1, 0], [], []]),
+        SetPresheaf(chain, [2, 3, 4], [[0, 1], [0, 1, 2], [0, 1, 2, 3], [1, 1, 0],
+                                       [2, 0, 0, 1], [0, 1, 1, 1]]),
+    ]
+
+
+# sha256 of the X-branch reports on unit_presheaves() over F_2 and Q, recorded
+# while the branch still searched each section for its group-likes
+PRESHEAF_UNIT_SHA256 = "27b351b53711e9d0dd8216927a8053051fcb8a17fb3e62e42849f6cac9b2bf3c"
+
+
+def test_presheaf_gp_unit_golden_digest():
+    h = hashlib.sha256()
+    for field in (F2, QQ):
+        for X in unit_presheaves():
+            assert X.validate() == []
+            h.update(jsonio.canonical_json(presheaf_gp_adjunction(X=X, field=field)).encode())
+    assert h.hexdigest() == PRESHEAF_UNIT_SHA256

@@ -838,3 +838,45 @@ def test_rational_structure_against_sympy():
             for j, f in enumerate(idems):
                 assert mul(e, f) == (e if i == j else [0] * n)
         assert [sum(col) for col in zip(*idems)] == list(A.unit)
+
+
+# -- the component iso of irreducible_components --------------------------------
+
+
+def component_corpus():
+    """40 seed-0 corpus coalgebras over Q, F_2, F_3 and F_4, then the zero
+    coalgebra, which has no component."""
+    return corpus.corpus(0, 40, fields=[QQ, F2, F3, F4]) + [diagonal_coalgebra(0, F3)]
+
+
+# sha256 of the source coalgebra and the matrix of the component iso on
+# component_corpus(), recorded while the source was a chain of pairwise
+# direct sums and the matrix a chain of hstacks
+COMPONENT_ISO_SHA256 = "1512e86fba2f080ebbeaeafae749f18b53365debe51d17c63d69ed65152a7d56"
+
+
+def test_component_iso_golden_digest():
+    h = hashlib.sha256()
+    for C in component_corpus():
+        _, iso = irreducible_components(C)
+        h.update(jsonio.canonical_json(
+            [jsonio.coalgebra_to_json(iso.source), jsonio.matrix_to_json(iso.matrix)]).encode())
+    assert h.hexdigest() == COMPONENT_ISO_SHA256
+
+
+def test_component_iso_source_is_the_chained_direct_sum():
+    """The source of the iso against its definition: the direct sum of the
+    component coalgebras, taken pairwise from the left, and the zero
+    coalgebra when there is no component."""
+    from coalgkit.coalgebra import direct_sum
+
+    for C in component_corpus():
+        comps, iso = irreducible_components(C)
+        if comps:
+            total = comps[0][0]
+            for coalg, _ in comps[1:]:
+                total, _, _ = direct_sum(total, coalg)
+        else:
+            total = Coalgebra(C.field, 0, Matrix.zeros(C.field, 0, 0), Matrix.zeros(C.field, 1, 0))
+        assert iso.source == total
+        assert jsonio.coalgebra_to_json(iso.source) == jsonio.coalgebra_to_json(total)

@@ -24,7 +24,8 @@ class Coalgebra:
     """A coalgebra is immutable once constructed: data derived from it (the
     sparse coproduct columns here, raw and cleared, the local decomposition
     and etale data kept by `structure`) is computed on first use and stored
-    on the object."""
+    on the object.  No stored entry refers back to the object, so a
+    coalgebra never sits in a reference cycle of its own memo."""
 
     __slots__ = ("field", "dim", "delta", "epsilon", "_cols", "_cleared", "_structure")
 

@@ -24,13 +24,14 @@ from .seeding import derived_rng
 
 DEFAULT_DEGREE_CAP = 16
 _SPLIT_TRIALS = 64  # random trials per Cantor-Zassenhaus split
+_SPLIT_SEED = 0  # seed of the splitting trials; no factorization depends on it
 # odd primes the squarefree certificate tries before Yun's algorithm: every
 # prime fails on a polynomial that is not squarefree, and the search to the
 # bound of `_good_prime` costs more than Yun's gcds
 _CERTIFICATE_PRIMES = 5
 
 
-def factor_polynomial(f, degree_cap=None, seed=0):
+def factor_polynomial(f, degree_cap=None):
     if degree_cap is None:
         degree_cap = DEFAULT_DEGREE_CAP
     if f.is_zero():
@@ -40,7 +41,7 @@ def factor_polynomial(f, degree_cap=None, seed=0):
     if f.degree == 0:
         return unit, []
     if isinstance(F, (PrimeField, ExtensionField)):
-        factors = _factor_finite(f.monic(), seed)
+        factors = _factor_finite(f.monic())
     elif isinstance(F, RationalField):
         factors = _factor_rationals(f.monic(), degree_cap)
     else:
@@ -49,9 +50,9 @@ def factor_polynomial(f, degree_cap=None, seed=0):
     return unit, factors
 
 
-def roots_in_field(f, degree_cap=None, seed=0):
+def roots_in_field(f, degree_cap=None):
     """Roots of f inside its coefficient field, with multiplicity."""
-    _, factors = factor_polynomial(f, degree_cap=degree_cap, seed=seed)
+    _, factors = factor_polynomial(f, degree_cap=degree_cap)
     F = f.field
     out = []
     for g, mult in factors:
@@ -60,21 +61,21 @@ def roots_in_field(f, degree_cap=None, seed=0):
     return out
 
 
-def is_irreducible(f, seed=0):
+def is_irreducible(f):
     if f.degree <= 0:
         return False
-    _, factors = factor_polynomial(f, seed=seed)
+    _, factors = factor_polynomial(f)
     return len(factors) == 1 and factors[0][1] == 1
 
 
 # -- finite fields -----------------------------------------------------
 
 
-def _factor_finite(f, seed):
+def _factor_finite(f):
     out = []
     for g, mult in _squarefree(f):
         for h, d in _distinct_degree(g):
-            for piece in _equal_degree(h, d, seed):
+            for piece in _equal_degree(h, d):
                 out.append((piece, mult))
     return out
 
@@ -145,11 +146,11 @@ def _distinct_degree(f):
     return out
 
 
-def _equal_degree(f, d, seed):
+def _equal_degree(f, d):
     """Split monic squarefree f whose irreducible factors all have degree d."""
     if f.degree == d:
         return [f]
-    return _cantor_zassenhaus(f, d, derived_rng(seed, f.degree, d))
+    return _cantor_zassenhaus(f, d, derived_rng(_SPLIT_SEED, f.degree, d))
 
 
 def _cantor_zassenhaus(f, d, rng):
@@ -171,8 +172,8 @@ def _cantor_zassenhaus(f, d, rng):
 def _one_root(f):
     """One root in its coefficient field of a monic f that is a product of
     distinct linear factors there: Cantor-Zassenhaus with d = 1, keeping the
-    smaller factor of each split, on the stream of `_equal_degree` at seed 0."""
-    rng = derived_rng(0, f.degree, 1)
+    smaller factor of each split, on the stream of `_equal_degree`."""
+    rng = derived_rng(_SPLIT_SEED, f.degree, 1)
     g = f
     while g.degree > 1:
         h = _split(g, 1, rng)

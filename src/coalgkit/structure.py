@@ -33,7 +33,7 @@ from .linalg import Matrix, Subspace, minimal_polynomial, quotient_maps, row_ker
 from .polys import Polynomial
 from .seeding import derived_rng
 
-_SEARCH_SEED = 20870  # fixed seed for primitive-element / splitting searches
+_SEARCH_SEED = 20870  # seed of the element searches; no result depends on it
 _RANDOM_DRAWS = 400  # seeded random candidates after the basis combinations
 _EXHAUSTIVE_BOUND = 1 << 16  # every vector is a candidate when q^dim is at most this
 
@@ -170,13 +170,13 @@ def _search_exhausted(what, B, tried):
     )
 
 
-def primitive_element(B, seed=_SEARCH_SEED):
+def primitive_element(B):
     """An element generating B, plus its minimal polynomial.
 
     B must be a (commutative) field for this to succeed; separability over
     the implemented perfect base fields guarantees existence.
     """
-    rng = derived_rng(seed, B.dim)
+    rng = derived_rng(_SEARCH_SEED, B.dim)
     tried = 0
     for x in _candidate_elements(B, rng):
         tried += 1
@@ -186,7 +186,7 @@ def primitive_element(B, seed=_SEARCH_SEED):
     raise _search_exhausted("no primitive element found (input is not a field?)", B, tried)
 
 
-def split_semisimple(B, seed=_SEARCH_SEED):
+def split_semisimple(B):
     """Primitive orthogonal idempotents of a commutative semisimple algebra.
 
     Each candidate x of one seeded stream refines the blocks, starting from
@@ -203,7 +203,7 @@ def split_semisimple(B, seed=_SEARCH_SEED):
     out = []
     blocks = [(list(B.unit), B.dim)]  # the open blocks e with dim(eB)
     tried = 0
-    for x in _candidate_elements(B, derived_rng(seed, B.dim, 1)):
+    for x in _candidate_elements(B, derived_rng(_SEARCH_SEED, B.dim, 1)):
         tried += 1
         m = element_min_poly(B, x)
         _, factors = factor_polynomial(m)
@@ -359,13 +359,13 @@ class LocalDecomposition:
         return f"LocalDecomposition({self.algebra!r} = {dims})"
 
 
-def local_decomposition(A, seed=_SEARCH_SEED):
+def local_decomposition(A):
     F = A.field
     if A.dim == 0:
         return LocalDecomposition(A, [], [])
     rad = radical(A)
     Abar, proj, sect = quotient_algebra(A, rad)
-    idem_bars = split_semisimple(Abar, seed)
+    idem_bars = split_semisimple(Abar)
     idems = [lift_idempotent(A, sect.apply(e)) for e in idem_bars]
     total = [F.zero] * A.dim
     for i, e in enumerate(idems):
@@ -384,7 +384,7 @@ def local_decomposition(A, seed=_SEARCH_SEED):
         rad_i = Subspace.from_vectors(F, comp.dim, [P.apply(v) for v in rad.vectors()])
         nilp = _nilpotency_index(comp, rad_i)
         Kbar, rproj, _ = quotient_algebra(comp, rad_i)
-        prim, minpoly = primitive_element(Kbar, seed)
+        prim, minpoly = primitive_element(Kbar)
         residue = FieldDatum(Kbar, prim, minpoly)
         components.append(LocalComponent(comp, E, P, e, rad_i, nilp, residue, rproj))
     # residue degree leads and coordinates are compared reversed: both are
@@ -541,7 +541,8 @@ class EtaleData:
 
 def _memoized(C, key, build):
     """build(), computed once and stored on the (immutable) coalgebra C;
-    every caller shares the result and must not modify it."""
+    every caller shares it and must not modify it.  It must not refer to C,
+    which would make C cyclic garbage."""
     if C._structure is None:
         C._structure = {}
     if key not in C._structure:
@@ -549,24 +550,28 @@ def _memoized(C, key, build):
     return C._structure[key]
 
 
-def decomposition(C, seed=_SEARCH_SEED):
+def decomposition(C):
     """Local decomposition of the dual algebra C^dual, memoized on C."""
-    return _memoized(
-        C, ("decomposition", seed), lambda: local_decomposition(dual_algebra(C), seed)
-    )
+    return _memoized(C, "decomposition", lambda: local_decomposition(dual_algebra(C)))
 
 
-def etale_part(C, seed=_SEARCH_SEED):
+def etale_part(C):
     """Simple subcoalgebras, their sum Et(C), the inclusion, and the unique
     coalgebra retraction C -> Et(C) obtained from Wedderburn splittings.
 
-    Memoized on C like `decomposition`."""
-    return _memoized(C, ("etale", seed), lambda: _etale_data(C, seed))
+    The matrices are memoized on C like `decomposition`; the morphisms into
+    and out of C are built on each call."""
+    simples, etale, inclusion, retraction, dec, splittings = _memoized(C, "etale", lambda: _etale_data(C))
+    simples = [(simple, CoalgebraMorphism(simple, C, M)) for simple, M in simples]
+    return EtaleData(C, simples, etale, CoalgebraMorphism(etale, C, inclusion),
+                     CoalgebraMorphism(C, etale, retraction), dec, splittings)
 
 
-def _etale_data(C, seed):
+def _etale_data(C):
+    """The memo of `etale_part`, with matrices in place of the morphisms
+    into and out of C: each simple is paired with its inclusion q_i^T."""
     F = C.field
-    dec = decomposition(C, seed)
+    dec = decomposition(C)
     splittings = [wedderburn_splitting(c) for c in dec.components]
     # the inclusion stacks the q_i^T side by side, the retraction the s_i^T
     # on top of each other
@@ -578,18 +583,16 @@ def _etale_data(C, seed):
         s_i = comp.embedding @ w.embedding  # K_i -> A
         inclusion_cols.extend(q_i.data)
         retraction_rows.extend(s_i.transpose().data)
-        simple = dual_coalgebra(w.field_datum.as_algebra)
-        simples.append((simple, CoalgebraMorphism(simple, C, q_i.transpose())))
+        simples.append((dual_coalgebra(w.field_datum.as_algebra), q_i.transpose()))
     etale = dual_coalgebra(product_algebra(F, [w.field_datum.as_algebra for w in splittings]))
-    inclusion = CoalgebraMorphism(etale, C, Matrix.from_cols(F, inclusion_cols, C.dim))
-    retraction = CoalgebraMorphism(C, etale, Matrix.from_rows(F, retraction_rows, C.dim))
-    check = retraction.matrix @ inclusion.matrix
-    if not (check == Matrix.identity(F, etale.dim)):
+    inclusion = Matrix.from_cols(F, inclusion_cols, C.dim)
+    retraction = Matrix.from_rows(F, retraction_rows, C.dim)
+    if not (retraction @ inclusion == Matrix.identity(F, etale.dim)):
         raise ComputationError("retraction does not split the inclusion")
-    return EtaleData(C, simples, etale, inclusion, retraction, dec, splittings)
+    return simples, etale, inclusion, retraction, dec, splittings
 
 
-def irreducible_components(C, seed=_SEARCH_SEED):
+def irreducible_components(C):
     """Duals of the local factors of C^dual; returns (components, iso).
 
     components is a list of (Coalgebra, inclusion), the inclusion being the
@@ -599,7 +602,7 @@ def irreducible_components(C, seed=_SEARCH_SEED):
     Et(C)); its matrix has the rows of the projections as its columns.
     """
     F = C.field
-    dec = decomposition(C, seed)
+    dec = decomposition(C)
     comps = []
     for comp in dec.components:
         coalg = dual_coalgebra(comp.algebra)
@@ -629,27 +632,17 @@ class GroupLikeSet:
         return f"GroupLikeSet({len(self.elements)} elements of dim-{self.coalgebra.dim} coalgebra)"
 
 
-def group_likes(C, etale=None, seed=_SEARCH_SEED):
+def group_likes(C, etale=None):
     """Group-like elements: one per dual local component with residue k.
 
     Such a component's simple subcoalgebra is the line of its group-like:
     column 0 of the simple's inclusion in `etale_part`, which is q_i^T for
     the algebra map q_i: C^dual -> k of the Wedderburn splitting."""
-    data = etale if etale is not None else etale_part(C, seed)
+    data = etale if etale is not None else etale_part(C)
     return GroupLikeSet(C, [inc.matrix.col(0) for simple, inc in data.simples if simple.dim == 1])
 
 
-def counit_of_gp_adjunction(C, seed=_SEARCH_SEED):
-    """The canonical morphism from the pointwise coalgebra on the group-likes
-    of C into C (basis vector -> group-like element)."""
-    data = etale_part(C, seed)
-    gl = group_likes(C, data)
-    source = diagonal_coalgebra(len(gl.elements), C.field)
-    M = Matrix.from_cols(C.field, gl.elements, C.dim) if gl.elements else Matrix.zeros(C.field, C.dim, 0)
-    return CoalgebraMorphism(source, C, M), gl, data
-
-
-def gp_adjunction_checks(C=None, X=None, field=None, seed=_SEARCH_SEED):
+def gp_adjunction_checks(C=None, X=None, field=None):
     """Verification report for the pointwise-coalgebra / group-like adjunction.
 
     With X (a set size) and a field: checks the unit X -> gp(k^delta[X]) is a
@@ -681,14 +674,17 @@ def gp_adjunction_checks(C=None, X=None, field=None, seed=_SEARCH_SEED):
         checks.append(("unit-bijective", unit["unit-bijective"]))
         checks.append(("triangle-pointwise", unit["triangle-kbar"]))
     if C is not None:
-        counit, gl, data = counit_of_gp_adjunction(C, seed=seed)
+        # the counit sends the basis of k^delta[gp(C)] to the group-likes of C
+        F = C.field
+        data = etale_part(C)
+        gl = group_likes(C, data)
+        D = diagonal_coalgebra(len(gl.elements), F)
+        counit = CoalgebraMorphism(D, C, Matrix.from_cols(F, gl.elements, C.dim))
         checks.append(("counit-valid-morphism", not validate(counit)))
         image_ok = all(
             data.inclusion.image().contains_vector(c) for c in gl.elements
         )
         checks.append(("counit-lands-in-etale", image_ok))
-        D = counit.source
-        F = C.field
         basis = std_basis(F, D.dim)
         triangle = len(basis) == len(gl.elements) and all(
             _group_like_quadratic(D, e) and D.counit_of(e) == F.one
@@ -747,13 +743,13 @@ def _group_like_quadratic(C, vec):
     return actual == expected
 
 
-def naturality_suite(phi, seed=_SEARCH_SEED):
+def naturality_suite(phi):
     """Naturality of the etale machinery along a morphism phi: C -> D:
     phi maps Et(C) into Et(D), respects irreducible components, and commutes
     with the retractions."""
     C, D = phi.source, phi.target
-    EC = etale_part(C, seed)
-    ED = etale_part(D, seed)
+    EC = etale_part(C)
+    ED = etale_part(D)
     checks = []
     et_image = ED.inclusion.image()
     ok_incl = all(
@@ -761,8 +757,8 @@ def naturality_suite(phi, seed=_SEARCH_SEED):
         for col in EC.inclusion.matrix.transpose().data
     )
     checks.append(("maps-etale-into-etale", ok_incl))
-    comps_C, _ = irreducible_components(C, seed)
-    comps_D, _ = irreducible_components(D, seed)
+    comps_C, _ = irreducible_components(C)
+    comps_D, _ = irreducible_components(D)
     comp_ok = True
     # simples and components are produced in the same component order
     for (simple, s_inc), (comp, c_inc) in zip(EC.simples, comps_C):

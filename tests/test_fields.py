@@ -198,8 +198,18 @@ def test_refactor_property(field, count):
                 assert field.is_one(u2) and fs2 == [(g, 1)]
 
 
-def test_factorization_does_not_depend_on_the_seed():
+def test_factorization_does_not_depend_on_the_seed(monkeypatch):
     """The seed only steers Cantor-Zassenhaus; the factorization is unique."""
+    from coalgkit import factor
+
+    drawn = []
+    original = factor.derived_rng
+
+    def recording(seed, *path):
+        drawn.append(seed)
+        return original(seed, *path)
+
+    monkeypatch.setattr(factor, "derived_rng", recording)
     rng = random.Random(13)
     for field in (F2, F3, F4, F9, F257, F_MERSENNE, F512):
         polys = _seeded_polynomials(rng, field)
@@ -209,9 +219,14 @@ def test_factorization_does_not_depend_on_the_seed():
         for r in roots:
             split = split * Polynomial(field, [field.neg(r), field.one])
         for f in polys[:5] + [split]:
-            results = [factor_polynomial(f, seed=s) for s in range(5)]
+            results = []
+            for seed in range(5):
+                monkeypatch.setattr(factor, "_SPLIT_SEED", seed)
+                results.append(factor_polynomial(f))
             assert all(r == results[0] for r in results), (field, f.coeffs)
         assert len(factor_polynomial(split)[1]) == len(roots)
+    # every seed reached the splitting, and only the patched seeds did
+    assert set(drawn) == set(range(5))
 
 
 class _ZeroRng:

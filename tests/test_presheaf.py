@@ -204,6 +204,28 @@ def chain3_category():
     )
 
 
+def test_gp_unit_checks_each_section_size_once(monkeypatch):
+    """A section's unit report depends only on its size, so sections of
+    equal size share one k/k check."""
+    from coalgkit import presheaf
+
+    original = presheaf.gp_adjunction_checks
+    sizes = []
+
+    def counting(**kwargs):
+        sizes.append(kwargs["X"])
+        return original(**kwargs)
+
+    monkeypatch.setattr(presheaf, "gp_adjunction_checks", counting)
+    X = SetPresheaf(chain3_category(), [2, 2, 3],
+                    [[0, 1], [0, 1], [0, 1, 2], [1, 0], [0, 1, 1], [1, 0, 0]])
+    assert X.validate() == []
+    rep = presheaf_gp_adjunction(X=X, field=F2)
+    assert sizes == [2, 3]
+    assert rep == {"checks": [("unit-sectionwise-bijective", True), ("unit-natural", True)],
+                   "ok": True}
+
+
 def random_presheaves():
     """100 randomized presheaves over F_2 on the arrow and the three-object
     chain, restricting along the idempotent inclusion o retraction."""

@@ -636,9 +636,9 @@ def _count_decompositions(monkeypatch):
     calls = []
     original = structure.local_decomposition
 
-    def counting(A, seed=structure._SEARCH_SEED):
-        calls.append((A.dim, seed))
-        return original(A, seed)
+    def counting(A):
+        calls.append((A.dim, structure._SEARCH_SEED))
+        return original(A)
 
     monkeypatch.setattr(structure, "local_decomposition", counting)
     return calls
@@ -656,16 +656,32 @@ def test_structure_views_share_one_decomposition(monkeypatch, field, ints):
     assert jsonio.canonical_json(shared) == jsonio.canonical_json(fresh)
 
 
-@pytest.mark.parametrize("field, ints", MEMO_CASES)
-def test_decomposition_is_kept_per_seed(monkeypatch, field, ints):
-    C = dual_coalgebra(pqa(field, ints))
-    calls = _count_decompositions(monkeypatch)
-    default = decomposition(C)
-    other = decomposition(C, seed=7)
-    assert other is not default and decomposition(C, seed=7) is other
-    assert etale_part(C, seed=7).decomposition is other
-    assert etale_part(C).decomposition is default
-    assert calls == [(C.dim, structure._SEARCH_SEED), (C.dim, 7)]
+def test_structure_views_leave_no_cyclic_garbage():
+    """The memo on C holds no reference back to C, so the structure views and
+    the Galois checks leave nothing for the cyclic collector: with
+    DEBUG_SAVEALL every unreachable object would land in gc.garbage."""
+    import gc
+
+    from coalgkit import galois
+
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for C in corpus.corpus(0, 21, fields=[QQ, F2, F3]):
+            etale_part(C)
+            irreducible_components(C)
+            group_likes(C)
+            gp_adjunction_checks(C=C)
+        D = galois.frobenius_galois_datum(2, [1, 1, 1])
+        galois.adjunction_checks(D, C=dual_coalgebra(pqa(F2, [0, 1, 1, 1])))
+        galois.adjunction_checks(D, X=galois.coset_gset(D, (0,)))
+        C = D = None
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
 
 
 # -- retraction uniqueness and naturality ---------------------------------------------
@@ -759,7 +775,7 @@ def test_search_exhaustion_exits_4(monkeypatch, capsys):
 
     search = structure.primitive_element
     monkeypatch.setattr(
-        structure, "primitive_element", lambda B, seed=0: search(_split_f2_cubed(), seed)
+        structure, "primitive_element", lambda B: search(_split_f2_cubed())
     )
     path = os.path.join(os.path.dirname(__file__), "..", "demos", "data", "diagonal3.json")
     assert cli.main(["etale", path]) == 4
@@ -768,28 +784,41 @@ def test_search_exhaustion_exits_4(monkeypatch, capsys):
     assert EXHAUSTED_SEARCH in err
 
 
-def _canonical_structure(C, seed):
+def _canonical_structure(C):
     """What the search seed must not change: the etale inclusion and
     retraction, the component dims and iso, the group-likes and the
     idempotents."""
-    data = etale_part(C, seed)
+    data = etale_part(C)
     return (
         data.inclusion.matrix,
         data.retraction.matrix,
         [c.dim for c in data.decomposition.components],
-        irreducible_components(C, seed)[1].matrix,
+        irreducible_components(C)[1].matrix,
         group_likes(C, data).elements,
         data.decomposition.idempotents,
     )
 
 
-def test_structure_does_not_depend_on_the_search_seed():
+def test_structure_does_not_depend_on_the_search_seed(monkeypatch):
     """Each seed draws other candidate elements and factors other
-    polynomials, but the results are canonical."""
-    for C in corpus.corpus(0, 48):
-        ref = _canonical_structure(C, 0)
-        for seed in (1, 2, 7):
-            assert _canonical_structure(C, seed) == ref
+    polynomials, but the results are canonical.  Each seed runs on a freshly
+    parsed copy of C, since the memo on C would answer from the first seed."""
+    docs = [jsonio.coalgebra_to_json(C) for C in corpus.corpus(0, 48)]
+    refs = [_canonical_structure(jsonio.coalgebra_from_json(doc)) for doc in docs]
+    drawn = []
+    original = structure.derived_rng
+
+    def recording(seed, *path):
+        drawn.append(seed)
+        return original(seed, *path)
+
+    monkeypatch.setattr(structure, "derived_rng", recording)
+    for seed in (1, 2, 7):
+        monkeypatch.setattr(structure, "_SEARCH_SEED", seed)
+        drawn.clear()
+        for doc, ref in zip(docs, refs):
+            assert _canonical_structure(jsonio.coalgebra_from_json(doc)) == ref
+        assert set(drawn) == {seed}
 
 
 def test_rational_structure_against_sympy():

@@ -35,6 +35,7 @@ from coalgkit.day import (
     unit_right_iso,
     yoneda_iso,
 )
+from coalgkit.dayclosure import SubPresheaf, pure_closure
 
 F2 = GF(2)
 F3 = GF(3)
@@ -534,3 +535,40 @@ DAY_QUOTIENT_SHA256 = "9a20b8855de9289605c6b5a4383d20c853678372a28e0ea0e14271bd4
 
 def test_day_quotient_golden_digest():
     assert _quotient_digest() == DAY_QUOTIENT_SHA256
+
+
+def _nilpotent_digest():
+    """sha256 of what DayTensor(F, G) computes on _nilpotent_pairs, where
+    most modules are not zero: the convolution, its projections, sections
+    and tagged relations, the symmetry isomorphism, convolve_nat(id, id),
+    and the pure_closure in F, against G, of one seeded line."""
+    rng = random.Random(17)
+    h = hashlib.sha256()
+    for name, cat, F, G in _nilpotent_pairs():
+        fld = cat.field
+        T = DayTensor(F, G)
+        line = [fld.random(rng) for _ in range(F.dims[0])]
+        closed = pure_closure(F, SubPresheaf.from_vectors(F, {0: [line]}), G)
+        doc = {
+            "presheaf": jsonio.day_presheaf_to_json(T.presheaf, category_name=name),
+            "projections": _matrices_json(T.projections),
+            "sections": _matrices_json(T.sections),
+            "relations": _matrices_json(T.relations),
+            "tags": [[list(tag) for tag in tags] for tags in T.relation_tags],
+            "symmetry": _matrices_json(symmetry_iso(T, DayTensor(G, F)).mats),
+            "id": _matrices_json(convolve_nat(T, T, identity_nat(F), identity_nat(G)).mats),
+            "closure": {
+                "dims": closed.dims(),
+                "bases": _matrices_json([s.basis for s in closed.spaces]),
+            },
+        }
+        h.update(jsonio.canonical_json(doc).encode())
+    return h.hexdigest()
+
+
+# recorded before the quotient was read straight off the sparse RREF rows
+DAY_NILPOTENT_SHA256 = "3d5922bbd249afe8b764bb033efded005d253c992bd625dc882a5da126e57120"
+
+
+def test_day_nilpotent_golden_digest():
+    assert _nilpotent_digest() == DAY_NILPOTENT_SHA256

@@ -30,15 +30,20 @@ The quotient coordinates come from the canonical non-pivot projection, so
 convolutions are deterministic and do not depend on the spanning set.
 
 The quotient is taken from the relation columns as they are built:
-{index: value} maps of their nonzero entries, whose span
-`Subspace.from_sparse` reduces without a dense matrix or a transpose.  The
-free (non-pivot) indices of D(U), DayTensor.free[U], are the quotient
-coordinates, and sections[U] is the identity on them, so a product with a
-section selects columns.  The action of a basis morphism f: a -> b comes
-from the blocks of D(b): in each, the precomposition matrix of f sends a
-free index of D(b) to indices of D(a), which map through the nonzero
-entries of the columns of projections[a] (DayTensor.qcols[a]).  No D-level
-action matrix is built.
+{index: value} maps of their nonzero entries, whose span the row kernel's
+`sparse_rref` reduces to sparse RREF rows, keyed by leading index, without
+a dense matrix or a transpose.  The quotient is read straight off those
+rows.  The indices of D(U) that lead no row, DayTensor.free[U], are the
+quotient coordinates; DayTensor.qcols[U] holds, per index of D(U), the
+nonzero entries of that column of the canonical projection: a free index
+is its own coordinate, and a leading index goes to minus the rest of its
+row.  The action of a basis morphism f: a -> b comes from the blocks of
+D(b): in each, the precomposition matrix of f sends a free index of D(b)
+to indices of D(a), which map through qcols[a].  No D-level action matrix
+is built.  quotient_nat takes D-level maps by their nonzero entries as
+well, and keeps those in free columns, since the section Q(U) -> D(U) is
+the identity on the free indices.  The dense relations, projections and
+sections are built only when something reads them, once per convolution.
 
 D-level layout.  The direct sum D(U) is stored as one block per object pair
 (X, Y) with hom(U, X (x) Y), F(X) and G(Y) all nonzero, in the order of X,
@@ -55,10 +60,10 @@ projections (D(U) -> Q(U)) and sections (Q(U) -> D(U)) of the quotient.
 """
 
 from bisect import bisect_left
-from functools import partial
+from functools import cached_property, partial
 
 from .errors import CategoryMismatch, ComputationError, ShapeMismatch, ValidationError
-from .linalg import Matrix, Subspace, quotient_maps
+from .linalg import Matrix, Subspace, row_kernel
 
 
 class LinearMonoidalCategory:
@@ -529,10 +534,8 @@ class DayTensor:
         self.free = []        # per U: the indices of D(U) the sections pick
         self.qcols = []       # per U, per index of D(U): the nonzero
                               # (row, value) of that column of projections[U]
-        self.projections = []
-        self.sections = []
-        self.relations = []
         self.relation_tags = []
+        self._relation_cols = []  # per U: the relation columns, {index: value}
         dims = []
         terms = self._relation_terms()
         for U in range(cat.size):
@@ -554,21 +557,48 @@ class DayTensor:
             self.blocks.append(blocks)
             self.block_index.append(index)
             self.d_dims.append(off)
-            rel, tags, cols = self._relation_matrix(U, terms)
-            self.relations.append(rel)
+            tags, cols = self._relation_matrix(U, terms)
             self.relation_tags.append(tags)
-            image = Subspace.from_sparse(fld, off, cols)
-            pivots = set(image.pivots())
-            self.free.append([j for j in range(off) if j not in pivots])
-            q, s = quotient_maps(image)
-            self.projections.append(q)
-            self.sections.append(s)
-            self.qcols.append(_nonzero_cols(fld, q))
-            dims.append(q.rows)
+            self._relation_cols.append(cols)
+            free, qcols = _quotient_cols(fld, off, row_kernel(fld).sparse_rref(fld, off, cols))
+            self.free.append(free)
+            self.qcols.append(qcols)
+            dims.append(len(free))
         actions = {}
         for (a, b, i) in cat.all_basis_mors():
             actions[(a, b, i)] = self._action(a, b, i, dims)
         self.presheaf = DayPresheaf(cat, dims, actions)
+
+    @cached_property
+    def relations(self):
+        """Per U, the relation columns as one d_dims[U]-row matrix."""
+        fld = self.category.field
+        return [
+            Matrix.from_entries(fld, d, len(cols),
+                                [(i, j, v) for j, col in enumerate(cols) for i, v in col.items()])
+            for d, cols in zip(self.d_dims, self._relation_cols)
+        ]
+
+    @cached_property
+    def projections(self):
+        """Per U, the canonical projection D(U) -> Q(U) of
+        `linalg.quotient_maps`, assembled from qcols."""
+        fld = self.category.field
+        return [
+            Matrix.from_entries(fld, len(free), d,
+                                [(r, j, v) for j, col in enumerate(qcols) for r, v in col])
+            for d, free, qcols in zip(self.d_dims, self.free, self.qcols)
+        ]
+
+    @cached_property
+    def sections(self):
+        """Per U, the section Q(U) -> D(U): the k-th quotient basis vector
+        goes to the basis vector free[k] of D(U)."""
+        fld = self.category.field
+        return [
+            Matrix.from_entries(fld, d, len(free), [(j, k, fld.one) for k, j in enumerate(free)])
+            for d, free in zip(self.d_dims, self.free)
+        ]
 
     def _relation_terms(self):
         """The part of the relations that does not depend on U, per pair
@@ -612,8 +642,8 @@ class DayTensor:
     def _relation_matrix(self, U, terms):
         """Relation columns of D(U), one per term of _relation_terms and
         (phi, s, t), each built from its nonzero entries; a column that
-        cancels to zero is left out.  Returns the matrix, the column tags
-        and the columns as {index: value} maps."""
+        cancels to zero is left out.  Returns the column tags and the
+        columns as {index: value} maps."""
         cat = self.category
         fld = cat.field
         cols = []  # {index: nonzero value}
@@ -659,8 +689,7 @@ class DayTensor:
                         if col:
                             cols.append(col)
                             tags.append((X, Y, Xp, Yp, ai, bi, pi, s, t))
-        entries = [(i, j, v) for j, col in enumerate(cols) for i, v in col.items()]
-        return Matrix.from_entries(fld, self.d_dims[U], len(cols), entries), tags, cols
+        return tags, cols
 
     def _action(self, a, b, i, dims):
         """The action of f: a -> b on the convolution,
@@ -703,7 +732,7 @@ class DayTensor:
                 triples += [(r, k, v) for r, v in qcols[idx]]
             else:
                 triples += [(r, k, fld.mul(c, v)) for r, v in qcols[idx]]
-        return Matrix.from_entries(fld, self.projections[U].rows, ncols, triples)
+        return Matrix.from_entries(fld, len(self.free[U]), ncols, triples)
 
     def insert(self, U, X, Y, phi_coords, svec, tvec):
         """Image in the convolution of phi (x) svec (x) tvec."""
@@ -756,6 +785,26 @@ def _nonzero_cols(fld, M):
     ]
 
 
+def _quotient_cols(fld, ambient, rows):
+    """The free indices of k^ambient modulo the span of the sparse RREF rows
+    ({leading index: {index: value}}), and per index the nonzero (row,
+    value) entries of that column of the canonical projection, as
+    `linalg.quotient_maps` builds it: a free index is its own quotient
+    coordinate, and a leading index c goes to minus the other entries of
+    its row, which all sit at free indices."""
+    free = [j for j in range(ambient) if j not in rows]
+    pos = {j: k for k, j in enumerate(free)}
+    one, neg = fld.one, fld.neg
+    qcols = []
+    for j in range(ambient):
+        row = rows.get(j)
+        if row is None:
+            qcols.append([(pos[j], one)])
+        else:
+            qcols.append(sorted((pos[i], neg(v)) for i, v in row.items() if i != j))
+    return free, qcols
+
+
 def day_convolve(F, G):
     return DayTensor(F, G)
 
@@ -763,9 +812,19 @@ def day_convolve(F, G):
 def d_level_nat(tensor_src, tensor_dst, alpha, beta):
     """alpha (x) beta on the direct sums: one matrix D_src(U) -> D_dst(U) per
     object U."""
+    fld = tensor_src.category.field
+    return [
+        Matrix.from_entries(fld, tensor_dst.d_dims[U], tensor_src.d_dims[U], entries)
+        for U, entries in enumerate(_d_level_entries(tensor_src, tensor_dst, alpha, beta))
+    ]
+
+
+def _d_level_entries(tensor_src, tensor_dst, alpha, beta):
+    """The matrices of d_level_nat by their nonzero entries: per object U,
+    (index of D_dst(U), index of D_src(U), value) triples."""
     cat = tensor_src.category
     fld = cat.field
-    mats = []
+    out = []
     for U in range(cat.size):
         entries = []
         index_dst = tensor_dst.block_index[U]
@@ -791,28 +850,29 @@ def d_level_nat(tensor_src, tensor_dst, alpha, beta):
                                 entries.append((dst_idx, src_idx, fld.mul(a, b)))
             if hd != hd_d:
                 raise ComputationError("hom dimensions disagree between convolutions")
-        rows, cols = tensor_dst.d_dims[U], tensor_src.d_dims[U]
-        mats.append(Matrix.from_entries(fld, rows, cols, entries))
-    return mats
+        out.append(entries)
+    return out
 
 
 def quotient_nat(tensor_src, tensor_dst, d_level):
-    """The map of convolutions induced by D-level matrices (one per object)
+    """The map of convolutions induced by D-level maps M (one per object)
     that carry relations into relations:
-    projections[U] @ M @ sections[U] of the two convolutions."""
-    fld = tensor_src.category.field
+    projections[U] @ M @ sections[U] of the two convolutions.  Each M is
+    given by its nonzero entries, (index of D_dst(U), index of D_src(U),
+    value) triples; the section keeps those in the free columns."""
     mats = []
-    for U, M in enumerate(d_level):
+    for U, entries in enumerate(d_level):
         free = tensor_src.free[U]
-        entries = [(r, k, row[j]) for r, row in enumerate(M.data)
-                   for k, j in enumerate(free) if not fld.is_zero(row[j])]
-        mats.append(tensor_dst.project(U, len(free), entries))
+        pos = {j: k for k, j in enumerate(free)}
+        kept = [(r, pos[j], v) for r, j, v in entries if j in pos]
+        mats.append(tensor_dst.project(U, len(free), kept))
     return NatTransform(tensor_src.presheaf, tensor_dst.presheaf, mats)
 
 
 def convolve_nat(tensor_src, tensor_dst, alpha, beta):
     """alpha (x) beta on convolutions: (F (*) G) -> (F' (*) G')."""
-    return quotient_nat(tensor_src, tensor_dst, d_level_nat(tensor_src, tensor_dst, alpha, beta))
+    return quotient_nat(tensor_src, tensor_dst,
+                        _d_level_entries(tensor_src, tensor_dst, alpha, beta))
 
 
 # -- structural isomorphisms ----------------------------------------------
@@ -920,7 +980,7 @@ def symmetry_iso(tensor_FG, tensor_GF):
     swapping the tensor legs."""
     cat = tensor_FG.category
     fld = cat.field
-    mats = []
+    d_level = []
     for U in range(cat.size):
         entries = []
         index_t = tensor_GF.block_index[U]
@@ -940,9 +1000,8 @@ def symmetry_iso(tensor_FG, tensor_GF):
                                 continue
                             dst = off2 + (r * gd2 + t) * fd2 + s
                             entries.append((dst, src, cv))
-        rows, cols = tensor_GF.d_dims[U], tensor_FG.d_dims[U]
-        mats.append(Matrix.from_entries(fld, rows, cols, entries))
-    return quotient_nat(tensor_FG, tensor_GF, mats)
+        d_level.append(entries)
+    return quotient_nat(tensor_FG, tensor_GF, d_level)
 
 
 def associator_iso(tensor_FG, tensor_FG_H, tensor_GH, tensor_F_GH):

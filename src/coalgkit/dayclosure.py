@@ -16,8 +16,8 @@ makes the convolution square of the result embed into that of the ambient
 coalgebra, which is what lets the comultiplication restrict uniquely.
 """
 
-from .day import (DayCoalgebra, DayPresheaf, DayTensor, NatTransform, convolve_nat, d_level_nat,
-                  identity_nat, quotient_nat, representable)
+from .day import (DayCoalgebra, DayPresheaf, DayTensor, NatTransform, _d_level_entries,
+                  convolve_nat, identity_nat, quotient_nat, representable)
 from .errors import ComputationError, MapsEqual, ShapeMismatch
 from .linalg import Matrix, Subspace
 
@@ -145,8 +145,9 @@ class SubPresheaf:
 def purity_kernels(M, sub, N):
     """Kernels per object of (sub (x) N) -> (M (x) N); all trivial = pure.
 
-    Returns (kernels, conv_sub, conv_amb, lifts), lifts[U] being the D-level
-    matrix of incl (x) id_N at U."""
+    Returns (kernels, conv_sub, conv_amb, lifts), lifts[U] being the
+    nonzero entries of the D-level matrix of incl (x) id_N at U, as
+    `day.quotient_nat` reads them."""
     return _purity_kernels(sub, DayTensor(M, N))
 
 
@@ -155,7 +156,7 @@ def _purity_kernels(sub, conv_amb):
     N = conv_amb.G
     subp, incl = sub.as_presheaf()
     conv_sub = DayTensor(subp, N)
-    lifts = d_level_nat(conv_sub, conv_amb, incl, identity_nat(N))
+    lifts = _d_level_entries(conv_sub, conv_amb, incl, identity_nat(N))
     kappa = quotient_nat(conv_sub, conv_amb, lifts)
     return [kappa.at(U).kernel() for U in range(N.category.size)], conv_sub, conv_amb, lifts
 
@@ -175,8 +176,12 @@ def _pure_closure(M0, conv_amb):
             return current
         additions = {}
         for U, ker in enumerate(kernels):
+            if ker.dim == 0:
+                continue
+            lift = Matrix.from_entries(conv_amb.category.field, conv_amb.d_dims[U],
+                                       conv_sub.d_dims[U], lifts[U])
             for w in ker.vectors():
-                d_amb = lifts[U].apply(conv_sub.sections[U].apply(w))
+                d_amb = lift.apply(conv_sub.sections[U].apply(w))
                 z = conv_amb.relations[U].solve(d_amb)
                 if z is None:
                     raise ComputationError("kernel witness not a relation image")

@@ -334,12 +334,13 @@ class Matrix:
 #
 # The entry loops of rref, matrix products, RowReducer.add, ArtinAlgebra.mul
 # and mult_matrix, the power chain of a minimal polynomial, the Newton lift
-# of an idempotent, Subspace.from_sparse/pivots/coordinates, and the sparse
-# contraction the axiom checks compare, one implementation per field kind,
-# picked by `row_kernel`.  `cleared` puts a vector on a kernel's footing:
-# its nonzero (index, value) pairs and an int scale, the entry being
-# value / scale; `contract(F, terms, scale)` sums a * b per key over the
-# (key, a, b) of terms, times scale, and drops the zero sums.  Two sides
+# of an idempotent, the sparse RREF (Subspace.from_sparse, DayTensor),
+# Subspace.pivots/coordinates, and the sparse contraction the axiom checks
+# compare, one implementation per field kind, picked by `row_kernel`.
+# `cleared` puts a vector on a kernel's footing: its nonzero (index, value)
+# pairs and an int scale, the entry being value / scale;
+# `contract(F, terms, scale)` sums a * b per key over the (key, a, b) of
+# terms, times scale, and drops the zero sums.  Two sides
 # over scales s and t are equal when contract(lhs, t) == contract(rhs, s).
 # `_FieldMethods` sends every entry through the field's own methods; F_q
 # runs on it, and the F_p and Q kernels return byte-identical results to it.
@@ -489,11 +490,12 @@ class _FieldMethods:
 
     @staticmethod
     def sparse_rref(F, ambient, vectors):
-        """Subspace.from_sparse: the RREF rows spanned by {index: value}
-        maps.  An echelon pass keeps one row per leading index, scaled to
-        lead with one, and stops once the rank is the ambient dimension;
-        back-substitution, from the last leading index down, then clears
-        the other rows' leading indices out of each row."""
+        """The RREF rows spanned by {index: value} maps, as {leading index:
+        {index: nonzero value}}.  An echelon pass keeps one row per leading
+        index, scaled to lead with one, and stops once the rank is the
+        ambient dimension; back-substitution, from the last leading index
+        down, then clears the other rows' leading indices out of each row,
+        so a row's other entries sit at indices that lead no row."""
         rows = {}  # leading index -> {index: nonzero value}
         for vec in vectors:
             v = {j: a for j, a in vec.items() if not F.is_zero(a)}
@@ -510,7 +512,7 @@ class _FieldMethods:
             row = rows[c]
             for k in [j for j in row if j != c and j in rows]:
                 _FieldMethods._sub_multiple(F, row, row[k], rows[k])
-        return _dense_rows(F.zero, ambient, rows)
+        return rows
 
     @staticmethod
     def _sub_multiple(F, v, f, row):
@@ -688,7 +690,7 @@ class _PrimeKernel:
             row = rows[c]
             for k in [j for j in row if j != c and j in rows]:
                 _sub_multiple_mod(p, row, row[k], rows[k])
-        return _dense_rows(0, ambient, rows)
+        return rows
 
     pivots = staticmethod(_nonzero_pivots)
 
@@ -976,7 +978,8 @@ class Subspace:
         """from_vectors for vectors given as {index: value} maps of their
         nonzero entries; the basis is the same."""
         rows = row_kernel(field).sparse_rref(field, ambient, vectors)
-        return cls(field, ambient, Matrix(field, len(rows), ambient, rows))
+        basis = _dense_rows(field.zero, ambient, rows)
+        return cls(field, ambient, Matrix(field, len(basis), ambient, basis))
 
     @classmethod
     def zero(cls, field, ambient):

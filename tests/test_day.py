@@ -572,3 +572,36 @@ DAY_NILPOTENT_SHA256 = "3d5922bbd249afe8b764bb033efded005d253c992bd625dc882a5da1
 
 def test_day_nilpotent_golden_digest():
     assert _nilpotent_digest() == DAY_NILPOTENT_SHA256
+
+
+def test_convolution_builds_no_dense_quotient_until_read(monkeypatch):
+    """A convolution, convolve_nat and internal_hom run without a dense
+    quotient (linalg.quotient_maps), and build no dense relation,
+    projection or section matrix.  Read afterwards, those equal the dense
+    reference: the quotient_maps of the span of the relation columns."""
+    from coalgkit import day, linalg
+
+    def refuse(sub):
+        raise AssertionError("dense quotient built")
+
+    monkeypatch.setattr(day, "quotient_maps", refuse, raising=False)
+    monkeypatch.setattr(linalg, "quotient_maps", refuse)
+    tensors = []
+    for name, cat, F, G in list(_seeded_pairs(suites._day_categories() + GENERIC_CATS)) + list(
+        _nilpotent_pairs()
+    ):
+        T = day_convolve(F, G)
+        assert T.presheaf.validate() == [], name
+        convolve_nat(T, T, identity_nat(F), identity_nat(G))
+        internal_hom(F, G)
+        assert not {"relations", "projections", "sections"} & set(vars(T)), name
+        tensors.append((name, T))
+    monkeypatch.undo()
+    for name, T in tensors:
+        fld = T.category.field
+        for U, rel in enumerate(T.relations):
+            assert (rel.rows, rel.cols) == (T.d_dims[U], len(T.relation_tags[U])), name
+            cols = [{i: v for i, v in enumerate(rel.col(j)) if not fld.is_zero(v)}
+                    for j in range(rel.cols)]
+            q, s = linalg.quotient_maps(Subspace.from_sparse(fld, T.d_dims[U], cols))
+            assert (T.projections[U], T.sections[U]) == (q, s), (name, U)

@@ -549,6 +549,8 @@ def test_from_sparse_matches_from_vectors(field):
         want = Subspace.from_vectors(field, ambient, dense)
         got = Subspace.from_sparse(field, ambient, vecs)
         assert got == want, (ambient, vecs)
+        # the sparse rows are keyed by the pivots of the dense basis
+        assert sorted(linalg.row_kernel(field).sparse_rref(field, ambient, vecs)) == got.pivots()
         assert [[type(a) for a in r] for r in got.basis.data] == \
                [[type(a) for a in r] for r in want.basis.data]
         if want.dim == ambient > 0:

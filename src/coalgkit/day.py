@@ -55,8 +55,9 @@ phi (x) s (x) t (phi < hd, s < fd, t < gd) has index
     off + (phi * fd + s) * gd + t.
 
 Only this module reads that index.  Callers elsewhere go through
-DayTensor.insert, DayTensor.legs and d_level_nat, and through the
-projections (D(U) -> Q(U)) and sections (Q(U) -> D(U)) of the quotient.
+DayTensor.insert, DayTensor.legs and d_level_nat (or its entries,
+_d_level_entries), and through the projections (D(U) -> Q(U)) and
+sections (Q(U) -> D(U)) of the quotient.
 """
 
 from bisect import bisect_left

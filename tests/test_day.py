@@ -18,6 +18,7 @@ from coalgkit.day import (
     associator_iso,
     convolve_nat,
     cyclic_group_category,
+    d_level_nat,
     day_convolve,
     day_direct_sum,
     group_discrete_category,
@@ -574,11 +575,20 @@ def test_day_nilpotent_golden_digest():
     assert _nilpotent_digest() == DAY_NILPOTENT_SHA256
 
 
+def _natural_sum(P):
+    """The sum of a basis of the natural endomorphisms of P."""
+    mats = [Matrix.zeros(P.category.field, d, d) for d in P.dims]
+    for nat in nat_space(P, P):
+        mats = [m + n for m, n in zip(mats, nat.mats)]
+    return NatTransform(P, P, mats)
+
+
 def test_convolution_builds_no_dense_quotient_until_read(monkeypatch):
     """A convolution, convolve_nat and internal_hom run without a dense
     quotient (linalg.quotient_maps), and build no dense relation,
     projection or section matrix.  Read afterwards, those equal the dense
-    reference: the quotient_maps of the span of the relation columns."""
+    reference, the quotient_maps of the span of the relation columns, and
+    convolve_nat equals projections @ d_level_nat @ sections."""
     from coalgkit import day, linalg
 
     def refuse(sub):
@@ -586,18 +596,19 @@ def test_convolution_builds_no_dense_quotient_until_read(monkeypatch):
 
     monkeypatch.setattr(day, "quotient_maps", refuse, raising=False)
     monkeypatch.setattr(linalg, "quotient_maps", refuse)
-    tensors = []
+    runs = []
     for name, cat, F, G in list(_seeded_pairs(suites._day_categories() + GENERIC_CATS)) + list(
         _nilpotent_pairs()
     ):
         T = day_convolve(F, G)
         assert T.presheaf.validate() == [], name
-        convolve_nat(T, T, identity_nat(F), identity_nat(G))
+        alpha, beta = _natural_sum(F), _natural_sum(G)
+        nat = convolve_nat(T, T, alpha, beta)
         internal_hom(F, G)
         assert not {"relations", "projections", "sections"} & set(vars(T)), name
-        tensors.append((name, T))
+        runs.append((name, T, alpha, beta, nat))
     monkeypatch.undo()
-    for name, T in tensors:
+    for name, T, alpha, beta, nat in runs:
         fld = T.category.field
         for U, rel in enumerate(T.relations):
             assert (rel.rows, rel.cols) == (T.d_dims[U], len(T.relation_tags[U])), name
@@ -605,3 +616,5 @@ def test_convolution_builds_no_dense_quotient_until_read(monkeypatch):
                     for j in range(rel.cols)]
             q, s = linalg.quotient_maps(Subspace.from_sparse(fld, T.d_dims[U], cols))
             assert (T.projections[U], T.sections[U]) == (q, s), (name, U)
+        dense = d_level_nat(T, T, alpha, beta)
+        assert nat.mats == [q @ M @ s for q, M, s in zip(T.projections, dense, T.sections)], name

@@ -38,12 +38,13 @@ quotient coordinates; DayTensor.qcols[U] holds, per index of D(U), the
 nonzero entries of that column of the canonical projection: a free index
 is its own coordinate, and a leading index goes to minus the rest of its
 row.  The action of a basis morphism f: a -> b comes from the blocks of
-D(b): in each, the precomposition matrix of f sends a free index of D(b)
-to indices of D(a), which map through qcols[a].  No D-level action matrix
-is built.  quotient_nat takes D-level maps by their nonzero entries as
-well, and keeps those in free columns, since the section Q(U) -> D(U) is
-the identity on the free indices.  The dense relations, projections and
-sections are built only when something reads them, once per convolution.
+D(b): in each, the precomposition matrix of f, which the category keeps
+once built, sends a free index of D(b) to indices of D(a), which map
+through qcols[a].  No D-level action matrix is built.  quotient_nat takes
+D-level maps by their nonzero entries as well, and keeps those in free
+columns, since the section Q(U) -> D(U) is the identity on the free
+indices.  The dense relations, projections and sections are built only
+when something reads them, once per convolution.
 
 D-level layout.  The direct sum D(U) is stored as one block per object pair
 (X, Y) with hom(U, X (x) Y), F(X) and G(Y) all nonzero, in the order of X,
@@ -91,6 +92,7 @@ class LinearMonoidalCategory:
                         )
                     symmetry[(a, b)] = self.id_mor(tensor_obj[a][b])
         self.symmetry = symmetry
+        self._precompose = {}  # (a, b, i, X) -> precompose_matrix of basis i of hom(a, b)
 
     # -- basic structure -------------------------------------------------
     @property
@@ -168,6 +170,14 @@ class LinearMonoidalCategory:
         rows, cols = self.hom_dim(a, X), self.hom_dim(b, X)
         comps = [self.compose_mor(self.basis_mor(b, X, j), f)[2] for j in range(cols)]
         return Matrix(F, rows, cols, [[comp[t] for comp in comps] for t in range(rows)])
+
+    def _basis_precompose(self, a, b, i, X):
+        """precompose_matrix of basis i of hom(a, b), built on first use."""
+        key = (a, b, i, X)
+        P = self._precompose.get(key)
+        if P is None:
+            P = self._precompose[key] = self.precompose_matrix(self.basis_mor(a, b, i), X)
+        return P
 
     def validate(self):
         """Category, strict monoidal, and symmetry axioms on basis elements."""
@@ -397,7 +407,7 @@ def representable(category, X):
     dims = [category.hom_dim(U, X) for U in range(category.size)]
     actions = {}
     for (a, b, i) in category.all_basis_mors():
-        actions[(a, b, i)] = category.precompose_matrix(category.basis_mor(a, b, i), X)
+        actions[(a, b, i)] = category._basis_precompose(a, b, i, X)
     return DayPresheaf(category, dims, actions)
 
 
@@ -469,7 +479,11 @@ def _naturality_kernel(F, G):
     """Solve theta_a o F(f) = G(f) o theta_b for every basis f: a -> b.
 
     The unknown theta_U: F(U) -> G(U) is stored row-major at offsets[U] of
-    one vector; returns (offsets, kernel of the equations)."""
+    one vector; returns (offsets, kernel of the equations).  Each equation
+    is built from its nonzero entries as an {index: value} map, and the
+    kernel is read off the sparse RREF rows of the equations: per index j
+    that leads no row, the vector with 1 at j and minus the j-th entry of
+    each row at that row's leading index."""
     cat = F.category
     fld = cat.field
     offsets = []
@@ -477,25 +491,29 @@ def _naturality_kernel(F, G):
     for U in range(cat.size):
         offsets.append(total)
         total += G.dims[U] * F.dims[U]
-    rows = []
+    eqs = []
     for (a, b, i) in cat.all_basis_mors():
-        Fa = F.action(a, b, i)
-        Ga = G.action(a, b, i)
+        Fcols = _nonzero_cols(fld, F.action(a, b, i))
+        Grows = [[(k, y) for k, y in enumerate(row) if not fld.is_zero(y)]
+                 for row in G.action(a, b, i).data]
+        fa, fb = F.dims[a], F.dims[b]
         # entry (r, c) of the equation: r < G.dims[a], c < F.dims[b]
-        for r in range(G.dims[a]):
-            for c in range(F.dims[b]):
-                row = [fld.zero] * total
-                for k in range(F.dims[a]):
-                    if not fld.is_zero(Fa.data[k][c]):
-                        row[offsets[a] + r * F.dims[a] + k] = Fa.data[k][c]
-                for k in range(G.dims[b]):
-                    if not fld.is_zero(Ga.data[r][k]):
-                        idx = offsets[b] + k * F.dims[b] + c
-                        row[idx] = fld.sub(row[idx], Ga.data[r][k])
-                if any(not fld.is_zero(x) for x in row):
-                    rows.append(row)
-    space = Matrix.from_rows(fld, rows, total).kernel() if rows else Subspace.full(fld, total)
-    return offsets, space
+        for r, grow in enumerate(Grows):
+            base = offsets[a] + r * fa
+            for c, fcol in enumerate(Fcols):
+                row = {base + k: x for k, x in fcol}
+                for k, y in grow:
+                    idx = offsets[b] + k * fb + c
+                    row[idx] = fld.sub(row.get(idx, fld.zero), y)
+                if row:
+                    eqs.append(row)
+    rows = row_kernel(fld).sparse_rref(fld, total, eqs)
+    vecs = {j: {j: fld.one} for j in range(total) if j not in rows}
+    for c, row in rows.items():
+        for j, v in row.items():
+            if j != c:
+                vecs[j][c] = fld.neg(v)
+    return offsets, Subspace.from_sparse(fld, total, list(vecs.values()))
 
 
 def _component(fld, vec, off, rows, cols):
@@ -702,7 +720,6 @@ class DayTensor:
         (X, Y) of D(a), P being the matrix of g -> g o f."""
         cat = self.category
         fld = cat.field
-        f = cat.basis_mor(a, b, i)
         free = self.free[b]
         entries = []  # (index of D(a), column, value) of D(f) @ sections[b]
         index_a = self.block_index[a]
@@ -710,7 +727,7 @@ class DayTensor:
             if (X, Y) not in index_a:
                 continue
             off_a = self.blocks[a][index_a[(X, Y)]][2]
-            P = cat.precompose_matrix(f, cat.tensor_obj[X][Y]).data
+            P = cat._basis_precompose(a, b, i, cat.tensor_obj[X][Y]).data
             size = fd * gd
             for k in range(bisect_left(free, off), bisect_left(free, off + hd * size)):
                 pj, st = divmod(free[k] - off, size)

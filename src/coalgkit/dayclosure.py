@@ -14,6 +14,17 @@ The generated subcoalgebra alternates purity against the current stage,
 purity against the ambient presheaf, and invariance; the extra ambient pass
 makes the convolution square of the result embed into that of the ambient
 coalgebra, which is what lets the comultiplication restrict uniquely.
+
+A run (one call of a public closure) computes each realization, convolution
+and purity check once: a memo that lives only as long as the call keys each
+realization of a sub-presheaf by its spaces, each convolution by its two
+presheaves and each purity or invariance check by the sub-presheaf and its
+ambient convolution, and the full sub-presheaf realizes as the presheaf
+itself, so a run that reaches it reuses the coalgebra's own square.  So the
+stage of a round, its purity and invariance checks, and the repeated checks
+of the last round are each built once, and the generated subcoalgebra
+restricts delta through the convolution square and solutions of the last
+invariance check.
 """
 
 from .day import (DayCoalgebra, DayPresheaf, DayTensor, NatTransform, _d_level_entries,
@@ -142,36 +153,69 @@ class SubPresheaf:
         return f"SubPresheaf(dims {self.dims()} of {self.presheaf.dims})"
 
 
+class _Run:
+    """What one closure run computes, each once, for as long as the run's
+    call lasts: the realization of each sub-presheaf (as_presheaf, keyed by
+    its spaces; every sub-presheaf of a run lies in one presheaf), the
+    convolution of each pair of presheaves (keyed by the pair, compared by
+    identity, which the realizations make enough), and each purity and
+    invariance check.  The full sub-presheaf realizes as the presheaf
+    itself, so its convolutions are those given to the run, such as the
+    ambient square of a coalgebra.  Nothing is stored on the presheaves."""
+
+    def __init__(self, *convs):
+        self._memo = {("convolve", id(T.F), id(T.G)): T for T in convs}
+
+    def once(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def realize(self, sub):
+        if all(s.dim == s.ambient for s in sub.spaces):
+            return sub.presheaf, identity_nat(sub.presheaf)
+        return self.once(("realize", tuple(sub.spaces)), sub.as_presheaf)
+
+    def convolve(self, F, G):
+        return self.once(("convolve", id(F), id(G)), lambda: DayTensor(F, G))
+
+
 def purity_kernels(M, sub, N):
     """Kernels per object of (sub (x) N) -> (M (x) N); all trivial = pure.
 
     Returns (kernels, conv_sub, conv_amb, lifts), lifts[U] being the
     nonzero entries of the D-level matrix of incl (x) id_N at U, as
     `day.quotient_nat` reads them."""
-    return _purity_kernels(sub, DayTensor(M, N))
+    run = _Run()
+    return _purity_kernels(sub, run.convolve(M, N), run)
 
 
-def _purity_kernels(sub, conv_amb):
+def _purity_kernels(sub, conv_amb, run):
     """purity_kernels against the ambient convolution conv_amb = M (x) N."""
-    N = conv_amb.G
-    subp, incl = sub.as_presheaf()
-    conv_sub = DayTensor(subp, N)
-    lifts = _d_level_entries(conv_sub, conv_amb, incl, identity_nat(N))
-    kappa = quotient_nat(conv_sub, conv_amb, lifts)
-    return [kappa.at(U).kernel() for U in range(N.category.size)], conv_sub, conv_amb, lifts
+
+    def check():
+        N = conv_amb.G
+        subp, incl = run.realize(sub)
+        conv_sub = run.convolve(subp, N)
+        lifts = _d_level_entries(conv_sub, conv_amb, incl, identity_nat(N))
+        kappa = quotient_nat(conv_sub, conv_amb, lifts)
+        return [kappa.at(U).kernel() for U in range(N.category.size)], conv_sub, conv_amb, lifts
+
+    return run.once(("pure", tuple(sub.spaces), id(conv_amb)), check)
 
 
 def pure_closure(M, M0, N):
     """Enlarge M0 inside M until tensoring the inclusion with N is injective."""
-    return _pure_closure(M0, DayTensor(M, N))
+    run = _Run()
+    return _pure_closure(M0, run.convolve(M, N), run)
 
 
-def _pure_closure(M0, conv_amb):
+def _pure_closure(M0, conv_amb, run):
     """pure_closure against the ambient convolution conv_amb = M (x) N,
     which every round shares."""
     current = M0.close()
     while True:
-        kernels, conv_sub, _, lifts = _purity_kernels(current, conv_amb)
+        kernels, conv_sub, _, lifts = _purity_kernels(current, conv_amb, run)
         if all(k.dim == 0 for k in kernels):
             return current
         additions = {}
@@ -221,27 +265,43 @@ def _collect_left_legs(conv, U, z, additions):
 def invariant_kernels(FC, sub):
     """Coproduct values of sub basis vectors lacking a preimage in
     (sub (x) sub); returns (failures, conv_sub, kappa)."""
-    subp, incl = sub.as_presheaf()
-    conv_sub = DayTensor(subp, subp)
-    kappa = convolve_nat(conv_sub, FC.conv, incl, incl)
-    failures = []
-    for U in range(FC.category.size):
-        target = FC.delta.at(U) @ incl.at(U)
-        sol = kappa.at(U).solve_matrix(target)
-        if sol is None:
-            for j, v in enumerate(sub.spaces[U].vectors()):
-                col = FC.delta.at(U).apply(incl.at(U).col(j))
-                if kappa.at(U).solve(col) is None:
-                    failures.append((U, col))
-    return failures, conv_sub, kappa
+    return _invariant_kernels(FC, sub, _Run(FC.conv))[:3]
+
+
+def _invariant_kernels(FC, sub, run):
+    """invariant_kernels plus, per object, the solution of
+    kappa @ sol = delta @ incl (None where there is none)."""
+
+    def check():
+        subp, incl = run.realize(sub)
+        conv_sub = run.convolve(subp, subp)
+        kappa = convolve_nat(conv_sub, FC.conv, incl, incl)
+        failures = []
+        sols = []
+        for U in range(FC.category.size):
+            target = FC.delta.at(U) @ incl.at(U)
+            sol = kappa.at(U).solve_matrix(target)
+            sols.append(sol)
+            if sol is None:
+                for j, v in enumerate(sub.spaces[U].vectors()):
+                    col = FC.delta.at(U).apply(incl.at(U).col(j))
+                    if kappa.at(U).solve(col) is None:
+                        failures.append((U, col))
+        return failures, conv_sub, kappa, sols
+
+    return run.once(("invariant", tuple(sub.spaces)), check)
 
 
 def invariant_closure(FC, M0):
     """Enlarge M0 inside the coalgebra F until delta(M') lands in the image
     of M' (x) M' -> F (x) F."""
+    return _invariant_closure(FC, M0, _Run(FC.conv))
+
+
+def _invariant_closure(FC, M0, run):
     current = M0.close()
     while True:
-        failures, _, _ = invariant_kernels(FC, current)
+        failures = _invariant_kernels(FC, current, run)[0]
         if not failures:
             return current
         additions = {}
@@ -262,28 +322,24 @@ def generated_day_subcoalgebra(FC, M0):
     epsilon.  Returns (subcoalgebra, inclusion, sub_presheaf).
     """
     F = FC.presheaf
+    run = _Run(FC.conv)
     current = M0.close()
     while True:
         before = current.dims()
-        stage, _ = current.as_presheaf()
-        current = pure_closure(F, current, stage)
-        current = _pure_closure(current, FC.conv)
-        current = invariant_closure(FC, current)
+        stage, _ = run.realize(current)
+        current = _pure_closure(current, run.convolve(F, stage), run)
+        current = _pure_closure(current, FC.conv, run)
+        current = _invariant_closure(FC, current, run)
         if current.dims() == before:
             break
-    subp, incl = current.as_presheaf()
-    conv_sub = DayTensor(subp, subp)
-    kappa = convolve_nat(conv_sub, FC.conv, incl, incl)
-    delta_mats = []
+    subp, incl = run.realize(current)
+    _, conv_sub, kappa, sols = _invariant_kernels(FC, current, run)
     for U in range(F.category.size):
         if kappa.at(U).kernel().dim != 0:
             raise ComputationError("restricted convolution square is not injective")
-        target = FC.delta.at(U) @ incl.at(U)
-        sol = kappa.at(U).solve_matrix(target)
-        if sol is None:
+        if sols[U] is None:
             raise ComputationError("coproduct does not restrict to the closure")
-        delta_mats.append(sol)
-    delta = NatTransform(subp, conv_sub.presheaf, delta_mats)
+    delta = NatTransform(subp, conv_sub.presheaf, sols)
     h1 = representable(F.category, F.category.unit)
     eps = NatTransform(
         subp, h1, [FC.epsilon.at(U) @ incl.at(U) for U in range(F.category.size)]

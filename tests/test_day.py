@@ -618,3 +618,60 @@ def test_convolution_builds_no_dense_quotient_until_read(monkeypatch):
             assert (T.projections[U], T.sections[U]) == (q, s), (name, U)
         dense = d_level_nat(T, T, alpha, beta)
         assert nat.mats == [q @ M @ s for q, M, s in zip(T.projections, dense, T.sections)], name
+
+
+def _dense_naturality_kernel(F, G):
+    """Reference for day._naturality_kernel: every equation as a dense row,
+    and the kernel of the dense matrix of those rows."""
+    cat = F.category
+    fld = cat.field
+    offsets = []
+    total = 0
+    for U in range(cat.size):
+        offsets.append(total)
+        total += G.dims[U] * F.dims[U]
+    rows = []
+    for (a, b, i) in cat.all_basis_mors():
+        Fa = F.action(a, b, i)
+        Ga = G.action(a, b, i)
+        for r in range(G.dims[a]):
+            for c in range(F.dims[b]):
+                row = [fld.zero] * total
+                for k in range(F.dims[a]):
+                    if not fld.is_zero(Fa.data[k][c]):
+                        row[offsets[a] + r * F.dims[a] + k] = Fa.data[k][c]
+                for k in range(G.dims[b]):
+                    if not fld.is_zero(Ga.data[r][k]):
+                        idx = offsets[b] + k * F.dims[b] + c
+                        row[idx] = fld.sub(row[idx], Ga.data[r][k])
+                if any(not fld.is_zero(x) for x in row):
+                    rows.append(row)
+    space = Matrix.from_rows(fld, rows, total).kernel() if rows else Subspace.full(fld, total)
+    return offsets, space
+
+
+def test_naturality_kernel_matches_the_dense_equations():
+    """The kernel read off the sparse RREF rows of the naturality equations
+    is the canonical kernel of their dense matrix, for (F, G) and for every
+    shift G(U (x) -) that the internal hom solves against."""
+    from coalgkit.day import _naturality_kernel, _shifted
+
+    pairs = list(_seeded_pairs(suites._day_categories() + GENERIC_CATS)) + list(_nilpotent_pairs())
+    nonzero = 0
+    for name, cat, F, G in pairs:
+        for H in [G] + [_shifted(G, U) for U in range(cat.size)]:
+            want = _dense_naturality_kernel(F, H)
+            assert _naturality_kernel(F, H) == want, name
+            nonzero += 0 < want[1].dim < want[1].ambient
+    assert nonzero > 100  # many kernels are neither zero nor everything
+
+
+def test_basis_precomposition_is_kept_per_category():
+    """The category keeps the precomposition matrix of each basis morphism
+    and object, equal to precompose_matrix of that morphism."""
+    for name, cat in CATS + GENERIC_CATS:
+        for (a, b, i) in cat.all_basis_mors():
+            for X in range(cat.size):
+                P = cat._basis_precompose(a, b, i, X)
+                assert P == cat.precompose_matrix(cat.basis_mor(a, b, i), X), name
+                assert cat._basis_precompose(a, b, i, X) is P

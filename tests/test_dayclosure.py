@@ -331,3 +331,90 @@ def test_generated_subcoalgebra_builds_no_second_square(monkeypatch):
     built.clear()
     pure_closure(M, SubPresheaf.from_vectors(M, {0: [[0, 1]]}), N)
     assert [(a, b) for a, b in built if a is M] == [(M, N)]
+
+
+def _nilpotent_seeds():
+    """10 seeded (FC, seed) pairs: h_1 or h_1 + h_1 over k[x]/(x^2) or
+    k[x]/(x^3), over F_2 or F_3, where x acts nilpotently, seeded by one
+    random vector."""
+    rng = random.Random(19)
+    for _ in range(10):
+        fld = rng.choice([F2, GF(3)])
+        n = rng.choice([2, 3])
+        cat = one_object_algebra_category(
+            fld, polynomial_quotient_algebra(fld, Polynomial.from_ints(fld, [0] * n + [1])))
+        FC = unit_day_coalgebra(cat)
+        if rng.random() < 0.5:
+            FC = day_direct_sum(FC, FC)
+        vec = [fld.random(rng) for _ in range(FC.presheaf.dims[0])]
+        yield FC, SubPresheaf.from_vectors(FC.presheaf, {0: [vec]})
+
+
+def test_generated_subcoalgebra_computes_each_object_once(monkeypatch):
+    """One generated_day_subcoalgebra call realizes each sub-presheaf once
+    and builds each convolution once: no spaces tuple reaches as_presheaf
+    twice, and no DayTensor is built twice over equal presheaves or again
+    over the carrier's, whose square FC.conv already is."""
+    from coalgkit import dayclosure
+
+    built, realized = [], []
+
+    def counting(F, G):
+        built.append((F, G))
+        return DayTensor(F, G)
+
+    as_presheaf = SubPresheaf.as_presheaf
+
+    def recording(self):
+        realized.append(tuple(self.spaces))
+        return as_presheaf(self)
+
+    monkeypatch.setattr(dayclosure, "DayTensor", counting)
+    monkeypatch.setattr(SubPresheaf, "as_presheaf", recording)
+    runs = [(FC, SubPresheaf.from_vectors(FC.presheaf, assignment))
+            for _, FC, assignments in _closure_examples() for assignment in assignments]
+    counts = [0, 0]
+    for FC, M0 in runs + list(_nilpotent_seeds()):
+        built.clear()
+        realized.clear()
+        generated_day_subcoalgebra(FC, M0)
+        assert len(set(realized)) == len(realized)
+        seen = [(FC.presheaf, FC.presheaf)]
+        for pair in built:
+            assert not any(pair[0] == F and pair[1] == G for F, G in seen)
+            seen.append(pair)
+        counts[0] += len(realized)
+        counts[1] += len(built)
+    assert min(counts) > 0
+
+
+def test_day_closures_leave_no_cyclic_garbage():
+    """The closures keep what they compute in a memo that dies with the
+    call and holds no reference cycle, and the convolutions, internal homs
+    and realizations hold none either: with DEBUG_SAVEALL every unreachable
+    object would land in gc.garbage."""
+    import gc
+
+    from coalgkit import suites
+    from coalgkit.day import internal_hom
+    from tests.test_day import GENERIC_CATS, _seeded_pairs
+
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _, FC, assignments in _closure_examples():
+            for assignment in assignments:
+                M0 = SubPresheaf.from_vectors(FC.presheaf, assignment)
+                generated_day_subcoalgebra(FC, M0)
+                invariant_closure(FC, M0)
+        for _, M, M0, N in _pure_examples():
+            pure_closure(M, M0, N)
+        for _, _, F, G in _seeded_pairs(suites._day_categories() + GENERIC_CATS):
+            internal_hom(F, G)
+        FC = M0 = M = N = F = G = None
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()

@@ -575,6 +575,43 @@ def test_day_nilpotent_golden_digest():
     assert _nilpotent_digest() == DAY_NILPOTENT_SHA256
 
 
+def _isos_digest():
+    """sha256 of the Yoneda isomorphisms, both ways, of every pair of
+    representables, and of the associator on 8 seeded triples per category
+    of suites._day_categories() and GENERIC_CATS and on triples of modules
+    from consecutive _nilpotent_pairs() of one category."""
+    rng = random.Random(19)
+    h = hashlib.sha256()
+    triples = []
+    for name, cat in suites._day_categories() + GENERIC_CATS:
+        for X in range(cat.size):
+            for Y in range(cat.size):
+                fwd, back = yoneda_iso(DayTensor(representable(cat, X), representable(cat, Y)), X, Y)
+                doc = {"yoneda": [name, X, Y], "forward": _matrices_json(fwd.mats),
+                       "backward": _matrices_json(back.mats)}
+                h.update(jsonio.canonical_json(doc).encode())
+        triples += [(name, *(suites._random_day_presheaf(cat, rng, 3) for _ in range(3)))
+                    for _ in range(8)]
+    nilpotent = list(_nilpotent_pairs())
+    triples += [(name, F, G, H) for (name, _, F, G), (name2, _, H, _) in zip(nilpotent, nilpotent[1:])
+                if name == name2]
+    for name, F, G, H in triples:
+        TFG, TGH = DayTensor(F, G), DayTensor(G, H)
+        assoc = associator_iso(TFG, DayTensor(TFG.presheaf, H), TGH, DayTensor(F, TGH.presheaf))
+        doc = {"associator": name, "mats": _matrices_json(assoc.mats)}
+        h.update(jsonio.canonical_json(doc).encode())
+    return h.hexdigest()
+
+
+# recorded before the structural isomorphisms descended through the sparse
+# quotient
+DAY_ISOS_SHA256 = "9e5ca2b4492e91d07d64d1022403d2a62da8f10c60b52ac0e31d17814b97badc"
+
+
+def test_day_isos_golden_digest():
+    assert _isos_digest() == DAY_ISOS_SHA256
+
+
 def _natural_sum(P):
     """The sum of a basis of the natural endomorphisms of P."""
     mats = [Matrix.zeros(P.category.field, d, d) for d in P.dims]

@@ -40,11 +40,15 @@ is its own coordinate, and a leading index goes to minus the rest of its
 row.  The action of a basis morphism f: a -> b comes from the blocks of
 D(b): in each, the precomposition matrix of f, which the category keeps
 once built, sends a free index of D(b) to indices of D(a), which map
-through qcols[a].  No D-level action matrix is built.  quotient_nat takes
-D-level maps by their nonzero entries as well, and keeps those in free
-columns, since the section Q(U) -> D(U) is the identity on the free
-indices.  The dense relations, projections and sections are built only
-when something reads them, once per convolution.
+through qcols[a].  No D-level action matrix is built.  Every descent to
+the quotient takes D-level maps by their nonzero entries and keeps those
+in free columns, since the section Q(U) -> D(U) is the identity on the
+free indices: quotient_nat, which projects them through qcols, and
+_descend_iso (the unit, Yoneda and associator isos), which first checks
+them on every relation column.  insert projects through qcols too.  The
+dense relations, projections and sections are built only when something
+reads them, once per convolution: the purity closure's relation solve and
+readers outside the kernel.
 
 D-level layout.  The direct sum D(U) is stored as one block per object pair
 (X, Y) with hom(U, X (x) Y), F(X) and G(Y) all nonzero, in the order of X,
@@ -57,11 +61,11 @@ phi (x) s (x) t (phi < hd, s < fd, t < gd) has index
 
 Only this module reads that index.  Callers elsewhere go through
 DayTensor.insert, DayTensor.legs and d_level_nat (or its entries,
-_d_level_entries), and through the projections (D(U) -> Q(U)) and
-sections (Q(U) -> D(U)) of the quotient.
+_d_level_entries), and through the free indices (the section Q(U) ->
+D(U)) and qcols (the projection D(U) -> Q(U)) of the quotient.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cached_property, partial
 
 from .errors import CategoryMismatch, ComputationError, ShapeMismatch, ValidationError
@@ -755,38 +759,31 @@ class DayTensor:
     def insert(self, U, X, Y, phi_coords, svec, tvec):
         """Image in the convolution of phi (x) svec (x) tvec."""
         fld = self.category.field
-        vec = [fld.zero] * self.d_dims[U]
+        entries = []  # (index of D(U), 0, value)
         index = self.block_index[U]
         if (X, Y) in index:
             _, _, off, hd, fd, gd = self.blocks[U][index[(X, Y)]]
-            for pi, pv in enumerate(phi_coords):
-                if fld.is_zero(pv):
-                    continue
-                for s, sv in enumerate(svec):
-                    if fld.is_zero(sv):
-                        continue
-                    c = fld.mul(pv, sv)
-                    for t, tv in enumerate(tvec):
-                        if not fld.is_zero(tv):
-                            idx = off + (pi * fd + s) * gd + t
-                            vec[idx] = fld.add(vec[idx], fld.mul(c, tv))
-        return self.projections[U].apply(vec)
+            entries = [(off + (pi * fd + s) * gd + t, 0, fld.mul(fld.mul(pv, sv), tv))
+                       for pi, pv in enumerate(phi_coords) if not fld.is_zero(pv)
+                       for s, sv in enumerate(svec) if not fld.is_zero(sv)
+                       for t, tv in enumerate(tvec) if not fld.is_zero(tv)]
+        return self.project(U, 1, entries).col(0)
 
     def legs(self, U, vec):
-        """Both tensor legs of a D-level element of D(U), as (object, vector)
-        pairs: per block the nonzero G-legs (one per phi, s), then the
-        nonzero F-legs (one per t, phi)."""
+        """Both tensor legs of a D-level element of D(U), given as an
+        {index: value} map, as (object, vector) pairs: per block the nonzero
+        G-legs (one per phi, s), then the nonzero F-legs (one per t, phi)."""
         fld = self.category.field
         out = []
         for (X, Y, off, hd, fd, gd) in self.blocks[U]:
             for pi in range(hd):
                 for s in range(fd):
-                    row = vec[off + (pi * fd + s) * gd : off + (pi * fd + s + 1) * gd]
+                    row = [vec.get(off + (pi * fd + s) * gd + t, fld.zero) for t in range(gd)]
                     if any(not fld.is_zero(c) for c in row):
-                        out.append((Y, list(row)))
+                        out.append((Y, row))
             for t in range(gd):
                 for pi in range(hd):
-                    col = [vec[off + (pi * fd + s) * gd + t] for s in range(fd)]
+                    col = [vec.get(off + (pi * fd + s) * gd + t, fld.zero) for s in range(fd)]
                     if any(not fld.is_zero(c) for c in col):
                         out.append((X, col))
         return out
@@ -872,18 +869,24 @@ def _d_level_entries(tensor_src, tensor_dst, alpha, beta):
     return out
 
 
+def _free_entries(free, entries):
+    """M @ sections[U] for M out of D(U) given by its (row, index of D(U),
+    value) entries: the section sends the k-th quotient basis vector to the
+    basis vector free[k], so the entries in free columns are kept."""
+    pos = {j: k for k, j in enumerate(free)}
+    return [(r, pos[j], v) for r, j, v in entries if j in pos]
+
+
 def quotient_nat(tensor_src, tensor_dst, d_level):
     """The map of convolutions induced by D-level maps M (one per object)
     that carry relations into relations:
     projections[U] @ M @ sections[U] of the two convolutions.  Each M is
     given by its nonzero entries, (index of D_dst(U), index of D_src(U),
-    value) triples; the section keeps those in the free columns."""
+    value) triples."""
     mats = []
     for U, entries in enumerate(d_level):
         free = tensor_src.free[U]
-        pos = {j: k for k, j in enumerate(free)}
-        kept = [(r, pos[j], v) for r, j, v in entries if j in pos]
-        mats.append(tensor_dst.project(U, len(free), kept))
+        mats.append(tensor_dst.project(U, len(free), _free_entries(free, entries)))
     return NatTransform(tensor_src.presheaf, tensor_dst.presheaf, mats)
 
 
@@ -896,21 +899,27 @@ def convolve_nat(tensor_src, tensor_dst, alpha, beta):
 # -- structural isomorphisms ----------------------------------------------
 
 
-def _descend_iso(tensor, mats, target):
-    """Wrap D-level maps (one per object) into a NatTransform out of the
-    convolution, verifying they kill the relations."""
-    cat = tensor.category
-    out = []
-    for U in range(cat.size):
-        rel = tensor.relations[U]
-        if rel.cols and not (mats[U] @ rel).is_zero():
-            raise ComputationError("candidate map does not respect the coequalizer")
-        # mats[U] @ sections[U]: the section sends the k-th quotient basis
-        # vector to the basis vector free[k] of D(U)
-        free = tensor.free[U]
-        out.append(Matrix(cat.field, mats[U].rows, len(free),
-                          [[row[j] for j in free] for row in mats[U].data]))
-    return NatTransform(tensor.presheaf, target, out)
+def _descend_iso(tensor, d_level, target):
+    """The NatTransform out of the convolution induced by D-level maps
+    M: D(U) -> target(U), one per object, given by their nonzero (row, index
+    of D(U), value) entries: M @ sections[U], once M kills every relation
+    column."""
+    fld = tensor.category.field
+    mats = []
+    for U, entries in enumerate(d_level):
+        at = {}  # index of D(U) -> the (row, value) entries of that column
+        for r, j, v in entries:
+            at.setdefault(j, []).append((r, v))
+        for col in tensor._relation_cols[U]:
+            image = {}
+            for j, c in col.items():
+                for r, v in at.get(j, ()):
+                    image[r] = fld.add(image.get(r, fld.zero), fld.mul(v, c))
+            if not all(map(fld.is_zero, image.values())):
+                raise ComputationError("candidate map does not respect the coequalizer")
+        mats.append(Matrix.from_entries(fld, target.dims[U], tensor.dim(U),
+                                        _free_entries(tensor.free[U], entries)))
+    return NatTransform(tensor.presheaf, target, mats)
 
 
 def _unit_iso(tensor, right):
@@ -920,7 +929,7 @@ def _unit_iso(tensor, right):
     cat = tensor.category
     fld = cat.field
     F = tensor.F if right else tensor.G
-    mats = []
+    d_level = []
     for U in range(cat.size):
         entries = []
         for (X, Y, off, hd, fd, gd) in tensor.blocks[U]:
@@ -938,8 +947,8 @@ def _unit_iso(tensor, right):
                         entries += [
                             (r, col, v) for r, v in enumerate(act.col(k)) if not fld.is_zero(v)
                         ]
-        mats.append(Matrix.from_entries(fld, F.dims[U], tensor.d_dims[U], entries))
-    return _descend_iso(tensor, mats, F)
+        d_level.append(entries)
+    return _descend_iso(tensor, d_level, F)
 
 
 def unit_right_iso(tensor):
@@ -962,7 +971,7 @@ def yoneda_iso(tensor, X, Y):
     fld = cat.field
     target_obj = cat.tensor_obj[X][Y]
     target = representable(cat, target_obj)
-    mats = []
+    d_level = []
     for U in range(cat.size):
         entries = []
         for (A, B, off, hd, fd, gd) in tensor.blocks[U]:
@@ -978,8 +987,8 @@ def yoneda_iso(tensor, X, Y):
                         entries += [
                             (r, idx, cv) for r, cv in enumerate(chi[2]) if not fld.is_zero(cv)
                         ]
-        mats.append(Matrix.from_entries(fld, target.dims[U], tensor.d_dims[U], entries))
-    forward = _descend_iso(tensor, mats, target)
+        d_level.append(entries)
+    forward = _descend_iso(tensor, d_level, target)
     back_mats = []
     idX = cat.id_mor(X)[2]
     idY = cat.id_mor(Y)[2]
@@ -1023,51 +1032,36 @@ def symmetry_iso(tensor_FG, tensor_GF):
 
 
 def associator_iso(tensor_FG, tensor_FG_H, tensor_GH, tensor_F_GH):
-    """((F (*) G) (*) H) -> (F (*) (G (*) H)) through the strict structure."""
+    """((F (*) G) (*) H) -> (F (*) (G (*) H)) through the strict structure:
+    the section lifts the s-th basis vector of (F (*) G)(W) to the basis
+    tensor psi (x) e_i (x) e_j at index free[s] of D_FG(W)."""
     cat = tensor_FG.category
     fld = cat.field
-    mats = []
+    d_level = []
     for U in range(cat.size):
         entries = []
         for (W, Z, off, hd, fdW, gdZ) in tensor_FG_H.blocks[U]:
-            # fdW = dim (F (*) G)(W); lift its basis to the inner D-level
-            sect = tensor_FG.sections[W]
-            for pi in range(hd):
-                phi = cat.basis_mor(U, cat.tensor_obj[W][Z], pi)
-                for s in range(fdW):
-                    inner = sect.col(s)  # element of D_FG(W)
-                    for t in range(gdZ):
-                        out_col_idx = off + (pi * fdW + s) * gdZ + t
-                        acc = [fld.zero] * tensor_F_GH.dim(U)
-                        for (X, Y, off2, hd2, fd2, gd2) in tensor_FG.blocks[W]:
-                            for pj in range(hd2):
-                                psi = cat.basis_mor(W, cat.tensor_obj[X][Y], pj)
-                                shifted = cat.compose_mor(
-                                    cat.tensor_mor_pair(psi, cat.id_mor(Z)), phi
-                                )  # hom(U, X (x) Y (x) Z)
-                                YZ = cat.tensor_obj[Y][Z]
-                                for i2 in range(fd2):
-                                    for j2 in range(gd2):
-                                        c = inner[off2 + (pj * fd2 + i2) * gd2 + j2]
-                                        if fld.is_zero(c):
-                                            continue
-                                        # inner element of (G (*) H)(Y (x) Z)
-                                        ghelt = tensor_GH.insert(
-                                            YZ, Y, Z, cat.id_mor(YZ)[2],
-                                            _basis_vector(fld, tensor_GH.F.dims[Y], j2),
-                                            _basis_vector(fld, tensor_GH.G.dims[Z], t),
-                                        )
-                                        fvec = _basis_vector(fld, tensor_F_GH.F.dims[X], i2)
-                                        outer = tensor_F_GH.insert(U, X, YZ, shifted[2], fvec, ghelt)
-                                        for r, ov in enumerate(outer):
-                                            if not fld.is_zero(ov):
-                                                acc[r] = fld.add(acc[r], fld.mul(c, ov))
-                        entries += [
-                            (r, out_col_idx, av) for r, av in enumerate(acc) if not fld.is_zero(av)
-                        ]
-        rows, cols = tensor_F_GH.dim(U), tensor_FG_H.d_dims[U]
-        mats.append(Matrix.from_entries(fld, rows, cols, entries))
-    return _descend_iso(tensor_FG_H, mats, tensor_F_GH.presheaf)
+            inner = tensor_FG.blocks[W]
+            starts = [block[2] for block in inner]
+            for s, j in enumerate(tensor_FG.free[W]):
+                X, Y, off2, _, fd2, gd2 = inner[bisect_right(starts, j) - 1]
+                pj, rest = divmod(j - off2, fd2 * gd2)
+                i2, j2 = divmod(rest, gd2)
+                psi = cat.tensor_mor_pair(cat.basis_mor(W, cat.tensor_obj[X][Y], pj), cat.id_mor(Z))
+                YZ = cat.tensor_obj[Y][Z]
+                fvec = _basis_vector(fld, tensor_F_GH.F.dims[X], i2)
+                gvec = _basis_vector(fld, tensor_GH.F.dims[Y], j2)
+                for t in range(gdZ):
+                    # e_j (x) e_t in (G (*) H)(Y (x) Z)
+                    ghelt = tensor_GH.insert(YZ, Y, Z, cat.id_mor(YZ)[2], gvec,
+                                             _basis_vector(fld, tensor_GH.G.dims[Z], t))
+                    for pi in range(hd):
+                        shifted = cat.compose_mor(psi, cat.basis_mor(U, cat.tensor_obj[W][Z], pi))
+                        outer = tensor_F_GH.insert(U, X, YZ, shifted[2], fvec, ghelt)
+                        col = off + (pi * fdW + s) * gdZ + t
+                        entries += [(r, col, v) for r, v in enumerate(outer) if not fld.is_zero(v)]
+        d_level.append(entries)
+    return _descend_iso(tensor_FG_H, d_level, tensor_F_GH.presheaf)
 
 
 # -- internal hom ----------------------------------------------------------

@@ -28,7 +28,7 @@ invariance check.
 """
 
 from .day import (DayCoalgebra, DayPresheaf, DayTensor, NatTransform, _d_level_entries,
-                  convolve_nat, identity_nat, quotient_nat, representable)
+                  _free_entries, convolve_nat, identity_nat, quotient_nat, representable)
 from .errors import ComputationError, MapsEqual, ShapeMismatch
 from .linalg import Matrix, Subspace
 
@@ -207,13 +207,12 @@ def _purity_kernels(sub, conv_amb, run):
 def pure_closure(M, M0, N):
     """Enlarge M0 inside M until tensoring the inclusion with N is injective."""
     run = _Run()
-    return _pure_closure(M0, run.convolve(M, N), run)
+    return _pure_closure(M0.close(), run.convolve(M, N), run)
 
 
-def _pure_closure(M0, conv_amb, run):
-    """pure_closure against the ambient convolution conv_amb = M (x) N,
-    which every round shares."""
-    current = M0.close()
+def _pure_closure(current, conv_amb, run):
+    """pure_closure of the closed sub-presheaf current against the ambient
+    convolution conv_amb = M (x) N, which every round shares."""
     while True:
         kernels, conv_sub, _, lifts = _purity_kernels(current, conv_amb, run)
         if all(k.dim == 0 for k in kernels):
@@ -223,10 +222,9 @@ def _pure_closure(M0, conv_amb, run):
             if ker.dim == 0:
                 continue
             lift = Matrix.from_entries(conv_amb.category.field, conv_amb.d_dims[U],
-                                       conv_sub.d_dims[U], lifts[U])
+                                       conv_sub.dim(U), _free_entries(conv_sub.free[U], lifts[U]))
             for w in ker.vectors():
-                d_amb = lift.apply(conv_sub.sections[U].apply(w))
-                z = conv_amb.relations[U].solve(d_amb)
+                z = conv_amb.relations[U].solve(lift.apply(w))
                 if z is None:
                     raise ComputationError("kernel witness not a relation image")
                 _collect_left_legs(conv_amb, U, z, additions)
@@ -295,18 +293,19 @@ def _invariant_kernels(FC, sub, run):
 def invariant_closure(FC, M0):
     """Enlarge M0 inside the coalgebra F until delta(M') lands in the image
     of M' (x) M' -> F (x) F."""
-    return _invariant_closure(FC, M0, _Run(FC.conv))
+    return _invariant_closure(FC, M0.close(), _Run(FC.conv))
 
 
-def _invariant_closure(FC, M0, run):
-    current = M0.close()
+def _invariant_closure(FC, current, run):
+    """invariant_closure of the closed sub-presheaf current."""
     while True:
         failures = _invariant_kernels(FC, current, run)[0]
         if not failures:
             return current
         additions = {}
         for U, value in failures:
-            for X, leg in FC.conv.legs(U, FC.conv.sections[U].apply(value)):
+            # sections[U] @ value: value[k] at the index free[k] of D(U)
+            for X, leg in FC.conv.legs(U, dict(zip(FC.conv.free[U], value))):
                 additions.setdefault(X, []).append(leg)
         grown = current.with_added(additions).close()
         if grown.dims() == current.dims():

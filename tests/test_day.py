@@ -6,7 +6,7 @@ import pytest
 from coalgkit import jsonio, suites
 
 from coalgkit.coalgebra import polynomial_quotient_algebra, subalgebra_on_basis
-from coalgkit.errors import ValidationError
+from coalgkit.errors import ComputationError, ValidationError
 from coalgkit.fields import GF, QQ
 from coalgkit.linalg import Matrix, Subspace
 from coalgkit.polys import Polynomial
@@ -623,16 +623,48 @@ def _natural_sum(P):
 def test_convolution_builds_no_dense_quotient_until_read(monkeypatch):
     """A convolution, convolve_nat and internal_hom run without a dense
     quotient (linalg.quotient_maps), and build no dense relation,
-    projection or section matrix.  Read afterwards, those equal the dense
-    reference, the quotient_maps of the span of the relation columns, and
-    convolve_nat equals projections @ d_level_nat @ sections."""
+    projection or section matrix; nor do the unit, Yoneda, symmetry and
+    associator isomorphisms, DayTensor.insert and the comonoid checks of
+    DayCoalgebra.validate, in any convolution they build.  Read afterwards,
+    those equal the dense reference, the quotient_maps of the span of the
+    relation columns, and convolve_nat equals
+    projections @ d_level_nat @ sections."""
     from coalgkit import day, linalg
 
     def refuse(sub):
         raise AssertionError("dense quotient built")
 
+    built = []
+    init = DayTensor.__init__
+
+    def recording_init(T, F, G):
+        init(T, F, G)
+        built.append(T)
+
     monkeypatch.setattr(day, "quotient_maps", refuse, raising=False)
     monkeypatch.setattr(linalg, "quotient_maps", refuse)
+    monkeypatch.setattr(DayTensor, "__init__", recording_init)
+    rng = random.Random(29)
+    for name, cat in suites._day_categories() + GENERIC_CATS:
+        h1 = representable(cat, cat.unit)
+        for X in range(cat.size):
+            for Y in range(cat.size):
+                yoneda_iso(day_convolve(representable(cat, X), representable(cat, Y)), X, Y)
+        for _ in range(2):
+            F, G, H = (suites._random_day_presheaf(cat, rng, 3) for _ in range(3))
+            unit_right_iso(day_convolve(F, h1))
+            unit_left_iso(day_convolve(h1, F))
+            symmetry_iso(day_convolve(F, G), day_convolve(G, F))
+            TFG, TGH = day_convolve(F, G), day_convolve(G, H)
+            associator_iso(TFG, day_convolve(TFG.presheaf, H), TGH, day_convolve(F, TGH.presheaf))
+        assert unit_day_coalgebra(cat).validate() == [], name
+    GD = suites._graded_dual_numbers(Z2)
+    unitC = unit_day_coalgebra(Z2)
+    for FC in (GD, day_direct_sum(unitC, GD), day_direct_sum(GD, GD),
+               day_direct_sum(GD, day_direct_sum(GD, GD))):
+        assert FC.validate() == []
+    assert len(built) > 200
+    assert not any({"relations", "projections", "sections"} & set(vars(T)) for T in built)
     runs = []
     for name, cat, F, G in list(_seeded_pairs(suites._day_categories() + GENERIC_CATS)) + list(
         _nilpotent_pairs()
@@ -655,6 +687,22 @@ def test_convolution_builds_no_dense_quotient_until_read(monkeypatch):
             assert (T.projections[U], T.sections[U]) == (q, s), (name, U)
         dense = d_level_nat(T, T, alpha, beta)
         assert nat.mats == [q @ M @ s for q, M, s in zip(T.projections, dense, T.sections)], name
+
+
+def test_descent_refuses_a_map_that_does_not_kill_the_relations():
+    """_descend_iso checks every relation column: a D-level map whose only
+    entry sits on the support of the first or of the last relation column
+    is refused, while the zero map descends."""
+    from coalgkit.day import _descend_iso
+
+    F = representable(OB, 0)
+    T = day_convolve(F, F)
+    cols = T._relation_cols[0]
+    assert cols and _descend_iso(T, [[]], F).mats == [Matrix.zeros(F2, 2, T.dim(0))]
+    for col in (cols[0], cols[-1]):
+        j = min(col)
+        with pytest.raises(ComputationError, match="does not respect the coequalizer"):
+            _descend_iso(T, [[(1, j, F2.one)]], F)
 
 
 def _dense_naturality_kernel(F, G):

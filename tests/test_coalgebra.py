@@ -413,3 +413,86 @@ def test_planted_algebra_faults_report_identically(monkeypatch, field):
         assert _algebra_fault_reports(random.Random(1717), field) == reports
     digest = hashlib.sha256(repr(reports).encode()).hexdigest()
     assert digest == ALGEBRA_FAULT_REPORTS_SHA256[repr(field)]
+
+
+F4 = GF(2, [1, 1, 1])
+F9 = GF(3, [1, 0, 1])
+
+
+def _planted_matrix(rng, field, rows, cols):
+    """A seeded matrix with a few rows replaced by combinations of others."""
+    data = [corpus.random_vector(rng, field, cols) for _ in range(rows)]
+    for _ in range(rng.randint(0, rows)):
+        i, j, k = (rng.randrange(rows) for _ in range(3))
+        a, b = field.random(rng), field.random(rng)
+        data[i] = [field.add(field.mul(a, x), field.mul(b, y)) for x, y in zip(data[j], data[k])]
+    return Matrix(field, rows, cols, data)
+
+
+def _structure_tensor_digest():
+    """sha256 over the canonical JSON of generated_subcoalgebra (dims,
+    coalgebra, inclusion) on seeded subspaces of the corpus over Q, F_2, F_3
+    and F_5 and of seeded F_4 and F_9 coalgebras; direct_sum of seeded pairs
+    over one field; radical and the trace form of the duals of the Q corpus;
+    minimal_polynomial of seeded matrices and of multiplication matrices;
+    and rref, kernel and Subspace.from_vectors over F_4 and F_9."""
+    import hashlib
+
+    from coalgkit import jsonio
+    from coalgkit.linalg import minimal_polynomial
+    from coalgkit.structure import _trace_form, radical
+
+    h = hashlib.sha256()
+
+    def put(doc):
+        h.update(jsonio.canonical_json(doc).encode())
+
+    def mat(M):
+        return jsonio.matrix_to_json(M)
+
+    rng = random.Random(2424)
+    coalgebras = corpus.corpus(24, 32)
+    coalgebras += [corpus.random_coalgebra(rng, F, 4) for F in (F4, F9) for _ in range(6)]
+    for C in coalgebras:
+        F, n = C.field, C.dim
+        for k in (1, 2, n):
+            S = Subspace.from_vectors(F, n, [corpus.random_vector(rng, F, n) for _ in range(k)])
+            D, inc = generated_subcoalgebra(C, S)
+            put({"generated": [n, S.dim, D.dim], "coalgebra": jsonio.coalgebra_to_json(D),
+                 "inclusion": mat(inc.matrix)})
+    for F in corpus.corpus_fields() + [F4, F9]:
+        same = [C for C in coalgebras if C.field == F]
+        for C, D in zip(same, same[1:] + same[:1]):
+            S, inc_C, inc_D = direct_sum(C, D)
+            put({"direct_sum": jsonio.coalgebra_to_json(S), "inclusions": [mat(inc_C.matrix), mat(inc_D.matrix)]})
+    algebras = [dual_algebra(C) for C in coalgebras + corpus.corpus(25, 16, fields=[QQ]) if C.field == QQ]
+    for coeffs in ([0, 0, 0, 1], [4, 0, -4, 0, 1], [1, -2, 2, -2, 1], [0, 0, 27, 27, 9, 1]):
+        p = Polynomial.from_ints(QQ, coeffs)  # t^3, (t^2-2)^2, (t-1)^2 (t^2+1), t^2 (t+3)^3
+        A = polynomial_quotient_algebra(QQ, p)
+        algebras.append(corpus.conjugate_algebra(A, corpus.random_invertible(rng, QQ, A.dim)))
+    for A in algebras:
+        put({"radical": mat(radical(A).basis), "trace_form": mat(_trace_form(A))})
+    for F in corpus.corpus_fields() + [F4, F9]:
+        for n in range(1, 7):
+            T = _planted_matrix(rng, F, n, n)
+            put({"minimal_polynomial": [F.format(c) for c in minimal_polynomial(T).coeffs]})
+        for C in coalgebras:
+            if C.field == F and C.dim:
+                L = dual_algebra(C).mult_matrix(corpus.random_vector(rng, F, C.dim))
+                put({"minimal_polynomial": [F.format(c) for c in minimal_polynomial(L).coeffs]})
+    for F in (F4, F9):
+        for rows, cols in [(0, 3), (3, 0), (1, 1)] + [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(30)]:
+            M = _planted_matrix(rng, F, rows, cols)
+            R, rank, pivots = M.rref()
+            put({"rref": mat(R), "rank": rank, "pivots": pivots, "kernel": mat(M.kernel().basis),
+                 "span": mat(Subspace.from_vectors(F, cols, M.data).basis)})
+    return h.hexdigest()
+
+
+# recorded before generated_subcoalgebra and the trace form moved onto
+# Matrix products and the F_q row reduction onto the sparse one
+STRUCTURE_TENSOR_SHA256 = "0d140de1cda3559b0e88a051c05f311800ec13ce5c7818fea3320cdc7b9dc07a"
+
+
+def test_structure_tensor_golden_digest():
+    assert _structure_tensor_digest() == STRUCTURE_TENSOR_SHA256

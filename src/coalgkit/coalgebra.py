@@ -22,12 +22,12 @@ from .linalg import Matrix, Subspace, kronecker, row_kernel, tensor_swap
 
 class Coalgebra:
     """A coalgebra is immutable once constructed: data derived from it (the
-    sparse coproduct columns here, raw and cleared, the local decomposition
-    and etale data kept by `structure`) is computed on first use and stored
-    on the object.  No stored entry refers back to the object, so a
+    cleared coproduct columns here, the local decomposition and etale data
+    kept by `structure`) is computed on first use and stored on the
+    object.  No stored entry refers back to the object, so a
     coalgebra never sits in a reference cycle of its own memo."""
 
-    __slots__ = ("field", "dim", "delta", "epsilon", "_cols", "_cleared", "_structure")
+    __slots__ = ("field", "dim", "delta", "epsilon", "_cleared", "_structure")
 
     def __init__(self, field, dim, delta, epsilon):
         if delta.rows != dim * dim or delta.cols != dim:
@@ -38,25 +38,8 @@ class Coalgebra:
         self.dim = dim
         self.delta = delta
         self.epsilon = epsilon
-        self._cols = None
         self._cleared = None
         self._structure = None
-
-    def delta_columns(self):
-        """Sparse coproduct columns: per j, a list of ((i, k), value)."""
-        if self._cols is None:
-            F = self.field
-            n = self.dim
-            cols = []
-            for j in range(n):
-                col = []
-                for r in range(n * n):
-                    v = self.delta.data[r][j]
-                    if not F.is_zero(v):
-                        col.append(((r // n, r % n), v))
-                cols.append(col)
-            self._cols = cols
-        return self._cols
 
     def cleared(self):
         """(cols, d, eps, e, one): the coproduct and the counit on the footing
@@ -434,13 +417,11 @@ def direct_sum(C, D):
     F = C.field
     m, n = C.dim, D.dim
     t = m + n
-    entries = [
-        (i * t + k, j, v) for j, col in enumerate(C.delta_columns()) for (i, k), v in col
-    ]
-    entries += [
-        ((m + i) * t + (m + k), m + j, v)
-        for j, col in enumerate(D.delta_columns()) for (i, k), v in col
-    ]
+    entries = []
+    for X, off in ((C, 0), (D, m)):
+        for r, row in enumerate(X.delta.data):
+            i, k = divmod(r, X.dim)
+            entries += [((off + i) * t + off + k, off + j, v) for j, v in enumerate(row) if not F.is_zero(v)]
     delta = Matrix.from_entries(F, t * t, t, entries)
     eps = Matrix(F, 1, t, [C.epsilon.row(0) + D.epsilon.row(0)])
     S = Coalgebra(F, t, delta, eps)
@@ -575,33 +556,18 @@ def generated_subcoalgebra(C, S):
     Spanned by the middle tensor legs of (delta (x) id) o delta applied to a
     basis of S: applying functionals f, g on the outer legs of
     sum a (x) b (x) c collects the vectors b, and coassociativity makes that
-    span a subcoalgebra.
+    span a subcoalgebra.  With delta(v) as the n x n matrix M (row i,
+    column k the coefficient of e_i (x) e_k), row a*n + b, column k of
+    delta @ M is the coefficient of e_a (x) e_b (x) e_k, so the middle leg
+    for (a, k) is column k of the a-th block of n rows.
     """
     F = C.field
     n = C.dim
-    cols = C.delta_columns()
     middles = []
     for v in S.vectors():
-        # dv = delta(v), then expand the first leg once more
-        dv = {}
-        for j, c in enumerate(v):
-            if F.is_zero(c):
-                continue
-            for (i, k), w in cols[j]:
-                key = (i, k)
-                acc = F.add(dv.get(key, F.zero), F.mul(c, w))
-                if F.is_zero(acc):
-                    dv.pop(key, None)
-                else:
-                    dv[key] = acc
-        legs = {}
-        for (i, k), w in dv.items():
-            for (a, b), u in cols[i]:
-                key = (a, k)
-                if key not in legs:
-                    legs[key] = [F.zero] * n
-                legs[key][b] = F.add(legs[key][b], F.mul(u, w))
-        middles.extend(legs.values())
+        dv = C.delta.apply(v)
+        P = (C.delta @ Matrix(F, n, n, [dv[i * n:(i + 1) * n] for i in range(n)])).data
+        middles += [[P[a * n + b][k] for b in range(n)] for a in range(n) for k in range(n)]
     span = Subspace.from_vectors(F, n, middles)
     for v in S.vectors():
         if not span.contains_vector(v):

@@ -69,7 +69,7 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property, partial
 
 from .errors import CategoryMismatch, ComputationError, ShapeMismatch, ValidationError
-from .linalg import Matrix, Subspace, row_kernel
+from .linalg import Matrix, Subspace, _dense_rows, row_kernel
 
 
 class LinearMonoidalCategory:
@@ -333,8 +333,7 @@ def one_object_algebra_category(field, algebra):
     """A single object whose endomorphisms are a commutative algebra; both
     composition and the tensor of morphisms are the multiplication."""
     n = algebra.dim
-    table = algebra.table()
-    struct = [[list(table[j][i]) for i in range(n)] for j in range(n)]
+    struct = [[algebra.mult.col(j * n + i) for i in range(n)] for j in range(n)]
     hom_dims = {(0, 0): n}
     compose = {(0, 0, 0): struct}
     tensor_mor = {(0, 0, 0, 0): struct}
@@ -484,10 +483,11 @@ def _naturality_kernel(F, G):
 
     The unknown theta_U: F(U) -> G(U) is stored row-major at offsets[U] of
     one vector; returns (offsets, kernel of the equations).  Each equation
-    is built from its nonzero entries as an {index: value} map, and the
-    kernel is read off the sparse RREF rows of the equations: per index j
-    that leads no row, the vector with 1 at j and minus the j-th entry of
-    each row at that row's leading index."""
+    is built from its nonzero entries as an {index: value} map, the unknown
+    j numbered total - 1 - j, so each sparse RREF row leads at its largest
+    j.  The kernel vectors, per j that leads no row 1 at j and minus the
+    j-th entry of each row at that row's leading index, are then already
+    the kernel's canonical RREF basis."""
     cat = F.category
     fld = cat.field
     offsets = []
@@ -495,6 +495,7 @@ def _naturality_kernel(F, G):
     for U in range(cat.size):
         offsets.append(total)
         total += G.dims[U] * F.dims[U]
+    last = total - 1
     eqs = []
     for (a, b, i) in cat.all_basis_mors():
         Fcols = _nonzero_cols(fld, F.action(a, b, i))
@@ -503,21 +504,22 @@ def _naturality_kernel(F, G):
         fa, fb = F.dims[a], F.dims[b]
         # entry (r, c) of the equation: r < G.dims[a], c < F.dims[b]
         for r, grow in enumerate(Grows):
-            base = offsets[a] + r * fa
+            base = last - offsets[a] - r * fa
             for c, fcol in enumerate(Fcols):
-                row = {base + k: x for k, x in fcol}
+                row = {base - k: x for k, x in fcol}
                 for k, y in grow:
-                    idx = offsets[b] + k * fb + c
+                    idx = last - offsets[b] - k * fb - c
                     row[idx] = fld.sub(row.get(idx, fld.zero), y)
                 if row:
                     eqs.append(row)
     rows = row_kernel(fld).sparse_rref(fld, total, eqs)
-    vecs = {j: {j: fld.one} for j in range(total) if j not in rows}
+    vecs = {j: {j: fld.one} for j in range(total) if last - j not in rows}
     for c, row in rows.items():
         for j, v in row.items():
             if j != c:
-                vecs[j][c] = fld.neg(v)
-    return offsets, Subspace.from_sparse(fld, total, list(vecs.values()))
+                vecs[last - j][last - c] = fld.neg(v)
+    basis = _dense_rows(fld.zero, total, vecs)
+    return offsets, Subspace(fld, total, Matrix(fld, len(basis), total, basis))
 
 
 def _component(fld, vec, off, rows, cols):

@@ -17,7 +17,7 @@ with factors sorted deterministically.
 import math
 
 from . import gfpoly
-from .errors import DegreeCapExceeded, NotSupported, SearchExhausted
+from .errors import ComputationError, DegreeCapExceeded, NotSupported, SearchExhausted
 from .fields import ExtensionField, PrimeField, QQ, RationalField, is_prime
 from .polys import Polynomial
 from .seeding import derived_rng
@@ -444,7 +444,8 @@ def _hensel_multifactor(f, mods, p, target):
     for m in mods[k:]:
         h0 = gfpoly.mul(h0, m, p)
     d, s, t = gfpoly.ext_gcd(g0, h0, p)
-    assert d == [1], "modular factors not coprime"
+    if d != [1]:
+        raise ComputationError("modular factors not coprime")
     g, h = _hensel_pair(_modlist(f, target), g0, h0, s, t, p, target)
     return _hensel_multifactor(g, mods[:k], p, target) + _hensel_multifactor(
         h, mods[k:], p, target

@@ -12,15 +12,16 @@ construction; code elsewhere only reads `data`.
 Tensor index convention, used by every module: the basis vector e_i (x) e_j
 of k^m (x) k^n sits at index i*n + j (row-major on the factors).
 
-Row reduction, products, RowReducer, subspace coordinates, the span of
-sparse vectors, the products, multiplication matrices, power chains and
-idempotent lift of an ArtinAlgebra and the sparse contractions of the
-axiom checks run on a kernel per field kind (see `row_kernel`): Q on
-integer rows over a common denominator, fraction-free, to control
-coefficient growth (the sparse span excepted, which runs on the field's
-methods); F_p on plain ints reduced mod p; F_q through the field's
-methods.  Reduced row echelon form is canonical, so equal subspaces have
-identical bases.
+Row reduction, products, incremental dependence (`add_row`), subspace
+coordinates, the span of sparse vectors, the products, multiplication
+matrices, power chains and idempotent lift of an ArtinAlgebra and the
+sparse contractions of the axiom checks run on a kernel per field kind
+(see `row_kernel`): Q on integer rows over a common denominator,
+fraction-free, to control coefficient growth (the sparse span excepted,
+which runs on the field's methods); F_p on plain ints reduced mod p; F_q
+through the field's methods, with one row reduction, the sparse one.
+Reduced row echelon form is canonical, so equal subspaces have identical
+bases.
 
 `minimal_polynomial` is that of a matrix.  The minimal polynomial of an
 algebra element x (`structure.element_min_poly`) is the first dependence
@@ -332,11 +333,12 @@ class Matrix:
 
 # -- per-field row kernels --------------------------------------------------
 #
-# The entry loops of rref, matrix products, RowReducer.add, ArtinAlgebra.mul
-# and mult_matrix, the power chain of a minimal polynomial, the Newton lift
-# of an idempotent, the sparse RREF (Subspace.from_sparse, DayTensor),
-# Subspace.pivots/coordinates, and the sparse contraction the axiom checks
-# compare, one implementation per field kind, picked by `row_kernel`.
+# The entry loops of rref, matrix products, add_row (the incremental
+# dependence of minimal_polynomial), ArtinAlgebra.mul and mult_matrix, the
+# power chain of a minimal polynomial, the Newton lift of an idempotent, the
+# sparse RREF (Subspace.from_sparse, DayTensor), Subspace.pivots/coordinates,
+# and the sparse contraction the axiom checks compare, one implementation per
+# field kind, picked by `row_kernel`.
 # `cleared` puts a vector on a kernel's footing: its nonzero (index, value)
 # pairs and an int scale, the entry being value / scale;
 # `contract(F, terms, scale)` sums a * b per key over the (key, a, b) of
@@ -344,17 +346,21 @@ class Matrix:
 # over scales s and t are equal when contract(lhs, t) == contract(rhs, s).
 # `_FieldMethods` sends every entry through the field's own methods; F_q
 # runs on it, and the F_p and Q kernels return byte-identical results to it.
+# Its one row reduction is the sparse one; its dense `rref` is that result
+# written out.  The F_p and Q kernels keep a dense rref of their own: sending
+# F_p through the sparse one cost the finite-field workload 9% of its
+# throughput.
 
 
 def _min_poly_powers(F, A, x):
     """(combo, powers): the first dependence among 1, x, x^2, .. of an
-    algebra element, as `RowReducer.add` returns it, and the independent
-    powers before it."""
-    red = RowReducer(F)
-    powers = []
+    algebra element, as `add_row` returns it, and the independent powers
+    before it."""
+    add_row = row_kernel(F).add_row
+    rows, powers = [], []
     power = list(A.unit)
     while True:
-        combo = red.add(power)
+        combo = add_row(F, rows, power, len(powers))
         if combo is not None:
             return combo, powers
         powers.append(power)
@@ -382,30 +388,10 @@ class _FieldMethods:
 
     @staticmethod
     def rref(F, data, nrows, ncols):
-        rows = [list(r) for r in data]
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pr = None
-            for i in range(r, nrows):
-                if not F.is_zero(rows[i][c]):
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            inv = F.inv(rows[r][c])
-            if not F.is_one(rows[r][c]):
-                rows[r] = [F.mul(inv, a) for a in rows[r]]
-            for i in range(nrows):
-                if i != r and not F.is_zero(rows[i][c]):
-                    f = rows[i][c]
-                    rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return rows, pivots
+        """`sparse_rref`, dense, padded with zero rows."""
+        rows = _FieldMethods.sparse_rref(F, ncols, [dict(enumerate(r)) for r in data])
+        pad = [[F.zero] * ncols for _ in range(nrows - len(rows))]
+        return _dense_rows(F.zero, ncols, rows) + pad, sorted(rows)
 
     @staticmethod
     def matmul(F, a, b, ncols):
@@ -435,7 +421,10 @@ class _FieldMethods:
 
     @staticmethod
     def add_row(F, rows, vec, count):
-        """RowReducer.add over rows of (vector, pivot, combo)."""
+        """Reduce vec against rows of (vector, pivot, combo), the count
+        vectors added so far: None, having appended vec's row, while vec is
+        independent of them, else the coefficients c over them and vec (the
+        last one 1) with sum_i c_i v_i = 0."""
         v = list(vec)
         combo = [F.zero] * count + [F.one]
         for row, pivot, rcombo in rows:
@@ -554,13 +543,11 @@ class _FieldMethods:
 
     @staticmethod
     def contract(F, terms, scale=1):
+        """`cleared` puts every vector on scale 1 here, so scale is 1."""
         acc = {}
         for key, a, b in terms:
             ab = F.mul(a, b)
             acc[key] = F.add(acc[key], ab) if key in acc else ab
-        if scale != 1:
-            s = F.from_int(scale)
-            acc = {key: F.mul(s, v) for key, v in acc.items()}
         return {key: v for key, v in acc.items() if not F.is_zero(v)}
 
 
@@ -640,7 +627,8 @@ class _PrimeKernel:
 
     @staticmethod
     def add_row(F, rows, vec, count):
-        """RowReducer.add over rows of (vector + combo, pivot), pivot entry 1."""
+        """_FieldMethods.add_row over rows of (vector + combo, pivot), pivot
+        entry 1."""
         p = F.p
         n = len(vec)
         w = [a % p for a in vec] + [0] * count + [1]
@@ -885,8 +873,8 @@ class _RationalKernel:
 
 
 def _add_int_row(rows, nums, den, count):
-    """RowReducer.add over integer rows of (vector + combo, pivot), each
-    standing for its rational multiples, for the vector nums / den."""
+    """_FieldMethods.add_row over integer rows of (vector + combo, pivot),
+    each standing for its rational multiples, for the vector nums / den."""
     n = len(nums)
     w = nums + [0] * count + [den]
     for row, pivot in rows:
@@ -1156,29 +1144,6 @@ def coequalizer(f, g):
     return Coequalizer(q, s, q.rows, image)
 
 
-class RowReducer:
-    """Incremental row reduction with dependence tracking.
-
-    add() returns None while vectors stay independent; on the first
-    dependence it returns coefficients c (over all vectors added so far,
-    last coefficient 1) with sum_i c_i v_i = 0.
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self.rows = []  # in the form the field's kernel keeps them
-        self.count = 0
-
-    def add(self, vec):
-        combo = row_kernel(self.field).add_row(self.field, self.rows, vec, self.count)
-        self.count += 1
-        return combo
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-
 def minimal_polynomial(T):
     """Monic least-degree annihilating polynomial of a square matrix."""
     if T.rows != T.cols:
@@ -1187,11 +1152,12 @@ def minimal_polynomial(T):
     n = T.rows
     if n == 0:
         return Polynomial.one(F)
-    red = RowReducer(F)
+    add_row = row_kernel(F).add_row
+    rows = []
     power = Matrix.identity(F, n)
     while True:
-        vec = [a for row in power.data for a in row]
-        combo = red.add(vec)
+        # len(rows) vectors are in: each independent one adds a row
+        combo = add_row(F, rows, [a for row in power.data for a in row], len(rows))
         if combo is not None:
             return Polynomial(F, combo)
         power = power @ T

@@ -65,28 +65,14 @@ def radical(A):
 
 
 def _trace_form(A):
-    F = A.field
-    n = A.dim
-    table = A.table()
-    # tr(L_{e_t}) is the sum over k of the e_k coordinate of e_t e_k
-    traces = []
-    for row in table:
-        acc = F.zero
-        for k in range(n):
-            acc = F.add(acc, row[k][k])
-        traces.append(acc)
-    entries = []
-    for i in range(n):
-        for j in range(i, n):
-            acc = F.zero
-            prod = table[i][j]
-            for t in range(n):
-                if not F.is_zero(prod[t]):
-                    acc = F.add(acc, F.mul(prod[t], traces[t]))
-            entries.append((i, j, acc))
-            if i != j:
-                entries.append((j, i, acc))
-    return Matrix.from_entries(F, n, n, entries)
+    """The form (e_i, e_j) -> tr(L_{e_i e_j}): tr(L_{e_t}) is the sum over k
+    of the e_k coordinate of e_t e_k, and the form is that row of traces
+    times mult, read as n x n."""
+    F, n, mult = A.field, A.dim, A.mult.data
+    diagonal = Matrix(F, n, n, [[mult[k][t * n + k] for t in range(n)] for k in range(n)])
+    traces = Matrix(F, 1, n, [[F.one] * n]) @ diagonal
+    form = (traces @ A.mult).data[0]
+    return Matrix(F, n, n, [form[i * n:(i + 1) * n] for i in range(n)])
 
 
 def trace_form_nondegenerate(A):

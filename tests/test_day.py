@@ -737,8 +737,9 @@ def _dense_naturality_kernel(F, G):
 
 def test_naturality_kernel_matches_the_dense_equations():
     """The kernel read off the sparse RREF rows of the naturality equations
-    is the canonical kernel of their dense matrix, for (F, G) and for every
-    shift G(U (x) -) that the internal hom solves against."""
+    is the canonical kernel of their dense matrix, entry for entry and of
+    the same types, for (F, G) and for every shift G(U (x) -) that the
+    internal hom solves against."""
     from coalgkit.day import _naturality_kernel, _shifted
 
     pairs = list(_seeded_pairs(suites._day_categories() + GENERIC_CATS)) + list(_nilpotent_pairs())
@@ -746,9 +747,37 @@ def test_naturality_kernel_matches_the_dense_equations():
     for name, cat, F, G in pairs:
         for H in [G] + [_shifted(G, U) for U in range(cat.size)]:
             want = _dense_naturality_kernel(F, H)
-            assert _naturality_kernel(F, H) == want, name
+            got = _naturality_kernel(F, H)
+            assert got == want, name
+            assert [[type(a) for a in r] for r in got[1].basis.data] == \
+                   [[type(a) for a in r] for r in want[1].basis.data], name
             nonzero += 0 < want[1].dim < want[1].ambient
     assert nonzero > 100  # many kernels are neither zero nor everything
+
+
+def test_naturality_kernel_runs_one_sparse_reduction(monkeypatch):
+    """The kernel's RREF basis is read off the one sparse RREF of the
+    equations, over F_p, Q and F_q: the kernel vectors are not reduced a
+    second time."""
+    from coalgkit import linalg
+    from coalgkit.day import _naturality_kernel, _shifted
+
+    calls = []
+    for kernel in {linalg.row_kernel(fld) for fld in (F2, QQ, F4)}:
+        def counted(fld, ambient, vectors, reduce=kernel.sparse_rref):
+            calls.append(fld)
+            return reduce(fld, ambient, vectors)
+
+        monkeypatch.setattr(kernel, "sparse_rref", staticmethod(counted))
+    pairs = list(_seeded_pairs(suites._day_categories() + GENERIC_CATS)) + list(_nilpotent_pairs())
+    fields = set()
+    for name, cat, F, G in pairs[::3]:
+        for H in [G] + [_shifted(G, U) for U in range(cat.size)]:
+            calls.clear()
+            _naturality_kernel(F, H)
+            assert calls == [cat.field], name
+            fields.add(cat.field)
+    assert fields == {F2, F3, QQ, F4}
 
 
 def test_basis_precomposition_is_kept_per_category():

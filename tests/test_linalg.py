@@ -278,31 +278,42 @@ def test_minimal_polynomial_divides_characteristic_and_is_minimal():
 
 
 def test_bareiss_against_plain_gauss_jordan():
-    """Fraction-free elimination agrees with a dense Fraction oracle on
-    mid-size rational matrices with planted row dependencies."""
+    """Row reduction agrees with a dense Gauss-Jordan oracle on the field's
+    own methods: the fraction-free Q kernel on mid-size rational matrices,
+    and the F_q reduction (the sparse one, written out dense) on F_4 and
+    F_9 matrices, all with planted row dependencies."""
     rng = random.Random(888)
 
-    def plain_rref(rows_in):
+    def plain_rref(F, rows_in):
         rows = [list(r) for r in rows_in]
         nr, nc = len(rows), len(rows[0])
         piv = []
         r = 0
         for c in range(nc):
-            pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+            pr = next((i for i in range(r, nr) if not F.is_zero(rows[i][c])), None)
             if pr is None:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            inv = Fraction(1) / rows[r][c]
-            rows[r] = [a * inv for a in rows[r]]
+            inv = F.inv(rows[r][c])
+            rows[r] = [F.mul(inv, a) for a in rows[r]]
             for i in range(nr):
-                if i != r and rows[i][c] != 0:
+                if i != r and not F.is_zero(rows[i][c]):
                     f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                    rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[r])]
             piv.append(c)
             r += 1
             if r == nr:
                 break
         return rows, piv
+
+    def check(F, data):
+        M = Matrix(F, len(data), len(data[0]), [list(r) for r in data])
+        R, rank, pivots = M.rref()
+        oracle_rows, oracle_piv = plain_rref(F, data)
+        assert pivots == oracle_piv
+        assert R.data[: len(pivots)] == oracle_rows[: len(oracle_piv)]
+        assert all(F.is_zero(a) for row in R.data[rank:] for a in row)
+        return rank
 
     for trial in range(6):
         nr, nc = rng.randint(10, 24), rng.randint(10, 24)
@@ -314,11 +325,23 @@ def test_bareiss_against_plain_gauss_jordan():
             i, j = rng.randrange(nr), rng.randrange(nr)
             c = Fraction(rng.randint(-3, 3))
             data[i] = [a + c * b for a, b in zip(data[i], data[j])]
-        M = Matrix(QQ, nr, nc, [list(r) for r in data])
-        R, rank, pivots = M.rref()
-        oracle_rows, oracle_piv = plain_rref(data)
-        assert pivots == oracle_piv
-        assert R.data[: len(pivots)] == oracle_rows[: len(oracle_piv)]
+        check(QQ, data)
+    deficient = 0
+    for F in (GF(2, [1, 1, 1]), GF(3, [1, 0, 1])):
+        for trial in range(12):
+            nr, nc = rng.randint(2, 16), rng.randint(2, 16)
+            # every row a combination of at most `rank` seeded rows
+            rank = rng.randint(1, min(nr, nc))
+            base = [[F.random(rng) for _ in range(nc)] for _ in range(rank)]
+            data = []
+            for _ in range(nr):
+                row = [F.zero] * nc
+                for b in base:
+                    c = F.random(rng)
+                    row = [F.add(x, F.mul(c, y)) for x, y in zip(row, b)]
+                data.append(row)
+            deficient += check(F, data) < min(nr, nc)
+    assert deficient >= 12
 
 
 # -- per-field row kernels ---------------------------------------------------
@@ -649,6 +672,19 @@ def test_only_linalg_writes_matrix_entries():
             lines = _data_writes(ast.parse(path.read_text(), str(path)))
             if lines:
                 found[path.name] = lines
+    assert found == {}
+
+
+def test_no_assert_statements_in_the_package():
+    """A kernel check raises a typed error: `python -O` strips an assert,
+    and a failed one would leave the CLI with exit 1 instead of 4."""
+    package = pathlib.Path(linalg.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        if lines:
+            found[path.name] = lines
     assert found == {}
 
 

@@ -696,3 +696,89 @@ def test_linalg_writes_matrix_entries_only_in_the_constructor():
     init = next(node for node in matrix.body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
     assert len(_data_writes(init)) == 1
     assert _data_writes(tree) == _data_writes(init)
+
+
+# -- rational matrices: golden digest ------------------------------------------
+
+
+def _rational_digest():
+    """sha256 over the repr (entry types included) of rref (data, rank,
+    pivots), rank, kernel, column_space, solve_matrix and solve (inconsistent
+    systems included), inverse (singular matrices included), transpose,
+    hstack, kronecker, == between equal matrices over different
+    denominators, Subspace pivots/coordinates and cleared_columns on seeded
+    Q matrices, products and reductions among them; and of the canonical
+    JSON of component_of_idempotent and quotient_algebra on the duals of the
+    Q corpus."""
+    import hashlib
+
+    from coalgkit import corpus, jsonio
+    from coalgkit.coalgebra import dual_algebra
+    from coalgkit.structure import component_of_idempotent, local_decomposition, quotient_algebra, radical
+
+    h = hashlib.sha256()
+
+    def put(*values):
+        h.update(repr(values).encode())
+
+    rng = random.Random(2525)
+    shapes = [(0, 3), (3, 0), (1, 1), (4, 4), (6, 6), (6, 9), (9, 6)]
+    shapes += [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(40)]
+    for rows, cols in shapes:
+        M = _sparse_matrix(rng, QQ, rows, cols)
+        N = _sparse_matrix(rng, QQ, cols, rng.randint(0, 6))
+        B = _sparse_matrix(rng, QQ, rows, rng.randint(1, 3))
+        R, rank, pivots = M.rref()
+        products = [M @ N, R @ N, M.transpose() @ M]
+        put(R.data, rank, pivots, M.rank(), M.kernel().basis.data, M.column_space().basis.data)
+        for X in (M, R, products[0]):
+            inside = X @ _sparse_matrix(rng, QQ, X.cols, 2)
+            rhs = _sparse_matrix(rng, QQ, X.rows, 1).data
+            for target in (B if X.rows == B.rows else inside, inside):
+                sol = X.solve_matrix(target)
+                put(None if sol is None else sol.data)
+            vec = [r[0] for r in rhs]
+            put(X.solve(vec), X.solve([row[0] for row in inside.data]) if inside.cols else None)
+            put(X.transpose().data, X.hstack(X @ Matrix.identity(QQ, X.cols)).data)
+            put(X.cleared_columns())
+            S = Subspace.from_vectors(QQ, X.cols, X.data)
+            for space in (S, X.kernel(), X.transpose().column_space()):
+                v = _sparse_matrix(rng, QQ, 1, space.ambient).data[0] if space.ambient else []
+                w = space.basis.transpose().apply([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                                   for _ in range(space.dim)])
+                put(space.pivots(), space.coordinates(v), space.coordinates(w), space.basis.data)
+        for P in products:
+            put(P.data, P.cleared_columns(), P.rref()[0].data)
+        put(kronecker(M, N).data, kronecker(R, products[0]).data)
+        # equal matrices written over different denominators
+        half = Matrix.identity(QQ, M.cols).scale(Fraction(1, 2))
+        twice = Matrix.identity(QQ, M.cols).scale(2)
+        put(M == M @ half @ twice, M @ half == M.scale(Fraction(1, 2)), R == R.rref()[0],
+            M @ N == (N.transpose() @ M.transpose()).transpose(), M == M.scale(3), R == M)
+    for n in range(1, 7):
+        M = corpus.random_invertible(rng, QQ, n)
+        singular = Matrix(QQ, n, n, M.data[:-1] + [[a + a for a in M.data[0]] if n > 1 else [QQ.zero]])
+        for X in (M, M @ M, singular, singular @ M):
+            inv = X.inverse()
+            put(None if inv is None else (inv.data, inv.inverse().data))
+    for C in corpus.corpus(26, 40, fields=[QQ]):
+        A = dual_algebra(C)
+        if not A.dim:
+            continue
+        rad = radical(A)
+        Q, q, s = quotient_algebra(A, rad)
+        put(jsonio.canonical_json([jsonio.matrix_to_json(X) for X in (Q.mult, q, s)]),
+            jsonio.vector_to_json(QQ, Q.unit))
+        for e in local_decomposition(A).idempotents:
+            comp, E, P = component_of_idempotent(A, e)
+            put(jsonio.canonical_json([jsonio.matrix_to_json(X) for X in (comp.mult, E, P)]),
+                jsonio.vector_to_json(QQ, comp.unit), comp.mult.cleared_columns())
+    return h.hexdigest()
+
+
+# recorded before Q matrices kept their integer rows between kernel calls
+RATIONAL_MATRIX_SHA256 = "2a28e7793feabfed6b4594bdc2faae84f9e6852440dffdf4b396a84a932c14ba"
+
+
+def test_rational_matrix_golden_digest():
+    assert _rational_digest() == RATIONAL_MATRIX_SHA256

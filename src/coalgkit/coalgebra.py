@@ -157,8 +157,7 @@ class ArtinAlgebra:
 
     def mult_matrix(self, x):
         """Matrix of multiplication by x."""
-        F = self.field
-        return Matrix(F, self.dim, self.dim, row_kernel(F).mult_matrix(F, self, x))
+        return row_kernel(self.field).mult_matrix(self.field, self, x)
 
     def power(self, x, m):
         out = list(self.unit)
@@ -178,15 +177,8 @@ class ArtinAlgebra:
         return sol
 
     def eval_poly(self, poly, x):
-        """poly(x) inside the algebra, Horner style."""
-        F = self.field
-        n = self.dim
-        out = [F.zero] * n
-        for c in reversed(poly.coeffs):
-            out = self.mul(out, x)
-            for i in range(n):
-                out[i] = F.add(out[i], F.mul(c, self.unit[i]))
-        return out
+        """poly(x) inside the algebra, Horner style on the field's row kernel."""
+        return row_kernel(self.field).eval_poly(self.field, self, poly, x)
 
     def __eq__(self, other):
         if not isinstance(other, ArtinAlgebra):
@@ -261,17 +253,13 @@ def subalgebra_on_basis(A, basis_rows):
     """Unital subalgebra spanned by basis_rows (must contain 1 and be closed
     under multiplication); returns (algebra, embedding matrix)."""
     F = A.field
-    d = len(basis_rows)
-    E = Matrix.from_cols(F, basis_rows, A.dim)
-    prods = []
-    for bi in basis_rows:
-        for bj in basis_rows:
-            prods.append(A.mul(bi, bj))
-    X = E.solve_matrix(Matrix.from_cols(F, prods, A.dim))
+    B = Matrix.from_rows(F, basis_rows, A.dim)
+    E = B.transpose()
+    X = E.solve_matrix(row_kernel(F).basis_products(F, A, B, B))
     unit = E.solve(list(A.unit))
     if X is None or unit is None:
         raise ValidationError("span is not a unital subalgebra")
-    return ArtinAlgebra(F, d, X, unit), E
+    return ArtinAlgebra(F, B.rows, X, unit), E
 
 
 # -- validation ---------------------------------------------------------

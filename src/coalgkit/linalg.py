@@ -7,7 +7,9 @@ field values.
 A Matrix holds dense rows of raw field values, and only this module writes
 them.  A matrix is built by a constructor (`from_rows`, `from_cols`, `zeros`,
 `hstack`, ..., or entry by entry with `from_entries`) and never written after
-construction; code elsewhere only reads `data`.
+construction; code elsewhere only reads `data`.  Over Q a kernel result keeps
+the integer rows the kernel computed (`_IntRowMatrix`), the next kernel op
+reads them, and its `data` is a view of Fractions built on first read.
 
 Tensor index convention, used by every module: the basis vector e_i (x) e_j
 of k^m (x) k^n sits at index i*n + j (row-major on the factors).
@@ -84,6 +86,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
+        if row_kernel(field) is _RationalKernel:
+            return _IntRowMatrix(field, n, n, [([0] * i + [1] + [0] * (n - 1 - i), 1) for i in range(n)])
         z, o = field.zero, field.one
         return cls(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
 
@@ -110,6 +114,9 @@ class Matrix:
 
     @classmethod
     def column(cls, field, vec):
+        if row_kernel(field) is _RationalKernel:
+            nums, den = clear_denominators(vec)
+            return _IntRowMatrix(field, len(vec), 1, [([a], den) for a in nums])
         return cls(field, len(vec), 1, [[v] for v in vec])
 
     # -- basic ops ------------------------------------------------------
@@ -121,15 +128,13 @@ class Matrix:
         self._check(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        F = self.field
-        data = row_kernel(F).matmul(F, self.data, other.data, other.cols)
-        return Matrix(F, self.rows, other.cols, data)
+        return row_kernel(self.field).matmul(self.field, self, other)
 
     def apply(self, vec):
         """Matrix times column vector (a plain list)."""
         if len(vec) != self.cols:
             raise ShapeMismatch("vector length mismatch")
-        return row_kernel(self.field).apply(self.field, self.data, vec)
+        return row_kernel(self.field).apply(self.field, self, vec)
 
     def __add__(self, other):
         self._check(other)
@@ -172,6 +177,12 @@ class Matrix:
         self._check(other)
         if self.rows != other.rows:
             raise ShapeMismatch("hstack row mismatch")
+        if _IntRowMatrix in (type(self), type(other)):
+            rows = []
+            for (a, d), (b, e) in zip(_int_rows(self), _int_rows(other)):
+                den = lcm(d, e)
+                rows.append((a + b if d == e else [x * (den // d) for x in a] + [x * (den // e) for x in b], den))
+            return _IntRowMatrix(self.field, self.rows, self.cols + other.cols, rows)
         return Matrix(
             self.field,
             self.rows,
@@ -252,8 +263,8 @@ class Matrix:
         Returns (R, rank, pivot_cols); R has the shape of self with zero
         rows at the bottom.
         """
-        rows, pivots = row_kernel(self.field).rref(self.field, self.data, self.rows, self.cols)
-        return Matrix(self.field, self.rows, self.cols, rows), len(pivots), pivots
+        R, pivots = row_kernel(self.field).rref(self.field, self)
+        return R, len(pivots), pivots
 
     def rank(self):
         return self.rref()[1]
@@ -261,20 +272,10 @@ class Matrix:
     def kernel(self):
         """Right kernel as a Subspace of k^cols."""
         R, _, pivots = self.rref()
-        F = self.field
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        basis = []
-        for j in free:
-            v = [F.zero] * self.cols
-            v[j] = F.one
-            for i, p in enumerate(pivots):
-                v[p] = F.neg(R.data[i][j])
-            basis.append(v)
-        return Subspace.from_vectors(F, self.cols, basis)
+        return _row_space(_null_rows(R, pivots))
 
     def column_space(self):
-        return Subspace.from_vectors(self.field, self.rows, self.transpose().data)
+        return _row_space(self.transpose())
 
     def solve(self, rhs):
         """One solution of self @ x = rhs, or None if inconsistent."""
@@ -292,6 +293,11 @@ class Matrix:
         n = self.cols
         if any(p >= n for p in pivots):
             return None  # a pivot in the rhs block: inconsistent
+        if type(R) is _IntRowMatrix:
+            rows = [([0] * B.cols, 1)] * n
+            for (nums, den), p in zip(R.ints, pivots):
+                rows[p] = (nums[n:], den)
+            return _IntRowMatrix(F, n, B.cols, rows)
         rows = [[F.zero] * B.cols for _ in range(n)]
         for i, p in enumerate(pivots):
             rows[p] = R.data[i][n:]
@@ -331,14 +337,121 @@ class Matrix:
         return acc
 
 
+class _IntRowMatrix(Matrix):
+    """A Q matrix as the Q row kernel computed it: `ints` holds each row as
+    (numerators, denominator > 0), which the kernel ops read, and `data`
+    builds its Fractions on first read.  rref, kernel and @ are Matrix's."""
+
+    __slots__ = ("ints", "_view")
+
+    def __init__(self, field, rows, cols, ints):
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.ints = ints
+        self._view = None
+
+    @property
+    def data(self):
+        if self._view is None:
+            self._view = [[_fraction(a, d) for a in nums] for nums, d in self.ints]
+        return self._view
+
+    def transpose(self):
+        cols, den = _common_columns(self.ints, self.cols)
+        return _IntRowMatrix(self.field, self.cols, self.rows, [(col, den) for col in cols])
+
+    def cleared_columns(self):
+        # a reduced row's denominator is the lcm of its entries' ones
+        cols, scale = _common_columns([_reduced(nums, d) for nums, d in self.ints], self.cols)
+        return [[(i, a) for i, a in enumerate(col) if a] for col in cols], scale
+
+    def __eq__(self, other):
+        """Rows compared cross-multiplied, with no Fraction built."""
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.field, self.rows, self.cols) == (other.field, other.rows, other.cols) and all(
+            a == b if d == e else [x * e for x in a] == [y * d for y in b]
+            for (a, d), (b, e) in zip(self.ints, _int_rows(other)))
+
+    __hash__ = Matrix.__hash__
+
+
+def _int_rows(M):
+    """The rows of a Q matrix as (numerators, denominator > 0)."""
+    if type(M) is _IntRowMatrix:
+        return M.ints
+    return [clear_denominators(row) for row in M.data]
+
+
+def _reduced(nums, den):
+    """nums / den with the common factor of the numerators and den divided out."""
+    g = gcd(den, *nums)
+    return ([a // g for a in nums], den // g) if g > 1 else (nums, den)
+
+
+def _common_columns(rows, ncols):
+    """(cols, den): the columns of integer rows as numerator lists over one
+    denominator, the lcm of the rows' ones."""
+    den = lcm(*[d for _, d in rows])
+    scaled = [nums if d == den else [a * (den // d) for a in nums] for nums, d in rows]
+    return [list(col) for col in zip(*scaled)] if rows else [[] for _ in range(ncols)], den
+
+
+def _block(M, nrows, cols=None):
+    """The first nrows rows of M, on the columns cols (all of them when None),
+    as a matrix of M's kind."""
+    ints = type(M) is _IntRowMatrix
+    rows = (M.ints if ints else M.data)[:nrows]
+    if cols is not None:
+        rows = [([a[c] for c in cols], d) for a, d in rows] if ints else [[r[c] for c in cols] for r in rows]
+    return type(M)(M.field, nrows, M.cols if cols is None else len(cols), rows)
+
+
+def _row_space(M):
+    """The Subspace of k^cols spanned by the rows of M."""
+    R, rank, _ = M.rref()
+    return Subspace(M.field, M.cols, _block(R, rank))
+
+
+def _null_rows(R, pivots):
+    """For R in RREF with the given pivots, one row per column j that holds
+    no pivot: 1 at j and minus R's column j at the pivots.  They are a basis
+    of the right kernel of R, as a matrix of R's kind."""
+    F, n = R.field, R.cols
+    free, out = sorted(set(range(n)) - set(pivots)), []
+    if type(R) is _IntRowMatrix:
+        rows = R.ints[:len(pivots)]
+        den = lcm(*[d for _, d in rows])
+        for j in free:
+            v = [0] * n
+            v[j] = den
+            for (nums, d), p in zip(rows, pivots):
+                v[p] = -nums[j] * (den // d)
+            out.append((v, den))
+        return _IntRowMatrix(F, len(free), n, out)
+    for j in free:
+        v = [F.zero] * n
+        v[j] = F.one
+        for row, p in zip(R.data, pivots):
+            v[p] = F.neg(row[j])
+        out.append(v)
+    return Matrix(F, len(free), n, out)
+
+
 # -- per-field row kernels --------------------------------------------------
 #
 # The entry loops of rref, matrix products, add_row (the incremental
-# dependence of minimal_polynomial), ArtinAlgebra.mul and mult_matrix, the
-# power chain of a minimal polynomial, the Newton lift of an idempotent, the
-# sparse RREF (Subspace.from_sparse, DayTensor), Subspace.pivots/coordinates,
-# and the sparse contraction the axiom checks compare, one implementation per
-# field kind, picked by `row_kernel`.
+# dependence of minimal_polynomial), ArtinAlgebra.mul, mult_matrix and
+# eval_poly, the products of two bases in an algebra, the power chain of a
+# minimal polynomial, the Newton lift of an idempotent, the sparse RREF
+# (Subspace.from_sparse, DayTensor), Subspace.pivots/coordinates, and the
+# sparse contraction the axiom checks compare, one implementation per field
+# kind, picked by `row_kernel`.  The Q kernel returns its matrices on integer
+# rows (`_IntRowMatrix`) and reads them, so a chain of products, reductions
+# and solves clears each Fraction input once; F_p and F_q matrices keep
+# `data` a plain slot, since a `data` property on every Matrix cost the
+# finite-field workload 4-7% of its throughput.
 # `cleared` puts a vector on a kernel's footing: its nonzero (index, value)
 # pairs and an int scale, the entry being value / scale;
 # `contract(F, terms, scale)` sums a * b per key over the (key, a, b) of
@@ -367,6 +480,12 @@ def _min_poly_powers(F, A, x):
         power = A.mul(power, x)
 
 
+def _basis_products(F, A, B, C):
+    """The matrix whose column i*m + j is b_i c_j in A, for the rows b of B
+    and the m rows c of C."""
+    return Matrix.from_cols(F, [A.mul(u, v) for u in B.data for v in C.data], A.dim)
+
+
 def _lift_idempotent(F, A, a, steps):
     """`structure.lift_idempotent` through A.mul: e, or None when the
     steps end without an idempotent e with a - e nilpotent."""
@@ -387,31 +506,31 @@ class _FieldMethods:
     reference the other kernels are tested against."""
 
     @staticmethod
-    def rref(F, data, nrows, ncols):
+    def rref(F, M):
         """`sparse_rref`, dense, padded with zero rows."""
-        rows = _FieldMethods.sparse_rref(F, ncols, [dict(enumerate(r)) for r in data])
-        pad = [[F.zero] * ncols for _ in range(nrows - len(rows))]
-        return _dense_rows(F.zero, ncols, rows) + pad, sorted(rows)
+        rows = _FieldMethods.sparse_rref(F, M.cols, [dict(enumerate(r)) for r in M.data])
+        pad = [[F.zero] * M.cols for _ in range(M.rows - len(rows))]
+        return Matrix(F, M.rows, M.cols, _dense_rows(F.zero, M.cols, rows) + pad), sorted(rows)
 
     @staticmethod
-    def matmul(F, a, b, ncols):
+    def matmul(F, A, B):
         z = F.zero
         out = []
-        for arow in a:
-            orow = [z] * ncols
-            for x, brow in zip(arow, b):
+        for arow in A.data:
+            orow = [z] * B.cols
+            for x, brow in zip(arow, B.data):
                 if F.is_zero(x):
                     continue
                 for j, y in enumerate(brow):
                     if not F.is_zero(y):
                         orow[j] = F.add(orow[j], F.mul(x, y))
             out.append(orow)
-        return out
+        return Matrix(F, A.rows, B.cols, out)
 
     @staticmethod
-    def apply(F, data, vec):
+    def apply(F, M, vec):
         out = []
-        for row in data:
+        for row in M.data:
             acc = F.zero
             for a, v in zip(row, vec):
                 if not (F.is_zero(a) or F.is_zero(v)):
@@ -472,10 +591,19 @@ class _FieldMethods:
         z, o = F.zero, F.one
         cols = [_FieldMethods.algebra_mul(F, A, x, [o if i == k else z for i in range(n)])
                 for k in range(n)]
-        return [[c[i] for c in cols] for i in range(n)]
+        return Matrix.from_cols(F, cols, n)
+
+    @staticmethod
+    def eval_poly(F, A, poly, x):
+        """poly(x) in A, Horner style."""
+        out = [F.zero] * A.dim
+        for c in reversed(poly.coeffs):
+            out = [F.add(s, F.mul(c, u)) for s, u in zip(A.mul(out, x), A.unit)]
+        return out
 
     min_poly_powers = staticmethod(_min_poly_powers)
     lift_idempotent = staticmethod(_lift_idempotent)
+    basis_products = staticmethod(_basis_products)
 
     @staticmethod
     def sparse_rref(F, ambient, vectors):
@@ -514,9 +642,9 @@ class _FieldMethods:
                 v[j] = w
 
     @staticmethod
-    def pivots(F, rows):
+    def pivots(F, M):
         out = []
-        for row in rows:
+        for row in M.data:
             for j, a in enumerate(row):
                 if not F.is_zero(a):
                     out.append(j)
@@ -524,11 +652,11 @@ class _FieldMethods:
         return out
 
     @staticmethod
-    def coordinates(F, rows, pivots, vec):
-        """Subspace.coordinates over RREF rows with the given pivots."""
+    def coordinates(F, M, pivots, vec):
+        """Subspace.coordinates over the RREF rows of M with the given pivots."""
         v = list(vec)
         coords = []
-        for row, p in zip(rows, pivots):
+        for row, p in zip(M.data, pivots):
             c = v[p]
             coords.append(c)
             if not F.is_zero(c):
@@ -562,10 +690,11 @@ def _dense_rows(zero, ambient, rows):
     return out
 
 
-def _nonzero_pivots(F, rows):
-    """Subspace.pivots where a zero entry is falsy (F_p and Q)."""
+def _nonzero_pivots(F, M):
+    """Subspace.pivots where a zero entry is falsy: F_p, and Q (on the
+    numerators of integer rows)."""
     out = []
-    for row in rows:
+    for row in [nums for nums, _ in M.ints] if type(M) is _IntRowMatrix else M.data:
         for j, a in enumerate(row):
             if a:
                 out.append(j)
@@ -578,9 +707,9 @@ class _PrimeKernel:
     `% p`.  Outputs are ints in [0, p)."""
 
     @staticmethod
-    def rref(F, data, nrows, ncols):
-        p = F.p
-        rows = [[a % p for a in r] for r in data]
+    def rref(F, M):
+        p, nrows, ncols = F.p, M.rows, M.cols
+        rows = [[a % p for a in r] for r in M.data]
         pivots = []
         r = 0
         for c in range(ncols):
@@ -606,24 +735,24 @@ class _PrimeKernel:
             r += 1
             if r == nrows:
                 break
-        return rows, pivots
+        return Matrix(F, nrows, ncols, rows), pivots
 
     @staticmethod
-    def matmul(F, a, b, ncols):
+    def matmul(F, A, B):
         p = F.p
         out = []
-        for arow in a:
-            acc = [0] * ncols
-            for x, brow in zip(arow, b):
+        for arow in A.data:
+            acc = [0] * B.cols
+            for x, brow in zip(arow, B.data):
                 if x:
                     acc = [s + x * y for s, y in zip(acc, brow)]
             out.append([s % p for s in acc])
-        return out
+        return Matrix(F, A.rows, B.cols, out)
 
     @staticmethod
-    def apply(F, data, vec):
+    def apply(F, M, vec):
         p = F.p
-        return [sum(map(mul, row, vec)) % p for row in data]
+        return [sum(map(mul, row, vec)) % p for row in M.data]
 
     @staticmethod
     def add_row(F, rows, vec, count):
@@ -653,10 +782,19 @@ class _PrimeKernel:
     @staticmethod
     def mult_matrix(F, A, x):
         p = F.p
-        return [[s % p for s in row] for row in _int_mult_matrix(A, x)]
+        return Matrix(F, A.dim, A.dim, [[s % p for s in row] for row in _int_mult_matrix(A, x)])
+
+    @staticmethod
+    def eval_poly(F, A, poly, x):
+        """Horner on ints, one `% p` per coordinate and step."""
+        out = [0] * A.dim
+        for c in reversed(poly.coeffs):
+            out = [(s + c * u) % F.p for s, u in zip(_int_algebra_mul(A, out, x), A.unit)]
+        return out
 
     min_poly_powers = staticmethod(_min_poly_powers)
     lift_idempotent = staticmethod(_lift_idempotent)
+    basis_products = staticmethod(_basis_products)
 
     @staticmethod
     def sparse_rref(F, ambient, vectors):
@@ -683,14 +821,14 @@ class _PrimeKernel:
     pivots = staticmethod(_nonzero_pivots)
 
     @staticmethod
-    def coordinates(F, rows, pivots, vec):
+    def coordinates(F, M, pivots, vec):
         """In RREF every pivot column is zero in the other rows, so the
         coordinates are vec's pivot entries; vec is inside when it equals
         their combination of the rows."""
         p = F.p
         coords = [vec[j] % p for j in pivots]
         v = list(vec)
-        for c, row in zip(coords, rows):
+        for c, row in zip(coords, M.data):
             if c:
                 v = [a - c * b for a, b in zip(v, row)]
         return None if any(a % p for a in v) else coords
@@ -731,14 +869,16 @@ def _fraction(num, den):
 
 
 class _RationalKernel:
-    """Q on integer rows over a common denominator, fraction-free like
-    Bareiss elimination: each output entry is one Fraction(num, den)."""
+    """Q on integer rows (numerators, denominator), fraction-free like
+    Bareiss elimination.  Matrix results are `_IntRowMatrix`es; a vector
+    result is one Fraction(num, den) per entry."""
 
     @staticmethod
-    def rref(F, data, nrows, ncols):
+    def rref(F, M):
         # a row stands for its rational multiples, so elimination
         # cross-multiplies and then divides out the row's content
-        rows = [clear_denominators(r)[0] for r in data]
+        nrows, ncols = M.rows, M.cols
+        rows = [nums for nums, _ in _int_rows(M)]
         pivots = []
         r = 0
         for c in range(ncols):
@@ -761,26 +901,23 @@ class _RationalKernel:
             r += 1
             if r == nrows:
                 break
-        out = [[_fraction(a, row[c]) for a in row] for row, c in zip(rows, pivots)]
-        return out + [[_Q_ZERO] * ncols for _ in range(nrows - len(pivots))], pivots
+        # each nonzero row over its pivot entry, made positive
+        out = [(row, row[c]) if row[c] > 0 else ([-a for a in row], -row[c])
+               for row, c in zip(rows, pivots)]
+        out += [([0] * ncols, 1)] * (nrows - len(pivots))
+        return _IntRowMatrix(F, nrows, ncols, out), pivots
 
     @staticmethod
-    def matmul(F, a, b, ncols):
-        cols = [clear_denominators(col) for col in zip(*b)] if b else [([], 1)] * ncols
-        out = []
-        for arow in a:
-            nums, den = clear_denominators(arow)
-            out.append([_fraction(sum(map(mul, nums, cn)), den * cd) for cn, cd in cols])
-        return out
+    def matmul(F, A, B):
+        cols, den = _common_columns(_int_rows(B), B.cols)
+        out = [_reduced([sum(map(mul, nums, col)) for col in cols], d * den)
+               for nums, d in _int_rows(A)]
+        return _IntRowMatrix(F, A.rows, B.cols, out)
 
     @staticmethod
-    def apply(F, data, vec):
+    def apply(F, M, vec):
         nums, den = clear_denominators(vec)
-        out = []
-        for row in data:
-            rn, rd = clear_denominators(row)
-            out.append(_fraction(sum(map(mul, rn, nums)), rd * den))
-        return out
+        return [_fraction(sum(map(mul, rn, nums)), rd * den) for rn, rd in _int_rows(M)]
 
     @staticmethod
     def add_row(F, rows, vec, count):
@@ -797,7 +934,29 @@ class _RationalKernel:
     def mult_matrix(F, A, x):
         xn, xd = clear_denominators(x)
         den = A.int_table()[1] * xd
-        return [[_fraction(s, den) for s in row] for row in _int_mult_matrix(A, xn)]
+        return _IntRowMatrix(F, A.dim, A.dim, [(row, den) for row in _int_mult_matrix(A, xn)])
+
+    @staticmethod
+    def basis_products(F, A, B, C):
+        """_basis_products on the integer rows of B and C."""
+        d = A.int_table()[1]
+        prods = [(_int_algebra_mul(A, u, v), d * e * f) for u, e in _int_rows(B) for v, f in _int_rows(C)]
+        return _IntRowMatrix(F, len(prods), A.dim, prods).transpose()
+
+    @staticmethod
+    def eval_poly(F, A, poly, x):
+        """Horner on integer numerators over one denominator: x and the
+        unit are cleared once, and each step adds the next coefficient."""
+        xn, xd = clear_denominators(x)
+        un, ud = clear_denominators(A.unit)
+        step = A.int_table()[1] * xd
+        nums, den = [0] * A.dim, 1
+        for c in reversed(poly.coeffs):
+            prod, den, cd = _int_algebra_mul(A, nums, xn), den * step, c.denominator * ud
+            t = lcm(den, cd)
+            f, g = t // den, c.numerator * (t // cd)
+            nums, den = _reduced([a * f + g * u for a, u in zip(prod, un)], t)
+        return [_fraction(a, den) for a in nums]
 
     @staticmethod
     def min_poly_powers(F, A, x):
@@ -845,11 +1004,11 @@ class _RationalKernel:
     pivots = staticmethod(_nonzero_pivots)
 
     @staticmethod
-    def coordinates(F, rows, pivots, vec):
+    def coordinates(F, M, pivots, vec):
         """As over F_p, with vec and the combination compared on integers
         over one common denominator."""
         coords = [vec[j] for j in pivots]
-        terms = [(c, clear_denominators(row)) for c, row in zip(coords, rows) if c]
+        terms = [(c, row) for c, row in zip(coords, _int_rows(M)) if c]
         nums, den = clear_denominators(vec)
         scale = lcm(den, *(c.denominator * rd for c, (_, rd) in terms))
         v = [a * (scale // den) for a in nums]
@@ -957,9 +1116,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
-        M = Matrix.from_rows(field, [list(v) for v in vectors], ambient)
-        R, rank, _ = M.rref()
-        return cls(field, ambient, Matrix(field, rank, ambient, R.data[:rank]))
+        return _row_space(Matrix.from_rows(field, vectors, ambient))
 
     @classmethod
     def from_sparse(cls, field, ambient, vectors):
@@ -989,13 +1146,11 @@ class Subspace:
         return [self.basis.row(i) for i in range(self.dim)]
 
     def pivots(self):
-        return row_kernel(self.field).pivots(self.field, self.basis.data)
+        return row_kernel(self.field).pivots(self.field, self.basis)
 
     def coordinates(self, vec):
         """Coefficients of vec over the basis rows, or None if outside."""
-        kernel = row_kernel(self.field)
-        rows = self.basis.data
-        return kernel.coordinates(self.field, rows, kernel.pivots(self.field, rows), vec)
+        return row_kernel(self.field).coordinates(self.field, self.basis, self.pivots(), vec)
 
     def contains_vector(self, vec):
         return self.coordinates(vec) is not None
@@ -1016,13 +1171,9 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.field, self.ambient)
         At = self.basis.transpose()
-        Bt = (-other.basis).transpose()
-        ker = At.hstack(Bt).kernel()
-        vecs = []
-        for w in ker.vectors():
-            x = w[: self.dim]
-            vecs.append(self.basis.transpose().apply(x))
-        return Subspace.from_vectors(self.field, self.ambient, vecs)
+        ker = At.hstack((-other.basis).transpose()).kernel()
+        # a kernel vector (x, y) has A^T x = B^T y, in both subspaces
+        return (At @ _block(ker.basis, ker.dim, range(self.dim)).transpose()).column_space()
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -1067,6 +1218,9 @@ def kronecker(A, B):
     if A.field != B.field:
         raise SpecMismatch("kronecker over different fields")
     F = A.field
+    if row_kernel(F) is _RationalKernel:
+        rows = [([x * y for x in a for y in b], d * e) for a, d in _int_rows(A) for b, e in _int_rows(B)]
+        return _IntRowMatrix(F, A.rows * B.rows, A.cols * B.cols, rows)
     rows = [[F.zero] * (A.cols * B.cols) for _ in range(A.rows * B.rows)]
     for i in range(A.rows):
         for k in range(A.cols):
@@ -1097,23 +1251,10 @@ def quotient_maps(sub):
     the quotient coordinates are the non-pivot coordinates of the subspace
     basis, which makes the construction canonical.
     """
-    F = sub.field
-    n = sub.ambient
-    pivots = sub.pivots()
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    z, one = F.zero, F.one
-    q = [[z] * n for _ in free]
-    s = [[z] * len(free) for _ in range(n)]
-    for idx, j in enumerate(free):
-        q[idx][j] = one
-        s[j][idx] = one
-    for i, p in enumerate(pivots):
-        row = sub.basis.data[i]
-        for idx, j in enumerate(free):
-            if not F.is_zero(row[j]):
-                q[idx][p] = F.neg(row[j])
-    return Matrix(F, len(free), n, q), Matrix(F, n, len(free), s)
+    F, n, pivots = sub.field, sub.ambient, sub.pivots()
+    free = sorted(set(range(n)) - set(pivots))
+    s = Matrix.from_entries(F, n, len(free), [(j, i, F.one) for i, j in enumerate(free)])
+    return _null_rows(sub.basis, pivots), s
 
 
 class Coequalizer:

@@ -29,7 +29,7 @@ from .errors import ComputationError, NonSeparableResidue, SearchExhausted, Vali
 from .factor import factor_polynomial, is_separable
 # minimal_polynomial (of a matrix) stays importable from here, where the
 # bench's tracer also wraps it; element_min_poly does not call it
-from .linalg import Matrix, Subspace, minimal_polynomial, quotient_maps, row_kernel  # noqa: F401
+from .linalg import Matrix, Subspace, _block, minimal_polynomial, quotient_maps, row_kernel  # noqa: F401
 from .polys import Polynomial
 from .seeding import derived_rng
 
@@ -89,10 +89,8 @@ def quotient_algebra(A, ideal):
     n = A.dim
     pivots = set(ideal.pivots())
     free = [j for j in range(n) if j not in pivots]
-    cols = [a * n + b for a in free for b in free]
-    products = Matrix(A.field, n, len(cols), [[row[c] for c in cols] for row in A.mult.data])
-    unit = q.apply(A.unit)
-    return ArtinAlgebra(A.field, q.rows, q @ products, unit), q, s
+    products = _block(A.mult, n, [a * n + b for a in free for b in free])
+    return ArtinAlgebra(A.field, q.rows, q @ products, q.apply(A.unit)), q, s
 
 
 class _MinimalPolynomial(Polynomial):
@@ -262,25 +260,21 @@ def lift_idempotent(A, a):
 
 
 def component_of_idempotent(A, e):
-    """The unital subalgebra e*A: (algebra, embedding, projection)."""
+    """The unital subalgebra e*A: (algebra, embedding, projection).  The
+    embedding E has the canonical basis of e*A as its columns, and the
+    structure constants solve E X = the products of that basis."""
     F = A.field
     Me = A.mult_matrix(e)
-    basis_rows = Me.column_space().vectors()
-    d = len(basis_rows)
-    E = Matrix.from_cols(F, basis_rows, A.dim)
+    basis = Me.column_space().basis
+    E = basis.transpose()
     P = E.solve_matrix(Me)
     if P is None:
         raise ComputationError("projection onto idempotent component failed")
-    prods = []
-    for bi in basis_rows:
-        for bj in basis_rows:
-            prods.append(A.mul(bi, bj))
-    X = E.solve_matrix(Matrix.from_cols(F, prods, A.dim))
+    X = E.solve_matrix(row_kernel(F).basis_products(F, A, basis, basis))
     unit = E.solve(e)
     if X is None or unit is None:
         raise ComputationError("component structure constants failed")
-    comp = ArtinAlgebra(F, d, X, unit)
-    return comp, E, P
+    return ArtinAlgebra(F, basis.rows, X, unit), E, P
 
 
 class FieldDatum:
@@ -367,7 +361,7 @@ def local_decomposition(A):
     for e in idems:
         comp, E, P = component_of_idempotent(A, e)
         # rad(eA) = e rad(A), so its canonical basis is that of P rad(A)
-        rad_i = Subspace.from_vectors(F, comp.dim, [P.apply(v) for v in rad.vectors()])
+        rad_i = (P @ rad.basis.transpose()).column_space()
         nilp = _nilpotency_index(comp, rad_i)
         Kbar, rproj, _ = quotient_algebra(comp, rad_i)
         prim, minpoly = primitive_element(Kbar)
@@ -395,11 +389,7 @@ def _nilpotency_index(A, rad):
     index = 1
     while current.dim > 0:
         index += 1
-        products = []
-        for u in current.vectors():
-            for v in rad.vectors():
-                products.append(A.mul(u, v))
-        nxt = Subspace.from_vectors(F, A.dim, products)
+        nxt = row_kernel(F).basis_products(F, A, current.basis, rad.basis).column_space()
         if nxt.dim == current.dim:
             raise ComputationError("radical is not nilpotent; corrupt algebra")
         current = nxt
@@ -469,7 +459,7 @@ def wedderburn_splitting(component):
     Pinv = P.inverse()
     if Pinv is None:
         raise ComputationError("A is not K (+) m; Hensel data inconsistent")
-    retract = Matrix(F, d, A.dim, [Pinv.data[i] for i in range(d)])
+    retract = _block(Pinv, d)
     K = polynomial_quotient_algebra(F, p)
     if retract.apply(A.unit) != list(K.unit):
         raise ComputationError("retract does not preserve the unit")

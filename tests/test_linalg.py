@@ -370,9 +370,10 @@ def _sparse_matrix(rng, field, rows, cols):
 
 
 def _kernel_outputs(rng, field):
-    """repr of rref/kernel/@/apply/ArtinAlgebra.mul/mult_matrix/
-    minimal_polynomial and Subspace pivots/coordinates results on seeded inputs, and every entry
-    they hold."""
+    """repr of rref/kernel/@/apply/solve_matrix/solve/inverse/column_space/
+    transpose/hstack/kronecker/==, ArtinAlgebra.mul/mult_matrix/eval_poly,
+    the basis products of a component, minimal_polynomial and Subspace
+    pivots/coordinates results on seeded inputs, and every entry they hold."""
     from coalgkit.coalgebra import ArtinAlgebra
 
     outs, entries = [], []
@@ -386,8 +387,18 @@ def _kernel_outputs(rng, field):
         K = M.kernel()
         P = M @ N
         image = M.apply(vec)
-        outs.append(repr((R.data, rank, pivots, K.basis.data, P.data, image)))
-        entries += [a for m in (R, K.basis, P) for row in m.data for a in row] + image
+        B = _sparse_matrix(rng, field, rows, 2)
+        solved = [M.solve_matrix(X) for X in (B, M @ _sparse_matrix(rng, field, cols, 2))]
+        solved += [R.solve_matrix(P) if P.cols else None, (R @ M.transpose()).inverse()]
+        solved = [X for X in solved if X is not None]
+        built = [M.column_space().basis, M.transpose(), P.transpose(), M.hstack(R), R.hstack(P),
+                 kronecker(M, R), kronecker(P, N)] + solved
+        sols = [M.solve(B.col(0)) if rows else None, R.solve(image)]
+        same = [M == R, R == R.rref()[0], P == M @ N, P.transpose() == N.transpose() @ M.transpose()]
+        outs.append(repr((R.data, rank, pivots, K.basis.data, P.data, image, sols, same)))
+        outs += [repr(X.data) for X in built]
+        entries += [a for m in [R, K.basis, P] + built for row in m.data for a in row] + image
+        entries += [a for v in sols if v is not None for a in v]
     for n in (1, 2, 3, 5, 6):
         A = ArtinAlgebra(field, n, _sparse_matrix(rng, field, n, n * n), [field.one] * n)
         x, y = (_sparse_matrix(rng, field, 1, n).data[0] for _ in range(2))
@@ -400,6 +411,13 @@ def _kernel_outputs(rng, field):
             L = A.mult_matrix(u)
             outs.append(repr(L.data))
             entries += [a for row in L.data for a in row]
+            value = A.eval_poly(Polynomial(field, [field.random(rng) for _ in range(n)]), u)
+            outs.append(repr(value))
+            entries += value
+        B = Subspace.from_vectors(field, n, [x, y]).basis
+        products = linalg.row_kernel(field).basis_products(field, A, B, Matrix.from_rows(field, [y, A.unit]))
+        outs.append(repr(products.data))
+        entries += [a for row in products.data for a in row]
         T = _sparse_matrix(rng, field, n, n)
         outs.append(repr(minimal_polynomial(T).coeffs))
         entries += minimal_polynomial(T).coeffs
@@ -622,9 +640,9 @@ def test_from_entries_matches_the_dense_build(field):
     assert cancelled >= 5
 
 
-def _data_writes(tree):
+def _data_writes(tree, attr="data"):
     """Line numbers of the assignments in tree that write into a subscript
-    of a `.data` attribute or rebind one."""
+    of an attribute named attr (`.data` by default) or rebind one."""
 
     def writes(target):
         if isinstance(target, (ast.Tuple, ast.List)):
@@ -633,7 +651,7 @@ def _data_writes(tree):
             return writes(target.value)
         while isinstance(target, ast.Subscript):
             target = target.value
-        return isinstance(target, ast.Attribute) and target.attr == "data"
+        return isinstance(target, ast.Attribute) and target.attr == attr
 
     lines = []
     for node in ast.walk(tree):
@@ -658,18 +676,22 @@ def test_data_writes_are_detected():
         "row = M.data[0]",
         "data[0][0] = v",
         "M.other[0] = v",
+        "M.ints[0] = (nums, den)",
     ])
     assert _data_writes(ast.parse(source)) == [1, 2, 3, 4]
+    assert _data_writes(ast.parse(source), "ints") == [9]
 
 
 def test_only_linalg_writes_matrix_entries():
     """A matrix is built by a constructor and never written afterwards: no
-    kernel module but linalg assigns into a Matrix's data."""
+    kernel module but linalg assigns into a Matrix's data or the integer
+    rows of a Q kernel result."""
     package = pathlib.Path(linalg.__file__).parent
     found = {}
     for path in sorted(package.glob("*.py")):
         if path.name != "linalg.py":
-            lines = _data_writes(ast.parse(path.read_text(), str(path)))
+            tree = ast.parse(path.read_text(), str(path))
+            lines = _data_writes(tree) + _data_writes(tree, "ints")
             if lines:
                 found[path.name] = lines
     assert found == {}
@@ -690,12 +712,49 @@ def test_no_assert_statements_in_the_package():
 
 def test_linalg_writes_matrix_entries_only_in_the_constructor():
     """Inside linalg too, a matrix is filled in local rows and then built:
-    the one assignment to a `.data` is the constructor's own."""
+    the one assignment to a `.data` is the constructor's own, and the one to
+    an `.ints` (the integer rows of a Q kernel result) is `_IntRowMatrix`'s."""
     tree = ast.parse(pathlib.Path(linalg.__file__).read_text())
-    matrix = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Matrix")
-    init = next(node for node in matrix.body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
-    assert len(_data_writes(init)) == 1
-    assert _data_writes(tree) == _data_writes(init)
+
+    def init(name):
+        cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
+        return next(node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+
+    assert len(_data_writes(init("Matrix"))) == 1
+    assert _data_writes(tree) == _data_writes(init("Matrix"))
+    assert len(_data_writes(init("_IntRowMatrix"), "ints")) == 1
+    assert _data_writes(tree, "ints") == _data_writes(init("_IntRowMatrix"), "ints")
+
+
+def test_rational_kernel_builds_fractions_only_when_data_is_read(monkeypatch):
+    """Over Q, rank, the pivots and coordinates of a span and solve_matrix
+    run on integer rows: none of them builds a Fraction, and a solution
+    builds its Fractions when its data is first read."""
+    rng = random.Random(707)
+    M = _sparse_matrix(rng, QQ, 6, 8)
+    X = _sparse_matrix(rng, QQ, 8, 3)
+    targets = [M @ X, Matrix(QQ, 6, 3, (M @ X).data), _sparse_matrix(rng, QQ, 6, 3)]
+    inside = M.transpose().apply([Fraction(k, 3) for k in range(6)])
+    outside = _sparse_matrix(rng, QQ, 1, 8).data[0]
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    rank = M.rank()
+    S = Subspace.from_vectors(QQ, 8, M.data)
+    coords = [S.coordinates(v) for v in (inside, outside)]
+    pivots = S.pivots()
+    solutions = [M.solve_matrix(B) for B in targets]
+    assert built == []
+    assert len(pivots) == S.dim == rank and coords[0] is not None
+    assert solutions[0] is not None and solutions[0] == solutions[1]
+    assert solutions[0].data and built
+    monkeypatch.undo()
+    assert M @ solutions[0] == targets[0]
 
 
 # -- rational matrices: golden digest ------------------------------------------

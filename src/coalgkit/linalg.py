@@ -449,9 +449,9 @@ def _null_rows(R, pivots):
 # sparse contraction the axiom checks compare, one implementation per field
 # kind, picked by `row_kernel`.  The Q kernel returns its matrices on integer
 # rows (`_IntRowMatrix`) and reads them, so a chain of products, reductions
-# and solves clears each Fraction input once; F_p and F_q matrices keep
-# `data` a plain slot, since a `data` property on every Matrix cost the
-# finite-field workload 4-7% of its throughput.
+# and solves clears each Fraction input once.  F_p and F_q matrices keep
+# `data` a plain slot, which each of their kernel ops reads: a property on
+# every Matrix cost the Day workload about 2% of its throughput.
 # `cleared` puts a vector on a kernel's footing: its nonzero (index, value)
 # pairs and an int scale, the entry being value / scale;
 # `contract(F, terms, scale)` sums a * b per key over the (key, a, b) of

@@ -376,6 +376,9 @@ class _IntRowMatrix(Matrix):
 
     __hash__ = Matrix.__hash__
 
+    def __reduce__(self):  # copy and pickle: `data` has no setter
+        return _IntRowMatrix, (self.field, self.rows, self.cols, self.ints)
+
 
 def _int_rows(M):
     """The rows of a Q matrix as (numerators, denominator > 0)."""
@@ -415,9 +418,8 @@ def _row_space(M):
 
 
 def _null_rows(R, pivots):
-    """For R in RREF with the given pivots, one row per column j that holds
-    no pivot: 1 at j and minus R's column j at the pivots.  They are a basis
-    of the right kernel of R, as a matrix of R's kind."""
+    """For R in RREF with the given pivots, a basis of its right kernel as a matrix
+    of R's kind: for each column j without a pivot, 1 at j and minus column j at the pivots."""
     F, n = R.field, R.cols
     free, out = sorted(set(range(n)) - set(pivots)), []
     if type(R) is _IntRowMatrix:
@@ -945,8 +947,7 @@ class _RationalKernel:
 
     @staticmethod
     def eval_poly(F, A, poly, x):
-        """Horner on integer numerators over one denominator: x and the
-        unit are cleared once, and each step adds the next coefficient."""
+        """Horner on integer numerators over one denominator, x and the unit cleared once."""
         xn, xd = clear_denominators(x)
         un, ud = clear_denominators(A.unit)
         step = A.int_table()[1] * xd

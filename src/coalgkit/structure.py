@@ -260,9 +260,8 @@ def lift_idempotent(A, a):
 
 
 def component_of_idempotent(A, e):
-    """The unital subalgebra e*A: (algebra, embedding, projection).  The
-    embedding E has the canonical basis of e*A as its columns, and the
-    structure constants solve E X = the products of that basis."""
+    """The unital subalgebra e*A: (algebra, embedding, projection), the embedding
+    E having the canonical basis of e*A as its columns; E X = its products."""
     F = A.field
     Me = A.mult_matrix(e)
     basis = Me.column_space().basis

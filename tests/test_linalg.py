@@ -1,6 +1,8 @@
 import ast
+import copy
 import itertools
 import pathlib
+import pickle
 import random
 
 import pytest
@@ -755,6 +757,8 @@ def test_rational_kernel_builds_fractions_only_when_data_is_read(monkeypatch):
     assert solutions[0].data and built
     monkeypatch.undo()
     assert M @ solutions[0] == targets[0]
+    for X in (solutions[0], S.basis, targets[0]):
+        assert copy.copy(X) == X == pickle.loads(pickle.dumps(X)) and type(copy.copy(X)) is type(X)
 
 
 # -- rational matrices: golden digest ------------------------------------------

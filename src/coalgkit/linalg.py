@@ -170,7 +170,7 @@ class Matrix:
         return Matrix(F, self.rows, self.cols, [[F.mul(c, a) for a in r] for r in self.data])
 
     def transpose(self):
-        data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
+        data = [list(col) for col in zip(*self.data)] if self.rows else [[] for _ in range(self.cols)]
         return Matrix(self.field, self.cols, self.rows, data)
 
     def hstack(self, other):

@@ -360,7 +360,7 @@ def local_decomposition(A):
     for e in idems:
         comp, E, P = component_of_idempotent(A, e)
         # rad(eA) = e rad(A), so its canonical basis is that of P rad(A)
-        rad_i = (P @ rad.basis.transpose()).column_space()
+        rad_i = (P @ rad.basis.transpose()).column_space() if rad.dim else Subspace.zero(F, comp.dim)
         nilp = _nilpotency_index(comp, rad_i)
         Kbar, rproj, _ = quotient_algebra(comp, rad_i)
         prim, minpoly = primitive_element(Kbar)

@@ -374,7 +374,7 @@ def _sparse_matrix(rng, field, rows, cols):
 def _kernel_outputs(rng, field):
     """repr of rref/kernel/@/apply/solve_matrix/solve/inverse/column_space/
     transpose/hstack/kronecker/==, ArtinAlgebra.mul/mult_matrix/eval_poly,
-    the basis products of a component, minimal_polynomial and Subspace
+    the products of two bases in an algebra, minimal_polynomial and Subspace
     pivots/coordinates results on seeded inputs, and every entry they hold."""
     from coalgkit.coalgebra import ArtinAlgebra
 

@@ -277,6 +277,31 @@ def test_decomposition_golden_digest():
     assert h.hexdigest() == DECOMPOSITION_SHA256
 
 
+F7 = GF(7)
+F9 = GF(3, [1, 0, 1])
+F_MERSENNE = GF(2**31 - 1)
+
+# sha256 as above over the finite fields the first digest leaves out: a prime
+# above 5, two extension fields and a prime too large to enumerate
+DECOMPOSITION_FINITE_SHA256 = "8bbb1ac74fafa79419bba57ee1706dc8f01d29ec482e0604afc945d753a92ba8"
+
+
+def test_finite_decomposition_golden_digest():
+    rng = random.Random(43)
+    coalgebras = [
+        corpus.random_coalgebra(rng, field, 6) for field in [F7, F4, F9, F_MERSENNE] for _ in range(16)
+    ]
+    # x (x^2 + 1)^2 over F_7 and F_(2^31 - 1), (x^3 - x - 1)^2 over F_9: residue
+    # fields of degree 2 and 3 under a radical
+    for field, ints in [(F7, [0, 1, 0, 2, 0, 1]), (F_MERSENNE, [0, 1, 0, 2, 0, 1]),
+                        (F9, [1, 2, 1, 1, 1, 0, 1])]:
+        coalgebras.append(dual_coalgebra(pqa(field, ints)))
+    h = hashlib.sha256()
+    for C in coalgebras:
+        h.update(jsonio.canonical_json(_decomposition_doc(C)).encode())
+    assert h.hexdigest() == DECOMPOSITION_FINITE_SHA256
+
+
 @pytest.mark.parametrize("field, max_dim", [(F2, 8), (F3, 6), (F4, 5)])
 def test_idempotents_against_enumeration(field, max_dim):
     from coalgkit.coalgebra import dual_algebra

@@ -7,9 +7,9 @@ every piece of data is transported back by transposing.
 
 The radical is computed characteristic-aware: over Q it is the kernel of the
 trace form (a, b) -> tr(mult_ab); in characteristic p that form can vanish
-identically (already on F_2[x]/(x^2)), so there we use the kernel of the
-additive map x -> x^(p^m) with p^m >= dim, linearized through a coordinate
-Frobenius substitution.  Both are exact over the implemented perfect fields.
+identically (already on F_2[x]/(x^2)), so over F_q it is the kernel of
+Phi^m with q^m >= dim, for the Frobenius Phi: x -> x^q, which is F_q-linear
+on a commutative algebra.  Both are exact over the implemented fields.
 """
 
 from fractions import Fraction
@@ -26,7 +26,7 @@ from .coalgebra import (
     std_basis,
 )
 from .errors import ComputationError, NonSeparableResidue, SearchExhausted, ValidationError
-from .factor import factor_polynomial, is_separable
+from .factor import factor_polynomial, is_separable, roots_in_field
 # minimal_polynomial (of a matrix) stays importable from here, where the
 # bench's tracer also wraps it; element_min_poly does not call it
 from .linalg import Matrix, Subspace, _block, minimal_polynomial, quotient_maps, row_kernel  # noqa: F401
@@ -36,32 +36,73 @@ from .seeding import derived_rng
 _SEARCH_SEED = 20870  # seed of the element searches; no result depends on it
 _RANDOM_DRAWS = 400  # seeded random candidates after the basis combinations
 _EXHAUSTIVE_BOUND = 1 << 16  # every vector is a candidate when q^dim is at most this
+_ENUMERATED_ROOTS = 64  # over F_q with q at most this, roots are found by evaluation
 
 
 def radical(A):
     """Jacobson radical (= nilpotent elements) as a subspace of A."""
     F = A.field
-    n = A.dim
-    if n == 0:
+    if A.dim == 0:
         return Subspace.zero(F, 0)
-    p = F.characteristic
-    if p == 0:
-        G = _trace_form(A)
-        return G.kernel()
-    m = 1
-    power = p
-    while power < n:
-        power *= p
-        m += 1
-    basis = std_basis(F, n)
-    P = Matrix.from_cols(F, [A.power(b, power) for b in basis], n)
-    vectors = []
-    for v in P.kernel().vectors():
-        w = v
-        for _ in range(m):
-            w = [F.pth_root(c) for c in w]
-        vectors.append(w)
-    return Subspace.from_vectors(F, n, vectors)
+    if F.order is None:
+        return _trace_form(A).kernel()
+    return _frobenius(A)[1]
+
+
+def _frobenius(A):
+    """(Phi, rad A) over F_q: the matrix of Phi: x -> x^q, linear since
+    (x + y)^q = x^q + y^q in characteristic p and c^q = c on F_q, and the
+    radical ker Phi^m with q^m >= dim A, since x is nilpotent iff x^dim A = 0."""
+    F, q = A.field, A.field.order
+    phi = Matrix.from_cols(F, [A.power(b, q) for b in std_basis(F, A.dim)], A.dim)
+    P, power = phi, q
+    while power < A.dim:
+        P, power = P @ phi, power * q
+    return phi, P.kernel()
+
+
+def _frobenius_idempotents(A, phi):
+    """Primitive idempotents of A over F_q, from the fixed space of Phi: x^q =
+    x iff x is a combination of the primitive idempotents over F_q, so that
+    space is F_q^r.  Each basis vector s of it takes one value on each
+    primitive idempotent; the Lagrange idempotents over the roots of its
+    minimal polynomial, distinct and in F_q, refine the blocks, starting
+    from {1}, until there are r."""
+    F = A.field
+    fixed = (phi - Matrix.identity(F, A.dim)).kernel()
+    blocks = [list(A.unit)]
+    for s in fixed.vectors():
+        if len(blocks) == fixed.dim:
+            break
+        m = element_min_poly(A, s)
+        if F.order <= _ENUMERATED_ROOTS:
+            roots = [a for a in F.elements() if F.is_zero(_horner(F, m.coeffs, a))]
+        else:
+            roots = [a for a, _ in roots_in_field(m)]
+        P = Matrix.from_cols(F, m.powers, A.dim)
+        eps = [P.apply(_lagrange(F, m.coeffs, a)) for a in roots]
+        pieces = (A.mul(e, x) for e in blocks for x in eps) if len(blocks) > 1 else eps
+        blocks = [p for p in pieces if any(not F.is_zero(c) for c in p)]
+    return blocks
+
+
+def _lagrange(F, coeffs, a):
+    """The coefficients of g / g(a) for m = (t - a) g, m monic squarefree with
+    these coefficients: the product over the other roots b of (t - b) / (a - b)."""
+    g = [coeffs[-1]]  # by synthetic division, leading coefficient first
+    for c in coeffs[-2:0:-1]:
+        g.append(F.add(c, F.mul(a, g[-1])))
+    g.reverse()
+    inv = F.inv(_horner(F, g, a))
+    return [F.mul(inv, c) for c in g]
+
+
+def _horner(F, coeffs, a):
+    """The value at a of the polynomial with these coefficients, constant first."""
+    value = F.zero
+    for c in reversed(coeffs):
+        value = F.add(F.mul(value, a), c)
+    return value
 
 
 def _trace_form(A):
@@ -180,6 +221,8 @@ def split_semisimple(B):
     generator: F_2 x F_2 x F_2, which has none, is split by basis vectors.
     eps_f = (u g)(x), with g = m / f and u g = 1 mod f, has degree below
     deg m, so it is a combination of the powers of x that gave m.
+    `local_decomposition` splits by it over Q; over F_p it stays a second
+    oracle for the Frobenius route in the tests.
     """
     F = B.field
     if B.dim <= 1:
@@ -339,13 +382,25 @@ class LocalDecomposition:
 
 
 def local_decomposition(A):
+    """A as the product of its local algebras eA, e over the primitive
+    idempotents, in a canonical order.  Over Q the idempotents of the seeded
+    split of A / rad A are lifted to A.  Over F_q the radical and the
+    idempotents are read off the matrix of the Frobenius x -> x^q, with no
+    search: Berlekamp (Factoring polynomials over finite fields, Bell Syst.
+    Tech. J. 46, 1967) on k[t]/(f), Ronyai (Computing the structure of finite
+    algebras, J. Symb. Comput. 9, 1990) on algebras."""
     F = A.field
     if A.dim == 0:
         return LocalDecomposition(A, [], [])
-    rad = radical(A)
-    Abar, proj, sect = quotient_algebra(A, rad)
-    idem_bars = split_semisimple(Abar)
-    idems = [lift_idempotent(A, sect.apply(e)) for e in idem_bars]
+    if F.order is None:
+        rad = radical(A)
+        pivots = set(rad.pivots())
+        # the section of the quotient places e at the free coordinates of rad
+        idems = [lift_idempotent(A, [F.zero if j in pivots else next(e) for j in range(A.dim)])
+                 for e in map(iter, split_semisimple(quotient_algebra(A, rad)[0]))]
+    else:
+        phi, rad = _frobenius(A)
+        idems = _frobenius_idempotents(A, phi)
     total = [F.zero] * A.dim
     for i, e in enumerate(idems):
         for j, f in enumerate(idems):

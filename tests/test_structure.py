@@ -314,6 +314,51 @@ def test_idempotents_against_enumeration(field, max_dim):
         assert sorted(decomposition(C).idempotents) == expected
 
 
+def _nilpotents(A):
+    F = A.field
+    zero = [F.zero] * A.dim
+    vectors = (list(v) for v in itertools.product(F.elements(), repeat=A.dim))
+    return [v for v in vectors if A.power(v, A.dim) == zero]
+
+
+@pytest.mark.parametrize("field, max_dim", [(F2, 6), (F3, 5), (F4, 4)])
+def test_frobenius_route_against_enumeration(field, max_dim):
+    """The radical ker Phi^m and the primitive idempotents that the finite
+    field route reads off Phi: x -> x^q, against the nilpotents and the
+    primitive idempotents found by walking every element.  On k[t]/(t^(q+1))
+    Phi maps t to t^q != 0, so ker Phi alone falls short of the radical;
+    k x k x k has no generator when q = 2."""
+    from coalgkit.oracles import primitive_idempotents
+
+    q = field.order
+    rng = random.Random(44)
+    algebras = [corpus.random_algebra(rng, field, rng.randint(1, max_dim)) for _ in range(12)]
+    algebras += [pqa(field, [0] * (q + 1) + [1]), dual_algebra(diagonal_coalgebra(3, field))]
+    for A in algebras:
+        rad = radical(A)
+        nilpotents = _nilpotents(A)
+        assert len(nilpotents) == q**rad.dim and all(rad.contains_vector(v) for v in nilpotents)
+        assert sorted(local_decomposition(A).idempotents) == sorted(primitive_idempotents(A))
+
+
+def test_frobenius_route_over_a_large_prime():
+    """Over F_p with p = 2^31 - 1, out of reach of enumeration, two other
+    routes: the radical is the kernel of the trace form, as in any
+    characteristic p > dim A, and the idempotents are those of the seeded
+    split of A / rad, lifted, which is the route over Q."""
+    from coalgkit.structure import _trace_form, lift_idempotent, quotient_algebra, split_semisimple
+
+    rng = random.Random(45)
+    algebras = [corpus.random_algebra(rng, F_MERSENNE, rng.randint(1, 6)) for _ in range(12)]
+    algebras += [pqa(F_MERSENNE, [0, 1, 0, 2, 0, 1]), dual_algebra(diagonal_coalgebra(3, F_MERSENNE))]
+    for A in algebras:
+        rad = radical(A)
+        assert rad == _trace_form(A).kernel()
+        Abar, _, section = quotient_algebra(A, rad)
+        expected = [lift_idempotent(A, section.apply(e)) for e in split_semisimple(Abar)]
+        assert sorted(local_decomposition(A).idempotents) == sorted(expected)
+
+
 # -- Wedderburn / Hensel -------------------------------------------------------
 
 

@@ -386,8 +386,9 @@ def local_decomposition(A):
     idempotents, in a canonical order.  Over Q the idempotents of the seeded
     split of A / rad A are lifted to A.  Over F_q the radical and the
     idempotents are read off the matrix of the Frobenius x -> x^q, with no
-    search: Berlekamp (Factoring polynomials over finite fields, Bell Syst.
-    Tech. J. 46, 1967) on k[t]/(f), Ronyai (Computing the structure of finite
+    element search (for q > _ENUMERATED_ROOTS, roots come from `factor`):
+    Berlekamp (Factoring polynomials over finite fields, Bell Syst. Tech. J.
+    46, 1967) on k[t]/(f), Ronyai (Computing the structure of finite
     algebras, J. Symb. Comput. 9, 1990) on algebras."""
     F = A.field
     if A.dim == 0:

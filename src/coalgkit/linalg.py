@@ -417,11 +417,16 @@ def _row_space(M):
     return Subspace(M.field, M.cols, _block(R, rank))
 
 
+def _free(n, pivots):
+    """The coordinates of k^n without a pivot: the quotient's, and the kernel's free variables."""
+    return sorted(set(range(n)) - set(pivots))
+
+
 def _null_rows(R, pivots):
     """For R in RREF with the given pivots, a basis of its right kernel as a matrix
     of R's kind: for each column j without a pivot, 1 at j and minus column j at the pivots."""
     F, n = R.field, R.cols
-    free, out = sorted(set(range(n)) - set(pivots)), []
+    free, out = _free(n, pivots), []
     if type(R) is _IntRowMatrix:
         rows = R.ints[:len(pivots)]
         den = lcm(*[d for _, d in rows])
@@ -1253,7 +1258,7 @@ def quotient_maps(sub):
     basis, which makes the construction canonical.
     """
     F, n, pivots = sub.field, sub.ambient, sub.pivots()
-    free = sorted(set(range(n)) - set(pivots))
+    free = _free(n, pivots)
     s = Matrix.from_entries(F, n, len(free), [(j, i, F.one) for i, j in enumerate(free)])
     return _null_rows(sub.basis, pivots), s
 

@@ -26,17 +26,16 @@ from .coalgebra import (
     std_basis,
 )
 from .errors import ComputationError, NonSeparableResidue, SearchExhausted, ValidationError
-from .factor import factor_polynomial, is_separable, roots_in_field
+from .factor import _equal_degree, factor_polynomial, is_separable
 # minimal_polynomial (of a matrix) stays importable from here, where the
 # bench's tracer also wraps it; element_min_poly does not call it
-from .linalg import Matrix, Subspace, _block, minimal_polynomial, quotient_maps, row_kernel  # noqa: F401
+from .linalg import Matrix, Subspace, _block, _free, minimal_polynomial, quotient_maps, row_kernel  # noqa: F401
 from .polys import Polynomial
 from .seeding import derived_rng
 
 _SEARCH_SEED = 20870  # seed of the element searches; no result depends on it
 _RANDOM_DRAWS = 400  # seeded random candidates after the basis combinations
 _EXHAUSTIVE_BOUND = 1 << 16  # every vector is a candidate when q^dim is at most this
-_ENUMERATED_ROOTS = 64  # over F_q with q at most this, roots are found by evaluation
 
 
 def radical(A):
@@ -67,7 +66,9 @@ def _frobenius_idempotents(A, phi):
     space is F_q^r.  Each basis vector s of it takes one value on each
     primitive idempotent; the Lagrange idempotents over the roots of its
     minimal polynomial, distinct and in F_q, refine the blocks, starting
-    from {1}, until there are r."""
+    from {1}, until there are r.  The minimal polynomial is a product of
+    distinct linear factors, so `factor`'s equal-degree split finds them
+    directly, without its squarefree and distinct-degree steps."""
     F = A.field
     fixed = (phi - Matrix.identity(F, A.dim)).kernel()
     blocks = [list(A.unit)]
@@ -75,12 +76,8 @@ def _frobenius_idempotents(A, phi):
         if len(blocks) == fixed.dim:
             break
         m = element_min_poly(A, s)
-        if F.order <= _ENUMERATED_ROOTS:
-            roots = [a for a in F.elements() if F.is_zero(_horner(F, m.coeffs, a))]
-        else:
-            roots = [a for a, _ in roots_in_field(m)]
         P = Matrix.from_cols(F, m.powers, A.dim)
-        eps = [P.apply(_lagrange(F, m.coeffs, a)) for a in roots]
+        eps = [P.apply(_lagrange(F, m.coeffs, F.neg(g.coeffs[0]))) for g in _equal_degree(m, 1)]
         pieces = (A.mul(e, x) for e in blocks for x in eps) if len(blocks) > 1 else eps
         blocks = [p for p in pieces if any(not F.is_zero(c) for c in p)]
     return blocks
@@ -92,17 +89,11 @@ def _lagrange(F, coeffs, a):
     g = [coeffs[-1]]  # by synthetic division, leading coefficient first
     for c in coeffs[-2:0:-1]:
         g.append(F.add(c, F.mul(a, g[-1])))
-    g.reverse()
-    inv = F.inv(_horner(F, g, a))
-    return [F.mul(inv, c) for c in g]
-
-
-def _horner(F, coeffs, a):
-    """The value at a of the polynomial with these coefficients, constant first."""
-    value = F.zero
-    for c in reversed(coeffs):
+    value = F.zero  # g(a), by Horner's rule
+    for c in g:
         value = F.add(F.mul(value, a), c)
-    return value
+    inv = F.inv(value)
+    return [F.mul(inv, c) for c in reversed(g)]
 
 
 def _trace_form(A):
@@ -128,8 +119,7 @@ def quotient_algebra(A, ideal):
     free[a] * n + free[b] of A.mult, and q takes them to the quotient."""
     q, s = quotient_maps(ideal)
     n = A.dim
-    pivots = set(ideal.pivots())
-    free = [j for j in range(n) if j not in pivots]
+    free = _free(n, ideal.pivots())
     products = _block(A.mult, n, [a * n + b for a in free for b in free])
     return ArtinAlgebra(A.field, q.rows, q @ products, q.apply(A.unit)), q, s
 
@@ -386,19 +376,24 @@ def local_decomposition(A):
     idempotents, in a canonical order.  Over Q the idempotents of the seeded
     split of A / rad A are lifted to A.  Over F_q the radical and the
     idempotents are read off the matrix of the Frobenius x -> x^q, with no
-    element search (for q > _ENUMERATED_ROOTS, roots come from `factor`):
-    Berlekamp (Factoring polynomials over finite fields, Bell Syst. Tech. J.
-    46, 1967) on k[t]/(f), Ronyai (Computing the structure of finite
-    algebras, J. Symb. Comput. 9, 1990) on algebras."""
+    element search: only the roots of split minimal polynomials come from
+    the seeded equal-degree split of `factor`.  Berlekamp (Factoring
+    polynomials over finite fields, Bell Syst. Tech. J. 46, 1967) on
+    k[t]/(f), Ronyai (Computing the structure of finite algebras, J. Symb.
+    Comput. 9, 1990) on algebras."""
     F = A.field
     if A.dim == 0:
         return LocalDecomposition(A, [], [])
     if F.order is None:
         rad = radical(A)
-        pivots = set(rad.pivots())
-        # the section of the quotient places e at the free coordinates of rad
-        idems = [lift_idempotent(A, [F.zero if j in pivots else next(e) for j in range(A.dim)])
-                 for e in map(iter, split_semisimple(quotient_algebra(A, rad)[0]))]
+        free = _free(A.dim, rad.pivots())
+        idems = []
+        for e in split_semisimple(quotient_algebra(A, rad)[0]):
+            # the section of the quotient places e at the free coordinates of rad
+            v = [F.zero] * A.dim
+            for j, c in zip(free, e):
+                v[j] = c
+            idems.append(lift_idempotent(A, v))
     else:
         phi, rad = _frobenius(A)
         idems = _frobenius_idempotents(A, phi)

@@ -496,3 +496,40 @@ STRUCTURE_TENSOR_SHA256 = "0d140de1cda3559b0e88a051c05f311800ec13ce5c7818fea3320
 
 def test_structure_tensor_golden_digest():
     assert _structure_tensor_digest() == STRUCTURE_TENSOR_SHA256
+
+
+def _tensor_digest():
+    """sha256 over `tensor` of seeded coalgebra pairs (a zero-dimensional
+    factor included) and `tensor_morphism` of seeded morphism pairs over F_2,
+    F_3, F_4, F_9 and Q: the coproduct, the counit and the morphism matrix,
+    each entry as its format and its type."""
+    import hashlib
+
+    from coalgkit import jsonio
+    from coalgkit.coalgebra import tensor_morphism
+
+    h = hashlib.sha256()
+
+    def put(*matrices):
+        doc = [[[[M.field.format(a), type(a).__name__] for a in row] for row in M.data] for M in matrices]
+        h.update(jsonio.canonical_json(doc).encode())
+
+    rng = random.Random(2727)
+    for F in (F2, F3, F4, F9, QQ):
+        coalgebras = [corpus.random_coalgebra(rng, F, 4) for _ in range(9)] + [diagonal_coalgebra(0, F)]
+        for C, D in zip(coalgebras, coalgebras[1:] + coalgebras[:1]):
+            T = tensor(C, D)
+            put(T.delta, T.epsilon)
+        for _ in range(3):
+            f = tensor_morphism(corpus.random_morphism(rng, F, 3), corpus.random_morphism(rng, F, 3))
+            put(f.source.delta, f.source.epsilon, f.target.delta, f.target.epsilon, f.matrix)
+    return h.hexdigest()
+
+
+# recorded while the tensor coproduct was the shuffle permutation times the
+# Kronecker product of the two coproducts
+TENSOR_SHA256 = "60fb640e926af60df6cfb4b6c5a0cfc66389dc5ef0c6f131982c7b980b3e05be"
+
+
+def test_tensor_golden_digest():
+    assert _tensor_digest() == TENSOR_SHA256

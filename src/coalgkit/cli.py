@@ -133,7 +133,8 @@ def main(argv=None):
         description="exact kernel for cocommutative coalgebras: etale "
         "decomposition, Galois descent, Day convolution",
     )
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: COALG_KERNEL_SEED, then 0)")
+    parser.add_argument("--seed", type=int, default=None, help="seed of the suite corpora only, not of "
+                        "the kernel's searches (fallback: COALG_KERNEL_SEED, then 0)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--degree-cap", type=int, default=None,
                         help="rational factorization degree cap (default: factor.DEFAULT_DEGREE_CAP)")

@@ -17,7 +17,7 @@ from .errors import (
     SpecMismatch,
     ValidationError,
 )
-from .linalg import Matrix, Subspace, kronecker, row_kernel, tensor_swap
+from .linalg import Matrix, Subspace, kronecker, row_kernel
 
 
 class Coalgebra:
@@ -160,13 +160,15 @@ class ArtinAlgebra:
         return row_kernel(self.field).mult_matrix(self.field, self, x)
 
     def power(self, x, m):
-        out = list(self.unit)
-        base = x
-        while m > 0:
-            if m & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            m >>= 1
+        """x^m, squaring left to right over the bits of m as `linalg._int_power`
+        does: x^2 takes one product and x^3 two; x^0 is the unit."""
+        if m == 0:
+            return list(self.unit)
+        out = list(x)
+        for bit in bin(m)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, x)
         return out
 
     def inv(self, x):
@@ -419,16 +421,24 @@ def direct_sum(C, D):
 
 
 def tensor(C, D):
+    """C (x) D, e_j (x) f_k at index j*n + k: each pair of nonzero coproduct
+    entries, e_a (x) e_b and f_c (x) f_d, gives (e_a (x) f_c) (x) (e_b (x) f_d)."""
     if C.field != D.field:
         raise SpecMismatch("tensor over different fields")
     F = C.field
     m, n = C.dim, D.dim
-    shuffle = kronecker(
-        Matrix.identity(F, m), kronecker(tensor_swap(F, m, n), Matrix.identity(F, n))
-    )
-    delta = shuffle @ kronecker(C.delta, D.delta)
-    eps = kronecker(C.epsilon, D.epsilon)
-    return Coalgebra(F, m * n, delta, eps)
+    N = m * n
+
+    def nonzero(M):
+        return [(r, j, v) for r, row in enumerate(M.data) for j, v in enumerate(row) if not F.is_zero(v)]
+
+    dD = nonzero(D.delta)
+    delta = Matrix.from_entries(F, N * N, N, [
+        ((a // m * n + c // n) * N + a % m * n + c % n, j * n + k, F.mul(v, w))
+        for a, j, v in nonzero(C.delta) for c, k, w in dD
+    ])
+    eps = Matrix(F, 1, N, [[F.mul(v, w) for v in C.epsilon.data[0] for w in D.epsilon.data[0]]])
+    return Coalgebra(F, N, delta, eps)
 
 
 def tensor_morphism(phi, psi):

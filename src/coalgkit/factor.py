@@ -2,13 +2,13 @@
 
 Finite fields: squarefree decomposition, distinct-degree splitting, then
 seeded Cantor-Zassenhaus equal-degree splitting, with a bounded number of
-random trials per split; the same splits find one root of a product of
-distinct linear factors (`_one_root`).  Rationals, on integer coefficient
-lists: a modular certificate that f is squarefree (else the same squarefree
-decomposition, its gcds on integers), rational-root extraction, then
-Zassenhaus (the certificate's prime, quadratic Hensel lifting on a factor
-tree in `gfpoly` arithmetic mod p^e, bounded subset recombination), with a
-configurable degree cap.
+random trials per split; `_equal_degree` with d = 1 gives the roots of a
+product of distinct linear factors, for the Frobenius route of `structure`.
+Rationals, on integer coefficient lists: a modular certificate that f is
+squarefree (else the same squarefree decomposition, its gcds on integers),
+rational-root extraction, then Zassenhaus (the certificate's prime,
+quadratic Hensel lifting on a factor tree in `gfpoly` arithmetic mod p^e,
+bounded subset recombination), with a configurable degree cap.
 
 factor_polynomial returns (leading unit, [(monic irreducible, multiplicity)])
 with factors sorted deterministically.
@@ -167,19 +167,6 @@ def _cantor_zassenhaus(f, d, rng):
         stack.append(h)
         stack.append((g // h).monic())
     return out
-
-
-def _one_root(f):
-    """One root in its coefficient field of a monic f that is a product of
-    distinct linear factors there: Cantor-Zassenhaus with d = 1, keeping the
-    smaller factor of each split, on the stream of `_equal_degree`."""
-    rng = derived_rng(_SPLIT_SEED, f.degree, 1)
-    g = f
-    while g.degree > 1:
-        h = _split(g, 1, rng)
-        rest = (g // h).monic()
-        g = h if h.degree <= rest.degree else rest
-    return f.field.neg(g.coeffs[0])
 
 
 def _split(g, d, rng):

@@ -9,18 +9,21 @@ orbit at a time: on an orbit with stabilizer H the equivariant maps are the
 fixed field L^H, spread over the orbit by the automorphisms, and disjoint
 unions go to direct sums.  The right adjoint of a coalgebra C is the G-set of
 algebra maps C^dual -> L, one per root in L of the residue minimal polynomial
-of each dual local component.  Over a prime field one root is found in L and
-the others are its images under G, which acts transitively on them; G acts
-on the maps by postcomposition, that is, by moving the roots.
+of each dual local component.  Over a prime field the roots of p are read
+off the primitive idempotents of L (x) k[t]/(p), a product of copies of L,
+one per root; G acts on the maps by postcomposition, that is, by moving the
+roots.
 """
 
 from .coalgebra import (
     ArtinAlgebra,
     CoalgebraMorphism,
+    dual_algebra,
     dual_coalgebra,
     is_multiplicative,
     polynomial_quotient_algebra,
     subalgebra_on_basis,
+    tensor,
     validate,
 )
 from .errors import (
@@ -31,18 +34,14 @@ from .errors import (
     SpecMismatch,
     ValidationError,
 )
-from .factor import _one_root
-from .fields import ExtensionField, PrimeField, RationalField
+from .fields import PrimeField, RationalField
 from .linalg import Matrix, Subspace
 from .polys import Polynomial
-from .structure import FieldDatum, etale_part, power_basis, primitive_element
+from .structure import FieldDatum, _frobenius, _frobenius_idempotents, etale_part, power_basis, primitive_element
 
 
 class GaloisDatum:
-    __slots__ = (
-        "base", "L", "automorphisms", "table", "size", "identity", "_primitive", "_extension",
-        "_fixed",
-    )
+    __slots__ = ("base", "L", "automorphisms", "table", "size", "identity", "_fixed")
 
     def __init__(self, base, L, automorphisms, table, check=True):
         self.base = base
@@ -51,8 +50,6 @@ class GaloisDatum:
         self.table = [list(row) for row in table]
         self.size = len(automorphisms)
         self.identity = _table_identity(self.table)
-        self._primitive = None
-        self._extension = None
         self._fixed = {}
         if check:
             self._validate()
@@ -106,21 +103,6 @@ class GaloisDatum:
         fixed = self.fixed_space(tuple(range(g)))
         if fixed.dim != 1 or not fixed.contains_vector(unit):
             raise ValidationError("full fixed space is not the base field (not Galois)")
-
-    def primitive(self):
-        """Primitive element of L with its minimal polynomial (cached)."""
-        if self._primitive is None:
-            self._primitive = primitive_element(self.L)
-        return self._primitive
-
-    def _extension_field(self):
-        """L over a prime base as an ExtensionField on the minimal polynomial
-        of primitive() (cached: building one tests that polynomial for
-        irreducibility)."""
-        if self._extension is None:
-            _, f_L = self.primitive()
-            self._extension = ExtensionField(self.base.p, [int(c) for c in f_L.coeffs])
-        return self._extension
 
     def fixed_space(self, H):
         """L^H as a subspace of L (cached per index tuple H)."""
@@ -452,9 +434,12 @@ def _roots_in_extension(D, poly):
     A residue polynomial p is irreducible (the minimal polynomial of a
     primitive element of a field).  So at L = k one of degree > 1 has no
     root, and no factoring is needed to say so.  Over a prime field p has
-    roots in L = F_(p^e) exactly when deg p divides e, and then deg p
-    distinct ones.  One root r is found by Cantor-Zassenhaus in L; G acts
-    transitively on the roots, so they are the images sigma_g(r).
+    roots in L = F_(p^e) exactly when d = deg p divides e, and then d
+    distinct ones r_j: B = L (x) k[t]/(p) = L[t]/(p) is the product of the
+    fields L[t]/(t - r_j), with d primitive idempotents e_j and no radical.
+    On B e_j = L, 1 (x) t is r_j (x) 1, so r_j is the one r with
+    (r (x) 1) e_j = (1 (x) t) e_j (Berlekamp, Factoring polynomials over
+    finite fields, Bell Syst. Tech. J. 46, 1967).
     """
     F = D.base
     L = D.L
@@ -464,21 +449,26 @@ def _roots_in_extension(D, poly):
     if L.dim == 1:
         return []
     if isinstance(F, PrimeField):
-        if L.dim % poly.degree:
+        d = poly.degree
+        if L.dim % d:
             return []
-        theta, _ = D.primitive()
-        ext = D._extension_field()
-        r = _one_root(Polynomial(ext, [ext.from_int(c) for c in poly.coeffs]))
-        root = L.eval_poly(Polynomial(F, list(r)), theta)
-        if any(not F.is_zero(c) for c in L.eval_poly(poly, root)):
-            raise ComputationError("a root of the residue polynomial is not a root in L")
-        orbit = {tuple(M.apply(root)): None for M in D.automorphisms}
-        if len(orbit) != poly.degree:
+        K = polynomial_quotient_algebra(F, poly)
+        B = dual_algebra(tensor(dual_coalgebra(L), dual_coalgebra(K)))
+        t = [F.zero] * B.dim  # 1 (x) t; e_i (x) t^k has index i*d + k
+        for i, u in enumerate(L.unit):
+            t[i * d + 1] = u
+        roots = {}
+        for e in _frobenius_idempotents(B, _frobenius(B)):
+            M = B.mult_matrix(e)
+            r = Matrix.from_cols(F, [M.col(i * d) for i in range(L.dim)], B.dim).solve(M.apply(t))
+            if r is None or any(not F.is_zero(c) for c in L.eval_poly(poly, r)):
+                raise ComputationError("the solution at an idempotent of L (x) k[t]/(p) is not a root of p in L")
+            roots[tuple(r)] = r
+        if len(roots) != d:
             raise ComputationError(
-                f"the Galois orbit of a root of a degree-{poly.degree} residue polynomial "
-                f"has {len(orbit)} elements"
+                f"L (x) k[t]/(p) gave {len(roots)} roots of a degree-{d} residue polynomial"
             )
-        return [list(x) for x in orbit]
+        return list(roots.values())
     if isinstance(F, RationalField):
         raise NotSupported(
             "root finding inside a nontrivial number field requires number-field "

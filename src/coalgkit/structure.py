@@ -45,19 +45,22 @@ def radical(A):
         return Subspace.zero(F, 0)
     if F.order is None:
         return _trace_form(A).kernel()
-    return _frobenius(A)[1]
+    return _frobenius_radical(A, _frobenius(A))
 
 
 def _frobenius(A):
-    """(Phi, rad A) over F_q: the matrix of Phi: x -> x^q, linear since
-    (x + y)^q = x^q + y^q in characteristic p and c^q = c on F_q, and the
-    radical ker Phi^m with q^m >= dim A, since x is nilpotent iff x^dim A = 0."""
-    F, q = A.field, A.field.order
-    phi = Matrix.from_cols(F, [A.power(b, q) for b in std_basis(F, A.dim)], A.dim)
-    P, power = phi, q
+    """The matrix of Phi: x -> x^q over F_q, linear since (x + y)^q = x^q + y^q
+    in characteristic p and c^q = c on F_q."""
+    F = A.field
+    return Matrix.from_cols(F, [A.power(b, F.order) for b in std_basis(F, A.dim)], A.dim)
+
+
+def _frobenius_radical(A, phi):
+    """rad A = ker Phi^m with q^m >= dim A, since x is nilpotent iff x^dim A = 0."""
+    P, power = phi, A.field.order
     while power < A.dim:
-        P, power = P @ phi, power * q
-    return phi, P.kernel()
+        P, power = P @ phi, power * A.field.order
+    return P.kernel()
 
 
 def _frobenius_idempotents(A, phi):
@@ -395,7 +398,8 @@ def local_decomposition(A):
                 v[j] = c
             idems.append(lift_idempotent(A, v))
     else:
-        phi, rad = _frobenius(A)
+        phi = _frobenius(A)
+        rad = _frobenius_radical(A, phi)
         idems = _frobenius_idempotents(A, phi)
     total = [F.zero] * A.dim
     for i, e in enumerate(idems):

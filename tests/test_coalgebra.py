@@ -533,3 +533,23 @@ TENSOR_SHA256 = "60fb640e926af60df6cfb4b6c5a0cfc66389dc5ef0c6f131982c7b980b3e05b
 
 def test_tensor_golden_digest():
     assert _tensor_digest() == TENSOR_SHA256
+
+
+def test_power_squares_left_to_right(monkeypatch):
+    """`ArtinAlgebra.power` takes one product per bit of m after the first and
+    one more per further one bit, and agrees with repeated multiplication."""
+    from coalgkit.coalgebra import ArtinAlgebra
+
+    A = polynomial_quotient_algebra(F3, Polynomial.from_ints(F3, [1, 2, 0, 1, 1]))
+    x = [0, 1, 2, 0]
+    calls = []
+    mul = ArtinAlgebra.mul
+    monkeypatch.setattr(ArtinAlgebra, "mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    for m, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (9, 4)):
+        calls.clear()
+        A.power(x, m)
+        assert len(calls) == products
+    expected = list(A.unit)
+    for m in range(20):
+        assert A.power(x, m) == expected
+        expected = mul(A, expected, x)

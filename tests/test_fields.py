@@ -255,26 +255,6 @@ def test_cantor_zassenhaus_trials_are_bounded(field, draws_per_coefficient):
     assert f"after {_SPLIT_TRIALS} trials" in message and "_SPLIT_TRIALS" in message
 
 
-@pytest.mark.parametrize("field", [F5, F4], ids=repr)
-def test_one_root_finds_a_root_within_the_split_bound(field, monkeypatch):
-    """`_one_root` returns a root of a product of distinct linear factors,
-    and its splits stop at the `_SPLIT_TRIALS` bound of `_cantor_zassenhaus`."""
-    from coalgkit import factor
-
-    elements = list(field.elements())
-    for k in range(1, len(elements) + 1):
-        f = Polynomial.one(field)
-        for r in elements[:k]:
-            f = f * Polynomial(field, [field.neg(r), field.one])
-        r = factor._one_root(f)
-        assert (f % Polynomial(field, [field.neg(r), field.one])).is_zero()
-    rng = _ZeroRng()
-    monkeypatch.setattr(factor, "derived_rng", lambda *args: rng)
-    with pytest.raises(SearchExhausted, match="after 64 trials"):
-        factor._one_root(f)
-    assert rng.draws == factor._SPLIT_TRIALS * f.degree * (2 if field is F4 else 1)
-
-
 def _int_long_division(f, g):
     """f = q*g + r over the integers, for monic g."""
     r = list(f)

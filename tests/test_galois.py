@@ -474,18 +474,20 @@ def test_kbar_basis_is_the_equivariance_kernel(name):
 
 @pytest.mark.parametrize("name", sorted(DATA))
 def test_roots_in_extension_against_factoring_over_L(name):
-    """One root found in L and its Galois orbit are the roots that factoring
-    the lift of p to L finds, for seeded irreducible p of degree 1 to 4."""
+    """The roots read off the idempotents of L (x) k[t]/(p) are the roots
+    that factoring the lift of p to L finds, for seeded irreducible p of
+    degree 1 to 4."""
     import random
 
     from coalgkit import corpus
     from coalgkit.factor import roots_in_field
     from coalgkit.fields import ExtensionField
     from coalgkit.galois import _roots_in_extension
+    from coalgkit.structure import primitive_element
 
     D = DATA[name]
     F, L = D.base, D.L
-    theta, f_L = D.primitive()
+    theta, f_L = primitive_element(L)
     ext = ExtensionField(F.p, [int(c) for c in f_L.coeffs])
     rng = random.Random(17)
     for degree in range(1, 5):
@@ -502,21 +504,40 @@ def test_roots_in_extension_against_factoring_over_L(name):
 
 
 @pytest.mark.parametrize("name", sorted(DATA))
-def test_roots_in_extension_rejects_a_short_orbit_and_a_false_root(name, monkeypatch):
+def test_roots_in_extension_rejects_a_missing_idempotent_and_a_false_root(name, monkeypatch):
     import coalgkit.galois as galois
     from coalgkit.errors import ComputationError
+    from coalgkit.structure import primitive_element
 
     D = DATA[name]
-    _, p = D.primitive()  # irreducible of degree [L:k], so it splits in L
+    _, p = primitive_element(D.L)  # irreducible of degree [L:k], so it splits in L
     assert len(galois._roots_in_extension(D, p)) == p.degree
-    # every automorphism replaced by the identity: the orbit of a root is short
-    flat = GaloisDatum(D.base, D.L, [D.automorphisms[D.identity]] * D.size, D.table, check=False)
-    with pytest.raises(ComputationError, match="orbit"):
-        galois._roots_in_extension(flat, p)
-    # a root finder that returns 0, which is no root of p
-    monkeypatch.setattr(galois, "_one_root", lambda f: f.field.zero)
+    idempotents = galois._frobenius_idempotents
+    # one primitive idempotent of L (x) k[t]/(p) dropped: one root short
+    monkeypatch.setattr(galois, "_frobenius_idempotents", lambda B, phi: idempotents(B, phi)[1:])
+    with pytest.raises(ComputationError, match=f"gave {p.degree - 1} roots"):
+        galois._roots_in_extension(D, p)
+    # the unit in place of the idempotents: 1 (x) t is no r (x) 1
+    monkeypatch.setattr(galois, "_frobenius_idempotents", lambda B, phi: [list(B.unit)])
     with pytest.raises(ComputationError, match="not a root"):
         galois._roots_in_extension(D, p)
+
+
+def test_right_adjoint_builds_no_extension_field(monkeypatch):
+    """The roots come from linear algebra over the prime field: no
+    `ExtensionField` is built for L."""
+    from coalgkit.fields import ExtensionField
+
+    coalgebras = {name: galois_coalgebras(D)[30:] for name, D in DATA.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ExtensionField was built")
+
+    monkeypatch.setattr(ExtensionField, "__init__", refuse)
+    for name, D in DATA.items():
+        D = GaloisDatum(D.base, D.L, D.automorphisms, D.table)  # nothing cached
+        for C in [dual_coalgebra(D.L)] + coalgebras[name]:
+            right_adjoint(D, C)
 
 
 def test_right_adjoint_rejects_an_action_outside_its_maps(monkeypatch):

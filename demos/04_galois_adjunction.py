@@ -3,14 +3,18 @@
 For an explicit extension L/k with group G, a finite G-set X goes to the
 dual of its algebra of equivariant maps X -> L; one orbit with stabilizer H
 contributes (L^H)^dual.  The right adjoint sends a coalgebra C to the G-set
-of algebra maps C^dual -> L.  The unit is always an equivariant bijection;
-the counit lands exactly on the etale part when every dual residue field
-embeds into L.
+of algebra maps C^dual -> L, one per root in L of each residue polynomial
+p, read off the primitive idempotents of L (x) k[t]/(p).  That route is the
+same over every base field: the demo runs it over F_2 and over Q, where
+Q(i)/Q is given by hand.  The unit is always an equivariant bijection; the
+counit lands exactly on the etale part when every dual residue field embeds
+into L.
 """
 
 from coalgkit.coalgebra import dual_coalgebra, polynomial_quotient_algebra, trivial_coalgebra, direct_sum
-from coalgkit.fields import GF
+from coalgkit.fields import GF, QQ
 from coalgkit.galois import (
+    GaloisDatum,
     adjunction_checks,
     coset_gset,
     disjoint_union,
@@ -20,6 +24,7 @@ from coalgkit.galois import (
     orbits_and_stabilizers,
     right_adjoint_R,
 )
+from coalgkit.linalg import Matrix
 from coalgkit.polys import Polynomial
 
 F2 = GF(2)
@@ -51,3 +56,15 @@ print("== unit and counit ==")
 print("unit on the regular Z/2-set:", adjunction_checks(D4, X=coset_gset(D4, (0,)))["checks"])
 S, _, _ = direct_sum(trivial_coalgebra(F2), C4)
 print("counit on k (+) (F_4)^dual:", adjunction_checks(D4, C=S)["checks"])
+
+print()
+print("== over Q: Q(i)/Q, conjugation as the automorphism ==")
+Li = polynomial_quotient_algebra(QQ, Polynomial.from_ints(QQ, [1, 0, 1]))
+Di = GaloisDatum(QQ, Li, [Matrix.identity(QQ, 2), Matrix.from_int_rows(QQ, [[1, 0], [0, -1]])],
+                 [[0, 1], [1, 0]])
+Ci = dual_coalgebra(Li)
+embeddings, data = right_adjoint_R(Di, Ci, (0,))
+print("embeddings of Q(i)^dual into itself at H = {e}:", len(embeddings),
+      "(the roots i and -i of t^2 + 1); conjugation swaps them:", data.gset.action[1])
+print("unit and counit on the free orbit and Q(i)^dual:",
+      adjunction_checks(Di, X=coset_gset(Di, (0,)), C=Ci)["ok"])

@@ -9,10 +9,10 @@ orbit at a time: on an orbit with stabilizer H the equivariant maps are the
 fixed field L^H, spread over the orbit by the automorphisms, and disjoint
 unions go to direct sums.  The right adjoint of a coalgebra C is the G-set of
 algebra maps C^dual -> L, one per root in L of the residue minimal polynomial
-of each dual local component.  Over a prime field the roots of p are read
-off the primitive idempotents of L (x) k[t]/(p), a product of copies of L,
-one per root; G acts on the maps by postcomposition, that is, by moving the
-roots.
+of each dual local component.  Over any base field the roots of p are read
+off the primitive idempotents of L (x) k[t]/(p), one copy of L per root and
+one larger field per nonlinear factor of p over L; G acts on the maps by
+postcomposition, that is, by moving the roots.
 """
 
 from .coalgebra import (
@@ -30,14 +30,13 @@ from .errors import (
     ComputationError,
     InvalidAction,
     NotASubgroup,
-    NotSupported,
     SpecMismatch,
     ValidationError,
 )
-from .fields import PrimeField, RationalField
+from .fields import PrimeField
 from .linalg import Matrix, Subspace
 from .polys import Polynomial
-from .structure import FieldDatum, _frobenius, _frobenius_idempotents, etale_part, power_basis, primitive_element
+from .structure import FieldDatum, _split_reduced, etale_part, power_basis, primitive_element, radical
 
 
 class GaloisDatum:
@@ -83,8 +82,7 @@ class GaloisDatum:
                         raise ValidationError("group table not associative")
         if validate(L):
             raise ValidationError("extension carrier is not a valid algebra")
-        _, minpoly = primitive_element(L)
-        if minpoly.degree != L.dim:
+        if radical(L).dim or len(_split_reduced(L)) != 1:
             raise ValidationError("extension carrier is not a field")
         unit = list(L.unit)
         for i, M in enumerate(self.automorphisms):
@@ -314,8 +312,6 @@ def fixed_field(D, H):
         raise ComputationError("fixed space dimension violates Galois theory")
     K, E = subalgebra_on_basis(D.L, space.vectors())
     prim, minpoly = primitive_element(K)
-    if minpoly.degree != K.dim:
-        raise ComputationError("fixed space is not a field")
     return FixedField(FieldDatum(K, prim, minpoly), E, H)
 
 
@@ -432,49 +428,44 @@ def _roots_in_extension(D, poly):
     """Roots of a residue polynomial inside L, as coordinate vectors.
 
     A residue polynomial p is irreducible (the minimal polynomial of a
-    primitive element of a field).  So at L = k one of degree > 1 has no
-    root, and no factoring is needed to say so.  Over a prime field p has
-    roots in L = F_(p^e) exactly when d = deg p divides e, and then d
-    distinct ones r_j: B = L (x) k[t]/(p) = L[t]/(p) is the product of the
-    fields L[t]/(t - r_j), with d primitive idempotents e_j and no radical.
-    On B e_j = L, 1 (x) t is r_j (x) 1, so r_j is the one r with
-    (r (x) 1) e_j = (1 (x) t) e_j (Berlekamp, Factoring polynomials over
-    finite fields, Bell Syst. Tech. J. 46, 1967).
+    primitive element of a field), and a root generates a subfield of
+    degree d = deg p, so p has none unless d divides [L:k] (at L = k none
+    of degree > 1, with no factoring).  B = L (x) k[t]/(p) = L[t]/(p) is
+    the product of the fields L[t]/(q_j) over the factors q_j of p in L[t].
+    On the component eB of q_j = t - r, 1 (x) t is r (x) 1, so r is the one
+    solution of (r (x) 1) e = (1 (x) t) e; where deg q_j > 1 there is none.
+    The idempotents come from `structure._split_reduced`: over F_q the
+    Frobenius split (Berlekamp, Bell Syst. Tech. J. 46, 1967), over Q the
+    seeded CRT split (Eberly and Giesbrecht, J. Symb. Comput. 29, 2000).
+    L/k is normal, so p has 0 or d roots in L, over a finite field d.
     """
     F = D.base
     L = D.L
     if poly.degree == 1:
         c = F.neg(poly.coeffs[0])
         return [[F.mul(c, u) for u in L.unit]]
-    if L.dim == 1:
+    d = poly.degree
+    if L.dim % d:
         return []
-    if isinstance(F, PrimeField):
-        d = poly.degree
-        if L.dim % d:
-            return []
-        K = polynomial_quotient_algebra(F, poly)
-        B = dual_algebra(tensor(dual_coalgebra(L), dual_coalgebra(K)))
-        t = [F.zero] * B.dim  # 1 (x) t; e_i (x) t^k has index i*d + k
-        for i, u in enumerate(L.unit):
-            t[i * d + 1] = u
-        roots = {}
-        for e in _frobenius_idempotents(B, _frobenius(B)):
-            M = B.mult_matrix(e)
-            r = Matrix.from_cols(F, [M.col(i * d) for i in range(L.dim)], B.dim).solve(M.apply(t))
-            if r is None or any(not F.is_zero(c) for c in L.eval_poly(poly, r)):
-                raise ComputationError("the solution at an idempotent of L (x) k[t]/(p) is not a root of p in L")
-            roots[tuple(r)] = r
-        if len(roots) != d:
-            raise ComputationError(
-                f"L (x) k[t]/(p) gave {len(roots)} roots of a degree-{d} residue polynomial"
-            )
-        return list(roots.values())
-    if isinstance(F, RationalField):
-        raise NotSupported(
-            "root finding inside a nontrivial number field requires number-field "
-            "factorization, which is out of scope"
+    K = polynomial_quotient_algebra(F, poly)
+    B = dual_algebra(tensor(dual_coalgebra(L), dual_coalgebra(K)))
+    t = [F.zero] * B.dim  # 1 (x) t; e_i (x) t^k has index i*d + k
+    for i, u in enumerate(L.unit):
+        t[i * d + 1] = u
+    roots = {}
+    for e in _split_reduced(B):
+        M = B.mult_matrix(e)
+        r = Matrix.from_cols(F, [M.col(i * d) for i in range(L.dim)], B.dim).solve(M.apply(t))
+        if r is None:
+            continue  # eB = L[t]/(q) with deg q > 1
+        if any(not F.is_zero(c) for c in L.eval_poly(poly, r)):
+            raise ComputationError("the solution at an idempotent of L (x) k[t]/(p) is not a root of p in L")
+        roots[tuple(r)] = r
+    if len(roots) != d and (len(roots) or F.order is not None):
+        raise ComputationError(
+            f"L (x) k[t]/(p) gave {len(roots)} roots of a degree-{d} residue polynomial"
         )
-    raise NotSupported(f"roots in extensions over {F} not supported")
+    return list(roots.values())
 
 
 class RightAdjointData:

@@ -214,8 +214,8 @@ def split_semisimple(B):
     generator: F_2 x F_2 x F_2, which has none, is split by basis vectors.
     eps_f = (u g)(x), with g = m / f and u g = 1 mod f, has degree below
     deg m, so it is a combination of the powers of x that gave m.
-    `local_decomposition` splits by it over Q; over F_p it stays a second
-    oracle for the Frobenius route in the tests.
+    `local_decomposition` and `_split_reduced` split by it over Q; over F_p
+    it stays a second oracle for the Frobenius route in the tests.
     """
     F = B.field
     if B.dim <= 1:
@@ -252,6 +252,14 @@ def split_semisimple(B):
             out.sort(key=lambda v: tuple(F.sort_key(c) for c in v))
             return out
     raise _search_exhausted("could not split semisimple algebra", B, tried)
+
+
+def _split_reduced(B):
+    """Primitive idempotents of a reduced commutative algebra: over F_q from
+    its Frobenius matrix, over Q by the seeded CRT split."""
+    if B.field.order is not None:
+        return _frobenius_idempotents(B, _frobenius(B))
+    return split_semisimple(B)
 
 
 def _inverse_mod(g, f):

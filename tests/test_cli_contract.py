@@ -161,7 +161,12 @@ LINES = {
                        ["galois-adjunction", "{}", "gset_regular.json"],
                        ["galois-adjunction", "{}", "F4dual.json"]],
     "gset_regular.json": [["validate", "{}"], ["galois-functor", "galois_F4.json", "{}"],
-                          ["galois-adjunction", "galois_F4.json", "{}"]],
+                          ["galois-adjunction", "galois_F4.json", "{}"],
+                          ["galois-adjunction", "galois_Qi.json", "{}"]],
+    "galois_Qi.json": [["validate", "{}"], ["galois-functor", "{}", "gset_regular.json"],
+                       ["galois-adjunction", "{}", "gset_regular.json"],
+                       ["galois-adjunction", "{}", "Qi_dual.json"]],
+    "Qi_dual.json": COALGEBRA_LINES + [["galois-adjunction", "galois_Qi.json", "{}"]],
     "day_cat_Z2.json": [["validate", "{}"], ["day-convolve", "{}", "day_F.json", "day_G.json"],
                         ["day-hom", "{}", "day_F.json", "day_G.json"]],
     "day_F.json": [["validate", "{}"], ["day-convolve", "day_cat_Z2.json", "{}", "day_G.json"],

@@ -8,7 +8,7 @@ from coalgkit.coalgebra import (
     trivial_coalgebra,
     validate,
 )
-from coalgkit.errors import NotASubgroup, NotSupported, ValidationError
+from coalgkit.errors import NotASubgroup, ValidationError
 from coalgkit.fields import GF, QQ
 from coalgkit.galois import (
     FiniteGSet,
@@ -72,14 +72,14 @@ def test_rational_datum():
     X = coset_gset(D, (0,))
     k = kbar_functor(D, X)
     assert k.coalgebra.dim == 2 and validate(k.coalgebra) == []
-    # rational-residue instances work end to end (free orbits would need
-    # number-field root finding, which is out of scope)
     rep = adjunction_checks(D, X=trivial_gset(D, 2), C=trivial_coalgebra(QQ))
     assert rep["ok"]
-    # nonlinear residues inside a proper number field are out of scope
-    C = dual_coalgebra(pqa(QQ, [1, 0, 1]))
-    with pytest.raises(NotSupported):
-        right_adjoint(D, C)
+    # the residue polynomial t^2 + 1 of L's own dual has the roots x and -x:
+    # the algebra maps L -> L are the two automorphisms, swapped by conjugation
+    R = right_adjoint(D, dual_coalgebra(L))
+    assert sorted(m.sort_key() for m in R.maps) == sorted(M.sort_key() for M in D.automorphisms)
+    assert R.gset.action == [[0, 1], [1, 0]] and R.image_dims == [2, 2]
+    assert adjunction_checks(D, X=X, C=dual_coalgebra(L))["ok"]
 
 
 def test_orbits_and_stabilizers():
@@ -288,9 +288,8 @@ def test_order_six_group_lattice():
 
 
 def test_tower_base_extension_field():
-    # F16/F4 supplied by hand over the extension base field: the linear
-    # machinery (fixed fields, functor values) works; nonlinear residue
-    # lookups inside the tower are out of scope and fail loudly
+    # F16/F4 supplied by hand over the extension base field: fixed fields,
+    # functor values and the roots of the nonlinear residue polynomial of L
     from coalgkit.factor import is_irreducible
 
     F4 = GF(2, [1, 1, 1])
@@ -310,8 +309,10 @@ def test_tower_base_extension_field():
     assert [fixed_field(D, H).dim for H in D.subgroups()] == [2, 1]
     assert kbar_functor(D, coset_gset(D, (0,))).coalgebra.dim == 2
     assert adjunction_checks(D, X=trivial_gset(D, 2), C=trivial_coalgebra(F4))["ok"]
-    with pytest.raises(NotSupported):
-        right_adjoint(D, dual_coalgebra(L))
+    R = right_adjoint(D, dual_coalgebra(L))
+    assert sorted(m.sort_key() for m in R.maps) == sorted(M.sort_key() for M in D.automorphisms)
+    assert R.gset.action == [[0, 1], [1, 0]] and R.image_dims == [2, 2]
+    assert adjunction_checks(D, X=coset_gset(D, (0,)), C=dual_coalgebra(L))["ok"]
 
 
 def pqa_field(field, poly):
@@ -512,13 +513,18 @@ def test_roots_in_extension_rejects_a_missing_idempotent_and_a_false_root(name, 
     D = DATA[name]
     _, p = primitive_element(D.L)  # irreducible of degree [L:k], so it splits in L
     assert len(galois._roots_in_extension(D, p)) == p.degree
-    idempotents = galois._frobenius_idempotents
+    split = galois._split_reduced
     # one primitive idempotent of L (x) k[t]/(p) dropped: one root short
-    monkeypatch.setattr(galois, "_frobenius_idempotents", lambda B, phi: idempotents(B, phi)[1:])
+    monkeypatch.setattr(galois, "_split_reduced", lambda B: split(B)[1:])
     with pytest.raises(ComputationError, match=f"gave {p.degree - 1} roots"):
         galois._roots_in_extension(D, p)
-    # the unit in place of the idempotents: 1 (x) t is no r (x) 1
-    monkeypatch.setattr(galois, "_frobenius_idempotents", lambda B, phi: [list(B.unit)])
+    # the unit in place of the idempotents: 1 (x) t is no r (x) 1, so the
+    # unit is skipped, and over a finite field no root is one count short
+    monkeypatch.setattr(galois, "_split_reduced", lambda B: [list(B.unit)])
+    with pytest.raises(ComputationError, match="gave 0 roots"):
+        galois._roots_in_extension(D, p)
+    # zero among the idempotents: r = 0 solves 0 = 0, and p(0) != 0
+    monkeypatch.setattr(galois, "_split_reduced", lambda B: [[B.field.zero] * B.dim] + split(B))
     with pytest.raises(ComputationError, match="not a root"):
         galois._roots_in_extension(D, p)
 
@@ -611,3 +617,160 @@ def test_roots_at_k_of_an_irreducible_need_no_factoring(field, monkeypatch):
     monkeypatch.setattr(factor, "factor_polynomial", refuse)
     for p in polys:
         assert _roots_in_extension(D, p) == []
+
+
+# -- the same root path over Q and over an F_q tower ----------------------------
+
+
+def rational_datum(modulus, images):
+    """Q[x]/(modulus) with the automorphisms x -> image (integer coefficient
+    lists, constant first), each matrix's columns the powers of the image;
+    the table is read off the products of the matrices."""
+    L = pqa(QQ, modulus)
+    autos = []
+    for image in images:
+        y = [QQ.from_int(c) for c in image] + [QQ.zero] * (L.dim - len(image))
+        autos.append(Matrix.from_cols(QQ, [L.power(y, k) for k in range(L.dim)], L.dim))
+    table = [[next(k for k, M in enumerate(autos) if M == A @ B) for B in autos] for A in autos]
+    return GaloisDatum(QQ, L, autos, table)
+
+
+# L = Q[x]/(f) with its automorphisms x -> sigma(x), the generators of L as
+# sympy extensions, and monic residue polynomials irreducible over Q: for
+# Q(sqrt 2, sqrt 3), x = sqrt 2 + sqrt 3 has x^3 - 10x = sqrt 2 - sqrt 3
+RATIONAL = {
+    "Q(i)": ([1, 0, 1], [[0, 1], [0, -1]], ["I"]),
+    "Q(sqrt2)": ([-2, 0, 1], [[0, 1], [0, -1]], ["sqrt(2)"]),
+    "Q(zeta3)": ([1, 1, 1], [[0, 1], [-1, -1]], ["sqrt(-3)"]),
+    "Q(sqrt2,sqrt3)": ([1, 0, -10, 0, 1], [[0, 1], [0, -1], [0, -10, 0, 1], [0, 10, 0, -1]],
+                       ["sqrt(2)", "sqrt(3)"]),
+}
+RESIDUES = [[1, 0, 1], [-2, 0, 1], [-3, 0, 1], [3, 0, 1], [1, 1, 1], [-6, 0, 1], [-2, 0, 0, 1],
+            [1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [5, 1]]
+RATIONAL_DATA = {name: rational_datum(f, images) for name, (f, images, _) in RATIONAL.items()}
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL))
+def test_rational_roots_against_sympy(name):
+    """Every root is a root, and there are as many as sympy finds linear
+    factors of p over L."""
+    sympy = pytest.importorskip("sympy", reason="sympy is not installed: Q root cross-check skipped")
+    from coalgkit.galois import _roots_in_extension
+
+    D = RATIONAL_DATA[name]
+    t = sympy.Symbol("t")
+    extension = [sympy.sympify(g) for g in RATIONAL[name][2]]
+    for ints in RESIDUES:
+        p = Polynomial.from_ints(QQ, ints)
+        roots = _roots_in_extension(D, p)
+        assert all(D.L.eval_poly(p, r) == [QQ.zero] * D.L.dim for r in roots)
+        assert len({tuple(r) for r in roots}) == len(roots)
+        expr = sum(c * t**k for k, c in enumerate(ints))
+        _, factors = sympy.factor_list(expr, t, extension=extension)
+        assert len(roots) == sum(1 for g, _ in factors if sympy.degree(g, t) == 1), ints
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL))
+def test_rational_unit_on_every_small_gset(name):
+    """The unit is bijective and equivariant (and the kbar triangle holds) on
+    every G-set of size <= 4, and on a relabelling of each."""
+    import random
+
+    D = RATIONAL_DATA[name]
+    rng = random.Random(7)
+    unions = coset_unions(D, max_size=4)
+    for X in unions + [relabelled(D, X, rng) for X in unions]:
+        report = adjunction_checks(D, X=X)
+        assert report["ok"], report
+
+
+# subfields of each L, by defining polynomials over Q
+SUBFIELDS = {
+    "Q(i)": [[1, 0, 1]],
+    "Q(sqrt2)": [[-2, 0, 1]],
+    "Q(zeta3)": [[1, 1, 1], [3, 0, 1]],
+    "Q(sqrt2,sqrt3)": [[-2, 0, 1], [-3, 0, 1], [-6, 0, 1], [1, 0, -10, 0, 1]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL))
+def test_rational_counit_on_seeded_coalgebras(name):
+    """The counit checks pass on seeded duals of conjugated products of
+    K[t]/(f^e), K = Q or a subfield of L given by f."""
+    import random
+
+    from coalgkit import corpus
+    from coalgkit.structure import product_algebra
+
+    D = RATIONAL_DATA[name]
+    rng = random.Random(13)
+    for _ in range(6):
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            f = rng.choice([[rng.randint(-3, 3), 1]] + SUBFIELDS[name])
+            e = rng.randint(1, 2) if len(f) <= 3 else 1
+            parts.append(polynomial_quotient_algebra(QQ, Polynomial.from_ints(QQ, f) ** e))
+        A = product_algebra(QQ, parts)
+        A = corpus.conjugate_algebra(A, corpus.random_invertible(rng, QQ, A.dim))
+        report = adjunction_checks(D, C=dual_coalgebra(A))
+        assert report["ok"], report
+
+
+def test_tower_roots_of_every_quadratic_against_evaluation():
+    """F_16/F_4: the roots of each of the 6 monic irreducible quadratics over
+    F_4 are the elements of L at which it vanishes."""
+    import itertools
+
+    from coalgkit.factor import is_irreducible
+    from coalgkit.galois import _roots_in_extension
+
+    F4 = GF(2, [1, 1, 1])
+    quadratics = [Polynomial(F4, [a, b, F4.one]) for a in F4.elements() for b in F4.elements()]
+    quadratics = [f for f in quadratics if is_irreducible(f)]
+    assert len(quadratics) == 6
+    L = pqa_field(F4, quadratics[0])
+    frob2 = Matrix.from_cols(F4, [L.power(e, 4) for e in ([F4.one, F4.zero], [F4.zero, F4.one])], 2)
+    D = GaloisDatum(F4, L, [Matrix.identity(F4, 2), frob2], [[0, 1], [1, 0]])
+    elements = [list(v) for v in itertools.product(F4.elements(), repeat=2)]
+    assert len(elements) == 16
+    for f in quadratics:
+        expected = {tuple(v) for v in elements if all(F4.is_zero(c) for c in L.eval_poly(f, v))}
+        roots = _roots_in_extension(D, f)
+        assert len(expected) == 2 and len(roots) == 2
+        assert {tuple(r) for r in roots} == expected
+
+
+def test_rational_roots_respect_the_degree_cap(monkeypatch):
+    """The split of L (x) Q[t]/(t^4 - 10t^2 + 1), of dimension 16, factors
+    minimal polynomials of degree 6 and 8: below them the cap is hit."""
+    from coalgkit import factor
+    from coalgkit.errors import DegreeCapExceeded
+    from coalgkit.galois import _roots_in_extension
+
+    D = RATIONAL_DATA["Q(sqrt2,sqrt3)"]
+    p = Polynomial.from_ints(QQ, [1, 0, -10, 0, 1])
+    assert len(_roots_in_extension(D, p)) == 4
+    monkeypatch.setattr(factor, "DEFAULT_DEGREE_CAP", 5)
+    with pytest.raises(DegreeCapExceeded):
+        _roots_in_extension(D, p)
+
+
+# Q[x]/(x^2), Q x Q and F_3 x F_3, with x -> -x: a valid algebra, group table
+# and automorphism with the right fixed space, but the carrier is not a field
+NON_FIELDS = {"Q[x]/(x^2)": (QQ, [0, 0, 1]), "Q[x]/(x^2-1)": (QQ, [-1, 0, 1]),
+              "F3[x]/(x^2-1)": (F3, [-1, 0, 1])}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FIELDS))
+def test_datum_rejects_a_carrier_that_is_not_a_field(name, tmp_path):
+    from coalgkit import cli, jsonio
+
+    field, modulus = NON_FIELDS[name]
+    L = pqa(field, modulus)
+    autos = [Matrix.identity(field, 2), Matrix.from_int_rows(field, [[1, 0], [0, -1]])]
+    with pytest.raises(ValidationError, match="extension carrier is not a field"):
+        GaloisDatum(field, L, autos, [[0, 1], [1, 0]])
+    path = tmp_path / "galois.json"
+    D = GaloisDatum(field, L, autos, [[0, 1], [1, 0]], check=False)
+    path.write_text(jsonio.canonical_json(jsonio.galois_to_json(D)), encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 3

@@ -442,6 +442,64 @@ def test_galois_golden_digest(name):
     assert h.hexdigest() == GALOIS_SHA256[name]
 
 
+def _demo_document(name):
+    import os
+
+    from coalgkit import jsonio
+
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "data", name)
+    with open(path, encoding="utf-8") as f:
+        return jsonio.parse_entity(jsonio.load_document(f.read(), path))
+
+
+def right_adjoint_R_cases(name):
+    """The datum and the coalgebras of the right_adjoint_R digest."""
+    if name == "Q(i)":
+        return _demo_document("galois_Qi.json"), [_demo_document("Qi_dual.json"), trivial_coalgebra(QQ)]
+    return DATA[name], galois_coalgebras(DATA[name])
+
+
+# sha256 of fixed_field(D, H) (mult, unit, embedding) for every subgroup H,
+# then of right_adjoint_R(D, C, H, embeddings) (each morphism's matrix and
+# source coalgebra) for every coalgebra C, subgroup H and both embeddings
+# values; recorded while every morphism built its own fixed field
+RIGHT_ADJOINT_R_SHA256 = {
+    "F4/F2": "925953ca517901ce3bd56f6d986be14b1975beaf204803db22c1fb04c2835e6a",
+    "F8/F2": "a508422bfd79775b8e5cbbce2937d63a78e796915599d84c9da55de06f07dd71",
+    "F9/F3": "5f995a05e560f01d7baa5cc262ab0382bf108b647f98ef3102201d9a7b68b43b",
+    "F16/F2": "d43848bd154695c546376b9469a598e012057910806176aeaa2bee599fb6e333",
+    "Q(i)": "8f4eb8dd87b50ee63128acbd70270656376dbddd0befb22523a6953920f1e635",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RIGHT_ADJOINT_R_SHA256))
+def test_right_adjoint_R_golden_digest(name):
+    import hashlib
+
+    from coalgkit import jsonio
+
+    D, coalgebras = right_adjoint_R_cases(name)
+    h = hashlib.sha256()
+    for H in D.subgroups():
+        ff = fixed_field(D, H)
+        K = ff.datum.as_algebra
+        h.update(jsonio.canonical_json({
+            "subgroup": list(H),
+            "mult": jsonio.matrix_to_json(K.mult),
+            "unit": jsonio.vector_to_json(D.base, K.unit),
+            "embedding": jsonio.matrix_to_json(ff.embedding),
+        }).encode())
+    for C in coalgebras:
+        for H in D.subgroups():
+            for embeddings in (True, False):
+                morphisms, _ = right_adjoint_R(D, C, H, embeddings)
+                h.update(jsonio.canonical_json([
+                    {"matrix": jsonio.matrix_to_json(m.matrix), "source": jsonio.coalgebra_to_json(m.source)}
+                    for m in morphisms
+                ]).encode())
+    assert h.hexdigest() == RIGHT_ADJOINT_R_SHA256[name]
+
+
 def equivariance_kernel(D, X):
     """The functions f: X -> L with f(g.x) = sigma_g(f(x)) for all g and x,
     as the kernel of those linear equations on L^X (slot-major)."""

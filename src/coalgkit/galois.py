@@ -36,7 +36,7 @@ from .errors import (
 from .fields import PrimeField
 from .linalg import Matrix, Subspace
 from .polys import Polynomial
-from .structure import FieldDatum, _split_reduced, etale_part, power_basis, primitive_element, radical
+from .structure import _split_reduced, etale_part, power_basis, radical
 
 
 class GaloisDatum:
@@ -134,7 +134,7 @@ class GaloisDatum:
 
     def is_subgroup(self, H):
         Hs = set(H)
-        if self.identity not in Hs:
+        if self.identity not in Hs or not Hs <= set(range(self.size)):
             return False
         return all(self.table[a][b] in Hs for a in Hs for b in Hs)
 
@@ -289,30 +289,28 @@ def orbits_and_stabilizers(D, X):
 
 
 class FixedField:
-    __slots__ = ("datum", "embedding", "subgroup")
+    __slots__ = ("algebra", "embedding", "subgroup")
 
-    def __init__(self, datum, embedding, subgroup):
-        self.datum = datum
-        self.embedding = embedding
+    def __init__(self, algebra, embedding, subgroup):
+        self.algebra = algebra
+        self.embedding = embedding  # Matrix dim(L) x dim(L^H), L^H -> L
         self.subgroup = subgroup
 
     @property
     def dim(self):
-        return self.datum.dim
+        return self.algebra.dim
 
 
 def fixed_field(D, H):
-    """L^H as a FieldDatum with its embedding into L."""
+    """L^H as an algebra with its embedding into L."""
     if not D.is_subgroup(H):
         raise NotASubgroup(f"{H} is not a subgroup")
     H = tuple(sorted(set(H)))
     space = D.fixed_space(H)
-    expected = D.size // len(H)
-    if space.dim != expected:
+    if space.dim != D.size // len(H):
         raise ComputationError("fixed space dimension violates Galois theory")
     K, E = subalgebra_on_basis(D.L, space.vectors())
-    prim, minpoly = primitive_element(K)
-    return FixedField(FieldDatum(K, prim, minpoly), E, H)
+    return FixedField(K, E, H)
 
 
 class KbarResult:
@@ -487,39 +485,6 @@ class RightAdjointData:
             sorted(g for g in range(self.datum.size) if self.gset.action[g][idx] == idx)
         )
 
-    def at_subgroup(self, H, embeddings=True):
-        """Indices of maps defining morphisms from (L^H)^dual.
-
-        embeddings=True keeps only injective coalgebra morphisms (image
-        exactly L^H, i.e. stabilizer exactly H); otherwise all morphisms
-        (image inside L^H, i.e. H-fixed points).
-        """
-        if not self.datum.is_subgroup(H):
-            raise NotASubgroup(f"{H} is not a subgroup")
-        H = tuple(sorted(set(H)))
-        out = []
-        for idx in range(len(self.maps)):
-            stab = self.stabilizer(idx)
-            if embeddings:
-                if stab == H:
-                    out.append(idx)
-            else:
-                if set(H) <= set(stab):
-                    out.append(idx)
-        return out
-
-    def morphism(self, idx, fixed=None):
-        """The coalgebra morphism (L^H)^dual -> C for map idx, H = its
-        stabilizer (or the H of a supplied FixedField containing the image)."""
-        psi = self.maps[idx]
-        if fixed is None:
-            fixed = fixed_field(self.datum, self.stabilizer(idx))
-        factored = fixed.embedding.solve_matrix(psi)
-        if factored is None:
-            raise ComputationError("map does not land in the fixed field")
-        source = dual_coalgebra(fixed.datum.as_algebra)
-        return CoalgebraMorphism(source, self.coalgebra, factored.transpose())
-
 
 def right_adjoint(D, C):
     """All algebra maps C^dual -> L as a G-set (postcomposition action).
@@ -528,7 +493,7 @@ def right_adjoint(D, C):
     residue field k[t]/(p), one per root r of p in L, and
     sigma_g o psi_r = psi_(sigma_g(r)): the action permutes the roots.  q is
     read off `etale_part`: the inclusion of the component's simple
-    subcoalgebra is q^T."""
+    subcoalgebra is q^T.  The roots of each distinct p are found once."""
     if C.field != D.base:
         raise SpecMismatch("coalgebra and Galois datum over different fields")
     data = etale_part(C)
@@ -536,10 +501,13 @@ def right_adjoint(D, C):
     comp_idx = []
     dims = []
     moved = []  # moved[t][g]: the index of sigma_g o maps[t]
+    roots_of = {}  # residue polynomial -> its roots in L, found once
     for i, ((_, inc), w) in enumerate(zip(data.simples, data.splittings)):
         q_i = inc.matrix.transpose()  # A -> K_i = k[t]/(p_i)
         p_i = w.field_datum.minimal_poly
-        roots = _roots_in_extension(D, p_i)
+        if p_i not in roots_of:
+            roots_of[p_i] = _roots_in_extension(D, p_i)
+        roots = roots_of[p_i]
         index_of = {tuple(r): len(maps) + j for j, r in enumerate(roots)}
         for root in roots:
             emb = Matrix.from_cols(D.base, power_basis(D.L, root, p_i.degree), D.L.dim)
@@ -566,11 +534,27 @@ def right_adjoint(D, C):
 
 
 def right_adjoint_R(D, C, H, embeddings=True):
-    """Morphisms (L^H)^dual -> C plus the ambient G-set of all maps to L."""
+    """Morphisms (L^H)^dual -> C plus the ambient G-set of all maps to L.
+
+    embeddings=True keeps the maps whose stabilizer is exactly H, those with
+    image L^H: the injective morphisms.  embeddings=False keeps the H-fixed
+    points, the maps whose stabilizer contains H, those with image inside
+    L^H: all morphisms.  Either way every kept map factors through the one
+    L^H built here.
+    """
     data = right_adjoint(D, C)
     fixed = fixed_field(D, H)
-    idxs = data.at_subgroup(H, embeddings=embeddings)
-    return [data.morphism(i, fixed if not embeddings else None) for i in idxs], data
+    H = set(fixed.subgroup)
+    source = dual_coalgebra(fixed.algebra)
+    morphisms = []
+    for idx, psi in enumerate(data.maps):
+        stab = set(data.stabilizer(idx))
+        if H <= stab and (stab == H or not embeddings):
+            factored = fixed.embedding.solve_matrix(psi)
+            if factored is None:
+                raise ComputationError("map does not land in the fixed field")
+            morphisms.append(CoalgebraMorphism(source, C, factored.transpose()))
+    return morphisms, data
 
 
 def unit_map(D, X, kresult=None, radj=None):

@@ -237,6 +237,40 @@ def test_unit_missing_a_map_is_reported(monkeypatch, datum):
                               ("triangle-kbar", False)], "ok": False}
 
 
+def test_right_adjoint_finds_the_roots_of_each_residue_polynomial_once(monkeypatch):
+    """Two copies each of G/1 and G/{0,2} over F16/F2 give four residue
+    fields but two distinct residue polynomials, of degrees 4 and 2: the
+    right adjoint looks for the roots of each once."""
+    import coalgkit.galois as galois
+
+    original = galois._roots_in_extension
+    degrees = []
+
+    def counting(D, poly):
+        degrees.append(poly.degree)
+        return original(D, poly)
+
+    monkeypatch.setattr(galois, "_roots_in_extension", counting)
+    X = disjoint_union(D16, [coset_gset(D16, H) for H in [(0,), (0,), (0, 2), (0, 2)]])
+    assert adjunction_checks(D16, X=X)["ok"]
+    assert sorted(degrees) == [2, 4]
+
+
+# index tuples outside range(|G|): 5 is past the end of the F4/F2 group table,
+# and -1 would alias index 0 of the trivial group's
+OUT_OF_RANGE = [("F4/F2", fixed_field, (0, 5)), ("F4/F2", coset_gset, (0, 5)),
+                ("F2/F2", fixed_field, (0, -1))]
+
+
+@pytest.mark.parametrize("datum,call,H", OUT_OF_RANGE,
+                         ids=[f"{d}-{c.__name__}-{H}" for d, c, H in OUT_OF_RANGE])
+def test_subgroup_with_an_index_out_of_range_is_refused(datum, call, H):
+    D = D4 if datum == "F4/F2" else trivial_datum(F2)
+    assert not D.is_subgroup(H)
+    with pytest.raises(NotASubgroup):
+        call(D, H)
+
+
 def test_adjunction_all_data():
     for D in (D4, D8, D9, D16):
         for H in D.subgroups():
@@ -482,7 +516,7 @@ def test_right_adjoint_R_golden_digest(name):
     h = hashlib.sha256()
     for H in D.subgroups():
         ff = fixed_field(D, H)
-        K = ff.datum.as_algebra
+        K = ff.algebra
         h.update(jsonio.canonical_json({
             "subgroup": list(H),
             "mult": jsonio.matrix_to_json(K.mult),

@@ -976,3 +976,32 @@ def test_component_iso_source_is_the_chained_direct_sum():
             total = Coalgebra(C.field, 0, Matrix.zeros(C.field, 0, 0), Matrix.zeros(C.field, 1, 0))
         assert iso.source == total
         assert jsonio.coalgebra_to_json(iso.source) == jsonio.coalgebra_to_json(total)
+
+
+# -- rational structure views: entry types -------------------------------------
+
+
+def _rational_structure_digest():
+    """sha256 over the repr, entry types included, of the etale part's
+    inclusion and retraction, the group-likes, the local decomposition's
+    idempotents and component projections, the component iso and the gp
+    adjunction checks of 40 Q corpus coalgebras of dim <= 6."""
+    h = hashlib.sha256()
+    for C in corpus.corpus(30, 40, fields=[QQ]):
+        data = etale_part(C)
+        dec = local_decomposition(dual_algebra(C))
+        _, iso = irreducible_components(C)
+        h.update(repr((
+            data.inclusion.matrix.data, data.retraction.matrix.data, group_likes(C).elements,
+            dec.idempotents, [c.projection.data for c in dec.components], iso.matrix.data,
+            gp_adjunction_checks(C=C),
+        )).encode())
+    return h.hexdigest()
+
+
+# recorded before the structure layer stacked the kernel's integer rows
+RATIONAL_STRUCTURE_SHA256 = "9b0003abfbbcca16cce671ca3b46911b857b46accb3100c8f9c40543a7493a81"
+
+
+def test_rational_structure_golden_digest():
+    assert _rational_structure_digest() == RATIONAL_STRUCTURE_SHA256

@@ -17,7 +17,7 @@ from .errors import (
     SpecMismatch,
     ValidationError,
 )
-from .linalg import Matrix, Subspace, kronecker, row_kernel
+from .linalg import Matrix, Subspace, _IntRowMatrix, kronecker, row_kernel
 
 
 class Coalgebra:
@@ -373,7 +373,18 @@ def _validate_algebra(A):
 
 
 def dual_algebra(C):
-    return ArtinAlgebra(C.field, C.dim, C.delta.transpose(), C.epsilon.row(0))
+    """mult is delta transposed.  Over Q its integer rows are the columns of
+    `C.cleared()`, so one clearing of delta serves the axiom checks of C and
+    the kernel ops of its dual (`int_table` reads those rows)."""
+    F, n = C.field, C.dim
+    if F.kind != "Q":
+        return ArtinAlgebra(F, n, C.delta.transpose(), C.epsilon.row(0))
+    cols, d = C.cleared()[:2]
+    rows = [[0] * (n * n) for _ in range(n)]
+    for row, col in zip(rows, cols):
+        for r, _, _, v in col:
+            row[r] = v
+    return ArtinAlgebra(F, n, _IntRowMatrix(F, n, n * n, [(row, d) for row in rows]), C.epsilon.row(0))
 
 
 def dual_coalgebra(A):

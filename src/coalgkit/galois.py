@@ -36,7 +36,7 @@ from .errors import (
 from .fields import PrimeField
 from .linalg import Matrix, Subspace
 from .polys import Polynomial
-from .structure import _split_reduced, etale_part, power_basis, radical
+from .structure import _is_field, _split_reduced, etale_part, power_basis
 
 
 class GaloisDatum:
@@ -82,7 +82,7 @@ class GaloisDatum:
                         raise ValidationError("group table not associative")
         if validate(L):
             raise ValidationError("extension carrier is not a valid algebra")
-        if radical(L).dim or len(_split_reduced(L)) != 1:
+        if not _is_field(L):
             raise ValidationError("extension carrier is not a field")
         unit = list(L.unit)
         for i, M in enumerate(self.automorphisms):
@@ -510,7 +510,7 @@ def right_adjoint(D, C):
         roots = roots_of[p_i]
         index_of = {tuple(r): len(maps) + j for j, r in enumerate(roots)}
         for root in roots:
-            emb = Matrix.from_cols(D.base, power_basis(D.L, root, p_i.degree), D.L.dim)
+            emb = power_basis(D.L, root, p_i.degree).transpose()
             images = []
             for M in D.automorphisms:
                 key = tuple(M.apply(root))

@@ -401,20 +401,30 @@ def _common_columns(rows, ncols):
     return [list(col) for col in zip(*scaled)] if rows else [[] for _ in range(ncols)], den
 
 
-def _block(M, nrows, cols=None):
-    """The first nrows rows of M, on the columns cols (all of them when None),
-    as a matrix of M's kind."""
+def _block(M, rows, cols=None):
+    """The rows of M with the indices rows, on the columns cols (all of them
+    when None), as a matrix of M's kind."""
     ints = type(M) is _IntRowMatrix
-    rows = (M.ints if ints else M.data)[:nrows]
+    rows = [(M.ints if ints else M.data)[i] for i in rows]
     if cols is not None:
         rows = [([a[c] for c in cols], d) for a, d in rows] if ints else [[r[c] for c in cols] for r in rows]
-    return type(M)(M.field, nrows, M.cols if cols is None else len(cols), rows)
+    return type(M)(M.field, len(rows), M.cols if cols is None else len(cols), rows)
+
+
+def _stack(F, cols, blocks):
+    """The matrices in blocks, each with cols columns, on top of each other,
+    as a matrix of the row kernel's kind: over Q their integer rows."""
+    if row_kernel(F) is _RationalKernel:
+        rows = [r for M in blocks for r in _int_rows(M)]
+        return _IntRowMatrix(F, len(rows), cols, rows)
+    rows = [r for M in blocks for r in M.data]
+    return Matrix(F, len(rows), cols, rows)
 
 
 def _row_space(M):
     """The Subspace of k^cols spanned by the rows of M."""
     R, rank, _ = M.rref()
-    return Subspace(M.field, M.cols, _block(R, rank))
+    return Subspace(M.field, M.cols, _block(R, range(rank)))
 
 
 def _free(n, pivots):
@@ -475,14 +485,14 @@ def _null_rows(R, pivots):
 def _min_poly_powers(F, A, x):
     """(combo, powers): the first dependence among 1, x, x^2, .. of an
     algebra element, as `add_row` returns it, and the independent powers
-    before it."""
+    before it as the rows of a matrix."""
     add_row = row_kernel(F).add_row
     rows, powers = [], []
     power = list(A.unit)
     while True:
         combo = add_row(F, rows, power, len(powers))
         if combo is not None:
-            return combo, powers
+            return combo, Matrix(F, len(powers), A.dim, powers)
         powers.append(power)
         power = A.mul(power, x)
 
@@ -967,8 +977,8 @@ class _RationalKernel:
     @staticmethod
     def min_poly_powers(F, A, x):
         """The powers of x as integer numerators over one denominator: x is
-        cleared once, and each power goes to the reducer as it is; only the
-        returned powers are built from Fractions."""
+        cleared once, each power goes to the reducer as it is, and the
+        powers are returned on those integer rows."""
         xn, xd = clear_denominators(x)
         step = A.int_table()[1] * xd
         rows, powers = [], []
@@ -976,7 +986,7 @@ class _RationalKernel:
         while True:
             combo = _add_int_row(rows, nums, den, len(powers))
             if combo is not None:
-                return combo, [[_fraction(a, d) for a in p] for p, d in powers]
+                return combo, _IntRowMatrix(F, len(powers), A.dim, powers)
             powers.append((nums, den))
             nums = _int_algebra_mul(A, nums, xn)
             den *= step
@@ -1134,7 +1144,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, field, ambient):
-        return cls(field, ambient, Matrix.zeros(field, 0, ambient))
+        return cls(field, ambient, _stack(field, ambient, []))
 
     @classmethod
     def full(cls, field, ambient):
@@ -1179,7 +1189,7 @@ class Subspace:
         At = self.basis.transpose()
         ker = At.hstack((-other.basis).transpose()).kernel()
         # a kernel vector (x, y) has A^T x = B^T y, in both subspaces
-        return (At @ _block(ker.basis, ker.dim, range(self.dim)).transpose()).column_space()
+        return (At @ _block(ker.basis, range(ker.dim), range(self.dim)).transpose()).column_space()
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -1225,7 +1235,8 @@ def kronecker(A, B):
         raise SpecMismatch("kronecker over different fields")
     F = A.field
     if row_kernel(F) is _RationalKernel:
-        rows = [([x * y for x in a for y in b], d * e) for a, d in _int_rows(A) for b, e in _int_rows(B)]
+        brows = _int_rows(B)
+        rows = [([x * y for x in a for y in b], d * e) for a, d in _int_rows(A) for b, e in brows]
         return _IntRowMatrix(F, A.rows * B.rows, A.cols * B.cols, rows)
     rows = [[F.zero] * (A.cols * B.cols) for _ in range(A.rows * B.rows)]
     for i in range(A.rows):

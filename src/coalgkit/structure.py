@@ -29,7 +29,7 @@ from .errors import ComputationError, NonSeparableResidue, SearchExhausted, Vali
 from .factor import _equal_degree, factor_polynomial, is_separable
 # minimal_polynomial (of a matrix) stays importable from here, where the
 # bench's tracer also wraps it; element_min_poly does not call it
-from .linalg import Matrix, Subspace, _block, _free, minimal_polynomial, quotient_maps, row_kernel  # noqa: F401
+from .linalg import Matrix, Subspace, _block, _free, _stack, minimal_polynomial, quotient_maps, row_kernel  # noqa: F401
 from .polys import Polynomial
 from .seeding import derived_rng
 
@@ -79,7 +79,7 @@ def _frobenius_idempotents(A, phi):
         if len(blocks) == fixed.dim:
             break
         m = element_min_poly(A, s)
-        P = Matrix.from_cols(F, m.powers, A.dim)
+        P = m.basis.transpose()
         eps = [P.apply(_lagrange(F, m.coeffs, F.neg(g.coeffs[0]))) for g in _equal_degree(m, 1)]
         pieces = (A.mul(e, x) for e in blocks for x in eps) if len(blocks) > 1 else eps
         blocks = [p for p in pieces if any(not F.is_zero(c) for c in p)]
@@ -102,12 +102,13 @@ def _lagrange(F, coeffs, a):
 def _trace_form(A):
     """The form (e_i, e_j) -> tr(L_{e_i e_j}): tr(L_{e_t}) is the sum over k
     of the e_k coordinate of e_t e_k, and the form is that row of traces
-    times mult, read as n x n."""
-    F, n, mult = A.field, A.dim, A.mult.data
-    diagonal = Matrix(F, n, n, [[mult[k][t * n + k] for t in range(n)] for k in range(n)])
-    traces = Matrix(F, 1, n, [[F.one] * n]) @ diagonal
-    form = (traces @ A.mult).data[0]
-    return Matrix(F, n, n, [form[i * n:(i + 1) * n] for i in range(n)])
+    times mult, read as n x n.  Every piece is a block of rows of mult, so
+    over Q it runs on mult's integer rows."""
+    F, n, mult = A.field, A.dim, A.mult
+    diagonal = _stack(F, n, [_block(mult, [k], range(k, n * n, n)) for k in range(n)])
+    traces = Matrix.column(F, [F.one] * n).transpose() @ diagonal
+    form = traces @ mult
+    return _stack(F, n, [_block(form, [0], range(i * n, (i + 1) * n)) for i in range(n)])
 
 
 def trace_form_nondegenerate(A):
@@ -123,28 +124,33 @@ def quotient_algebra(A, ideal):
     q, s = quotient_maps(ideal)
     n = A.dim
     free = _free(n, ideal.pivots())
-    products = _block(A.mult, n, [a * n + b for a in free for b in free])
+    products = _block(A.mult, range(n), [a * n + b for a in free for b in free])
     return ArtinAlgebra(A.field, q.rows, q @ products, q.apply(A.unit)), q, s
 
 
 class _MinimalPolynomial(Polynomial):
     """A minimal polynomial m of an algebra element x that keeps the powers
-    1, x, .., x^(deg m - 1) it was found from, a basis of k[x]."""
+    1, x, .., x^(deg m - 1) it was found from, a basis of k[x], as the rows
+    of `basis`, a matrix of the row kernel's kind."""
 
-    __slots__ = ("powers",)
+    __slots__ = ("basis",)
+
+    @property
+    def powers(self):
+        return self.basis.data
 
 
 def element_min_poly(A, x):
     """Minimal polynomial of x: the first dependence among 1, x, x^2, ...
 
     It is that of the multiplication matrix L_x, since m(L_x) = L_{m(x)}
-    and L_a(1) = a.  The result keeps the independent powers as `powers`.
+    and L_a(1) = a.  The result keeps the independent powers as `basis`.
     The chain runs on the field's row kernel: over Q on integer numerators
     over one denominator, x cleared once."""
     F = A.field
     combo, powers = row_kernel(F).min_poly_powers(F, A, x)
     m = _MinimalPolynomial(F, combo)
-    m.powers = powers
+    m.basis = powers
     return m
 
 
@@ -230,8 +236,8 @@ def split_semisimple(B):
         if any(mult > 1 for _, mult in factors):
             raise ValidationError("repeated factor in a semisimple algebra; corrupt input")
         # a minimal polynomial from elsewhere carries no powers
-        powers = getattr(m, "powers", None) or [B.power(x, i) for i in range(m.degree)]
-        P = Matrix.from_cols(F, powers, B.dim)
+        basis = getattr(m, "basis", None) or Matrix.from_rows(F, [B.power(x, i) for i in range(m.degree)], B.dim)
+        P = basis.transpose()
         crt = []  # (eps_f, deg f)
         for f, _ in factors:
             g = m // f
@@ -260,6 +266,15 @@ def _split_reduced(B):
     if B.field.order is not None:
         return _frobenius_idempotents(B, _frobenius(B))
     return split_semisimple(B)
+
+
+def _is_field(A):
+    """Whether A is a field: rad A = 0 and A has one primitive idempotent.
+    Over F_q both are read off one Frobenius matrix."""
+    if A.field.order is None:
+        return not radical(A).dim and len(split_semisimple(A)) == 1
+    phi = _frobenius(A)
+    return not _frobenius_radical(A, phi).dim and len(_frobenius_idempotents(A, phi)) == 1
 
 
 def _inverse_mod(g, f):
@@ -409,15 +424,15 @@ def local_decomposition(A):
         phi = _frobenius(A)
         rad = _frobenius_radical(A, phi)
         idems = _frobenius_idempotents(A, phi)
-    total = [F.zero] * A.dim
-    for i, e in enumerate(idems):
-        for j, f in enumerate(idems):
-            prod = A.mul(e, f)
-            expected = e if i == j else [F.zero] * A.dim
-            if prod != expected:
-                raise ComputationError("lifted idempotents not orthogonal")
-        total = [F.add(a, b) for a, b in zip(total, e)]
-    if total != list(A.unit):
+    n, r = A.dim, len(idems)
+    E = _stack(F, n, [Matrix.column(F, e).transpose() for e in idems])
+    # column i * r + j of the products is e_i e_j: e_i when i = j, else 0
+    products = row_kernel(F).basis_products(F, A, E, E)
+    squares = _block(products, range(n), [i * (r + 1) for i in range(r)])
+    mixed = _block(products, range(n), [c for c in range(r * r) if c % (r + 1)])
+    if not (squares == E.transpose()) or mixed.rank():
+        raise ComputationError("lifted idempotents not orthogonal")
+    if not (Matrix.column(F, [F.one] * r).transpose() @ E == Matrix.column(F, A.unit).transpose()):
         raise ComputationError("lifted idempotents do not sum to 1")
     components = []
     for e in idems:
@@ -481,10 +496,13 @@ def hensel_lift_root(A, p, start):
 
 
 def power_basis(A, x, d):
-    """The powers 1, x, .., x^(d - 1) of x in the algebra A."""
-    powers = []
-    for i in range(d):
-        powers.append(A.mul(powers[-1], x) if i else list(A.unit))
+    """The powers 1, x, .., x^(d - 1) of an element x of A of degree d, as
+    the rows of a matrix of the row kernel's kind: the power chain of its
+    minimal polynomial."""
+    F = A.field
+    _, powers = row_kernel(F).min_poly_powers(F, A, x)
+    if powers.rows != d:
+        raise ComputationError(f"element has degree {powers.rows}, not {d}")
     return powers
 
 
@@ -515,13 +533,11 @@ def wedderburn_splitting(component):
     root = hensel_lift_root(A, p, start)
     d = p.degree
     powers = power_basis(A, root, d)
-    E = Matrix.from_cols(F, powers, A.dim)
-    rad_basis = component.radical.vectors()
-    P = Matrix.from_cols(F, powers + rad_basis, A.dim)
-    Pinv = P.inverse()
+    E = powers.transpose()
+    Pinv = _stack(F, A.dim, [powers, component.radical.basis]).transpose().inverse()
     if Pinv is None:
         raise ComputationError("A is not K (+) m; Hensel data inconsistent")
-    retract = _block(Pinv, d)
+    retract = _block(Pinv, range(d))
     K = polynomial_quotient_algebra(F, p)
     if retract.apply(A.unit) != list(K.unit):
         raise ComputationError("retract does not preserve the unit")
@@ -613,18 +629,12 @@ def _etale_data(C):
     splittings = [wedderburn_splitting(c) for c in dec.components]
     # the inclusion stacks the q_i^T side by side, the retraction the s_i^T
     # on top of each other
-    inclusion_cols = []
-    retraction_rows = []
-    simples = []
-    for comp, w in zip(dec.components, splittings):
-        q_i = w.retract @ comp.projection  # A -> K_i
-        s_i = comp.embedding @ w.embedding  # K_i -> A
-        inclusion_cols.extend(q_i.data)
-        retraction_rows.extend(s_i.transpose().data)
-        simples.append((dual_coalgebra(w.field_datum.as_algebra), q_i.transpose()))
+    qs = [w.retract @ comp.projection for comp, w in zip(dec.components, splittings)]  # A -> K_i
+    ss = [(comp.embedding @ w.embedding).transpose() for comp, w in zip(dec.components, splittings)]  # s_i^T
+    simples = [(dual_coalgebra(w.field_datum.as_algebra), q.transpose()) for q, w in zip(qs, splittings)]
     etale = dual_coalgebra(product_algebra(F, [w.field_datum.as_algebra for w in splittings]))
-    inclusion = Matrix.from_cols(F, inclusion_cols, C.dim)
-    retraction = Matrix.from_rows(F, retraction_rows, C.dim)
+    inclusion = _stack(F, C.dim, qs).transpose()
+    retraction = _stack(F, C.dim, ss)
     if not (retraction @ inclusion == Matrix.identity(F, etale.dim)):
         raise ComputationError("retraction does not split the inclusion")
     return simples, etale, inclusion, retraction, dec, splittings
@@ -646,7 +656,7 @@ def irreducible_components(C):
         coalg = dual_coalgebra(comp.algebra)
         comps.append((coalg, CoalgebraMorphism(coalg, C, comp.projection.transpose())))
     total = dual_coalgebra(product_algebra(F, [comp.algebra for comp in dec.components]))
-    M = Matrix.from_cols(F, [row for comp in dec.components for row in comp.projection.data], C.dim)
+    M = _stack(F, C.dim, [comp.projection for comp in dec.components]).transpose()
     iso = CoalgebraMorphism(total, C, M)
     if M.rank() != C.dim:
         raise ComputationError("component sum is not an isomorphism")
@@ -717,17 +727,18 @@ def gp_adjunction_checks(C=None, X=None, field=None):
         data = etale_part(C)
         gl = group_likes(C, data)
         D = diagonal_coalgebra(len(gl.elements), F)
-        counit = CoalgebraMorphism(D, C, Matrix.from_cols(F, gl.elements, C.dim))
+        # column i is the i-th group-like: the rows q_i of the simples' inclusions
+        lines = [inc.matrix.transpose() for simple, inc in data.simples if simple.dim == 1]
+        counit = CoalgebraMorphism(D, C, _stack(F, C.dim, lines).transpose())
         checks.append(("counit-valid-morphism", not validate(counit)))
-        image_ok = all(
-            data.inclusion.image().contains_vector(c) for c in gl.elements
-        )
-        checks.append(("counit-lands-in-etale", image_ok))
+        image = data.inclusion.image()
+        checks.append(("counit-lands-in-etale", all(image.contains_vector(c) for c in gl.elements)))
         basis = std_basis(F, D.dim)
+        eps = D.epsilon.row(0)  # eps(e_i) is its entry i
         triangle = len(basis) == len(gl.elements) and all(
-            _group_like_quadratic(D, e) and D.counit_of(e) == F.one
+            _group_like_quadratic(D, e) and eps[i] == F.one
             and counit.matrix.apply(e) == g
-            for e, g in zip(basis, gl.elements)
+            for i, (e, g) in enumerate(zip(basis, gl.elements))
         )
         checks.append(("triangle-gp", triangle))
         if data.is_split():

@@ -185,6 +185,26 @@ def test_tensor_swap():
     assert tau.apply(uv) == vu
 
 
+def test_kronecker_clears_each_row_of_a_plain_factor_once(monkeypatch):
+    """Over Q, kronecker clears the rows of plain factors once each: A.rows +
+    B.rows clear_denominators calls, not A.rows + A.rows * B.rows."""
+    rng = random.Random(1228)
+    A = Matrix(QQ, 4, 2, [[QQ.random(rng) for _ in range(2)] for _ in range(4)])
+    B = Matrix(QQ, 3, 3, [[QQ.random(rng) for _ in range(3)] for _ in range(3)])
+    calls = []
+    clear = linalg.clear_denominators
+
+    def counting(vec):
+        calls.append(vec)
+        return clear(vec)
+
+    monkeypatch.setattr(linalg, "clear_denominators", counting)
+    K = kronecker(A, B)
+    assert len(calls) == A.rows + B.rows == 7
+    monkeypatch.undo()
+    assert K.data == [[QQ.mul(a, b) for a in A.data[i] for b in B.data[j]] for i in range(4) for j in range(3)]
+
+
 def test_kronecker_associative():
     rng = random.Random(11)
     A = rand_matrix(rng, F3, 2, 3)

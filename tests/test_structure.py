@@ -1005,3 +1005,30 @@ RATIONAL_STRUCTURE_SHA256 = "9b0003abfbbcca16cce671ca3b46911b857b46accb3100c8f9c
 
 def test_rational_structure_golden_digest():
     assert _rational_structure_digest() == RATIONAL_STRUCTURE_SHA256
+
+
+@pytest.mark.parametrize("seed, index", [(30, 10), (33, 0)])
+def test_rational_structure_clears_no_plain_matrix_but_the_parsed_tensors(monkeypatch, seed, index):
+    """Over Q the structure layer builds the matrices it needs from kernel
+    results, by selecting and stacking their integer rows: on a parsed
+    coalgebra, etale_part, irreducible_components and gp_adjunction_checks
+    hand `linalg._int_rows` no plain matrix but the parsed delta and
+    epsilon.  The first coalgebra is split, with a radical on one of its
+    three components, the second has residue fields of degree 2."""
+    from coalgkit import linalg
+
+    C = jsonio.coalgebra_from_json(jsonio.coalgebra_to_json(corpus.corpus(seed, index + 1, fields=[QQ])[index]))
+    plain = []
+    int_rows = linalg._int_rows
+
+    def recording(M):
+        if type(M) is not linalg._IntRowMatrix:
+            plain.append(M)
+        return int_rows(M)
+
+    monkeypatch.setattr(linalg, "_int_rows", recording)
+    data = etale_part(C)
+    comps, _ = irreducible_components(C)
+    report = gp_adjunction_checks(C=C)
+    assert len(comps) >= 2 and report["ok"] and any(c.radical.dim for c in data.decomposition.components)
+    assert [M for M in plain if M is not C.delta and M is not C.epsilon] == []

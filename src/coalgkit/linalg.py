@@ -194,12 +194,7 @@ class Matrix:
         self._check(other)
         if self.cols != other.cols:
             raise ShapeMismatch("vstack column mismatch")
-        return Matrix(
-            self.field,
-            self.rows + other.rows,
-            self.cols,
-            [list(r) for r in self.data] + [list(r) for r in other.data],
-        )
+        return _stack(self.field, self.cols, [self, other])
 
     def row(self, i):
         return list(self.data[i])

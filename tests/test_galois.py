@@ -62,6 +62,24 @@ def test_datum_validation():
         GaloisDatum(F2, D16.L, [D16.automorphisms[0], swap] + D16.automorphisms[2:], D16.table)
 
 
+def test_datum_validation_builds_one_frobenius_matrix(monkeypatch):
+    """Over F_q the field check of a Galois datum reads rad L and the
+    primitive idempotents of L off one Frobenius matrix."""
+    from coalgkit import structure
+
+    built = []
+    frobenius = structure._frobenius
+
+    def counting(A):
+        built.append(A)
+        return frobenius(A)
+
+    monkeypatch.setattr(structure, "_frobenius", counting)
+    for D in (D4, D8, D9, D16):
+        GaloisDatum(D.base, D.L, D.automorphisms, D.table)
+    assert [A.dim for A in built] == [2, 3, 2, 4]
+
+
 def test_rational_datum():
     # Q(i)/Q supplied by hand: L = Q[x]/(x^2+1), conjugation as the automorphism
     L = pqa(QQ, [1, 0, 1])

@@ -424,16 +424,7 @@ def local_decomposition(A):
         phi = _frobenius(A)
         rad = _frobenius_radical(A, phi)
         idems = _frobenius_idempotents(A, phi)
-    n, r = A.dim, len(idems)
-    E = _stack(F, n, [Matrix.column(F, e).transpose() for e in idems])
-    # column i * r + j of the products is e_i e_j: e_i when i = j, else 0
-    products = row_kernel(F).basis_products(F, A, E, E)
-    squares = _block(products, range(n), [i * (r + 1) for i in range(r)])
-    mixed = _block(products, range(n), [c for c in range(r * r) if c % (r + 1)])
-    if not (squares == E.transpose()) or mixed.rank():
-        raise ComputationError("lifted idempotents not orthogonal")
-    if not (Matrix.column(F, [F.one] * r).transpose() @ E == Matrix.column(F, A.unit).transpose()):
-        raise ComputationError("lifted idempotents do not sum to 1")
+    _check_idempotents(A, idems)
     components = []
     for e in idems:
         comp, E, P = component_of_idempotent(A, e)
@@ -456,6 +447,31 @@ def local_decomposition(A):
         )
     )
     return LocalDecomposition(A, [c.idempotent for c in components], components)
+
+
+def _check_idempotents(A, idems):
+    """Raise unless the idempotents are orthogonal and sum to 1.  Over Q on
+    their integer rows E, by one product of bases: column i * r + j of the
+    products is e_i e_j, which must be e_i when i = j and 0 otherwise.  Over
+    F_q pair by pair through A.mul, which costs less there than building E."""
+    F, n, r = A.field, A.dim, len(idems)
+    if F.order is None:
+        E = _stack(F, n, [Matrix.column(F, e).transpose() for e in idems])
+        products = row_kernel(F).basis_products(F, A, E, E)
+        squares = _block(products, range(n), [i * (r + 1) for i in range(r)])
+        mixed = _block(products, range(n), [c for c in range(r * r) if c % (r + 1)])
+        orthogonal = squares == E.transpose() and not mixed.rank()
+        total = (Matrix.column(F, [F.one] * r).transpose() @ E).row(0)
+    else:
+        orthogonal = all(A.mul(e, f) == (e if i == j else [F.zero] * n)
+                         for i, e in enumerate(idems) for j, f in enumerate(idems))
+        total = [F.zero] * n
+        for e in idems:
+            total = [F.add(a, b) for a, b in zip(total, e)]
+    if not orthogonal:
+        raise ComputationError("lifted idempotents not orthogonal")
+    if total != list(A.unit):
+        raise ComputationError("lifted idempotents do not sum to 1")
 
 
 def _nilpotency_index(A, rad):
@@ -497,13 +513,19 @@ def hensel_lift_root(A, p, start):
 
 def power_basis(A, x, d):
     """The powers 1, x, .., x^(d - 1) of an element x of A of degree d, as
-    the rows of a matrix of the row kernel's kind: the power chain of its
-    minimal polynomial."""
+    the rows of a matrix of the row kernel's kind.  Over Q they are the
+    integer rows of the power chain of x's minimal polynomial; over F_q the
+    products of A.mul, which cost less there than that chain's reduction."""
     F = A.field
-    _, powers = row_kernel(F).min_poly_powers(F, A, x)
-    if powers.rows != d:
-        raise ComputationError(f"element has degree {powers.rows}, not {d}")
-    return powers
+    if F.order is None:
+        _, powers = row_kernel(F).min_poly_powers(F, A, x)
+        if powers.rows != d:
+            raise ComputationError(f"element has degree {powers.rows}, not {d}")
+        return powers
+    powers = [list(A.unit)]
+    for _ in range(d - 1):
+        powers.append(A.mul(powers[-1], x))
+    return Matrix.from_rows(F, powers, A.dim)
 
 
 class WedderburnSplitting:

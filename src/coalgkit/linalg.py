@@ -356,6 +356,9 @@ class _IntRowMatrix(Matrix):
         cols, den = _common_columns(self.ints, self.cols)
         return _IntRowMatrix(self.field, self.cols, self.rows, [(col, den) for col in cols])
 
+    def is_zero(self):
+        return not any(any(nums) for nums, _ in self.ints)
+
     def cleared_columns(self):
         # a reduced row's denominator is the lcm of its entries' ones
         cols, scale = _common_columns([_reduced(nums, d) for nums, d in self.ints], self.cols)

@@ -460,7 +460,7 @@ def _check_idempotents(A, idems):
         products = row_kernel(F).basis_products(F, A, E, E)
         squares = _block(products, range(n), [i * (r + 1) for i in range(r)])
         mixed = _block(products, range(n), [c for c in range(r * r) if c % (r + 1)])
-        orthogonal = squares == E.transpose() and not mixed.rank()
+        orthogonal = squares == E.transpose() and mixed.is_zero()
         total = (Matrix.column(F, [F.one] * r).transpose() @ E).row(0)
     else:
         orthogonal = all(A.mul(e, f) == (e if i == j else [F.zero] * n)

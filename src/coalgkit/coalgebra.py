@@ -17,7 +17,7 @@ from .errors import (
     SpecMismatch,
     ValidationError,
 )
-from .linalg import Matrix, Subspace, _IntRowMatrix, kronecker, row_kernel
+from .linalg import Matrix, Subspace, _IntRowMatrix, _RationalKernel, kronecker, row_kernel
 
 
 class Coalgebra:
@@ -373,11 +373,11 @@ def _validate_algebra(A):
 
 
 def dual_algebra(C):
-    """mult is delta transposed.  Over Q its integer rows are the columns of
-    `C.cleared()`, so one clearing of delta serves the axiom checks of C and
-    the kernel ops of its dual (`int_table` reads those rows)."""
+    """mult is delta transposed.  On the Q row kernel its integer rows are
+    the columns of `C.cleared()`, so one clearing of delta serves the axiom
+    checks of C and the kernel ops of its dual (`int_table` reads those rows)."""
     F, n = C.field, C.dim
-    if F.kind != "Q":
+    if row_kernel(F) is not _RationalKernel:
         return ArtinAlgebra(F, n, C.delta.transpose(), C.epsilon.row(0))
     cols, d = C.cleared()[:2]
     rows = [[0] * (n * n) for _ in range(n)]

@@ -24,7 +24,7 @@ from .coalgebra import (
 from .factor import is_irreducible
 from .linalg import Matrix, Subspace, kronecker
 from .polys import Polynomial
-from .structure import etale_part
+from .structure import etale_part, product_algebra
 
 
 def random_invertible(rng, field, n):
@@ -58,26 +58,27 @@ def random_irreducible(rng, field, degree):
             return f
 
 
-def random_algebra(rng, field, dim, conjugate=True):
-    """Product of univariate quotient algebras in a random basis."""
-    from .structure import product_algebra
+def _in_random_basis(rng, field, parts):
+    """The product of the parts in a random basis."""
+    A = product_algebra(field, parts)
+    if A.dim > 0:
+        A = conjugate_algebra(A, random_invertible(rng, field, A.dim))
+    return A
 
+
+def random_algebra(rng, field, dim):
+    """Product of univariate quotient algebras in a random basis."""
     parts = []
     remaining = dim
     while remaining > 0:
         d = rng.randint(1, remaining)
         parts.append(polynomial_quotient_algebra(field, random_monic(rng, field, d)))
         remaining -= d
-    A = product_algebra(field, parts)
-    if conjugate and dim > 0:
-        A = conjugate_algebra(A, random_invertible(rng, field, dim))
-    return A
+    return _in_random_basis(rng, field, parts)
 
 
-def random_split_algebra(rng, field, dim, conjugate=True):
+def random_split_algebra(rng, field, dim):
     """All residue fields equal to the base: products of k[x]/((x-c)^e)."""
-    from .structure import product_algebra
-
     parts = []
     remaining = dim
     while remaining > 0:
@@ -86,17 +87,12 @@ def random_split_algebra(rng, field, dim, conjugate=True):
         linear = Polynomial(field, [field.neg(c), field.one])
         parts.append(polynomial_quotient_algebra(field, linear**e))
         remaining -= e
-    A = product_algebra(field, parts)
-    if conjugate and dim > 0:
-        A = conjugate_algebra(A, random_invertible(rng, field, dim))
-    return A
+    return _in_random_basis(rng, field, parts)
 
 
-def random_subfield_compatible_algebra(rng, field, dim, residue_degrees, conjugate=True):
+def random_subfield_compatible_algebra(rng, field, dim, residue_degrees):
     """Residue degrees restricted to the given divisors (so that every
     residue field embeds into a chosen extension)."""
-    from .structure import product_algebra
-
     parts = []
     remaining = dim
     while remaining > 0:
@@ -106,10 +102,7 @@ def random_subfield_compatible_algebra(rng, field, dim, residue_degrees, conjuga
         f = random_irreducible(rng, field, d)
         parts.append(polynomial_quotient_algebra(field, f**e))
         remaining -= d * e
-    A = product_algebra(field, parts)
-    if conjugate and dim > 0:
-        A = conjugate_algebra(A, random_invertible(rng, field, dim))
-    return A
+    return _in_random_basis(rng, field, parts)
 
 
 def random_vector(rng, field, n, nonzero=False):
@@ -207,12 +200,12 @@ def corpus_fields():
     return [QQ, GF(2), GF(3), GF(5)]
 
 
-def corpus(seed, count, fields=None, max_dim=6):
+def corpus(seed, count, fields=None):
     """The shared coalgebra corpus: count instances cycling over the fields."""
     fields = fields or corpus_fields()
     rng = random.Random(seed)
     out = []
     for i in range(count):
         field = fields[i % len(fields)]
-        out.append(random_coalgebra(rng, field, max_dim))
+        out.append(random_coalgebra(rng, field))
     return out

@@ -1145,11 +1145,12 @@ def internal_hom(F, G):
 
 class DayCoalgebra:
     """A comonoid for the convolution product: a presheaf F with natural
-    delta: F -> F (*) F and epsilon: F -> h_1."""
+    delta: F -> F (*) F and epsilon: F -> h_1; conv is the DayTensor F (*) F
+    that delta lands in."""
 
-    def __init__(self, presheaf, delta, epsilon, conv=None):
+    def __init__(self, presheaf, delta, epsilon, conv):
         self.presheaf = presheaf
-        self.conv = conv if conv is not None else DayTensor(presheaf, presheaf)
+        self.conv = conv
         self.delta = delta
         self.epsilon = epsilon
 

@@ -8,7 +8,7 @@ Rationals, on integer coefficient lists: a modular certificate that f is
 squarefree (else the same squarefree decomposition, its gcds on integers),
 rational-root extraction, then Zassenhaus (the certificate's prime,
 quadratic Hensel lifting on a factor tree in `gfpoly` arithmetic mod p^e,
-bounded subset recombination), with a configurable degree cap.
+bounded subset recombination), up to the degree cap DEFAULT_DEGREE_CAP.
 
 factor_polynomial returns (leading unit, [(monic irreducible, multiplicity)])
 with factors sorted deterministically.
@@ -31,9 +31,7 @@ _SPLIT_SEED = 0  # seed of the splitting trials; no factorization depends on it
 _CERTIFICATE_PRIMES = 5
 
 
-def factor_polynomial(f, degree_cap=None):
-    if degree_cap is None:
-        degree_cap = DEFAULT_DEGREE_CAP
+def factor_polynomial(f):
     if f.is_zero():
         raise NotSupported("factorization of the zero polynomial")
     F = f.field
@@ -43,16 +41,16 @@ def factor_polynomial(f, degree_cap=None):
     if isinstance(F, (PrimeField, ExtensionField)):
         factors = _factor_finite(f.monic())
     elif isinstance(F, RationalField):
-        factors = _factor_rationals(f.monic(), degree_cap)
+        factors = _factor_rationals(f.monic())
     else:
         raise NotSupported(f"factorization over {F} not implemented")
     factors.sort(key=lambda pair: pair[0].sort_key())
     return unit, factors
 
 
-def roots_in_field(f, degree_cap=None):
+def roots_in_field(f):
     """Roots of f inside its coefficient field, with multiplicity."""
-    _, factors = factor_polynomial(f, degree_cap=degree_cap)
+    _, factors = factor_polynomial(f)
     F = f.field
     out = []
     for g, mult in factors:
@@ -216,10 +214,10 @@ def _log2_order(F):
 # -- rationals ---------------------------------------------------------
 
 
-def _factor_rationals(f, degree_cap):
-    if f.degree > degree_cap:
+def _factor_rationals(f):
+    if f.degree > DEFAULT_DEGREE_CAP:
         raise DegreeCapExceeded(
-            f"degree {f.degree} exceeds rational factorization cap {degree_cap}"
+            f"degree {f.degree} exceeds rational factorization cap {DEFAULT_DEGREE_CAP}"
         )
     g = gfpoly.primitive(f.coeffs)
     p = _squarefree_prime(g, _CERTIFICATE_PRIMES)

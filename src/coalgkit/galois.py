@@ -557,11 +557,10 @@ def right_adjoint_R(D, C, H, embeddings=True):
     return morphisms, data
 
 
-def unit_map(D, X, kresult=None, radj=None):
-    """x -> evaluation-at-x, as indices into R(kbar[X]); checks bijectivity
-    and equivariance, returning (indices, report)."""
-    kX = kresult if kresult is not None else kbar_functor(D, X)
-    R = radj if radj is not None else right_adjoint(D, kX.coalgebra)
+def unit_map(D, X, kX, R):
+    """x -> evaluation-at-x, as indices into R(kbar[X]), for kX = kbar[X]
+    and R = right_adjoint(D, kX.coalgebra); checks bijectivity and
+    equivariance, returning (indices, report)."""
     index_of = {m.sort_key(): t for t, m in enumerate(R.maps)}
     indices = []
     ok = True
@@ -580,15 +579,15 @@ def unit_map(D, X, kresult=None, radj=None):
     return indices, {"bijective": bijective, "equivariant": equivariant}
 
 
-def counit_morphism(D, C, radj=None):
-    """kbar[R(C)] -> C, dual to evaluation a -> (psi -> psi(a))."""
-    R = radj if radj is not None else right_adjoint(D, C)
+def counit_morphism(D, C, R):
+    """kbar[R(C)] -> C, dual to evaluation a -> (psi -> psi(a)), for
+    R = right_adjoint(D, C); returns (morphism, kbar[R(C)])."""
     kY = kbar_functor(D, R.gset)
     T = Matrix.from_rows(D.base, [row for psi in R.maps for row in psi.data], C.dim)
     coords = kY.basis.transpose().solve_matrix(T)
     if coords is None:
         raise ComputationError("evaluation image is not equivariant")
-    return CoalgebraMorphism(kY.coalgebra, C, coords.transpose()), kY, R
+    return CoalgebraMorphism(kY.coalgebra, C, coords.transpose()), kY
 
 
 def adjunction_checks(D, X=None, C=None):
@@ -598,20 +597,21 @@ def adjunction_checks(D, X=None, C=None):
     if X is not None:
         kX = kbar_functor(D, X)
         R = right_adjoint(D, kX.coalgebra)
-        unit_idx, unit_report = unit_map(D, X, kresult=kX, radj=R)
+        unit_idx, unit_report = unit_map(D, X, kX, R)
         checks.append(("unit-bijective", unit_report["bijective"]))
         checks.append(("unit-equivariant", unit_report["equivariant"]))
         # triangle 2: counit_{kbar X} o kbar[unit] = id; kbar[unit] exists only
         # for an equivariant unit, so one that misses a map fails here
         triangle = unit_report["equivariant"]
         if triangle:
-            counit2, kY2, _ = counit_morphism(D, kX.coalgebra, radj=R)
+            counit2, kY2 = counit_morphism(D, kX.coalgebra, R)
             kbar_unit = kbar_on_map(D, unit_idx, kX, kY2)
             composite = counit2.matrix @ kbar_unit.matrix
             triangle = composite == Matrix.identity(D.base, kX.coalgebra.dim)
         checks.append(("triangle-kbar", triangle))
     if C is not None:
-        counit, kY, R = counit_morphism(D, C)
+        R = right_adjoint(D, C)
+        counit, kY = counit_morphism(D, C, R)
         checks.append(("counit-valid-morphism", not validate(counit)))
         image = counit.matrix.column_space()
         etale_image = R.etale.inclusion.image()

@@ -198,11 +198,11 @@ def morphism_from_json(obj, resolve=None):
     return CoalgebraMorphism(source, target, matrix)
 
 
-def subspace_from_json(obj, field=None):
+def subspace_from_json(obj):
     _expect(obj, "subspace")
     _require(type(obj.get("ambient")) is int, "'ambient'", "an integer")
     _require(isinstance(obj.get("vectors"), list), "'vectors'", "a list")
-    field = field or field_from_json(obj.get("field"))
+    field = field_from_json(obj.get("field"))
     return Subspace.from_vectors(
         field, obj["ambient"], [vector_from_json(field, v) for v in obj["vectors"]]
     )
@@ -366,26 +366,24 @@ def day_category_from_json(obj):
         (a, b, c, d): [[vector_from_json(fld, v) for v in row] for row in table]
         for a, b, c, d, table in obj["tensor_mor"]
     }
-    cat = LinearMonoidalCategory(
+    tensor_obj = [list(r) for r in obj["tensor_obj"]]
+    symmetry = None
+    if "symmetry" in obj:
+        symmetry = {
+            (a, b): (tensor_obj[a][b], tensor_obj[b][a], tuple(vector_from_json(fld, coords)))
+            for a, b, coords in obj["symmetry"]
+        }
+    return LinearMonoidalCategory(
         fld,
         obj["objects"],
         hom_dims,
         compose,
         identities,
-        [list(r) for r in obj["tensor_obj"]],
+        tensor_obj,
         tensor_mor,
         obj["unit"],
+        symmetry,
     )
-    if "symmetry" in obj:
-        cat.symmetry = {
-            (a, b): (
-                cat.tensor_obj[a][b],
-                cat.tensor_obj[b][a],
-                tuple(vector_from_json(fld, coords)),
-            )
-            for a, b, coords in obj["symmetry"]
-        }
-    return cat
 
 
 def day_presheaf_to_json(F, category_name=None):

@@ -12,18 +12,17 @@ from .dayclosure import SubPresheaf, purity_kernels
 from .linalg import Matrix, Subspace
 
 
-def enumerate_subspaces(field, n, max_dim=None):
+def enumerate_subspaces(field, n):
     """All subspaces of k^n for a small finite field, via spans of small
     vector subsets (canonical RREF deduplication)."""
     if field.order is None:
         raise ValueError("cannot enumerate subspaces over an infinite field")
     vectors = [list(v) for v in itertools.product(field.elements(), repeat=n)]
     vectors = [v for v in vectors if any(not field.is_zero(c) for c in v)]
-    cap = n if max_dim is None else max_dim
     seen = {}
     out = [Subspace.zero(field, n)]
     seen[out[0].basis] = True
-    for size in range(1, cap + 1):
+    for size in range(1, n + 1):
         for combo in itertools.combinations(vectors, size):
             S = Subspace.from_vectors(field, n, list(combo))
             if S.basis not in seen:

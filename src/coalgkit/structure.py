@@ -135,10 +135,6 @@ class _MinimalPolynomial(Polynomial):
 
     __slots__ = ("basis",)
 
-    @property
-    def powers(self):
-        return self.basis.data
-
 
 def element_min_poly(A, x):
     """Minimal polynomial of x: the first dependence among 1, x, x^2, ...

@@ -27,10 +27,10 @@ from .seeding import derived_rng
 _corpus_cache = {}
 
 
-def _corpus(seed, count, fields=None, max_dim=6):
-    key = (seed, count, tuple(repr(f.to_json()) for f in fields) if fields else None, max_dim)
+def _corpus(seed, count):
+    key = (seed, count)
     if key not in _corpus_cache:
-        _corpus_cache[key] = corpus_mod.corpus(seed, count, fields, max_dim)
+        _corpus_cache[key] = corpus_mod.corpus(seed, count)
     return _corpus_cache[key]
 
 

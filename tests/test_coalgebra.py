@@ -415,6 +415,29 @@ def test_planted_algebra_faults_report_identically(monkeypatch, field):
     assert digest == ALGEBRA_FAULT_REPORTS_SHA256[repr(field)]
 
 
+def _dual_algebra_outputs():
+    """validate and A.mul on every basis pair, for the duals of the seeded
+    Q coalgebras of a corpus."""
+    out = []
+    for C in corpus.corpus(7, 24, fields=[QQ]):
+        A = dual_algebra(C)
+        basis = Matrix.identity(QQ, A.dim).data
+        out.append((validate(A), [A.mul(x, y) for x in basis for y in basis]))
+    return out
+
+
+def test_dual_algebra_takes_the_form_of_the_row_kernel(monkeypatch):
+    """Over Q on the reference path (every entry through the field's
+    methods) the dual of a coalgebra is a plain matrix algebra, whose axiom
+    report and products equal those of the integer-row dual of the fast path."""
+    from coalgkit import linalg
+
+    fast = _dual_algebra_outputs()
+    assert all(report == [] for report, _ in fast)
+    monkeypatch.setattr(linalg, "_ROW_KERNELS", {})
+    assert _dual_algebra_outputs() == fast
+
+
 F4 = GF(2, [1, 1, 1])
 F9 = GF(3, [1, 0, 1])
 

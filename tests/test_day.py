@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from coalgkit import jsonio, suites
+from coalgkit import cli, jsonio, suites
 
 from coalgkit.coalgebra import polynomial_quotient_algebra, subalgebra_on_basis
 from coalgkit.errors import ComputationError, ValidationError
@@ -14,6 +14,7 @@ from coalgkit.day import (
     DayCoalgebra,
     DayPresheaf,
     DayTensor,
+    LinearMonoidalCategory,
     NatTransform,
     associator_iso,
     convolve_nat,
@@ -789,3 +790,40 @@ def test_basis_precomposition_is_kept_per_category():
                 P = cat._basis_precompose(a, b, i, X)
                 assert P == cat.precompose_matrix(cat.basis_mor(a, b, i), X), name
                 assert cat._basis_precompose(a, b, i, X) is P
+
+
+def _swapping_category():
+    """A category over F_2 whose symmetry joins distinct objects: objects 1
+    (the unit), a, b, ab, ba and z, with a (x) b = ab, b (x) a = ba and z
+    every other product of two non-unit objects.  hom(x, x) is the line of
+    id_x; hom(ab, ba) and hom(ba, ab) are the lines of mutually inverse s and
+    t.  The symmetry is s at (a, b), t at (b, a) and the identity elsewhere."""
+    one, a, b, ab, ba, z = range(6)
+    pair = {(a, b): ab, (b, a): ba}
+    tensor_obj = [[y if x == one else x if y == one else pair.get((x, y), z)
+                   for y in range(6)] for x in range(6)]
+    hom_dims = {(x, x): 1 for x in range(6)}
+    hom_dims.update({(ab, ba): 1, (ba, ab): 1})
+    # composites of basis morphisms: id o f = f o id = f, t o s = id_ab, s o t = id_ba
+    compose = {(x, y, w): [[[1]]] for (x, y) in hom_dims for (y2, w) in hom_dims if y2 == y}
+    # f (x) g is f or g beside the unit, and id_z between two non-unit objects
+    tensor_mor = {(x, y, u, v): [[[1]]] for (x, y) in hom_dims for (u, v) in hom_dims}
+    symmetry = {(x, y): (tensor_obj[x][y], tensor_obj[y][x], (1,))
+                for x in range(6) for y in range(6)}
+    return LinearMonoidalCategory(F2, ["1", "a", "b", "ab", "ba", "z"], hom_dims, compose,
+                                  {x: [1] for x in range(6)}, tensor_obj, tensor_mor, one,
+                                  symmetry=symmetry)
+
+
+def test_day_category_document_keeps_a_symmetry_between_distinct_objects(tmp_path):
+    """The loaded symmetry is the document's, so a valid category whose tensor
+    table is not commutative loads, round-trips and validates."""
+    cat = _swapping_category()
+    assert cat.validate() == []
+    doc = jsonio.day_category_to_json(cat)
+    loaded = jsonio.day_category_from_json(doc)
+    assert loaded.symmetry == cat.symmetry
+    assert jsonio.day_category_to_json(loaded) == doc
+    path = tmp_path / "swap.json"
+    path.write_text(jsonio.canonical_json(doc), encoding="utf-8")
+    assert cli.main(["--format", "json", "validate", str(path)]) == 0

@@ -4,7 +4,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from coalgkit import gfpoly
+from coalgkit import factor, gfpoly
 from coalgkit.errors import (
     DegreeCapExceeded,
     DivisionByZero,
@@ -118,11 +118,12 @@ def test_factor_examples():
     assert len(fs) == 1 and fs[0][1] == 1 and fs[0][0].degree == 2
 
 
-def test_degree_cap():
+def test_degree_cap(monkeypatch):
     f = Polynomial.from_ints(QQ, [1] * 18)
     with pytest.raises(DegreeCapExceeded):
         factor_polynomial(f)
-    factor_polynomial(f, degree_cap=20)
+    monkeypatch.setattr(factor, "DEFAULT_DEGREE_CAP", 20)
+    factor_polynomial(f)
 
 
 def test_roots_in_field():

@@ -209,7 +209,8 @@ def test_right_adjoint_examples():
 
 def test_unit_examples():
     X = coset_gset(D4, (0,))
-    _, rep = unit_map(D4, X)
+    kX = kbar_functor(D4, X)
+    _, rep = unit_map(D4, X, kX, right_adjoint(D4, kX.coalgebra))
     assert rep["bijective"] and rep["equivariant"]
 
 

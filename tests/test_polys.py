@@ -97,7 +97,7 @@ def _split_results(monkeypatch):
     def recording_min_poly(A, x):
         m = original_min_poly(A, x)
         _, factors = factor_polynomial(m)
-        P = Matrix.from_cols(QQ, m.powers, A.dim)
+        P = Matrix.from_cols(QQ, m.basis.data, A.dim)
         crt = []
         for f, _ in factors:
             g = m // f

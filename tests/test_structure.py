@@ -432,6 +432,56 @@ def test_wedderburn_local_quartic():
     assert stacked.rank() == 4  # A = K (+) m
 
 
+def splitting_corpus():
+    """Dim <= 6 corpus algebras over Q, F_2, F_3, F_5, F_4 and F_9, then per
+    field a quotient k[x]/(f) with a radical over a residue field of degree
+    2 or 3 (next to a split component where there is one)."""
+    rng = random.Random(53)
+    fields = [QQ, F2, F3, F5, F4, F9]
+    algebras = [dual_algebra(corpus.random_coalgebra(rng, field, 6)) for field in fields for _ in range(10)]
+    omega2 = (1, 1)  # w^2 = w + 1 in F_4 = F_2[w]
+    algebras += [
+        pqa(QQ, [0, 0, -2, 0, 1]),  # x^2 (x^2 - 2)
+        pqa(QQ, [4, 0, -4, 0, 1]),  # (x^2 - 2)^2
+        pqa(F2, [1, 1, 1, 1, 1, 1]),  # (x^2 + x + 1)^2 (x + 1)
+        pqa(F3, [1, 0, 2, 0, 1]),  # (x^2 + 1)^2
+        pqa(F5, [0, 4, 0, 4, 0, 1]),  # x (x^2 + 2)^2
+        # x (x^2 + x + w)^2 = x^5 + x^3 + w^2 x
+        polynomial_quotient_algebra(F4, Polynomial(F4, [F4.zero, omega2, F4.zero, F4.one, F4.zero, F4.one])),
+        pqa(F9, [1, 2, 1, 1, 1, 0, 1]),  # (x^3 - x - 1)^2
+    ]
+    return algebras
+
+
+def _splitting_digest():
+    """sha256 over the repr, entry types included, of each local component's
+    mult, unit, embedding E and projection P, its residue algebra, residue
+    projection and primitive element, and of each Wedderburn splitting's
+    embedding, retract and field datum, on splitting_corpus()."""
+    h = hashlib.sha256()
+    for A in splitting_corpus():
+        for c in local_decomposition(A).components:
+            w = wedderburn_splitting(c)
+            K, Kbar = w.field_datum, c.residue
+            h.update(repr((
+                c.algebra.mult.data, c.algebra.unit, c.embedding.data, c.projection.data,
+                Kbar.as_algebra.mult.data, Kbar.as_algebra.unit, c.residue_projection.data,
+                Kbar.primitive_element, Kbar.minimal_poly.coeffs,
+                w.embedding.data, w.retract.data,
+                K.as_algebra.mult.data, K.as_algebra.unit, K.primitive_element, K.minimal_poly.coeffs,
+            )).encode())
+    return h.hexdigest()
+
+
+# recorded before the components were read off their pivots and the
+# splitting was certified by its construction
+SPLITTING_SHA256 = "6d335b86fec13a57e5d2c153a16f4c88f226bd44697be988a06d1fc7472f7b2f"
+
+
+def test_splitting_golden_digest():
+    assert _splitting_digest() == SPLITTING_SHA256
+
+
 # -- etale part ------------------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from .errors import (
     SpecMismatch,
     ValidationError,
 )
+from .gfpoly import primitive
 from .linalg import Matrix, Subspace, _IntRowMatrix, _RationalKernel, kronecker, row_kernel
 
 
@@ -233,10 +234,24 @@ def std_basis(field, n):
 
 def polynomial_quotient_algebra(field, poly):
     """k[t]/(poly) in the power basis 1, t, .., t^(deg-1): t^i t^j is the
-    remainder of t^(i+j), and each remainder is the previous one times t."""
+    remainder of t^(i+j), and each remainder is the previous one times t.
+    On the Q row kernel mult is built on integer rows: for the primitive
+    integer form f of poly, with leading coefficient c, c^k (t^k mod poly)
+    is an integer vector r_k, and r_(k+1) = c t r_k - (top of r_k) f."""
     d = poly.degree
     if d < 1:
         raise ShapeMismatch("quotient by a constant polynomial")
+    unit = [field.one] + [field.zero] * (d - 1)
+    if row_kernel(field) is _RationalKernel:
+        f = primitive(poly.coeffs)
+        c, top = f[-1], 2 * d - 2
+        rems = [[1] + [0] * (d - 1)]
+        for _ in range(top):
+            r = rems[-1]
+            rems.append([c * a - r[-1] * b for a, b in zip([0] + r[:-1], f)])
+        rows = [([rems[i + j][a] * c ** (top - i - j) for i in range(d) for j in range(d)], c**top)
+                for a in range(d)]
+        return ArtinAlgebra(field, d, _IntRowMatrix(field, d, d * d, rows), unit)
     from .polys import Polynomial
 
     t = Polynomial.x(field)
@@ -247,7 +262,6 @@ def polynomial_quotient_algebra(field, poly):
         (a, i * d + j, c)
         for i in range(d) for j in range(d) for a, c in enumerate(rems[i + j].coeffs)
     ])
-    unit = [field.one] + [field.zero] * (d - 1)
     return ArtinAlgebra(field, d, mult, unit)
 
 

@@ -419,6 +419,22 @@ def _stack(F, cols, blocks):
     return Matrix(F, len(rows), cols, rows)
 
 
+def _placed(F, cols, blocks):
+    """The matrices M of blocks, (M, where) pairs, on top of each other,
+    column k of M at column where[k] of cols columns and zero elsewhere, as a
+    matrix of the row kernel's kind: over Q from their integer rows."""
+    ints = row_kernel(F) is _RationalKernel
+    zero = 0 if ints else F.zero
+    rows = []
+    for M, where in blocks:
+        for r in (_int_rows(M) if ints else M.data):
+            row = [zero] * cols
+            for j, a in zip(where, r[0] if ints else r):
+                row[j] = a
+            rows.append((row, r[1]) if ints else row)
+    return (_IntRowMatrix if ints else Matrix)(F, len(rows), cols, rows)
+
+
 def _row_space(M):
     """The Subspace of k^cols spanned by the rows of M."""
     R, rank, _ = M.rref()

@@ -21,7 +21,6 @@ from .coalgebra import (
     diagonal_coalgebra,
     dual_algebra,
     dual_coalgebra,
-    is_multiplicative,
     polynomial_quotient_algebra,
     std_basis,
 )
@@ -29,7 +28,7 @@ from .errors import ComputationError, NonSeparableResidue, SearchExhausted, Vali
 from .factor import _equal_degree, factor_polynomial, is_separable
 # minimal_polynomial (of a matrix) stays importable from here, where the
 # bench's tracer also wraps it; element_min_poly does not call it
-from .linalg import Matrix, Subspace, _block, _free, _stack, minimal_polynomial, quotient_maps, row_kernel  # noqa: F401
+from .linalg import Matrix, Subspace, _block, _free, _placed, _stack, minimal_polynomial, quotient_maps, row_kernel  # noqa: F401
 from .polys import Polynomial
 from .seeding import derived_rng
 
@@ -120,7 +119,11 @@ def quotient_algebra(A, ideal):
 
     The section s sends the quotient's basis to the free coordinates of the
     ideal, so the products of the section's images are the columns
-    free[a] * n + free[b] of A.mult, and q takes them to the quotient."""
+    free[a] * n + free[b] of A.mult, and q takes them to the quotient.  The
+    quotient by 0 is A itself, with identity maps."""
+    if not ideal.dim:
+        identity = Matrix.identity(A.field, A.dim)
+        return A, identity, identity
     q, s = quotient_maps(ideal)
     n = A.dim
     free = _free(n, ideal.pivots())
@@ -150,9 +153,11 @@ def element_min_poly(A, x):
     return m
 
 
-def _candidate_elements(B, rng):
+def _candidate_elements(B, *path):
     """Search stream for splitting/primitive elements: basis vectors, short
-    combinations, seeded random vectors, then exhaustive for tiny fields."""
+    combinations, seeded random vectors, then exhaustive for tiny fields.
+    The rng of the random vectors, seeded from _SEARCH_SEED and path, is
+    made when the stream reaches them, which most searches never do."""
     F = B.field
     n = B.dim
     basis = std_basis(F, n)
@@ -162,6 +167,7 @@ def _candidate_elements(B, rng):
         for j in range(i + 1, n):
             yield [F.add(a, c) for a, c in zip(basis[i], basis[j])]
             yield B.mul(basis[i], basis[j])
+    rng = derived_rng(_SEARCH_SEED, *path)
     for _ in range(_RANDOM_DRAWS):
         yield [F.random(rng) for _ in range(n)]
     order = F.order
@@ -196,9 +202,8 @@ def primitive_element(B):
     B must be a (commutative) field for this to succeed; separability over
     the implemented perfect base fields guarantees existence.
     """
-    rng = derived_rng(_SEARCH_SEED, B.dim)
     tried = 0
-    for x in _candidate_elements(B, rng):
+    for x in _candidate_elements(B, B.dim):
         tried += 1
         m = element_min_poly(B, x)
         if m.degree == B.dim:
@@ -225,7 +230,7 @@ def split_semisimple(B):
     out = []
     blocks = [(list(B.unit), B.dim)]  # the open blocks e with dim(eB)
     tried = 0
-    for x in _candidate_elements(B, derived_rng(_SEARCH_SEED, B.dim, 1)):
+    for x in _candidate_elements(B, B.dim, 1):
         tried += 1
         m = element_min_poly(B, x)
         _, factors = factor_polynomial(m)
@@ -316,19 +321,23 @@ def lift_idempotent(A, a):
 
 def component_of_idempotent(A, e):
     """The unital subalgebra e*A: (algebra, embedding, projection), the embedding
-    E having the canonical basis of e*A as its columns; E X = its products."""
+    E having the canonical basis of e*A as its columns; E X = its products.
+
+    That basis is an RREF, so the coordinates of a vector of e*A are its
+    entries at the pivots: the projection is the pivot rows of L_e, whose
+    columns span e*A, the unit is e = e^2 at the pivots, and X is the pivot
+    rows of the products.  E X = products fails only when A is not
+    commutative and associative, since then e*A need not be closed."""
     F = A.field
     Me = A.mult_matrix(e)
-    basis = Me.column_space().basis
+    R, rank, pivots = Me.transpose().rref()
+    basis = _block(R, range(rank))
     E = basis.transpose()
-    P = E.solve_matrix(Me)
-    if P is None:
-        raise ComputationError("projection onto idempotent component failed")
-    X = E.solve_matrix(row_kernel(F).basis_products(F, A, basis, basis))
-    unit = E.solve(e)
-    if X is None or unit is None:
+    products = row_kernel(F).basis_products(F, A, basis, basis)
+    X = _block(products, pivots)
+    if not (E @ X == products):
         raise ComputationError("component structure constants failed")
-    return ArtinAlgebra(F, basis.rows, X, unit), E, P
+    return ArtinAlgebra(F, rank, X, [e[j] for j in pivots]), E, _block(Me, pivots)
 
 
 class FieldDatum:
@@ -536,8 +545,17 @@ class WedderburnSplitting:
 def wedderburn_splitting(component):
     """Subfield K of a local algebra with A = K (+) m, by Hensel lifting.
 
-    Returns (K as FieldDatum over the base, embedding K -> A, retract A -> K);
-    the retract is verified to be an algebra map.
+    Returns (K as FieldDatum over the base, embedding K -> A, retract A -> K).
+    The embedding E sends t^i to r^i for a root r in A of the residue
+    polynomial p, and the retract R is the first d rows of [E | m]^-1, so
+    R E = 1 and ker R = m.  R is an algebra map by construction once p(r) =
+    0, which makes E one, and m is an ideal: a = E(Ra) + u and b = E(Rb) + v
+    with u, v in m give ab = E(Ra Rb) + (an element of m).  Both are
+    certified: `hensel_lift_root` returns only a root, and R kills the
+    products of m with a basis of A.  When m = 0, `local_decomposition`
+    makes A its own residue field: then r is the residue's primitive
+    element, checked to be a root by one Hensel step, and its powers are
+    those its minimal polynomial was found from.
     """
     A = component.algebra
     F = A.field
@@ -545,42 +563,47 @@ def wedderburn_splitting(component):
     p = residue.minimal_poly
     if not is_separable(p):
         raise NonSeparableResidue("residue minimal polynomial is not separable")
-    start = component.residue_projection.solve(residue.primitive_element)
-    if start is None:
-        raise ComputationError("cannot lift residue primitive element")
-    root = hensel_lift_root(A, p, start)
+    m = component.radical
     d = p.degree
-    powers = power_basis(A, root, d)
+    if residue.as_algebra is A:
+        root = residue.primitive_element
+        if any(not F.is_zero(c) for c in A.eval_poly(p, root)):
+            raise ComputationError("residue primitive element is not a root of its minimal polynomial")
+        # a minimal polynomial from elsewhere carries no powers
+        powers = getattr(p, "basis", None) or power_basis(A, root, d)
+    else:
+        start = component.residue_projection.solve(residue.primitive_element)
+        if start is None:
+            raise ComputationError("cannot lift residue primitive element")
+        powers = power_basis(A, hensel_lift_root(A, p, start), d)
     E = powers.transpose()
-    Pinv = _stack(F, A.dim, [powers, component.radical.basis]).transpose().inverse()
+    Pinv = _stack(F, A.dim, [powers, m.basis]).transpose().inverse()
     if Pinv is None:
         raise ComputationError("A is not K (+) m; Hensel data inconsistent")
     retract = _block(Pinv, range(d))
     K = polynomial_quotient_algebra(F, p)
     if retract.apply(A.unit) != list(K.unit):
         raise ComputationError("retract does not preserve the unit")
-    if not is_multiplicative(A, K, retract):
-        raise ComputationError("retract is not multiplicative")
+    if m.dim:
+        products = row_kernel(F).basis_products(F, A, m.basis, Matrix.identity(F, A.dim))
+        if not (retract @ products).is_zero():
+            raise ComputationError("the radical is not an ideal: retract is not multiplicative")
     prim = std_basis(F, d)[1] if d > 1 else [F.neg(p.coeffs[0])]
     datum = FieldDatum(K, prim, p)
     return WedderburnSplitting(datum, E, retract)
 
 
 def product_algebra(field, algebras):
-    dims = [B.dim for B in algebras]
-    n = sum(dims)
-    entries = []
-    unit = []
-    offset = 0
+    """The product of the algebras: the rows of each factor's mult on the
+    rows and the columns (i, j) of its own block, taken on the row kernel's
+    footing, over Q as integer rows."""
+    n = sum(B.dim for B in algebras)
+    blocks, offset = [], 0
     for B in algebras:
-        d = B.dim
-        for a, row in enumerate(B.mult.data):
-            for ij, c in enumerate(row):
-                i, j = divmod(ij, d)
-                entries.append((offset + a, (offset + i) * n + offset + j, c))
-        unit.extend(B.unit)
-        offset += d
-    return ArtinAlgebra(field, n, Matrix.from_entries(field, n, n * n, entries), unit)
+        block = range(offset, offset + B.dim)
+        blocks.append((B.mult, [i * n + j for i in block for j in block]))
+        offset += B.dim
+    return ArtinAlgebra(field, n, _placed(field, n * n, blocks), [c for B in algebras for c in B.unit])
 
 
 class EtaleData:

@@ -482,6 +482,130 @@ def test_splitting_golden_digest():
     assert _splitting_digest() == SPLITTING_SHA256
 
 
+# -- the certificate of the Wedderburn retract ---------------------------------------
+
+
+def _with_residue_polynomial(A, ints):
+    """The one local component of A, its residue polynomial replaced by a
+    wrong but separable one of the same degree."""
+    from coalgkit.structure import FieldDatum
+
+    comp, = local_decomposition(A).components
+    residue = comp.residue
+    comp.residue = FieldDatum(residue.as_algebra, residue.primitive_element, Polynomial.from_ints(A.field, ints))
+    return comp
+
+
+@pytest.mark.parametrize(
+    "field, ints, wrong, nilpotent",
+    [
+        (QQ, [-2, 0, 1], [-3, 0, 1], False),  # Q(sqrt 2) against t^2 - 3
+        (F2, [1, 1, 1], [0, 1, 1], False),  # F_4 against t^2 + t = t (t + 1)
+        (QQ, [4, 0, -4, 0, 1], [-3, 0, 1], True),  # (x^2 - 2)^2 against t^2 - 3
+        (F2, [1, 0, 1, 0, 1], [0, 1, 1], True),  # F_2[x]/((x^2 + x + 1)^2) against t^2 + t
+    ],
+)
+def test_certificate_rejects_a_root_of_the_wrong_polynomial(field, ints, wrong, nilpotent):
+    """p(r) = 0 makes the embedding an algebra map.  On a field component
+    the primitive element is tested by one Hensel step; under a radical the
+    Hensel lift finds no root of p, or none lifting the residue's
+    primitive element."""
+    from coalgkit.errors import ComputationError
+
+    comp = _with_residue_polynomial(pqa(field, ints), wrong)
+    assert (comp.radical.dim > 0) == nilpotent
+    with pytest.raises(ComputationError):
+        wedderburn_splitting(comp)
+
+
+@pytest.mark.parametrize(
+    "field, ints",
+    [(QQ, [0, 0, 1]), (QQ, [4, 0, -4, 0, 1]), (F2, [1, 0, 1, 0, 1]), (F3, [1, 0, 2, 0, 1]), (F9, [1, 2, 1, 1, 1, 0, 1])],
+)
+def test_certificate_rejects_a_radical_that_is_not_an_ideal(field, ints):
+    """A complement of K that is not an ideal: the radical's first basis
+    vector moved by 1.  It is a complement, since 1 lies in K, and no ideal,
+    since it holds a unit plus a nilpotent."""
+    from coalgkit.errors import ComputationError
+
+    comp, = local_decomposition(pqa(field, ints)).components
+    moved = [[field.add(a, b) for a, b in zip(comp.radical.vectors()[0], comp.algebra.unit)]]
+    comp.radical = Subspace.from_vectors(field, comp.dim, moved + comp.radical.vectors()[1:])
+    with pytest.raises(ComputationError, match="^the radical is not an ideal"):
+        wedderburn_splitting(comp)
+
+
+def test_certified_retracts_are_multiplicative():
+    """The independent check: every retract the certificate accepts on
+    splitting_corpus() multiplies, by all n^2 basis products."""
+    from coalgkit.coalgebra import is_multiplicative
+
+    fields = set()
+    for A in splitting_corpus():
+        for c in local_decomposition(A).components:
+            w = wedderburn_splitting(c)
+            assert is_multiplicative(c.algebra, w.field_datum.as_algebra, w.retract)
+            fields.add(repr(A.field))
+    assert fields == {"QQ", "GF(2)", "GF(3)", "GF(5)", "GF(2^2)", "GF(3^2)"}
+
+
+def test_components_are_read_off_their_pivots(monkeypatch):
+    """component_of_idempotent solves no linear system, and a component with
+    a zero radical is its own residue field: no quotient maps, no second
+    power chain of the lifted root and no n^2 product check."""
+    import sys
+
+    from coalgkit.structure import FieldDatum
+
+    counts = {"solve": 0, "quotient_maps": 0, "power_basis": 0, "is_multiplicative": 0}
+
+    def counting(name, original, caller=None):
+        def wrapper(*args, **kwargs):
+            if caller is None or sys._getframe(1).f_code.co_name == caller:
+                counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for method in ("solve", "solve_matrix"):
+        monkeypatch.setattr(Matrix, method, counting("solve", getattr(Matrix, method), "component_of_idempotent"))
+    from coalgkit import coalgebra
+
+    for name in ("quotient_maps", "power_basis", "is_multiplicative"):
+        wrapper = counting(name, getattr(structure, name, None) or getattr(coalgebra, name))
+        monkeypatch.setattr(structure, name, wrapper, raising=False)
+    monkeypatch.setattr(coalgebra, "is_multiplicative", counting("is_multiplicative", coalgebra.is_multiplicative))
+    omega = (0, 1)
+    semisimple = [
+        pqa(QQ, [2, -2, 1, -1, -1, 1]),  # (x - 1) (x^2 + 1) (x^2 - 2)
+        pqa(F2, [1, 0, 0, 1]),  # (x + 1) (x^2 + x + 1)
+        pqa(F3, [0, 1, 0, 1]),  # x (x^2 + 1)
+        pqa(F5, [0, 2, 0, 1]),  # x (x^2 + 2)
+        # x (x^2 + x + w)
+        polynomial_quotient_algebra(F4, Polynomial(F4, [F4.zero, omega, F4.one, F4.one])),
+        pqa(F9, [2, 2, 0, 1]),  # x^3 - x - 1
+    ] + [dual_algebra(diagonal_coalgebra(3, field)) for field in (QQ, F2, F4)]
+    for A in semisimple:
+        comps = local_decomposition(A).components
+        assert all(c.radical.dim == 0 and c.residue.as_algebra is c.algebra for c in comps)
+        assert any(c.dim > 1 for c in comps) or A.dim == 3
+        for c in comps:
+            wedderburn_splitting(c)
+    assert counts == {"solve": 0, "quotient_maps": 0, "power_basis": 0, "is_multiplicative": 0}
+    # a residue polynomial built elsewhere carries no powers, and takes power_basis
+    comp, = local_decomposition(pqa(QQ, [-2, 0, 1])).components
+    want = wedderburn_splitting(comp).retract
+    residue = comp.residue
+    comp.residue = FieldDatum(residue.as_algebra, residue.primitive_element,
+                              Polynomial(QQ, residue.minimal_poly.coeffs))
+    assert wedderburn_splitting(comp).retract == want
+    assert counts["power_basis"] == 1
+    # with a radical, the components are still read off their pivots
+    for A in splitting_corpus():
+        local_decomposition(A)
+    assert counts["solve"] == 0
+
+
 # -- etale part ------------------------------------------------------------------
 
 
@@ -916,17 +1040,39 @@ def _canonical_structure(C):
     )
 
 
+def _sqrt_2_3_5():
+    """The dual of Q(sqrt 2) (x) Q(sqrt 3) (x) Q(sqrt 5), a field of degree 8
+    whose basis vectors and their pairwise sums and products all have
+    degree at most 4, so both element searches reach their seeded draws."""
+    from coalgkit.coalgebra import tensor
+
+    C2, C3, C5 = (dual_coalgebra(pqa(QQ, [-a, 0, 1])) for a in (2, 3, 5))
+    return tensor(tensor(C2, C3), C5)
+
+
 def test_structure_does_not_depend_on_the_search_seed(monkeypatch):
     """Each seed draws other candidate elements and factors other
     polynomials, but the results are canonical.  Each seed runs on a freshly
-    parsed copy of C, since the memo on C would answer from the first seed."""
+    parsed copy of C, since the memo on C would answer from the first seed.
+    The rng is made only when a search reaches its draws: on the corpus none
+    does, on Q(sqrt 2, sqrt 3, sqrt 5) both do.  There the drawn primitive
+    element of the residue field sets the basis of its simple, so the
+    etale part is compared as a subcoalgebra, by its image."""
     docs = [jsonio.coalgebra_to_json(C) for C in corpus.corpus(0, 48)]
     refs = [_canonical_structure(jsonio.coalgebra_from_json(doc)) for doc in docs]
+    field_doc = jsonio.coalgebra_to_json(_sqrt_2_3_5())
+
+    def drawn_structure():
+        C = jsonio.coalgebra_from_json(field_doc)
+        image = etale_part(C).inclusion.image()
+        return (image,) + _canonical_structure(C)[2:]
+
+    field_ref = drawn_structure()
     drawn = []
     original = structure.derived_rng
 
     def recording(seed, *path):
-        drawn.append(seed)
+        drawn.append((seed, path))
         return original(seed, *path)
 
     monkeypatch.setattr(structure, "derived_rng", recording)
@@ -935,7 +1081,10 @@ def test_structure_does_not_depend_on_the_search_seed(monkeypatch):
         drawn.clear()
         for doc, ref in zip(docs, refs):
             assert _canonical_structure(jsonio.coalgebra_from_json(doc)) == ref
-        assert set(drawn) == {seed}
+        assert drawn == []
+        assert drawn_structure() == field_ref
+        # the split of A / rad and the primitive element of the residue field
+        assert sorted(drawn) == [(seed, (8,)), (seed, (8, 1))]
 
 
 def test_rational_structure_against_sympy():
@@ -1026,6 +1175,48 @@ def test_component_iso_source_is_the_chained_direct_sum():
             total = Coalgebra(C.field, 0, Matrix.zeros(C.field, 0, 0), Matrix.zeros(C.field, 1, 0))
         assert iso.source == total
         assert jsonio.coalgebra_to_json(iso.source) == jsonio.coalgebra_to_json(total)
+
+
+def test_product_algebra_reads_the_factors_integer_rows(monkeypatch):
+    """Over Q the product takes its factors' integer rows: building the
+    component iso's source and Et(C) builds no Fraction view of a factor's
+    mult.  The product's entries, types included, are each factor's on its
+    own block and zero elsewhere."""
+    import sys
+
+    from coalgkit import linalg
+    from coalgkit.structure import product_algebra
+
+    reads = []
+    view = linalg._IntRowMatrix.data
+
+    def recording(M):
+        reads.append(sys._getframe(1).f_code.co_name)
+        return view.fget(M)
+
+    coalgebras = corpus.corpus(30, 12, fields=[QQ])
+    monkeypatch.setattr(linalg._IntRowMatrix, "data", property(recording))
+    for C in coalgebras:
+        irreducible_components(C)
+        etale_part(C)
+    assert [name for name in reads if name in ("product_algebra", "_placed")] == []
+    monkeypatch.undo()
+    for C in coalgebras + component_corpus():
+        F = C.field
+        for factors in ([c.algebra for c in decomposition(C).components],
+                        [w.field_datum.as_algebra for w in etale_part(C).splittings]):
+            n = sum(B.dim for B in factors)
+            want = [[F.zero] * (n * n) for _ in range(n)]
+            offset = 0
+            for B in factors:
+                for a, row in enumerate(B.mult.data):
+                    for ij, c in enumerate(row):
+                        i, j = divmod(ij, B.dim)
+                        want[offset + a][(offset + i) * n + offset + j] = c
+                offset += B.dim
+            P = product_algebra(F, factors)
+            assert repr(P.mult.data) == repr(want)
+            assert P.unit == [c for B in factors for c in B.unit]
 
 
 # -- rational structure views: entry types -------------------------------------

@@ -136,7 +136,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None, help="seed of the suite corpora only, not of "
                         "the kernel's searches (fallback: COALG_KERNEL_SEED, then 0)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--degree-cap", type=int, default=None,
+    parser.add_argument("--degree-cap", type=_positive_int, default=None,
                         help="rational factorization degree cap (default: factor.DEFAULT_DEGREE_CAP)")
     parser.add_argument("--load", action="append", default=[], metavar="NAME=PATH", help="preload a named entity")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -193,6 +193,18 @@ def main(argv=None):
             factor.DEFAULT_DEGREE_CAP = saved_cap
     _emit(report, opts.format)
     return EXIT_OK if report.get("ok", True) else EXIT_VALIDATION
+
+
+def _positive_int(text):
+    """An integer of at least 1: a cap below 1 refuses every rational
+    factoring, linear ones included."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _seed(option):

@@ -33,6 +33,11 @@ class DegreeCapExceeded(ComputationError):
     """Rational factorization request above the configured degree cap."""
 
 
+class KbarDimensionExceeded(ComputationError):
+    """A G-set whose equivariant function algebra is larger than the cap
+    `galois.KBAR_DIM_CAP`: its dual coalgebra would be dense in dim^3."""
+
+
 class SearchExhausted(ComputationError):
     """A bounded search ran out: the candidate elements of a primitive
     element or splitting element, the random trials of a Cantor-Zassenhaus

@@ -29,6 +29,7 @@ from .coalgebra import (
 from .errors import (
     ComputationError,
     InvalidAction,
+    KbarDimensionExceeded,
     NotASubgroup,
     SpecMismatch,
     ValidationError,
@@ -37,6 +38,13 @@ from .fields import PrimeField
 from .linalg import Matrix, Subspace
 from .polys import Polynomial
 from .structure import _is_field, _split_reduced, etale_part, power_basis
+
+# the largest dimension m of the equivariant function algebra kbar_functor
+# builds: its basis is dense m x (dim L |X|) and its dual coalgebra's
+# coproduct dense m x m^2.  Through `galois-functor`, with CPython 3.11 on
+# one Xeon core, a free F_4 action on 64 points (m = 64) takes 0.08 s and
+# 45 MB peak RSS, on 128 points 0.6 s and 198 MB; the cost grows as m^3
+KBAR_DIM_CAP = 64
 
 
 class GaloisDatum:
@@ -343,12 +351,17 @@ def kbar_functor(D, X):
     disjoint supports, so each basis row lies in one orbit and rows of two
     orbits multiply to zero: only the products inside an orbit are formed
     (one per unordered pair, L being commutative), with their coordinates
-    over the orbit's rows.
+    over the orbit's rows.  The dimension, the sum of the dim L^H, is
+    checked against KBAR_DIM_CAP before any function is built.
     """
     F = D.base
     L = D.L
     n = L.dim
     orbits = orbits_and_stabilizers(D, X)
+    m = sum(D.fixed_space(H).dim for _, H, _ in orbits)
+    if m > KBAR_DIM_CAP:
+        raise KbarDimensionExceeded(
+            f"equivariant function algebra of dimension {m} exceeds galois.KBAR_DIM_CAP = {KBAR_DIM_CAP}")
     functions = []
     for orbit, H, reps in orbits:
         for v in D.fixed_space(H).vectors():

@@ -327,12 +327,19 @@ def component_of_idempotent(A, e):
     entries at the pivots: the projection is the pivot rows of L_e, whose
     columns span e*A, the unit is e = e^2 at the pivots, and X is the pivot
     rows of the products.  E X = products fails only when A is not
-    commutative and associative, since then e*A need not be closed."""
+    commutative and associative, since then e*A need not be closed.
+
+    When e*A is a line, with pivot j, its basis is b = e / e_j, the unit is
+    e_j b and b b = e / e_j^2 = b / e_j, so X = [1 / e_j] with no product
+    formed: e^2 = e, which `_check_idempotents` has checked, is that guard."""
     F = A.field
     Me = A.mult_matrix(e)
     R, rank, pivots = Me.transpose().rref()
     basis = _block(R, range(rank))
     E = basis.transpose()
+    if rank == 1:
+        c = e[pivots[0]]
+        return ArtinAlgebra(F, 1, Matrix.column(F, [F.inv(c)]), [c]), E, _block(Me, pivots)
     products = row_kernel(F).basis_products(F, A, basis, basis)
     X = _block(products, pivots)
     if not (E @ X == products):
@@ -556,40 +563,57 @@ def wedderburn_splitting(component):
     makes A its own residue field: then r is the residue's primitive
     element, checked to be a root by one Hensel step, and its powers are
     those its minimal polynomial was found from.
+
+    When the residue field is k, p = t - a is linear: E is the unit column
+    and K = k, since k -> A is an algebra map for every A.  A linear p is
+    separable, and its Hensel lift reaches a 1 in one step from any start,
+    so neither certifies anything there; the inverse and the ideal check
+    stay.  When A is k b too, with b b = c b and 1 = u b, the retract is
+    [c], and the certificate a = c and c u = 1 replaces the inverse: b is
+    then a root of p, and [c] inverts E = [u].
     """
     A = component.algebra
     F = A.field
     residue = component.residue
     p = residue.minimal_poly
-    if not is_separable(p):
-        raise NonSeparableResidue("residue minimal polynomial is not separable")
     m = component.radical
     d = p.degree
-    if residue.as_algebra is A:
-        root = residue.primitive_element
-        if any(not F.is_zero(c) for c in A.eval_poly(p, root)):
-            raise ComputationError("residue primitive element is not a root of its minimal polynomial")
-        # a minimal polynomial from elsewhere carries no powers
-        powers = getattr(p, "basis", None) or power_basis(A, root, d)
+    if d == 1:
+        a = F.neg(p.coeffs[0])
+        datum = FieldDatum(ArtinAlgebra(F, 1, Matrix.column(F, [F.one]), [F.one]), [a], p)
+        E = Matrix.column(F, A.unit)
+        if A.dim == 1:
+            c = A.mult.data[0][0]
+            if p.coeffs[1] != F.one or a != c or F.mul(c, A.unit[0]) != F.one:
+                raise ComputationError("residue primitive element is not a root of its minimal polynomial")
+            return WedderburnSplitting(datum, E, Matrix.column(F, [c]))
+        powers = E.transpose()
     else:
-        start = component.residue_projection.solve(residue.primitive_element)
-        if start is None:
-            raise ComputationError("cannot lift residue primitive element")
-        powers = power_basis(A, hensel_lift_root(A, p, start), d)
-    E = powers.transpose()
+        if not is_separable(p):
+            raise NonSeparableResidue("residue minimal polynomial is not separable")
+        if residue.as_algebra is A:
+            root = residue.primitive_element
+            if any(not F.is_zero(c) for c in A.eval_poly(p, root)):
+                raise ComputationError("residue primitive element is not a root of its minimal polynomial")
+            # a minimal polynomial from elsewhere carries no powers
+            powers = getattr(p, "basis", None) or power_basis(A, root, d)
+        else:
+            start = component.residue_projection.solve(residue.primitive_element)
+            if start is None:
+                raise ComputationError("cannot lift residue primitive element")
+            powers = power_basis(A, hensel_lift_root(A, p, start), d)
+        E = powers.transpose()
+        datum = FieldDatum(polynomial_quotient_algebra(F, p), std_basis(F, d)[1], p)
     Pinv = _stack(F, A.dim, [powers, m.basis]).transpose().inverse()
     if Pinv is None:
         raise ComputationError("A is not K (+) m; Hensel data inconsistent")
     retract = _block(Pinv, range(d))
-    K = polynomial_quotient_algebra(F, p)
-    if retract.apply(A.unit) != list(K.unit):
+    if retract.apply(A.unit) != list(datum.as_algebra.unit):
         raise ComputationError("retract does not preserve the unit")
     if m.dim:
         products = row_kernel(F).basis_products(F, A, m.basis, Matrix.identity(F, A.dim))
         if not (retract @ products).is_zero():
             raise ComputationError("the radical is not an ideal: retract is not multiplicative")
-    prim = std_basis(F, d)[1] if d > 1 else [F.neg(p.coeffs[0])]
-    datum = FieldDatum(K, prim, p)
     return WedderburnSplitting(datum, E, retract)
 
 

@@ -132,6 +132,54 @@ def test_degree_cap_lasts_one_call(tmp_path):
     assert _run(["etale", str(path)])[0] == 0
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_degree_cap_below_one_is_a_usage_error(cap):
+    """A cap below 1 would refuse every rational factoring, linear ones
+    included, so argparse rejects it (exit 2); a cap of 1 is taken as it is."""
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        cli.main(["--degree-cap", cap, "etale", _path("Qi_dual.json")])
+    assert exc.value.code == 2
+    assert f"--degree-cap: must be a positive integer, got '{cap}'" in err.getvalue()
+    # Q(i) factors t - 1, then a quadratic
+    code, err = _run(["--degree-cap", "1", "etale", _path("Qi_dual.json")])
+    assert (code, err) == (4, "computation error: degree 2 exceeds rational factorization cap 1\n")
+
+
+def test_gset_over_the_kbar_cap_exits_4_before_building_it(monkeypatch, tmp_path):
+    """A G-set whose equivariant function algebra has dimension m above
+    galois.KBAR_DIM_CAP is refused before the dense m x (dim L |X|) basis
+    and the m x m^2 coproduct are built.  F_4/F_2 swaps the points 2i and
+    2i + 1, and fixes the last one when m is odd: each free orbit adds
+    dim L = 2 to m and the fixed point dim F_2 = 1."""
+    import time
+
+    from coalgkit import galois
+    from coalgkit.errors import KbarDimensionExceeded
+
+    def gset(m):
+        path = tmp_path / f"gset-{m}.json"
+        action = [list(range(m)), [i ^ 1 for i in range(m - m % 2)] + [m - 1] * (m % 2)]
+        path.write_text(json.dumps({"schema": "coalgkit/1", "type": "gset", "size": m, "action": action}),
+                        encoding="utf-8")
+        return str(path)
+
+    def unbuilt(*args):
+        raise AssertionError("the equivariant functions were reduced")
+
+    cap = galois.KBAR_DIM_CAP
+    assert issubclass(KbarDimensionExceeded, cli.ComputationError)
+    assert _run(["galois-functor", _path("galois_F4.json"), gset(cap)]) == (0, "")
+    over = gset(cap + 1)
+    monkeypatch.setattr(galois.Subspace, "from_sparse", unbuilt)
+    for command in ("galois-functor", "galois-adjunction"):
+        start = time.perf_counter()
+        code, err = _run([command, _path("galois_F4.json"), over])
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (4, f"computation error: equivariant function algebra of dimension {cap + 1} "
+                                  f"exceeds galois.KBAR_DIM_CAP = {cap}\n")
+
+
 def test_malformed_seed_variable_is_a_parse_error(monkeypatch):
     monkeypatch.setenv("COALG_KERNEL_SEED", "abc")
     code, err = _run(["validate", _path("dual_numbers.json")])

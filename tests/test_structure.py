@@ -503,13 +503,17 @@ def _with_residue_polynomial(A, ints):
         (F2, [1, 1, 1], [0, 1, 1], False),  # F_4 against t^2 + t = t (t + 1)
         (QQ, [4, 0, -4, 0, 1], [-3, 0, 1], True),  # (x^2 - 2)^2 against t^2 - 3
         (F2, [1, 0, 1, 0, 1], [0, 1, 1], True),  # F_2[x]/((x^2 + x + 1)^2) against t^2 + t
+        # k[x]/(x - a) is k, on the basis 1 with 1 1 = 1: its residue polynomial is t - 1
+        (QQ, [-3, 1], [-3, 1], False),  # Q[x]/(x - 3) against t - 3
+        (F2, [1, 1], [0, 1], False),  # F_2[x]/(x + 1) against t
+        (F9, [-2, 1], [-2, 1], False),  # F_9[x]/(x - 2) against t - 2
     ],
 )
 def test_certificate_rejects_a_root_of_the_wrong_polynomial(field, ints, wrong, nilpotent):
     """p(r) = 0 makes the embedding an algebra map.  On a field component
-    the primitive element is tested by one Hensel step; under a radical the
-    Hensel lift finds no root of p, or none lifting the residue's
-    primitive element."""
+    the primitive element is tested by one Hensel step, and on a line k b
+    with b b = c b by p = t - c; under a radical the Hensel lift finds no
+    root of p, or none lifting the residue's primitive element."""
     from coalgkit.errors import ComputationError
 
     comp = _with_residue_polynomial(pqa(field, ints), wrong)
@@ -604,6 +608,59 @@ def test_components_are_read_off_their_pivots(monkeypatch):
     for A in splitting_corpus():
         local_decomposition(A)
     assert counts["solve"] == 0
+    # a line is read off its idempotent, and its splitting is the certificate
+    # p = t - c, c u = 1; over a residue field k the unit spans K and no
+    # lift is made.  Each call records the calls made inside it
+    from collections import Counter
+
+    from coalgkit import linalg
+
+    inside, calls = [], []
+
+    def within(name, original):
+        def wrapper(*args, **kwargs):
+            if inside:
+                inside[-1][name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    def recording(name, original):
+        def wrapper(*args):
+            inside.append(Counter())
+            try:
+                out = original(*args)
+            finally:
+                inner = inside.pop()
+            calls.append((name, out[0] if name == "component_of_idempotent" else args[0], inner))
+            return out
+
+        return wrapper
+
+    for kernel in (linalg._FieldMethods, linalg._PrimeKernel, linalg._RationalKernel):
+        monkeypatch.setattr(kernel, "basis_products", staticmethod(within("basis_products", kernel.basis_products)))
+    monkeypatch.setattr(Matrix, "inverse", within("inverse", Matrix.inverse))
+    for name in ("is_separable", "hensel_lift_root", "power_basis"):
+        monkeypatch.setattr(structure, name, within(name, getattr(structure, name)))
+    for name in ("component_of_idempotent", "wedderburn_splitting"):
+        monkeypatch.setattr(structure, name, recording(name, getattr(structure, name)))
+    radical_d1 = [pqa(field, ints) for field in (QQ, F2, F3) for ints in ([0, 0, 1], [0, 0, -1, 1])]
+    for A in semisimple + splitting_corpus() + radical_d1:
+        for c in local_decomposition(A).components:
+            structure.wedderburn_splitting(c)
+    lines = [inner for name, c, inner in calls if name == "component_of_idempotent" and c.dim == 1]
+    assert len(lines) > 50 and all(inner["basis_products"] == 0 for inner in lines)
+    # the counter is live: a larger component forms its products
+    assert all(inner["basis_products"] == 1 for name, c, inner in calls
+               if name == "component_of_idempotent" and c.dim > 1)
+    splits = [(c, inner) for name, c, inner in calls if name == "wedderburn_splitting"]
+    dropped = ("inverse", "is_separable", "hensel_lift_root", "power_basis")
+    assert all(inner[f] == 0 for c, inner in splits if c.dim == 1 for f in dropped)
+    lifted = [(c, inner) for c, inner in splits if c.radical.dim and c.residue.dim == 1]
+    assert len(lifted) >= len(radical_d1)
+    assert all(inner["hensel_lift_root"] == 0 and inner["is_separable"] == 0 and inner["inverse"] == 1
+               for c, inner in lifted)
+    assert all(inner["hensel_lift_root"] == 1 for c, inner in splits if c.radical.dim and c.residue.dim > 1)
 
 
 # -- etale part ------------------------------------------------------------------

@@ -340,25 +340,25 @@ def test_order_six_group_lattice():
     assert adjunction_checks(D64, X=X)["ok"]
 
 
-def test_tower_base_extension_field():
-    # F16/F4 supplied by hand over the extension base field: fixed fields,
-    # functor values and the roots of the nonlinear residue polynomial of L
+def tower_datum():
+    """F16/F4 supplied by hand over the extension base field: L = F4[x]/(q)
+    for the first monic irreducible quadratic q, with x -> x^4."""
     from coalgkit.factor import is_irreducible
 
     F4 = GF(2, [1, 1, 1])
-    quad = None
-    for a in F4.elements():
-        for b in F4.elements():
-            f = Polynomial(F4, [a, b, F4.one])
-            if f.degree == 2 and is_irreducible(f):
-                quad = f
-                break
-        if quad:
-            break
+    quad = next(f for a in F4.elements() for b in F4.elements()
+                if is_irreducible(f := Polynomial(F4, [a, b, F4.one])))
     L = pqa_field(F4, quad)
     basis = [[F4.one, F4.zero], [F4.zero, F4.one]]
     frob2 = Matrix.from_cols(F4, [L.power(e, 4) for e in basis], 2)
-    D = GaloisDatum(F4, L, [Matrix.identity(F4, 2), frob2], [[0, 1], [1, 0]])
+    return GaloisDatum(F4, L, [Matrix.identity(F4, 2), frob2], [[0, 1], [1, 0]])
+
+
+def test_tower_base_extension_field():
+    # F16/F4: fixed fields, functor values and the roots of the nonlinear
+    # residue polynomial of L
+    D = tower_datum()
+    F4, L = D.base, D.L
     assert [fixed_field(D, H).dim for H in D.subgroups()] == [2, 1]
     assert kbar_functor(D, coset_gset(D, (0,))).coalgebra.dim == 2
     assert adjunction_checks(D, X=trivial_gset(D, 2), C=trivial_coalgebra(F4))["ok"]
@@ -864,6 +864,37 @@ def test_rational_roots_respect_the_degree_cap(monkeypatch):
     monkeypatch.setattr(factor, "DEFAULT_DEGREE_CAP", 5)
     with pytest.raises(DegreeCapExceeded):
         _roots_in_extension(D, p)
+
+
+def kbar_repr_digest(D):
+    """sha256 of the repr, entry types included, of the k̄[X] basis,
+    multiplication, unit and coproduct on every set of `galois_gsets(D)`."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for X in galois_gsets(D):
+        kX = kbar_functor(D, X)
+        for part in (kX.basis.data, kX.algebra.mult.data, kX.algebra.unit, kX.coalgebra.delta.data):
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+# recorded while k̄[X] was spanned by `Subspace.from_sparse` and multiplied
+# slot by slot over each orbit; the repr sees what JSON does not: Fraction
+# or int entries over Q, tuples over F_4
+KBAR_REPR_SHA256 = {
+    "F16/F4": "93ca4dc3c69c0b83c6ffbb5b7028df83461d30028e6211ccade4d4a92a4218b3",
+    "Q(i)": "3f6eff6141deaadb246600f96009f05c7ef671614bd79c740ee4123e9e197e78",
+    "Q(sqrt2)": "434a884cbe438b725fe49707f867428f87e0dfc221dcfd65e91d6e1f20b7a815",
+    "Q(sqrt2,sqrt3)": "d01a5ceefda8f08f915b976726e27ad8e33e26d410bb23d53f441272b8b6a334",
+    "Q(zeta3)": "1eb897f120c42c28fe4479ebf0a8d0a5cf5af10b71835b16cd70d16e9fdfe99f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(KBAR_REPR_SHA256))
+def test_kbar_repr_golden_digest(name):
+    D = tower_datum() if name == "F16/F4" else RATIONAL_DATA[name]
+    assert kbar_repr_digest(D) == KBAR_REPR_SHA256[name]
 
 
 # Q[x]/(x^2), Q x Q and F_3 x F_3, with x -> -x: a valid algebra, group table

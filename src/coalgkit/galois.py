@@ -6,13 +6,17 @@ automorphism matrices and group multiplication table (table[i][j] is the
 index of sigma_i o sigma_j).  The left adjoint sends a finite G-set X to the
 dual coalgebra of the algebra of equivariant maps X -> L.  It is built one
 orbit at a time: on an orbit with stabilizer H the equivariant maps are the
-fixed field L^H, spread over the orbit by the automorphisms, and disjoint
-unions go to direct sums.  The right adjoint of a coalgebra C is the G-set of
-algebra maps C^dual -> L, one per root in L of the residue minimal polynomial
-of each dual local component.  Over any base field the roots of p are read
-off the primitive idempotents of L (x) k[t]/(p), one copy of L per root and
-one larger field per nonlinear factor of p over L; G acts on the maps by
-postcomposition, that is, by moving the roots.
+fixed field L^H, spread over the orbit by the automorphisms, so the algebra
+is the product of the orbits' fixed fields and disjoint unions go to direct
+sums.  Spread from the RREF basis of each L^H, the functions are already the
+RREF of the equivariance kernel, since each orbit's pivots sit at its
+smallest point, where the spreading automorphism fixes L^H.  The right
+adjoint of a coalgebra C is the G-set of algebra maps C^dual -> L, one per
+root in L of the residue minimal polynomial of each dual local component.
+Over any base field the roots of p are read off the primitive idempotents of
+L (x) k[t]/(p), one copy of L per root and one larger field per nonlinear
+factor of p over L; G acts on the maps by postcomposition, that is, by
+moving the roots.
 """
 
 from .coalgebra import (
@@ -37,20 +41,21 @@ from .errors import (
 from .fields import PrimeField
 from .linalg import Matrix, Subspace
 from .polys import Polynomial
-from .structure import _is_field, _split_reduced, etale_part, power_basis
+from .structure import _frobenius, _is_field, _split_reduced, etale_part, power_basis, product_algebra
 
 # the largest dimension m of the equivariant function algebra kbar_functor
 # builds: its basis is dense m x (dim L |X|) and its dual coalgebra's
-# coproduct dense m x m^2.  Through `galois-functor`, with CPython 3.11 on
-# one Xeon core, a free F_4 action on 64 points (m = 64) takes 0.08 s and
-# 45 MB peak RSS, on 128 points 0.6 s and 198 MB; the cost grows as m^3
+# coproduct dense m x m^2.  Through `galois-functor` (the cap raised for the
+# larger one), with CPython 3.11 on one Xeon core, a free F_4 action on 64
+# points (m = 64) takes 0.08 s and 45 MB peak RSS, on 128 points 0.6 s and
+# 198 MB, most of it the coproduct and its JSON; the cost grows as m^3
 KBAR_DIM_CAP = 64
 
 
 class GaloisDatum:
     __slots__ = ("base", "L", "automorphisms", "table", "size", "identity", "_fixed")
 
-    def __init__(self, base, L, automorphisms, table, check=True):
+    def __init__(self, base, L, automorphisms, table):
         self.base = base
         self.L = L
         self.automorphisms = automorphisms
@@ -58,12 +63,11 @@ class GaloisDatum:
         self.size = len(automorphisms)
         self.identity = _table_identity(self.table)
         self._fixed = {}
-        if check:
-            self._validate()
+        self._validate()
 
     def validate(self):
         """No violations to report: the checks of _validate raise while the
-        datum is built (unless it is built with check=False)."""
+        datum is built."""
         return []
 
     def _validate(self):
@@ -172,16 +176,16 @@ def _close_subgroup(table, seed, identity):
 
 
 def frobenius_galois_datum(p, modulus_ints):
-    """The extension F_p[x]/(modulus) with its Frobenius-power automorphisms."""
+    """The extension F_p[x]/(modulus) with its automorphisms, the powers
+    Phi^0 ... Phi^(e-1) of the Frobenius Phi: x -> x^p."""
     base = PrimeField(p)
     poly = Polynomial.from_ints(base, modulus_ints)
     L = polynomial_quotient_algebra(base, poly)
     e = poly.degree
-    autos = []
-    basis = [[base.one if i == j else base.zero for i in range(e)] for j in range(e)]
-    for i in range(e):
-        cols = [L.power(b, p**i) for b in basis]
-        autos.append(Matrix.from_cols(base, cols, e))
+    autos = [Matrix.identity(base, e)]
+    phi = _frobenius(L)
+    for _ in range(e - 1):
+        autos.append(autos[-1] @ phi)
     table = [[(i + j) % e for j in range(e)] for i in range(e)]
     return GaloisDatum(base, L, autos, table)
 
@@ -343,68 +347,37 @@ class KbarResult:
 def kbar_functor(D, X):
     """Equivariant maps X -> L as an algebra; its dual is the value on X.
 
-    Built one orbit at a time.  On the orbit of x with stabilizer H, an
-    equivariant f is fixed by v = f(x), which lies in L^H, through
-    f(g.x) = sigma_g(v): so the functions from a basis of each L^H span the
-    equivariant maps (kbar[G/H] = (L^H)^dual), and their RREF is the canonical
-    basis, that of the kernel of the equivariance equations.  Orbits have
-    disjoint supports, so each basis row lies in one orbit and rows of two
-    orbits multiply to zero: only the products inside an orbit are formed
-    (one per unordered pair, L being commutative), with their coordinates
-    over the orbit's rows.  The dimension, the sum of the dim L^H, is
-    checked against KBAR_DIM_CAP before any function is built.
+    On the orbit of x with stabilizer H, an equivariant f is fixed by
+    v = f(x) in L^H through f(g.x) = sigma_g(v), and f f' by v v': the
+    orbit's functions are a copy of L^H (kbar[G/H] = (L^H)^dual), so A_X is
+    the product of the fixed fields in orbit order, one built per distinct
+    stabilizer.  The row of v, for v in the RREF basis of L^H, puts
+    sigma_g(v) at slot g.x.  The rows are already the canonical RREF, that
+    of the equivariance kernel: the orbits come in the order of their
+    smallest points x, and the coset representative at x lies in H and
+    fixes v, so each row's pivot is v's pivot at slot x, where every other
+    row is zero.  The dimension, the sum of the dim L^H, is checked against
+    KBAR_DIM_CAP before any function is built.
     """
     F = D.base
-    L = D.L
-    n = L.dim
+    n = D.L.dim
     orbits = orbits_and_stabilizers(D, X)
     m = sum(D.fixed_space(H).dim for _, H, _ in orbits)
     if m > KBAR_DIM_CAP:
         raise KbarDimensionExceeded(
             f"equivariant function algebra of dimension {m} exceeds galois.KBAR_DIM_CAP = {KBAR_DIM_CAP}")
-    functions = []
+    fields = {}
+    rows = []
     for orbit, H, reps in orbits:
+        if H not in fields:
+            fields[H] = fixed_field(D, H).algebra
         for v in D.fixed_space(H).vectors():
-            f = {}
+            row = [F.zero] * (n * X.size)
             for y, g in zip(orbit, reps):
-                for c, a in enumerate(D.automorphisms[g].apply(v)):
-                    f[y * n + c] = a
-            functions.append(f)
-    space = Subspace.from_sparse(F, n * X.size, functions)
-    B = space.basis
-    m = B.rows
-    unit_vec = []
-    for _ in range(X.size):
-        unit_vec.extend(L.unit)
-    unit = space.coordinates(unit_vec)
-    if unit is None:
-        raise ComputationError("equivariant function algebra is not closed")
-    orbit_of = {y: t for t, (orbit, _, _) in enumerate(orbits) for y in orbit}
-    members = [[] for _ in orbits]  # basis rows of each orbit
-    for i, p in enumerate(space.pivots()):
-        members[orbit_of[p // n]].append(i)
-    entries = []
-    for (orbit, _, _), rows in zip(orbits, members):
-        # the orbit's rows on the orbit's slots: still in RREF
-        cols = [y * n + c for y in sorted(orbit) for c in range(n)]
-        block = [[B.data[i][c] for c in cols] for i in rows]
-        local = Subspace(F, len(cols), Matrix(F, len(rows), len(cols), block))
-        for a, i in enumerate(rows):
-            for b in range(a, len(rows)):
-                j = rows[b]
-                prod = []
-                for s in range(0, len(cols), n):
-                    prod.extend(L.mul(block[a][s : s + n], block[b][s : s + n]))
-                coords = local.coordinates(prod)
-                if coords is None:
-                    raise ComputationError("equivariant function algebra is not closed")
-                for k, c in zip(rows, coords):
-                    if not F.is_zero(c):
-                        entries.append((k, i * m + j, c))
-                        if i != j:
-                            entries.append((k, j * m + i, c))
-    A_X = ArtinAlgebra(F, m, Matrix.from_entries(F, m, m * m, entries), unit)
-    return KbarResult(dual_coalgebra(A_X), A_X, B, X, D)
+                row[y * n : (y + 1) * n] = D.automorphisms[g].apply(v)
+            rows.append(row)
+    A_X = product_algebra(F, [fields[H] for _, H, _ in orbits])
+    return KbarResult(dual_coalgebra(A_X), A_X, Matrix(F, m, n * X.size, rows), X, D)
 
 
 def is_equivariant(D, X, Y, f):

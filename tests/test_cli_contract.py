@@ -165,13 +165,13 @@ def test_gset_over_the_kbar_cap_exits_4_before_building_it(monkeypatch, tmp_path
         return str(path)
 
     def unbuilt(*args):
-        raise AssertionError("the equivariant functions were reduced")
+        raise AssertionError("a fixed field was built")
 
     cap = galois.KBAR_DIM_CAP
     assert issubclass(KbarDimensionExceeded, cli.ComputationError)
     assert _run(["galois-functor", _path("galois_F4.json"), gset(cap)]) == (0, "")
     over = gset(cap + 1)
-    monkeypatch.setattr(galois.Subspace, "from_sparse", unbuilt)
+    monkeypatch.setattr(galois, "fixed_field", unbuilt)
     for command in ("galois-functor", "galois-adjunction"):
         start = time.perf_counter()
         code, err = _run([command, _path("galois_F4.json"), over])

@@ -164,6 +164,33 @@ def test_kbar_examples():
     assert etale_part(kmix.coalgebra).etale.dim == 4
 
 
+def test_kbar_builds_one_fixed_field_per_stabilizer(monkeypatch):
+    """k̄[X] is the product of its orbits' fixed fields, each built once per
+    distinct stabilizer, and its basis rows are placed, not reduced or
+    solved for."""
+    from coalgkit import galois
+    from coalgkit.linalg import Subspace
+
+    built = []
+    fixed = galois.fixed_field
+
+    def counting(D, H):
+        built.append(H)
+        return fixed(D, H)
+
+    def refuse(*args):
+        raise AssertionError("a subspace was reduced or solved")
+
+    monkeypatch.setattr(galois, "fixed_field", counting)
+    monkeypatch.setattr(Subspace, "from_sparse", refuse)
+    monkeypatch.setattr(Subspace, "coordinates", refuse)
+    parts = [(0,), (0, 2), (0,), (0, 1, 2, 3), (0, 2), (0, 1, 2, 3)]
+    X = disjoint_union(D16, [coset_gset(D16, H) for H in parts])
+    kX = kbar_functor(D16, X)
+    assert built == [(0,), (0, 2), (0, 1, 2, 3)]
+    assert kX.algebra.dim == 4 + 2 + 4 + 1 + 2 + 1
+
+
 def test_kbar_disjoint_union_is_direct_sum():
     X = trivial_gset(D4, 1)
     Y = coset_gset(D4, (0,))
@@ -839,9 +866,8 @@ def test_tower_roots_of_every_quadratic_against_evaluation():
     quadratics = [Polynomial(F4, [a, b, F4.one]) for a in F4.elements() for b in F4.elements()]
     quadratics = [f for f in quadratics if is_irreducible(f)]
     assert len(quadratics) == 6
-    L = pqa_field(F4, quadratics[0])
-    frob2 = Matrix.from_cols(F4, [L.power(e, 4) for e in ([F4.one, F4.zero], [F4.zero, F4.one])], 2)
-    D = GaloisDatum(F4, L, [Matrix.identity(F4, 2), frob2], [[0, 1], [1, 0]])
+    D = tower_datum()
+    L = D.L
     elements = [list(v) for v in itertools.product(F4.elements(), repeat=2)]
     assert len(elements) == 16
     for f in quadratics:
@@ -913,6 +939,13 @@ def test_datum_rejects_a_carrier_that_is_not_a_field(name, tmp_path):
     with pytest.raises(ValidationError, match="extension carrier is not a field"):
         GaloisDatum(field, L, autos, [[0, 1], [1, 0]])
     path = tmp_path / "galois.json"
-    D = GaloisDatum(field, L, autos, [[0, 1], [1, 0]], check=False)
-    path.write_text(jsonio.canonical_json(jsonio.galois_to_json(D)), encoding="utf-8")
+    document = {
+        "schema": jsonio.SCHEMA,
+        "type": "galois",
+        "base": field.to_json(),
+        "extension": {"dim": 2, "mult": jsonio.matrix_to_json(L.mult), "unit": jsonio.vector_to_json(field, L.unit)},
+        "automorphisms": [jsonio.matrix_to_json(M) for M in autos],
+        "table": [[0, 1], [1, 0]],
+    }
+    path.write_text(jsonio.canonical_json(document), encoding="utf-8")
     assert cli.main(["validate", str(path)]) == 3

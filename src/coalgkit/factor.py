@@ -2,8 +2,8 @@
 
 Finite fields: squarefree decomposition, distinct-degree splitting, then
 seeded Cantor-Zassenhaus equal-degree splitting, with a bounded number of
-random trials per split; `_equal_degree` with d = 1 gives the roots of a
-product of distinct linear factors, for the Frobenius route of `structure`.
+random trials per split; the same seed and bound steer the draws of the
+Frobenius split in `structure`, which splits an algebra with no polynomial.
 Rationals, on integer coefficient lists: a modular certificate that f is
 squarefree (else the same squarefree decomposition, its gcds on integers),
 rational-root extraction, then Zassenhaus (the certificate's prime,

@@ -41,7 +41,7 @@ from .errors import (
 from .fields import PrimeField
 from .linalg import Matrix, Subspace
 from .polys import Polynomial
-from .structure import _frobenius, _is_field, _split_reduced, etale_part, power_basis, product_algebra
+from .structure import _is_field, _split_reduced, etale_part, power_basis, product_algebra
 
 # the largest dimension m of the equivariant function algebra kbar_functor
 # builds: its basis is dense m x (dim L |X|) and its dual coalgebra's
@@ -177,13 +177,17 @@ def _close_subgroup(table, seed, identity):
 
 def frobenius_galois_datum(p, modulus_ints):
     """The extension F_p[x]/(modulus) with its automorphisms, the powers
-    Phi^0 ... Phi^(e-1) of the Frobenius Phi: x -> x^p."""
+    Phi^0 ... Phi^(e-1) of the Frobenius Phi: x -> x^p.  Column i of Phi is
+    x^(ip) mod modulus, the image of the basis vector x^i, so the field
+    check of the datum builds the one Frobenius matrix of L."""
     base = PrimeField(p)
     poly = Polynomial.from_ints(base, modulus_ints)
     L = polynomial_quotient_algebra(base, poly)
     e = poly.degree
     autos = [Matrix.identity(base, e)]
-    phi = _frobenius(L)
+    x = Polynomial.x(base)
+    cols = [x.pow_mod(i * p, poly).coeffs for i in range(e)]
+    phi = Matrix.from_cols(base, [list(c) + [base.zero] * (e - len(c)) for c in cols], e)
     for _ in range(e - 1):
         autos.append(autos[-1] @ phi)
     table = [[(i + j) % e for j in range(e)] for i in range(e)]
@@ -419,8 +423,9 @@ def _roots_in_extension(D, poly):
     On the component eB of q_j = t - r, 1 (x) t is r (x) 1, so r is the one
     solution of (r (x) 1) e = (1 (x) t) e; where deg q_j > 1 there is none.
     The idempotents come from `structure._split_reduced`: over F_q the
-    Frobenius split (Berlekamp, Bell Syst. Tech. J. 46, 1967), over Q the
-    seeded CRT split (Eberly and Giesbrecht, J. Symb. Comput. 29, 2000).
+    split of the Frobenius fixed algebra inside itself, with no polynomial
+    (Ronyai, J. Symb. Comput. 9, 1990), over Q the seeded CRT split
+    (Eberly and Giesbrecht, J. Symb. Comput. 29, 2000).
     L/k is normal, so p has 0 or d roots in L, over a finite field d.
     """
     F = D.base

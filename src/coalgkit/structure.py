@@ -14,7 +14,7 @@ on a commutative algebra.  Both are exact over the implemented fields.
 
 from fractions import Fraction
 
-from . import gfpoly
+from . import factor, gfpoly
 from .coalgebra import (
     ArtinAlgebra,
     CoalgebraMorphism,
@@ -25,7 +25,7 @@ from .coalgebra import (
     std_basis,
 )
 from .errors import ComputationError, NonSeparableResidue, SearchExhausted, ValidationError
-from .factor import _equal_degree, factor_polynomial, is_separable
+from .factor import factor_polynomial, is_separable
 # minimal_polynomial (of a matrix) stays importable from here, where the
 # bench's tracer also wraps it; element_min_poly does not call it
 from .linalg import Matrix, Subspace, _block, _free, _placed, _stack, minimal_polynomial, quotient_maps, row_kernel  # noqa: F401
@@ -63,39 +63,79 @@ def _frobenius_radical(A, phi):
 
 
 def _frobenius_idempotents(A, phi):
-    """Primitive idempotents of A over F_q, from the fixed space of Phi: x^q =
-    x iff x is a combination of the primitive idempotents over F_q, so that
-    space is F_q^r.  Each basis vector s of it takes one value on each
-    primitive idempotent; the Lagrange idempotents over the roots of its
-    minimal polynomial, distinct and in F_q, refine the blocks, starting
-    from {1}, until there are r.  The minimal polynomial is a product of
-    distinct linear factors, so `factor`'s equal-degree split finds them
-    directly, without its squarefree and distinct-degree steps."""
+    """Primitive idempotents of A over F_q, split inside the fixed space S
+    of Phi, with no polynomial (Ronyai, Computing the structure of finite
+    algebras, J. Symb. Comput. 9, 1990): x^q = x iff x is a combination of
+    the primitive idempotents over F_q, so S is a subalgebra, F_q^r.  Its
+    RREF basis b_1..b_r gives S's structure constants as the pivot entries
+    of the r(r+1)/2 products b_i b_j, i <= j, each the pivot rows of L_(b_i)
+    applied to b_j, and its unit as those of 1.  Each trial s of
+    `_split_trials` refines the blocks, starting from {1}, by a character
+    of its values on the primitive idempotents.  For odd q, w =
+    s^((q-1)/2) is 0, 1 or -1 there and u = w^2 is 1 where s is not 0, so
+    a block e splits into e - eu, (eu + ew)/2 and (eu - ew)/2; for q = 2^k
+    the trace w = s + s^2 + .. + s^(2^(k-1)) is 0 or 1, so e splits into ew
+    and e - ew.  The powers are taken in S, of dimension r, and each block
+    is multiplied by w through the matrix of w in S."""
     F = A.field
     fixed = (phi - Matrix.identity(F, A.dim)).kernel()
-    blocks = [list(A.unit)]
-    for s in fixed.vectors():
-        if len(blocks) == fixed.dim:
-            break
-        m = element_min_poly(A, s)
-        P = m.basis.transpose()
-        eps = [P.apply(_lagrange(F, m.coeffs, F.neg(g.coeffs[0]))) for g in _equal_degree(m, 1)]
-        pieces = (A.mul(e, x) for e in blocks for x in eps) if len(blocks) > 1 else eps
-        blocks = [p for p in pieces if any(not F.is_zero(c) for c in p)]
-    return blocks
+    r = fixed.dim
+    if r == 1:
+        return [list(A.unit)]
+    basis, pivots = fixed.vectors(), fixed.pivots()
+    products = {}
+    for i in range(r):
+        L = _block(A.mult_matrix(basis[i]), pivots)  # the pivot rows of L_(b_i)
+        for j in range(i, r):
+            products[i, j] = products[j, i] = L.apply(basis[j])
+    mult = Matrix.from_cols(F, [products[i, j] for i in range(r) for j in range(r)], r)
+    S = ArtinAlgebra(F, r, mult, [A.unit[k] for k in pivots])
+    q = F.order
+    half = F.inv(F.add(F.one, F.one)) if q % 2 else None
+    blocks = [S.unit]
+    for s in _split_trials(S):
+        if half is None:
+            w = x = s
+            for _ in range(q.bit_length() - 2):
+                x = S.mul(x, x)
+                w = [F.add(a, b) for a, b in zip(w, x)]
+        else:
+            w = S.power(s, (q - 1) // 2)
+        W = S.mult_matrix(w)
+        refined = []
+        for e in blocks:
+            ew = W.apply(e)
+            if half is None:
+                pieces = [ew, [F.sub(a, b) for a, b in zip(e, ew)]]
+            else:
+                eu = W.apply(ew)  # e u = e w^2 = (e w) w
+                pieces = [[F.sub(a, b) for a, b in zip(e, eu)],
+                          [F.mul(half, F.add(a, b)) for a, b in zip(eu, ew)],
+                          [F.mul(half, F.sub(a, b)) for a, b in zip(eu, ew)]]
+            refined.extend(p for p in pieces if any(not F.is_zero(c) for c in p))
+        blocks = refined
+        if len(blocks) == r:
+            embed = fixed.basis.transpose()
+            return [embed.apply(e) for e in blocks]
+    raise SearchExhausted(
+        f"Frobenius split of a rank-{r} fixed algebra over {F} found {len(blocks)} "
+        f"idempotents after {factor._SPLIT_TRIALS} seeded draws "
+        f"(bound _SPLIT_TRIALS = {factor._SPLIT_TRIALS})"
+    )
 
 
-def _lagrange(F, coeffs, a):
-    """The coefficients of g / g(a) for m = (t - a) g, m monic squarefree with
-    these coefficients: the product over the other roots b of (t - b) / (a - b)."""
-    g = [coeffs[-1]]  # by synthetic division, leading coefficient first
-    for c in coeffs[-2:0:-1]:
-        g.append(F.add(c, F.mul(a, g[-1])))
-    value = F.zero  # g(a), by Horner's rule
-    for c in g:
-        value = F.add(F.mul(value, a), c)
-    inv = F.inv(value)
-    return [F.mul(inv, c) for c in reversed(g)]
+def _split_trials(S):
+    """The trials of the Frobenius split: the basis vectors of S, then
+    `factor._SPLIT_TRIALS` seeded random elements, from an rng made when
+    the stream reaches them.  A random element separates two primitive
+    idempotents with probability about 1/2, so the draws leave a pair
+    unseparated with probability about 2^-_SPLIT_TRIALS; the bound guards
+    against a broken random source."""
+    F = S.field
+    yield from std_basis(F, S.dim)
+    rng = derived_rng(factor._SPLIT_SEED, S.dim)
+    for _ in range(factor._SPLIT_TRIALS):
+        yield [F.random(rng) for _ in range(S.dim)]
 
 
 def _trace_form(A):
@@ -414,11 +454,12 @@ def local_decomposition(A):
     idempotents, in a canonical order.  Over Q the idempotents of the seeded
     split of A / rad A are lifted to A.  Over F_q the radical and the
     idempotents are read off the matrix of the Frobenius x -> x^q, with no
-    element search: only the roots of split minimal polynomials come from
-    the seeded equal-degree split of `factor`.  Berlekamp (Factoring
-    polynomials over finite fields, Bell Syst. Tech. J. 46, 1967) on
-    k[t]/(f), Ronyai (Computing the structure of finite algebras, J. Symb.
-    Comput. 9, 1990) on algebras."""
+    element search and no polynomial: the idempotents come from the split
+    of its fixed algebra F_q^r inside itself, by powers of its basis
+    vectors and of seeded elements there (`_frobenius_idempotents`).  Berlekamp (Factoring polynomials
+    over finite fields, Bell Syst. Tech. J. 46, 1967) on k[t]/(f), Ronyai
+    (Computing the structure of finite algebras, J. Symb. Comput. 9, 1990)
+    on algebras."""
     F = A.field
     if A.dim == 0:
         return LocalDecomposition(A, [], [])

@@ -62,10 +62,16 @@ def test_datum_validation():
         GaloisDatum(F2, D16.L, [D16.automorphisms[0], swap] + D16.automorphisms[2:], D16.table)
 
 
+FROBENIUS_MODULI = [(2, [1, 1, 1]), (2, [1, 1, 0, 1]), (3, [1, 0, 1]), (2, [1, 1, 0, 0, 1]),
+                    (5, [2, 0, 1]), (3, [1, 2, 0, 1]), (2, [1, 0, 1, 0, 0, 1])]  # F4 .. F32
+
+
 def test_datum_validation_builds_one_frobenius_matrix(monkeypatch):
     """Over F_q the field check of a Galois datum reads rad L and the
-    primitive idempotents of L off one Frobenius matrix."""
-    from coalgkit import structure
+    primitive idempotents of L off one Frobenius matrix, and
+    frobenius_galois_datum builds no other: its Phi has the columns
+    x^(ip) mod f.  The automorphisms are the powers of that matrix."""
+    from coalgkit import galois, structure
 
     built = []
     frobenius = structure._frobenius
@@ -75,9 +81,20 @@ def test_datum_validation_builds_one_frobenius_matrix(monkeypatch):
         return frobenius(A)
 
     monkeypatch.setattr(structure, "_frobenius", counting)
+    monkeypatch.setattr(galois, "_frobenius", counting, raising=False)
     for D in (D4, D8, D9, D16):
         GaloisDatum(D.base, D.L, D.automorphisms, D.table)
     assert [A.dim for A in built] == [2, 3, 2, 4]
+    built.clear()
+    data = [frobenius_galois_datum(p, ints) for p, ints in FROBENIUS_MODULI]
+    assert [A.dim for A in built] == [len(ints) - 1 for _, ints in FROBENIUS_MODULI]
+    for D in data:
+        phi = frobenius(D.L)
+        power = Matrix.identity(D.base, D.L.dim)
+        for M in D.automorphisms:
+            assert M == power
+            power = power @ phi
+        assert power == Matrix.identity(D.base, D.L.dim)
 
 
 def test_rational_datum():

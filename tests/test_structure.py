@@ -317,25 +317,149 @@ def _nilpotents(A):
     return out
 
 
-@pytest.mark.parametrize("field, max_dim", [(F2, 8), (F3, 6), (F4, 5)])
-def test_idempotents_against_enumeration(field, max_dim):
+def _recording_split_draws(monkeypatch):
+    """The seeds with which the Frobenius split makes its rng, that is,
+    reaches its seeded draws, in order."""
+    import sys
+
+    drawn = []
+    original = structure.derived_rng
+
+    def recording(seed, *path):
+        if sys._getframe(1).f_code.co_name == "_split_trials":
+            drawn.append(seed)
+        return original(seed, *path)
+
+    monkeypatch.setattr(structure, "derived_rng", recording)
+    return drawn
+
+
+@pytest.mark.parametrize("field, max_dim", [(F2, 8), (F3, 6), (F4, 5), (F5, 5), (F9, 3)])
+def test_idempotents_against_enumeration(monkeypatch, field, max_dim):
     """The idempotents against `oracles.primitive_idempotents` and the
     radical against the nilpotents, both found by walking every element.
     Besides seeded coalgebras: the dual of k[t]/(t^(q+1)), on which the
     Frobenius x -> x^q maps t to t^q != 0, so its kernel alone falls short
-    of the radical, and k x k x k, which has no generator when q = 2."""
+    of the radical (up to q = 5, past which it has too many elements), and
+    k x k x k, which has no generator when q = 2.  Over
+    F_4, F_5 and F_9 the character of a basis vector of the fixed algebra
+    does not separate every value, and some input reaches the seeded draws."""
     from coalgkit.coalgebra import dual_algebra
     from coalgkit.oracles import primitive_idempotents
 
     q = field.order
     rng = random.Random(42)
     coalgebras = [corpus.random_coalgebra(rng, field, max_dim) for _ in range(24)]
-    coalgebras += [dual_coalgebra(pqa(field, [0] * (q + 1) + [1])), diagonal_coalgebra(3, field)]
+    if q ** (q + 1) <= 1 << 16:
+        coalgebras.append(dual_coalgebra(pqa(field, [0] * (q + 1) + [1])))
+    coalgebras.append(diagonal_coalgebra(3, field))
+    drawn = _recording_split_draws(monkeypatch)
     for C in coalgebras:
         A = dual_algebra(C)
         assert sorted(decomposition(C).idempotents) == sorted(primitive_idempotents(A))
         rad, nilpotents = radical(A), _nilpotents(A)
         assert len(nilpotents) == q**rad.dim and all(rad.contains_vector(v) for v in nilpotents)
+    assert bool(drawn) == (q not in (2, 3))
+
+
+# k[t]/(f), f a product of distinct linear factors whose roots other than
+# 0 are squares: the basis 1, t, t^2, .. of the fixed algebra (all of it)
+# takes one quadratic character at those roots, so the Frobenius split must
+# reach its seeded draws
+UNSEPARATED = {
+    "F5": (F5, [0, 4, 0, 1]),  # t (t - 1) (t - 4)
+    "F9": (F9, [0, 2, 0, 1]),  # t (t - 1) (t - 2), 2 = x^2 a square in F_9
+    "F_mersenne": (F_MERSENNE, [-36, 49, -14, 1]),  # (t - 1) (t - 4) (t - 9)
+}
+
+
+@pytest.mark.parametrize("name", UNSEPARATED)
+def test_frobenius_split_does_not_depend_on_the_seed(monkeypatch, name):
+    """Three seeds of the split draw other elements of the fixed algebra
+    but give the same idempotents, those of the seeded CRT split."""
+    from coalgkit import factor
+
+    A = pqa(*UNSEPARATED[name])
+    drawn = _recording_split_draws(monkeypatch)
+    results = []
+    for seed in (0, 1, 7):
+        monkeypatch.setattr(factor, "_SPLIT_SEED", seed)
+        results.append(sorted(local_decomposition(A).idempotents))
+    assert drawn == [0, 1, 7]
+    assert results[0] == results[1] == results[2] == sorted(structure.split_semisimple(A))
+    assert len(results[0]) == 3
+
+
+@pytest.mark.parametrize("name, draws_per_coefficient", [("F5", 1), ("F9", 2), ("F_mersenne", 1)])
+def test_frobenius_split_draws_are_bounded(monkeypatch, name, draws_per_coefficient):
+    from coalgkit.errors import SearchExhausted
+    from coalgkit.factor import _SPLIT_TRIALS
+
+    from .test_fields import _ZeroRng
+
+    rng = _ZeroRng()  # every draw is 0, which separates nothing
+    monkeypatch.setattr(structure, "derived_rng", lambda *parts: rng)
+    with pytest.raises(SearchExhausted) as info:
+        local_decomposition(pqa(*UNSEPARATED[name]))
+    assert rng.draws == _SPLIT_TRIALS * 3 * draws_per_coefficient
+    message = str(info.value)
+    assert f"after {_SPLIT_TRIALS} seeded draws" in message and "_SPLIT_TRIALS" in message
+
+
+def test_frobenius_split_forms_no_polynomial(monkeypatch):
+    """Over F_q the split of the fixed algebra S = F_q^r calls neither
+    Cantor-Zassenhaus nor element_min_poly, and its only work in A is the
+    r(r+1)/2 products of S's basis: one multiplication matrix L_(b_i) per
+    basis vector, applied to the b_j with j >= i, and no A.mul or A.power.
+    Every power is taken in S."""
+    from coalgkit import factor
+    from coalgkit.coalgebra import ArtinAlgebra
+
+    counts = {"_cantor_zassenhaus": 0}
+    inside, splits = [], []
+
+    def cantor_zassenhaus(*args):
+        counts["_cantor_zassenhaus"] += 1
+        return original_cz(*args)
+
+    def min_poly(A, x):
+        if inside:
+            inside[-1]["element_min_poly"] += 1
+        return original_min_poly(A, x)
+
+    def in_A(name, original):
+        def wrapper(self, *args):
+            if inside and self is inside[-1]["A"]:
+                inside[-1][name] += 1
+            return original(self, *args)
+
+        return wrapper
+
+    def split(A, phi):
+        inside.append({"A": A, "mul": 0, "mult_matrix": 0, "power": 0, "element_min_poly": 0})
+        try:
+            idems = original_split(A, phi)
+        finally:
+            work = inside.pop()
+        del work["A"]
+        splits.append((len(idems), work))
+        return idems
+
+    original_cz, original_min_poly = factor._cantor_zassenhaus, structure.element_min_poly
+    original_split = structure._frobenius_idempotents
+    monkeypatch.setattr(factor, "_cantor_zassenhaus", cantor_zassenhaus)
+    monkeypatch.setattr(structure, "element_min_poly", min_poly)
+    for name in ("mul", "mult_matrix", "power"):
+        monkeypatch.setattr(ArtinAlgebra, name, in_A(name, getattr(ArtinAlgebra, name)))
+    monkeypatch.setattr(structure, "_frobenius_idempotents", split)
+    rng = random.Random(35)
+    for field in (F2, F3, F5, F4, F9):
+        for _ in range(12):
+            local_decomposition(dual_algebra(corpus.random_coalgebra(rng, field, 6)))
+    assert counts == {"_cantor_zassenhaus": 0}
+    assert sum(r > 2 for r, _ in splits) > 10
+    assert all(work == {"mul": 0, "mult_matrix": r if r > 1 else 0, "power": 0, "element_min_poly": 0}
+               for r, work in splits)
 
 
 def test_frobenius_route_over_a_large_prime():

@@ -451,18 +451,100 @@ class LocalDecomposition:
 
 def local_decomposition(A):
     """A as the product of its local algebras eA, e over the primitive
-    idempotents, in a canonical order.  Over Q the idempotents of the seeded
-    split of A / rad A are lifted to A.  Over F_q the radical and the
-    idempotents are read off the matrix of the Frobenius x -> x^q, with no
-    element search and no polynomial: the idempotents come from the split
-    of its fixed algebra F_q^r inside itself, by powers of its basis
-    vectors and of seeded elements there (`_frobenius_idempotents`).  Berlekamp (Factoring polynomials
-    over finite fields, Bell Syst. Tech. J. 46, 1967) on k[t]/(f), Ronyai
+    idempotents, in a canonical order, decomposed block by block
+    (`_blocks`).  Each block B spans an ideal with unit 1_B, since x = 1 x =
+    1_B x, so A is the product of the blocks, its primitive idempotents are
+    theirs, and eA lies in the block of e.  A block of dimension at least 2
+    is decomposed on its own (`_local_block`, on A itself when A is one
+    block), a line in closed form (`_line`), and the idempotents,
+    embeddings and projections are placed at the block's indices.  Over Q
+    the idempotents of the seeded split of B / rad B are lifted to B.  Over
+    F_q the radical and the idempotents are read off the matrix of the
+    Frobenius x -> x^q, with no element search and no polynomial: the
+    idempotents come from the split of its fixed algebra F_q^r inside
+    itself, by powers of its basis vectors and of seeded elements there
+    (`_frobenius_idempotents`).  Berlekamp (Factoring polynomials over
+    finite fields, Bell Syst. Tech. J. 46, 1967) on k[t]/(f), Ronyai
     (Computing the structure of finite algebras, J. Symb. Comput. 9, 1990)
     on algebras."""
+    F, n = A.field, A.dim
+    blocks = _blocks(A)
+    if len(blocks) == 1 and n > 1:
+        return _local_block(A)
+    components = []
+    for B in blocks:
+        part = ArtinAlgebra(F, len(B), _block(A.mult, B, [i * n + k for i in B for k in B]),
+                            [A.unit[i] for i in B])
+        for c in [_line(part)] if len(B) == 1 else _local_block(part).components:
+            e = [F.zero] * n
+            for i, a in zip(B, c.idempotent):
+                e[i] = a
+            c.idempotent = e
+            c.embedding = _placed(F, n, [(c.embedding.transpose(), B)]).transpose()
+            c.projection = _placed(F, n, [(c.projection, B)])
+            components.append(c)
+    _sort_components(F, components)
+    return LocalDecomposition(A, [c.idempotent for c in components], components)
+
+
+def _blocks(A):
+    """The finest partition of A's basis into blocks, each a sorted list of
+    indices, in the order of their least index: j, k and every i with a
+    nonzero coefficient in e_j e_k are joined, by union-find over the rows
+    of `A.int_table()` from their diagonal on, since e_j e_k = e_k e_j,
+    which stops once one block is left."""
+    n = A.dim
+    terms = A.int_table()[0]
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    count = n
+    for j in range(n):
+        if count == 1:
+            break
+        row = terms[j]
+        for k in range(j, n):
+            if row[k]:
+                for i in [k, *(i for i, _ in row[k])]:
+                    a, b = find(j), find(i)
+                    if a != b:
+                        parent[b] = a
+                        count -= 1
+    blocks = {}
+    for i in range(n):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
+
+
+def _line(A):
+    """The local component of a one-dimensional A = k b, with b b = c b and
+    1 = u b, certified by c u = 1: the idempotent is 1 = [u], the component
+    is k with X = [1 / u] = [c], unit [u] and E = P = [1], and it is its
+    own residue field, with the primitive element b = [1] and the minimal
+    polynomial t - c, whose power basis is the unit.  This is what
+    `_local_block` builds, [1] being the first candidate of
+    `_candidate_elements`."""
     F = A.field
-    if A.dim == 0:
-        return LocalDecomposition(A, [], [])
+    c, u = A.mult.data[0][0], A.unit[0]
+    if F.mul(c, u) != F.one:
+        raise ComputationError("a one-dimensional block is not unital: b b = c b and 1 = u b with c u != 1")
+    comp = ArtinAlgebra(F, 1, Matrix.column(F, [c]), [u])
+    one = Matrix.identity(F, 1)
+    minpoly = _MinimalPolynomial(F, [F.neg(c), F.one])
+    minpoly.basis = Matrix.column(F, [u])
+    residue = FieldDatum(comp, [F.one], minpoly)
+    return LocalComponent(comp, one, one, [u], Subspace.zero(F, 1), 1, residue, one)
+
+
+def _local_block(A):
+    """The local decomposition of an algebra A of positive dimension, as one
+    algebra: the radical and the idempotents of all of A, then one
+    component per idempotent."""
+    F = A.field
     if F.order is None:
         rad = radical(A)
         free = _free(A.dim, rad.pivots())
@@ -488,10 +570,15 @@ def local_decomposition(A):
         prim, minpoly = primitive_element(Kbar)
         residue = FieldDatum(Kbar, prim, minpoly)
         components.append(LocalComponent(comp, E, P, e, rad_i, nilp, residue, rproj))
-    # residue degree leads and coordinates are compared reversed: both are
-    # needed so that an already block-diagonal semisimple algebra decomposes
-    # into its blocks in block order, which makes the etale construction a
-    # literal fixed point
+    _sort_components(F, components)
+    return LocalDecomposition(A, [c.idempotent for c in components], components)
+
+
+def _sort_components(F, components):
+    """Residue degree leads and coordinates are compared reversed: both are
+    needed so that an already block-diagonal semisimple algebra decomposes
+    into its blocks in block order, which makes the etale construction a
+    literal fixed point."""
     components.sort(
         key=lambda c: (
             c.residue.dim,
@@ -499,15 +586,18 @@ def local_decomposition(A):
             tuple(F.sort_key(v) for v in reversed(c.idempotent)),
         )
     )
-    return LocalDecomposition(A, [c.idempotent for c in components], components)
 
 
 def _check_idempotents(A, idems):
-    """Raise unless the idempotents are orthogonal and sum to 1.  Over Q on
-    their integer rows E, by one product of bases: column i * r + j of the
-    products is e_i e_j, which must be e_i when i = j and 0 otherwise.  Over
-    F_q pair by pair through A.mul, which costs less there than building E."""
+    """Raise unless the idempotents are nonzero, orthogonal and sum to 1:
+    nonzero orthogonal idempotents cannot sum to 0, so an algebra whose unit
+    is 0 is refused.  Over Q on their integer rows E, by one product of
+    bases: column i * r + j of the products is e_i e_j, which must be e_i
+    when i = j and 0 otherwise.  Over F_q pair by pair through A.mul, which
+    costs less there than building E."""
     F, n, r = A.field, A.dim, len(idems)
+    if any(all(F.is_zero(c) for c in e) for e in idems):
+        raise ComputationError("an idempotent is zero")
     if F.order is None:
         E = _stack(F, n, [Matrix.column(F, e).transpose() for e in idems])
         products = row_kernel(F).basis_products(F, A, E, E)

@@ -85,9 +85,10 @@ def _q_polynomial_results():
 
 
 def _split_results(monkeypatch):
-    """Per decomposition of a seed-0 corpus coalgebra over Q: every minimal
-    polynomial the search finds, its factors, the CRT idempotents eps_f =
-    (u g)(x) and the idempotents `split_semisimple` returns."""
+    """Per decomposition of a seed-0 corpus coalgebra over Q, as one algebra
+    (`structure._local_block`): every minimal polynomial the search finds,
+    its factors, the CRT idempotents eps_f = (u g)(x) and the idempotents
+    `split_semisimple` returns."""
     coalgebras = corpus.corpus(0, 30, fields=[QQ])
     coalgebras.append(dual_coalgebra(polynomial_quotient_algebra(QQ, _ints([0, 0, -2, 0, 1]))))
     results = []
@@ -114,7 +115,7 @@ def _split_results(monkeypatch):
     monkeypatch.setattr(structure, "element_min_poly", recording_min_poly)
     monkeypatch.setattr(structure, "split_semisimple", recording_split)
     for C in coalgebras:
-        structure.local_decomposition(dual_algebra(C))
+        structure._local_block(dual_algebra(C))
     return results
 
 

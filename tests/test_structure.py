@@ -7,6 +7,7 @@ import pytest
 
 from coalgkit import corpus, jsonio, structure
 from coalgkit.coalgebra import (
+    ArtinAlgebra,
     Coalgebra,
     CoalgebraMorphism,
     counit_morphism,
@@ -165,9 +166,10 @@ def test_trace_form_matches_multiplication_matrix_traces():
 
 def test_decomposition_builds_no_matrix_powers_and_no_kronecker(monkeypatch):
     """Exact work counts on the dual of Q^6: minimal polynomials come from
-    powers of elements and the quotient from a column selection.  The
-    search takes 11 minimal polynomials: the splitting candidates e_0 .. e_4
-    and one primitive element per residue field."""
+    powers of elements and the quotient from a column selection.  Decomposed
+    as one algebra, the search takes 11 minimal polynomials: the splitting
+    candidates e_0 .. e_4 and one primitive element per residue field.
+    Block by block it is six lines, which take no search at all."""
     import sys
 
     from coalgkit import linalg
@@ -189,9 +191,13 @@ def test_decomposition_builds_no_matrix_powers_and_no_kronecker(monkeypatch):
         linalg, "kronecker", counting("kronecker_in_quotient", linalg.kronecker, "quotient_algebra"))
     monkeypatch.setattr(
         structure, "element_min_poly", counting("element_min_poly", structure.element_min_poly))
-    dec = decomposition(diagonal_coalgebra(6, QQ))
+    dec = structure._local_block(dual_algebra(diagonal_coalgebra(6, QQ)))
     assert len(dec.components) == 6
     assert counts == {"minimal_polynomial": 0, "kronecker_in_quotient": 0, "element_min_poly": 11}
+    counts.update(dict.fromkeys(counts, 0))
+    dec = decomposition(diagonal_coalgebra(6, QQ))
+    assert len(dec.components) == 6
+    assert counts == {"minimal_polynomial": 0, "kronecker_in_quotient": 0, "element_min_poly": 0}
 
 
 # -- local decomposition ------------------------------------------------------
@@ -263,7 +269,7 @@ def _decomposition_doc(C):
 DECOMPOSITION_SHA256 = "0b3d12a22c968e9ef0031b4ddef6c1bf85e64ab12c05eac40d2621ab0c2beca5"
 
 
-def test_decomposition_golden_digest():
+def _digest_coalgebras():
     rng = random.Random(41)
     coalgebras = [
         corpus.random_coalgebra(rng, field, 6) for field in [QQ, F2, F3, F5, F4] for _ in range(20)
@@ -271,8 +277,12 @@ def test_decomposition_golden_digest():
     # (x^2 + x + 1)^2 (x + 1) over F_2, x^2 (x^2 - 2) over Q, (x^2 + 1)^2 over F_3
     for field, ints in [(F2, [1, 1, 1, 1, 1, 1]), (QQ, [0, 0, -2, 0, 1]), (F3, [1, 0, 2, 0, 1])]:
         coalgebras.append(dual_coalgebra(pqa(field, ints)))
+    return coalgebras
+
+
+def test_decomposition_golden_digest():
     h = hashlib.sha256()
-    for C in coalgebras:
+    for C in _digest_coalgebras():
         h.update(jsonio.canonical_json(_decomposition_doc(C)).encode())
     assert h.hexdigest() == DECOMPOSITION_SHA256
 
@@ -286,7 +296,7 @@ F_MERSENNE = GF(2**31 - 1)
 DECOMPOSITION_FINITE_SHA256 = "8bbb1ac74fafa79419bba57ee1706dc8f01d29ec482e0604afc945d753a92ba8"
 
 
-def test_finite_decomposition_golden_digest():
+def _finite_digest_coalgebras():
     rng = random.Random(43)
     coalgebras = [
         corpus.random_coalgebra(rng, field, 6) for field in [F7, F4, F9, F_MERSENNE] for _ in range(16)
@@ -296,10 +306,146 @@ def test_finite_decomposition_golden_digest():
     for field, ints in [(F7, [0, 1, 0, 2, 0, 1]), (F_MERSENNE, [0, 1, 0, 2, 0, 1]),
                         (F9, [1, 2, 1, 1, 1, 0, 1])]:
         coalgebras.append(dual_coalgebra(pqa(field, ints)))
+    return coalgebras
+
+
+def test_finite_decomposition_golden_digest():
     h = hashlib.sha256()
-    for C in coalgebras:
+    for C in _finite_digest_coalgebras():
         h.update(jsonio.canonical_json(_decomposition_doc(C)).encode())
     assert h.hexdigest() == DECOMPOSITION_FINITE_SHA256
+
+
+# -- block by block ------------------------------------------------------------
+
+
+def _decomposition_fields(dec):
+    """Every field of a local decomposition, as reprs, entry types included."""
+    return [repr(dec.idempotents)] + [
+        repr((c.algebra.mult.data, c.algebra.unit, c.embedding.data, c.projection.data, c.idempotent,
+              c.radical.basis.data, c.nilpotency_index, c.residue.primitive_element,
+              c.residue.minimal_poly.coeffs, c.residue_projection.data))
+        for c in dec.components
+    ]
+
+
+def _kbar_algebras():
+    """The duals of k-bar[X] over F_4/F_2 and F_9/F_3 for X the disjoint
+    union of a free orbit, two fixed points and another free orbit: blocks
+    of dims 2, 1, 1, 2."""
+    from coalgkit import galois
+
+    out = []
+    for p, ints in [(2, [1, 1, 1]), (3, [1, 0, 1])]:
+        D = galois.frobenius_galois_datum(p, ints)
+        free = galois.coset_gset(D, (0,))
+        X = galois.disjoint_union(D, [free, galois.trivial_gset(D, 2), free])
+        out.append(dual_algebra(galois.kbar_functor(D, X).coalgebra))
+    return out
+
+
+def _lines(field, scales):
+    """k^r with basis b_i = e_i / c_i: b_i b_i = c_i b_i and 1 = sum of b_i / c_i."""
+    n = len(scales)
+    mult = Matrix.from_entries(field, n, n * n, [(i, i * n + i, c) for i, c in enumerate(scales)])
+    return ArtinAlgebra(field, n, mult, [field.inv(c) for c in scales])
+
+
+def _unit_last(field):
+    """k[x]/(x^2) x k on the basis x, 1_(k[x]/(x^2)), 1_k: e_0 e_1 = e_0 is
+    the only product that joins 0 and 1, read from row 0 at column 1."""
+    n, o = 3, field.one
+    mult = Matrix.from_entries(field, n, n * n, [(0, 1, o), (0, 3, o), (1, 4, o), (2, 8, o)])
+    return ArtinAlgebra(field, n, mult, [field.zero, o, o])
+
+
+def _blockwise_cases():
+    """The inputs of both decomposition digests; direct sums; tensors with
+    k^3, whose blocks interleave; k-bar[X] duals; lines with units other
+    than 1; a block whose unit comes last."""
+    from coalgkit.coalgebra import direct_sum, tensor
+
+    algebras = [dual_algebra(C) for C in _digest_coalgebras() + _finite_digest_coalgebras()]
+    rng = random.Random(47)
+    for field in [QQ, F3, F4, F7]:
+        parts = [corpus.random_coalgebra(rng, field, 3) for _ in range(3)]
+        total = direct_sum(direct_sum(parts[0], parts[1])[0], parts[2])[0]
+        algebras.append(dual_algebra(total))
+        algebras.append(dual_algebra(tensor(parts[0], diagonal_coalgebra(3, field))))
+        algebras.append(dual_algebra(tensor(dual_coalgebra(pqa(field, [0, 0, 1])), diagonal_coalgebra(3, field))))
+    algebras += _kbar_algebras()
+    algebras += [_lines(QQ, [Fraction(2), Fraction(-1, 3)]), _lines(F5, [2, 3, 1]), _lines(F9, [(0, 1)])]
+    algebras += [_unit_last(field) for field in [QQ, F2, F4]]
+    return algebras
+
+
+def test_blockwise_decomposition_equals_the_one_algebra_path():
+    """local_decomposition, block by block, equals `_local_block`, the
+    decomposition of A as one algebra, in every field of every component."""
+    several = 0
+    for A in _blockwise_cases():
+        dec = local_decomposition(A)
+        assert _decomposition_fields(dec) == _decomposition_fields(structure._local_block(A))
+        several += len(structure._blocks(A)) > 1 and len(dec.components) > 1
+    assert several >= 60
+
+
+def test_blocks_are_decomposed_one_by_one(monkeypatch):
+    """k-bar[X] with s orbits has s blocks, and `_local_block` runs once per
+    block of dimension at least 2, on that block, never on a line.  A
+    random-basis algebra is one block: the partition reads one row of its
+    table and `_local_block` runs on A itself."""
+    calls = []
+    original = structure._local_block
+
+    def recording(A):
+        calls.append(A.dim)
+        return original(A)
+
+    monkeypatch.setattr(structure, "_local_block", recording)
+    assert structure._blocks(_unit_last(QQ)) == [[0, 1], [2]]
+    for A in _kbar_algebras():
+        calls.clear()
+        assert [len(B) for B in structure._blocks(A)] == [2, 1, 1, 2]
+        assert len(local_decomposition(A).components) == 4
+        assert calls == [2, 2]
+
+    class RecordingRows(list):
+        def __getitem__(self, j):
+            rows.append(j)
+            return list.__getitem__(self, j)
+
+    table = ArtinAlgebra.int_table
+    rng = random.Random(11)
+    for field in [QQ, F3, F4]:
+        A = corpus.random_algebra(rng, field, 6)
+        terms, den = table(A)
+        rows, calls[:] = [], []
+        monkeypatch.setattr(ArtinAlgebra, "int_table", lambda self: (RecordingRows(terms), den))
+        assert structure._blocks(A) == [list(range(6))]
+        monkeypatch.setattr(ArtinAlgebra, "int_table", table)
+        assert rows == [0]
+        local_decomposition(A)
+        assert calls == [6]
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F4, F_MERSENNE])
+def test_a_zero_unit_is_refused(field):
+    """k[x]/(x^2) with unit 0 and a line b b = c b, 1 = u b with c u != 1:
+    nonzero orthogonal idempotents cannot sum to 0, and a line needs c u = 1."""
+    from coalgkit.errors import ComputationError
+
+    A = pqa(field, [0, 0, 1])
+    zero_unit = ArtinAlgebra(field, 2, A.mult, [field.zero] * 2)
+    with pytest.raises(ComputationError, match="idempotent is zero"):
+        local_decomposition(zero_unit)
+    two = field.add(field.one, field.one)
+    for u in [field.zero, field.one]:
+        line = ArtinAlgebra(field, 1, Matrix.column(field, [two]), [u])
+        with pytest.raises(ComputationError, match="c u != 1"):
+            local_decomposition(line)
+    with pytest.raises(ComputationError, match="idempotent is zero"):
+        structure._check_idempotents(A, [list(A.unit), [field.zero] * 2])
 
 
 def _nilpotents(A):
@@ -1199,7 +1345,9 @@ def test_search_exhaustion_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(
         structure, "primitive_element", lambda B: search(_split_f2_cubed())
     )
-    path = os.path.join(os.path.dirname(__file__), "..", "demos", "data", "diagonal3.json")
+    # the blocks of diagonal3.json are lines, which take no search; the dual
+    # numbers are one block of dimension 2
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", "data", "dual_numbers.json")
     assert cli.main(["etale", path]) == 4
     err = capsys.readouterr().err
     assert err.startswith("computation error: no primitive element found")

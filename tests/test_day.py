@@ -613,6 +613,38 @@ def test_day_isos_golden_digest():
     assert _isos_digest() == DAY_ISOS_SHA256
 
 
+def _typed(M):
+    return f"{type(M).__name__} {M.rows}x{M.cols} {M.data!r}"
+
+
+def _typed_day_digest():
+    """sha256 of the repr, entry types and matrix classes included, of the
+    internal hom and the convolution of the seeded pairs (with SKEW_DUALNUM)
+    and the nilpotent pairs: every stored action of both presheaves, the
+    internal hom's bases, and in both presheaves action_of of every basis
+    morphism and of every identity."""
+    h = hashlib.sha256()
+    cats = suites._day_categories() + GENERIC_CATS + [SKEW_DUALNUM]
+    for name, cat, F, G in list(_seeded_pairs(cats)) + list(_nilpotent_pairs()):
+        IH = internal_hom(F, G)
+        parts = [name] + [_typed(B.basis) for B in IH.bases]
+        for P in (IH.presheaf, day_convolve(F, G).presheaf):
+            parts += [f"{key} {_typed(M)}" for key, M in P.actions.items()]
+            parts += [_typed(P.action_of(cat.basis_mor(*key))) for key in cat.all_basis_mors()]
+            parts += [_typed(P.action_of(cat.id_mor(a))) for a in range(cat.size)]
+        h.update("\n".join(parts).encode())
+    return h.hexdigest()
+
+
+# recorded before basis morphisms acted by their stored matrices; the repr
+# sees what JSON does not: int or Fraction entries, and the matrix class
+DAY_TYPED_SHA256 = "2156032ae4e6192893e1134c0d51c2d62ea7c8805455ca2b59ae8f7b1270a002"
+
+
+def test_day_typed_golden_digest():
+    assert _typed_day_digest() == DAY_TYPED_SHA256
+
+
 def _natural_sum(P):
     """The sum of a basis of the natural endomorphisms of P."""
     mats = [Matrix.zeros(P.category.field, d, d) for d in P.dims]

@@ -97,6 +97,8 @@ class LinearMonoidalCategory:
                     symmetry[(a, b)] = self.id_mor(tensor_obj[a][b])
         self.symmetry = symmetry
         self._precompose = {}  # (a, b, i, X) -> precompose_matrix of basis i of hom(a, b)
+        self._basis_mors = tuple((a, b, i) for a in range(m) for b in range(m)
+                                 for i in range(self.hom_dim(a, b)))
 
     # -- basic structure -------------------------------------------------
     @property
@@ -113,10 +115,8 @@ class LinearMonoidalCategory:
         return (a, b, tuple(_basis_vector(self.field, self.hom_dim(a, b), i)))
 
     def all_basis_mors(self):
-        for a in range(self.size):
-            for b in range(self.size):
-                for i in range(self.hom_dim(a, b)):
-                    yield (a, b, i)
+        """Every (a, b, i), basis i of hom(a, b), listed once at construction."""
+        return self._basis_mors
 
     def compose_basis(self, a, b, c, j, i):
         """Coordinates of (basis j of hom(b,c)) o (basis i of hom(a,b))."""
@@ -361,14 +361,19 @@ class DayPresheaf:
         return M
 
     def action_of(self, f):
-        """Action matrix of an arbitrary morphism (linear in f)."""
+        """Action matrix of an arbitrary morphism (linear in f).  A basis
+        morphism with coefficient 1 acts by its stored matrix itself, which
+        is never written, so f (x) id and the identities build nothing."""
         a, b, coords = f
         F = self.category.field
-        out = Matrix.zeros(F, self.dims[a], self.dims[b])
+        terms = []
         for i, c in enumerate(coords):
             if not F.is_zero(c):
-                out = out + self.action(a, b, i).scale(c)
-        return out
+                M = self.action(a, b, i)
+                terms.append(M if F.is_one(c) else M.scale(c))
+        if not terms:
+            return Matrix.zeros(F, self.dims[a], self.dims[b])
+        return sum(terms[1:], terms[0])
 
     def total_dim(self):
         return sum(self.dims)
@@ -585,7 +590,10 @@ class DayTensor:
             tags, cols = self._relation_matrix(U, terms)
             self.relation_tags.append(tags)
             self._relation_cols.append(cols)
-            free, qcols = _quotient_cols(fld, off, row_kernel(fld).sparse_rref(fld, off, cols))
+            # sparsest first: the RREF of a span does not depend on the order,
+            # and a short column reduces in few steps (most reduce to zero)
+            rows = row_kernel(fld).sparse_rref(fld, off, sorted(cols, key=len))
+            free, qcols = _quotient_cols(fld, off, rows)
             self.free.append(free)
             self.qcols.append(qcols)
             dims.append(len(free))

@@ -1137,12 +1137,13 @@ def row_kernel(F):
 class Subspace:
     """A subspace of k^n held as a canonical RREF basis (rows)."""
 
-    __slots__ = ("field", "ambient", "basis")
+    __slots__ = ("field", "ambient", "basis", "_pivots", "_hash")
 
     def __init__(self, field, ambient, basis):
         self.field = field
         self.ambient = ambient
-        self.basis = basis  # Matrix, dim x ambient, already canonical
+        self.basis = basis  # Matrix, dim x ambient, already canonical, never written
+        self._pivots = self._hash = None
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
@@ -1176,7 +1177,10 @@ class Subspace:
         return [self.basis.row(i) for i in range(self.dim)]
 
     def pivots(self):
-        return row_kernel(self.field).pivots(self.field, self.basis)
+        """The leading column of each basis row, scanned once and kept."""
+        if self._pivots is None:
+            self._pivots = row_kernel(self.field).pivots(self.field, self.basis)
+        return self._pivots
 
     def coordinates(self, vec):
         """Coefficients of vec over the basis rows, or None if outside."""
@@ -1215,7 +1219,13 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.basis))
+        """Computed once, from the ambient dimension and the rows only: the
+        hash of an int, a Fraction or a tuple of them is the same in every
+        process, that of a field (a string in it) is not, so a pickled
+        Subspace keeps a valid hash under another PYTHONHASHSEED."""
+        if self._hash is None:
+            self._hash = hash((self.ambient, tuple(tuple(r) for r in self.basis.data)))
+        return self._hash
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient})"

@@ -509,6 +509,65 @@ def test_day_one_sided_relation_data_golden_digest():
     assert h.hexdigest() == DAY_RELATIONS_SHA256
 
 
+def test_day_quotient_does_not_depend_on_the_relation_order():
+    """DayTensor reduces its relation columns sparsest first; the free
+    indices and projection columns it reads off them are those of the
+    columns in build order and in a seeded shuffle, over F_2, F_3 and Q
+    (Q through _FieldMethods.sparse_rref).  The relation columns and tags
+    it keeps stay in build order, which the purity closure reads by index."""
+    from coalgkit.day import _quotient_cols
+    from coalgkit.linalg import row_kernel
+
+    rng = random.Random(23)
+    cats = suites._day_categories() + [c for c in GENERIC_CATS if c[1].field == QQ] + [SKEW_DUALNUM]
+    fields, reordered = set(), 0
+    for name, cat, F, G in list(_seeded_pairs(cats)) + list(_nilpotent_pairs()):
+        fld = cat.field
+        fields.add(fld)
+        T = DayTensor(F, G)
+        terms = T._relation_terms()
+        for U in range(cat.size):
+            tags, cols = T._relation_matrix(U, terms)
+            assert T.relation_tags[U] == tags and T._relation_cols[U] == cols, (name, U)
+            shuffled = list(cols)
+            rng.shuffle(shuffled)
+            by_length = sorted(cols, key=len)
+            reordered += by_length != cols
+            for order in (cols, by_length, shuffled):
+                rows = row_kernel(fld).sparse_rref(fld, T.d_dims[U], order)
+                assert _quotient_cols(fld, T.d_dims[U], rows) == (T.free[U], T.qcols[U]), (name, U)
+    assert fields == {F2, F3, QQ} and reordered > 50
+
+
+def test_basis_morphism_acts_by_its_stored_matrix(monkeypatch):
+    """action_of a basis morphism with coefficient 1 is the stored matrix
+    itself, with no field arithmetic; on k[x]/(x^2) over F_3 in the basis
+    1 + x, x the identity (1, 2) still acts by the sum of the scaled
+    actions, a single coefficient 2 by the scaled action and the zero
+    morphism by zero."""
+    from coalgkit.fields import PrimeField
+
+    name, cat = SKEW_DUALNUM
+    pairs = [(F, G) for _, _, F, G in _seeded_pairs(suites._day_categories())][::8]
+    pairs.append((representable(cat, 0), representable(cat, 0)))
+    presheaves = [P for F, G in pairs
+                  for P in (F, G, internal_hom(F, G).presheaf, day_convolve(F, G).presheaf)]
+    stored = [(P, P.category.basis_mor(*key), M) for P in presheaves for key, M in P.actions.items()]
+    ops = []
+    for op in ("add", "sub", "neg", "mul", "div", "inv"):
+        method = getattr(PrimeField, op)
+        monkeypatch.setattr(PrimeField, op, lambda self, *args, _m=method, _op=op: ops.append(_op) or _m(self, *args))
+    assert all(P.action_of(f) is M for P, f, M in stored) and len(stored) > 50
+    assert ops == []
+    monkeypatch.undo()
+    for P in presheaves[-4:]:
+        first, second = P.action(0, 0, 0), P.action(0, 0, 1)
+        assert not second.is_zero() and cat.id_mor(0) == (0, 0, (1, 2))
+        assert P.action_of(cat.id_mor(0)) == first + second.scale(2)
+        assert P.action_of((0, 0, (2, 0))) == first.scale(2)
+        assert P.action_of((0, 0, (0, 0))) == Matrix.zeros(F3, P.dims[0], P.dims[0])
+
+
 def _matrices_json(mats):
     return [jsonio.matrix_to_json(m) for m in mats]
 

@@ -865,3 +865,81 @@ RATIONAL_MATRIX_SHA256 = "2a28e7793feabfed6b4594bdc2faae84f9e6852440dffdf4b396a8
 
 def test_rational_matrix_golden_digest():
     assert _rational_digest() == RATIONAL_MATRIX_SHA256
+
+
+# -- Subspace: pivots and hash kept ---------------------------------------------
+
+
+F4 = GF(2, [1, 1, 1])
+
+
+def test_subspace_scans_its_pivots_once(monkeypatch):
+    """coordinates, contains_vector and pivots scan the basis for its pivots
+    on first use only, and give what a fresh scan gives."""
+    scans = []
+
+    def counting(scan):
+        def wrapper(F, M):
+            scans.append(F)
+            return scan(F, M)
+        return staticmethod(wrapper)
+
+    for kernel in (linalg._PrimeKernel, linalg._RationalKernel, linalg._FieldMethods):
+        monkeypatch.setattr(kernel, "pivots", counting(kernel.pivots))
+    rng = random.Random(808)
+    for field in (F2, QQ, F4):
+        M = rand_matrix(rng, field, 3, 6)
+        S = Subspace.from_vectors(field, 6, M.data)
+        scans.clear()
+        inside = M.transpose().apply([field.random(rng) for _ in range(3)])
+        vecs = [inside, [field.random(rng) for _ in range(6)], list(S.basis.data[0])]
+        got = [S.coordinates(v) for v in vecs + vecs] + [S.contains_vector(v) for v in vecs]
+        assert S.pivots() is S.pivots()
+        assert scans == [field], field
+        kernel = linalg.row_kernel(field)
+        assert got[:3] == [kernel.coordinates(field, S.basis, kernel.pivots(field, S.basis), v)
+                           for v in vecs], field
+        assert got[0] is not None and got[:3] == got[3:6]
+
+
+_HASH_CHILD = """
+import pickle, sys
+from coalgkit.fields import GF, QQ
+from coalgkit.linalg import Subspace
+
+def spaces():
+    for field in (GF(2), QQ, GF(2, [1, 1, 1])):
+        one, two = field.one, field.add(field.one, field.one)
+        yield Subspace.from_vectors(field, 3, [[one, two, field.zero], [field.zero, one, one]])
+
+if sys.argv[1] == "dump":
+    spaces = list(spaces())
+    for S in spaces:
+        hash(S)
+    sys.stdout.buffer.write(pickle.dumps(spaces))
+else:
+    for loaded, fresh in zip(pickle.load(sys.stdin.buffer), spaces()):
+        assert loaded == fresh and hash(loaded) == hash(fresh), fresh.field
+        assert {fresh: 1}[loaded] == 1 and {loaded: 1}[fresh] == 1, fresh.field
+    print("ok")
+"""
+
+
+def test_pickled_subspace_hash_holds_under_another_hash_seed():
+    """A Subspace hashed and pickled under PYTHONHASHSEED=0 hashes equal to
+    a freshly built equal one, and finds it as a dict key, in a process
+    under PYTHONHASHSEED=1, over F_2, Q and F_4: its kept hash reads the
+    ambient dimension and the rows only, never the field."""
+    import os
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def child(seed, mode, data=None):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+        return subprocess.run([sys.executable, "-c", _HASH_CHILD, mode], input=data,
+                              capture_output=True, env=env, timeout=60, check=True).stdout
+
+    assert child("1", "load", child("0", "dump")) == b"ok\n"

@@ -224,7 +224,7 @@ class LinearMonoidalCategory:
                 ):
                     failures.append(("tensor-identities", (a, b)))
         # interchange on basis morphisms
-        basis = list(self.all_basis_mors())
+        basis = self.all_basis_mors()
         for (a, b, i) in basis:
             for (b2, c, j) in basis:
                 if b2 != b:

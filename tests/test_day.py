@@ -554,9 +554,15 @@ def test_basis_morphism_acts_by_its_stored_matrix(monkeypatch):
                   for P in (F, G, internal_hom(F, G).presheaf, day_convolve(F, G).presheaf)]
     stored = [(P, P.category.basis_mor(*key), M) for P in presheaves for key, M in P.actions.items()]
     ops = []
-    for op in ("add", "sub", "neg", "mul", "div", "inv"):
-        method = getattr(PrimeField, op)
-        monkeypatch.setattr(PrimeField, op, lambda self, *args, _m=method, _op=op: ops.append(_op) or _m(self, *args))
+
+    def counted(op, method):
+        def wrapper(self, *args):
+            ops.append(op)
+            return method(self, *args)
+        return wrapper
+
+    for op in ("add", "sub", "neg", "mul", "div", "inv"):  # the ops of fields.ops.fp
+        monkeypatch.setattr(PrimeField, op, counted(op, getattr(PrimeField, op)))
     assert all(P.action_of(f) is M for P, f, M in stored) and len(stored) > 50
     assert ops == []
     monkeypatch.undo()

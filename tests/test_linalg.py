@@ -28,6 +28,7 @@ from coalgkit.polys import Polynomial
 F2 = GF(2)
 F3 = GF(3)
 F5 = GF(5)
+F4 = GF(2, [1, 1, 1])
 FIELDS = [QQ, F2, F3, F5]
 
 
@@ -868,9 +869,6 @@ def test_rational_matrix_golden_digest():
 
 
 # -- Subspace: pivots and hash kept ---------------------------------------------
-
-
-F4 = GF(2, [1, 1, 1])
 
 
 def test_subspace_scans_its_pivots_once(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -228,6 +229,69 @@ def test_factorization_does_not_depend_on_the_seed(monkeypatch):
         assert len(factor_polynomial(split)[1]) == len(roots)
     # every seed reached the splitting, and only the patched seeds did
     assert set(drawn) == set(range(5))
+
+
+F7 = GF(7)
+F8 = GF(2, [1, 1, 0, 1])  # x^3 + x + 1
+F101 = GF(101)
+F65537 = GF(65537)
+FACTOR_FIELDS = (F2, F3, F7, F101, F65537, F_MERSENNE, F4, F8, F9)
+
+
+def _finite_factor_inputs(field):
+    """Seeded polynomials over field: one of each degree 1..8, 12, 16 and
+    24, products of same-degree factors, products g^2 h and g^3 with
+    repeated factors, and in small characteristic p the inputs g(x^p) and
+    g(x^p) h, on which Yun's algorithm takes p-th roots."""
+    rng = random.Random(f"finite-factor/{field!r}")
+    p = field.characteristic
+
+    def draw(d):
+        while True:
+            f = Polynomial(field, [field.random(rng) for _ in range(d)] + [field.random(rng)])
+            if f.degree == d:
+                return f
+
+    def product(*factors):
+        out = Polynomial.one(field)
+        for f in factors:
+            out = out * f
+        return out
+
+    out = [draw(d) for d in (1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24)]
+    out += [product(*(draw(1) for _ in range(6))), product(*(draw(2) for _ in range(5))),
+            product(*(draw(4) for _ in range(4)))]
+    for _ in range(3):
+        g = draw(rng.randint(1, 4))
+        out += [g * g * draw(rng.randint(1, 6)), g * g * g]
+    if p <= 7:
+        for d in (1, 2, 24 // p):
+            coeffs = [field.zero] * (d * p + 1)
+            coeffs[::p] = draw(d).coeffs
+            g = Polynomial(field, coeffs)
+            out += [g, g * draw(rng.randint(1, 3))]
+    return out
+
+
+def _finite_factor_results():
+    return [(repr(field), repr(f), factor_polynomial(f)) for field in FACTOR_FIELDS
+            for f in _finite_factor_inputs(field)]
+
+
+# sha256 of repr(_finite_factor_results()), recorded on the distinct-degree
+# and Cantor-Zassenhaus factoring
+FINITE_FACTOR_SHA256 = "0560908b39a5a394b8ffd04aa9081599bf495539a73161343be43072beefa093"
+
+
+def test_finite_factor_golden_digest():
+    """Factorizations are unique and sorted, so they do not depend on the
+    splitting method: the digest pins every output over the nine fields."""
+    results = _finite_factor_results()
+    # Yun's p-th roots ran: some factor of an input over F_2 .. F_9 has
+    # multiplicity p
+    assert {m for field, _, (_, factors) in results for _, m in factors} >= {2, 3, 7}
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == FINITE_FACTOR_SHA256
 
 
 class _ZeroRng:

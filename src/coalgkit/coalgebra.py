@@ -265,6 +265,20 @@ def polynomial_quotient_algebra(field, poly):
     return ArtinAlgebra(field, d, mult, unit)
 
 
+def _quotient_frobenius(field, poly):
+    """The matrix of the Frobenius x -> x^q on F_q[t]/(poly) in the power
+    basis: column i is h^i mod poly, the image of t^i, for h = t^q mod poly,
+    so one `pow_mod` builds it."""
+    from .polys import Polynomial
+
+    d = poly.degree
+    h = Polynomial.x(field).pow_mod(field.order, poly)
+    cols = [Polynomial.one(field)]
+    for _ in range(d - 1):
+        cols.append((cols[-1] * h) % poly)
+    return Matrix.from_cols(field, [list(c.coeffs) + [field.zero] * (d - len(c.coeffs)) for c in cols], d)
+
+
 def subalgebra_on_basis(A, basis_rows):
     """Unital subalgebra spanned by basis_rows (must contain 1 and be closed
     under multiplication); returns (algebra, embedding matrix)."""

@@ -40,8 +40,8 @@ class KbarDimensionExceeded(ComputationError):
 
 class SearchExhausted(ComputationError):
     """A bounded search ran out: the candidate elements of a primitive
-    element or splitting element, the random trials of a Cantor-Zassenhaus
-    split, or the odd primes tried for Hensel lifting.  The message names its
+    element or splitting element, the seeded draws of the Frobenius split,
+    or the odd primes tried for Hensel lifting.  The message names its
     bounds and the count tried."""
 
 

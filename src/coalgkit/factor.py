@@ -1,9 +1,9 @@
 """Univariate polynomial factorization.
 
-Finite fields: squarefree decomposition, distinct-degree splitting, then
-seeded Cantor-Zassenhaus equal-degree splitting, with a bounded number of
-random trials per split; the same seed and bound steer the draws of the
-Frobenius split in `structure`, which splits an algebra with no polynomial.
+Finite fields: Yun's squarefree decomposition, then Berlekamp's algorithm:
+the factors of a squarefree part g are read off the primitive idempotents
+of F_q[t]/(g), which the Frobenius split of `structure` finds, the one split
+over F_q.
 Rationals, on integer coefficient lists: a modular certificate that f is
 squarefree (else the same squarefree decomposition, its gcds on integers),
 rational-root extraction, then Zassenhaus (the certificate's prime,
@@ -20,11 +20,8 @@ from . import gfpoly
 from .errors import ComputationError, DegreeCapExceeded, NotSupported, SearchExhausted
 from .fields import ExtensionField, PrimeField, QQ, RationalField, is_prime
 from .polys import Polynomial
-from .seeding import derived_rng
 
 DEFAULT_DEGREE_CAP = 16
-_SPLIT_TRIALS = 64  # random trials per Cantor-Zassenhaus split
-_SPLIT_SEED = 0  # seed of the splitting trials; no factorization depends on it
 # odd primes the squarefree certificate tries before Yun's algorithm: every
 # prime fails on a polynomial that is not squarefree, and the search to the
 # bound of `_good_prime` costs more than Yun's gcds
@@ -70,12 +67,23 @@ def is_irreducible(f):
 
 
 def _factor_finite(f):
-    out = []
-    for g, mult in _squarefree(f):
-        for h, d in _distinct_degree(g):
-            for piece in _equal_degree(h, d):
-                out.append((piece, mult))
-    return out
+    return [(g, mult) for part, mult in _squarefree(f) for g in _berlekamp(part)]
+
+
+def _berlekamp(g):
+    """The monic irreducible factors of monic squarefree g over F_q
+    (Berlekamp, Bell Syst. Tech. J. 46, 1967): each primitive idempotent e
+    of A = F_q[t]/(g), split inside the fixed algebra of the Frobenius
+    matrix of A, gives the factor gcd(g, e - 1)."""
+    if g.degree == 1:
+        return [g]
+    from . import structure  # structure imports this module
+    from .coalgebra import _quotient_frobenius, polynomial_quotient_algebra
+
+    F = g.field
+    phi = _quotient_frobenius(F, g)
+    idempotents = structure._frobenius_idempotents(polynomial_quotient_algebra(F, g), phi)
+    return [g.gcd(Polynomial(F, e) - Polynomial.one(F)) for e in idempotents]
 
 
 def _squarefree(f):
@@ -121,94 +129,6 @@ def _pth_root_poly(f):
     for i in range(0, len(f.coeffs), p):
         coeffs.append(F.pth_root(f.coeffs[i]))
     return Polynomial(F, coeffs)
-
-
-def _distinct_degree(f):
-    """Squarefree monic f -> [(product of degree-d factors, d)]."""
-    F = f.field
-    q = F.order
-    out = []
-    h = Polynomial.x(F)
-    x = Polynomial.x(F)
-    d = 0
-    while f.degree > 2 * (d + 1) - 1 and f.degree > 0:
-        d += 1
-        h = h.pow_mod(q, f)
-        g = f.gcd(h - x)
-        if g.degree > 0:
-            out.append((g.monic(), d))
-            f = (f // g).monic()
-            h = h % f
-    if f.degree > 0:
-        out.append((f, f.degree))
-    return out
-
-
-def _equal_degree(f, d):
-    """Split monic squarefree f whose irreducible factors all have degree d."""
-    if f.degree == d:
-        return [f]
-    return _cantor_zassenhaus(f, d, derived_rng(_SPLIT_SEED, f.degree, d))
-
-
-def _cantor_zassenhaus(f, d, rng):
-    """Cantor-Zassenhaus splitting (Math. Comp. 36, 1981) of f into its
-    degree-d factors."""
-    out = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g.degree == d:
-            out.append(g)
-            continue
-        h = _split(g, d, rng)
-        stack.append(h)
-        stack.append((g // h).monic())
-    return out
-
-
-def _split(g, d, rng):
-    """A proper monic factor of monic squarefree g, all of whose irreducible
-    factors have degree d.
-
-    A random v mod g splits g by gcd(g, v^((q^d - 1)/2) - 1) in odd
-    characteristic and by gcd(g, v + v^2 + v^4 + ... + v^(2^(kd - 1))) over
-    F_(2^k).  Each trial splits with probability at least 4/9, so
-    _SPLIT_TRIALS trials fail with probability below 10^-16; the bound
-    guards against a broken random source."""
-    F = g.field
-    q = F.order
-    for _ in range(_SPLIT_TRIALS):
-        v = Polynomial(F, [F.random(rng) for _ in range(g.degree)])
-        if v.degree < 1:
-            continue
-        if F.characteristic == 2:
-            t = Polynomial.zero(F)
-            w = v % g
-            bits = d * _log2_order(F)
-            for _ in range(bits):
-                t = (t + w) % g
-                w = (w * w) % g
-            h = g.gcd(t)
-        else:
-            w = v.pow_mod((q**d - 1) // 2, g)
-            h = g.gcd(w - Polynomial.one(F))
-        if 0 < h.degree < g.degree:
-            return h.monic()
-    raise SearchExhausted(
-        f"Cantor-Zassenhaus split of a degree-{g.degree} polynomial over {F} into "
-        f"degree-{d} factors failed after {_SPLIT_TRIALS} trials "
-        f"(bound _SPLIT_TRIALS = {_SPLIT_TRIALS})"
-    )
-
-
-def _log2_order(F):
-    q = F.order
-    e = 0
-    while q > 1:
-        q //= 2
-        e += 1
-    return e
 
 
 # -- rationals ---------------------------------------------------------

@@ -25,6 +25,7 @@ from .coalgebra import (
     dual_algebra,
     dual_coalgebra,
     is_multiplicative,
+    _quotient_frobenius,
     polynomial_quotient_algebra,
     subalgebra_on_basis,
     tensor,
@@ -177,17 +178,15 @@ def _close_subgroup(table, seed, identity):
 
 def frobenius_galois_datum(p, modulus_ints):
     """The extension F_p[x]/(modulus) with its automorphisms, the powers
-    Phi^0 ... Phi^(e-1) of the Frobenius Phi: x -> x^p.  Column i of Phi is
-    x^(ip) mod modulus, the image of the basis vector x^i, so the field
-    check of the datum builds the one Frobenius matrix of L."""
+    Phi^0 ... Phi^(e-1) of the Frobenius Phi: x -> x^p, read off the
+    quotient by `_quotient_frobenius`, so the field check of the datum
+    builds the one Frobenius matrix of L."""
     base = PrimeField(p)
     poly = Polynomial.from_ints(base, modulus_ints)
     L = polynomial_quotient_algebra(base, poly)
     e = poly.degree
     autos = [Matrix.identity(base, e)]
-    x = Polynomial.x(base)
-    cols = [x.pow_mod(i * p, poly).coeffs for i in range(e)]
-    phi = Matrix.from_cols(base, [list(c) + [base.zero] * (e - len(c)) for c in cols], e)
+    phi = _quotient_frobenius(base, poly)
     for _ in range(e - 1):
         autos.append(autos[-1] @ phi)
     table = [[(i + j) % e for j in range(e)] for i in range(e)]

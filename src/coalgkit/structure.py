@@ -14,7 +14,7 @@ on a commutative algebra.  Both are exact over the implemented fields.
 
 from fractions import Fraction
 
-from . import factor, gfpoly
+from . import gfpoly
 from .coalgebra import (
     ArtinAlgebra,
     CoalgebraMorphism,
@@ -33,6 +33,8 @@ from .polys import Polynomial
 from .seeding import derived_rng
 
 _SEARCH_SEED = 20870  # seed of the element searches; no result depends on it
+_SPLIT_SEED = 0  # seed of the Frobenius split's draws; no result depends on it
+_SPLIT_TRIALS = 64  # seeded draws of the Frobenius split
 _RANDOM_DRAWS = 400  # seeded random candidates after the basis combinations
 _EXHAUSTIVE_BOUND = 1 << 16  # every vector is a candidate when q^dim is at most this
 
@@ -119,22 +121,22 @@ def _frobenius_idempotents(A, phi):
             return [embed.apply(e) for e in blocks]
     raise SearchExhausted(
         f"Frobenius split of a rank-{r} fixed algebra over {F} found {len(blocks)} "
-        f"idempotents after {factor._SPLIT_TRIALS} seeded draws "
-        f"(bound _SPLIT_TRIALS = {factor._SPLIT_TRIALS})"
+        f"idempotents after {_SPLIT_TRIALS} seeded draws "
+        f"(bound _SPLIT_TRIALS = {_SPLIT_TRIALS})"
     )
 
 
 def _split_trials(S):
     """The trials of the Frobenius split: the basis vectors of S, then
-    `factor._SPLIT_TRIALS` seeded random elements, from an rng made when
+    `_SPLIT_TRIALS` seeded random elements, from an rng made when
     the stream reaches them.  A random element separates two primitive
     idempotents with probability about 1/2, so the draws leave a pair
     unseparated with probability about 2^-_SPLIT_TRIALS; the bound guards
     against a broken random source."""
     F = S.field
     yield from std_basis(F, S.dim)
-    rng = derived_rng(factor._SPLIT_SEED, S.dim)
-    for _ in range(factor._SPLIT_TRIALS):
+    rng = derived_rng(_SPLIT_SEED, S.dim)
+    for _ in range(_SPLIT_TRIALS):
         yield [F.random(rng) for _ in range(S.dim)]
 
 

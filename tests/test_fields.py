@@ -25,6 +25,11 @@ F9 = GF(3, [1, 0, 1])
 F257 = GF(257)
 F_MERSENNE = GF(2**31 - 1)
 F512 = GF(2, [1, 1, 0, 0, 0, 0, 0, 0, 0, 1])  # x^9 + x + 1
+F7 = GF(7)
+F8 = GF(2, [1, 1, 0, 1])  # x^3 + x + 1
+F101 = GF(101)
+F65537 = GF(65537)
+FACTOR_FIELDS = (F2, F3, F7, F101, F65537, F_MERSENNE, F4, F8, F9)
 
 
 def test_rational_arithmetic():
@@ -201,21 +206,23 @@ def test_refactor_property(field, count):
 
 
 def test_factorization_does_not_depend_on_the_seed(monkeypatch):
-    """The seed only steers Cantor-Zassenhaus; the factorization is unique."""
-    from coalgkit import factor
+    """The seed only steers the draws of the Frobenius split, which splits
+    F_q[t]/(g) for each squarefree part g; the factorization is unique."""
+    from coalgkit import structure
 
     drawn = []
-    original = factor.derived_rng
+    original = structure.derived_rng
 
     def recording(seed, *path):
         drawn.append(seed)
         return original(seed, *path)
 
-    monkeypatch.setattr(factor, "derived_rng", recording)
+    monkeypatch.setattr(structure, "derived_rng", recording)
     rng = random.Random(13)
     for field in (F2, F3, F4, F9, F257, F_MERSENNE, F512):
         polys = _seeded_polynomials(rng, field)
-        # products of distinct linear factors force equal-degree splitting
+        # products of distinct linear factors: the basis of the fixed
+        # algebra is 1, t, t^2, .., whose characters seldom separate them
         roots = {field.random(rng) for _ in range(6)}
         split = Polynomial.one(field)
         for r in roots:
@@ -223,19 +230,12 @@ def test_factorization_does_not_depend_on_the_seed(monkeypatch):
         for f in polys[:5] + [split]:
             results = []
             for seed in range(5):
-                monkeypatch.setattr(factor, "_SPLIT_SEED", seed)
+                monkeypatch.setattr(structure, "_SPLIT_SEED", seed)
                 results.append(factor_polynomial(f))
             assert all(r == results[0] for r in results), (field, f.coeffs)
         assert len(factor_polynomial(split)[1]) == len(roots)
-    # every seed reached the splitting, and only the patched seeds did
+    # every seed reached the draws, and only the patched seeds did
     assert set(drawn) == set(range(5))
-
-
-F7 = GF(7)
-F8 = GF(2, [1, 1, 0, 1])  # x^3 + x + 1
-F101 = GF(101)
-F65537 = GF(65537)
-FACTOR_FIELDS = (F2, F3, F7, F101, F65537, F_MERSENNE, F4, F8, F9)
 
 
 def _finite_factor_inputs(field):
@@ -294,6 +294,43 @@ def test_finite_factor_golden_digest():
     assert digest == FINITE_FACTOR_SHA256
 
 
+@pytest.mark.parametrize("field", FACTOR_FIELDS, ids=repr)
+def test_squarefree_factoring_is_one_frobenius_split(monkeypatch, field):
+    """A squarefree g of degree >= 2 takes one `pow_mod`, t^q mod g, which
+    gives the Frobenius matrix of F_q[t]/(g), and one split of its fixed
+    algebra; an irreducible g comes back as [g]."""
+    from coalgkit import structure
+
+    pow_mods, splits = [], []
+    original_pow_mod, original_split = Polynomial.pow_mod, structure._frobenius_idempotents
+
+    def pow_mod(self, n, modulus):
+        pow_mods.append(n)
+        return original_pow_mod(self, n, modulus)
+
+    def split(A, phi):
+        splits.append(A.dim)
+        return original_split(A, phi)
+
+    def factors_of(g):
+        pow_mods.clear()
+        splits.clear()
+        _, factors = factor_polynomial(g)
+        assert pow_mods == [field.order] and splits == [g.degree]
+        return factors
+
+    monkeypatch.setattr(Polynomial, "pow_mod", pow_mod)
+    monkeypatch.setattr(structure, "_frobenius_idempotents", split)
+    squarefree = [f for f in _finite_factor_inputs(field)
+                  if f.degree >= 2 and f.gcd(f.derivative()).degree == 0]
+    assert len(squarefree) >= 4
+    for f in squarefree:
+        for g, mult in factors_of(f):
+            assert mult == 1
+            if g.degree >= 2:
+                assert factors_of(g) == [(g, 1)]
+
+
 class _ZeroRng:
     """A random source that only ever draws 0: no trial can split."""
 
@@ -305,19 +342,25 @@ class _ZeroRng:
         return 0
 
 
-@pytest.mark.parametrize("field,draws_per_coefficient", [(F5, 1), (F4, 2)], ids=repr)
-def test_cantor_zassenhaus_trials_are_bounded(field, draws_per_coefficient):
-    from coalgkit.factor import _SPLIT_TRIALS, _cantor_zassenhaus
+@pytest.mark.parametrize("name, draws_per_coefficient", [("F5", 1), ("F9", 2), ("F_mersenne", 1)])
+def test_factoring_split_draws_are_bounded(monkeypatch, name, draws_per_coefficient):
+    """On the products g of three linear factors whose nonzero roots are
+    squares, the basis 1, t, t^2 of the fixed algebra of F_q[t]/(g)
+    separates no factor, so factoring reaches the seeded draws, and a
+    source that draws only 0 exhausts them."""
+    from coalgkit import structure
+    from coalgkit.structure import _SPLIT_TRIALS
 
-    f = Polynomial.one(field)
-    for r in list(field.elements())[:3]:
-        f = f * Polynomial(field, [field.neg(r), field.one])
+    from .test_structure import UNSEPARATED
+
+    field, ints = UNSEPARATED[name]
     rng = _ZeroRng()
+    monkeypatch.setattr(structure, "derived_rng", lambda *parts: rng)
     with pytest.raises(SearchExhausted) as info:
-        _cantor_zassenhaus(f, 1, rng)
-    assert rng.draws == _SPLIT_TRIALS * f.degree * draws_per_coefficient
+        factor_polynomial(Polynomial.from_ints(field, ints))
+    assert rng.draws == _SPLIT_TRIALS * 3 * draws_per_coefficient
     message = str(info.value)
-    assert f"after {_SPLIT_TRIALS} trials" in message and "_SPLIT_TRIALS" in message
+    assert f"after {_SPLIT_TRIALS} seeded draws" in message and "_SPLIT_TRIALS" in message
 
 
 def _int_long_division(f, g):

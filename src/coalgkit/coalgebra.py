@@ -119,7 +119,7 @@ class CoalgebraMorphism:
 class ArtinAlgebra:
     """Finite-dimensional commutative unital algebra via structure constants."""
 
-    __slots__ = ("field", "dim", "mult", "unit", "_table", "_int_table")
+    __slots__ = ("field", "dim", "mult", "unit", "_int_table")
 
     def __init__(self, field, dim, mult, unit):
         if mult.rows != dim or mult.cols != dim * dim:
@@ -130,23 +130,13 @@ class ArtinAlgebra:
         self.dim = dim
         self.mult = mult
         self.unit = list(unit)
-        self._table = None
         self._int_table = None
-
-    def table(self):
-        """table[j][k] = coordinate vector of e_j * e_k."""
-        if self._table is None:
-            n = self.dim
-            self._table = [
-                [self.mult.col(j * n + k) for k in range(n)] for j in range(n)
-            ]
-        return self._table
 
     def int_table(self):
         """(terms, den): the structure constants on the footing of the
         field's row kernel (`Matrix.cleared_columns`), e_j * e_k being the
-        sum of a / den * e_i over (i, a) in terms[j][k], a != 0.  The Q and
-        F_p kernels multiply on it, and the axiom checks contract it."""
+        sum of a / den * e_i over (i, a) in terms[j][k], a != 0.  Every row
+        kernel multiplies on it, and the axiom checks contract it."""
         if self._int_table is None:
             n = self.dim
             cols, den = self.mult.cleared_columns()

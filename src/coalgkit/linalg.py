@@ -476,9 +476,9 @@ def _null_rows(R, pivots):
 # dependence of minimal_polynomial), ArtinAlgebra.mul, mult_matrix and
 # eval_poly, the products of two bases in an algebra, the power chain of a
 # minimal polynomial, the Newton lift of an idempotent, the sparse RREF
-# (Subspace.from_sparse, DayTensor), Subspace.pivots/coordinates, and the
-# sparse contraction the axiom checks compare, one implementation per field
-# kind, picked by `row_kernel`.  The Q kernel returns its matrices on integer
+# (`sparse_rref`, which DayTensor and day._naturality_kernel run),
+# Subspace.pivots/coordinates, and the sparse contraction the axiom checks
+# compare, one implementation per field kind, picked by `row_kernel`.  The Q kernel returns its matrices on integer
 # rows (`_IntRowMatrix`) and reads them, so a chain of products, reductions
 # and solves clears each Fraction input once.  F_p and F_q matrices keep
 # `data` a plain slot, which each of their kernel ops reads: a property on
@@ -490,10 +490,11 @@ def _null_rows(R, pivots):
 # over scales s and t are equal when contract(lhs, t) == contract(rhs, s).
 # `_FieldMethods` sends every entry through the field's own methods; F_q
 # runs on it, and the F_p and Q kernels return byte-identical results to it.
-# Its one row reduction is the sparse one; its dense `rref` is that result
-# written out.  The F_p and Q kernels keep a dense rref of their own: sending
-# F_p through the sparse one cost the finite-field workload 9% of its
-# throughput.
+# It multiplies in an algebra on the nonzero terms of `ArtinAlgebra.int_table`,
+# as the other kernels do.  Its one row reduction is the sparse one
+# (`sparse_rref`); its dense `rref` is that result written out.  The F_p and
+# Q kernels keep a dense rref of their own: sending F_p through the sparse
+# one cost the finite-field workload 9% of its throughput.
 
 
 def _min_poly_powers(F, A, x):
@@ -599,20 +600,20 @@ class _FieldMethods:
 
     @staticmethod
     def algebra_mul(F, A, x, y):
+        """x * y over the nonzero terms of `A.int_table()`, which `cleared`
+        puts on scale 1 here."""
         out = [F.zero] * A.dim
-        table = A.table()
+        terms = A.int_table()[0]
         for j, a in enumerate(x):
             if F.is_zero(a):
                 continue
-            row = table[j]
+            row = terms[j]
             for k, b in enumerate(y):
                 if F.is_zero(b):
                     continue
                 c = F.mul(a, b)
-                col = row[k]
-                for i, t in enumerate(col):
-                    if not F.is_zero(t):
-                        out[i] = F.add(out[i], F.mul(c, t))
+                for i, t in row[k]:
+                    out[i] = F.add(out[i], F.mul(c, t))
         return out
 
     @staticmethod

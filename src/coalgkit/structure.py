@@ -593,28 +593,18 @@ def _sort_components(F, components):
 def _check_idempotents(A, idems):
     """Raise unless the idempotents are nonzero, orthogonal and sum to 1:
     nonzero orthogonal idempotents cannot sum to 0, so an algebra whose unit
-    is 0 is refused.  Over Q on their integer rows E, by one product of
-    bases: column i * r + j of the products is e_i e_j, which must be e_i
-    when i = j and 0 otherwise.  Over F_q pair by pair through A.mul, which
-    costs less there than building E."""
-    F, n, r = A.field, A.dim, len(idems)
+    is 0 is refused.  Every ordered pair through A.mul: e_i e_j must be e_i
+    when i = j and 0 otherwise."""
+    F, n = A.field, A.dim
     if any(all(F.is_zero(c) for c in e) for e in idems):
         raise ComputationError("an idempotent is zero")
-    if F.order is None:
-        E = _stack(F, n, [Matrix.column(F, e).transpose() for e in idems])
-        products = row_kernel(F).basis_products(F, A, E, E)
-        squares = _block(products, range(n), [i * (r + 1) for i in range(r)])
-        mixed = _block(products, range(n), [c for c in range(r * r) if c % (r + 1)])
-        orthogonal = squares == E.transpose() and mixed.is_zero()
-        total = (Matrix.column(F, [F.one] * r).transpose() @ E).row(0)
-    else:
-        orthogonal = all(A.mul(e, f) == (e if i == j else [F.zero] * n)
-                         for i, e in enumerate(idems) for j, f in enumerate(idems))
-        total = [F.zero] * n
-        for e in idems:
-            total = [F.add(a, b) for a, b in zip(total, e)]
-    if not orthogonal:
+    zero = [F.zero] * n
+    if not all(A.mul(e, f) == (e if i == j else zero)
+               for i, e in enumerate(idems) for j, f in enumerate(idems)):
         raise ComputationError("lifted idempotents not orthogonal")
+    total = zero
+    for e in idems:
+        total = [F.add(a, b) for a, b in zip(total, e)]
     if total != list(A.unit):
         raise ComputationError("lifted idempotents do not sum to 1")
 
@@ -658,19 +648,14 @@ def hensel_lift_root(A, p, start):
 
 def power_basis(A, x, d):
     """The powers 1, x, .., x^(d - 1) of an element x of A of degree d, as
-    the rows of a matrix of the row kernel's kind.  Over Q they are the
-    integer rows of the power chain of x's minimal polynomial; over F_q the
-    products of A.mul, which cost less there than that chain's reduction."""
+    the rows of a matrix of the row kernel's kind: the power chain of x's
+    minimal polynomial (over Q its integer rows).  Raise when x's degree is
+    not d."""
     F = A.field
-    if F.order is None:
-        _, powers = row_kernel(F).min_poly_powers(F, A, x)
-        if powers.rows != d:
-            raise ComputationError(f"element has degree {powers.rows}, not {d}")
-        return powers
-    powers = [list(A.unit)]
-    for _ in range(d - 1):
-        powers.append(A.mul(powers[-1], x))
-    return Matrix.from_rows(F, powers, A.dim)
+    _, powers = row_kernel(F).min_poly_powers(F, A, x)
+    if powers.rows != d:
+        raise ComputationError(f"element has degree {powers.rows}, not {d}")
+    return powers
 
 
 class WedderburnSplitting:

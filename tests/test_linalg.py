@@ -523,6 +523,39 @@ def test_rank_and_rref_against_sympy(field):
         assert R.data == want
 
 
+def _product_from_mult(A, x, y):
+    """x * y read straight off the columns of A.mult: the sum of
+    x_j y_k times column j * n + k, through the field's own methods."""
+    F, n = A.field, A.dim
+    out = [F.zero] * n
+    for j, a in enumerate(x):
+        for k, b in enumerate(y):
+            c = F.mul(a, b)
+            out = [F.add(s, F.mul(c, t)) for s, t in zip(out, A.mult.col(j * n + k))]
+    return out
+
+
+@pytest.mark.parametrize("field", [GF(2, [1, 1, 1]), GF(3, [1, 0, 1]), F3, QQ], ids=repr)
+def test_generic_algebra_products_match_the_structure_constants(monkeypatch, field):
+    """On the reference path (every entry through the field's own methods,
+    which F_q always runs) A.mul and A.mult_matrix on seeded algebras equal
+    the products read straight off A.mult."""
+    from coalgkit import corpus
+
+    monkeypatch.setattr(linalg, "_ROW_KERNELS", {})
+    assert linalg.row_kernel(field) is linalg._FieldMethods
+    rng = random.Random(3939)
+    for n in (1, 2, 3, 4, 6):
+        A = corpus.random_algebra(rng, field, n)
+        basis = Matrix.identity(field, n).data
+        xs = [_sparse_matrix(rng, field, 1, n).data[0] for _ in range(3)] + [A.unit, [field.zero] * n]
+        for x in xs:
+            for y in xs + basis:
+                assert A.mul(x, y) == _product_from_mult(A, x, y)
+            columns = [_product_from_mult(A, x, e) for e in basis]
+            assert A.mult_matrix(x).data == [[c[i] for c in columns] for i in range(n)]
+
+
 @pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=repr)
 def test_minimal_polynomial_against_sympy(field):
     """sympy's characteristic polynomial, with each irreducible factor

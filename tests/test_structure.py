@@ -448,6 +448,42 @@ def test_a_zero_unit_is_refused(field):
         structure._check_idempotents(A, [list(A.unit), [field.zero] * 2])
 
 
+@pytest.mark.parametrize("field", [QQ, F5, F4], ids=repr)
+def test_planted_idempotent_faults_are_refused(field):
+    """On k^3 (basis e_0, e_1, e_2 of orthogonal idempotents) and on
+    k[x]/(x^2): a pair of idempotents with a nonzero product, an element
+    that is not idempotent and orthogonal idempotents short of the unit are
+    each refused, and the basis itself passes."""
+    from coalgkit.errors import ComputationError
+
+    z, o = field.zero, field.one
+    A = dual_algebra(diagonal_coalgebra(3, field))
+    structure._check_idempotents(A, Matrix.identity(field, 3).data)
+    with pytest.raises(ComputationError, match="lifted idempotents not orthogonal"):
+        structure._check_idempotents(A, [[o, o, z], [z, o, o]])  # their product is e_1
+    dual = pqa(field, [0, 0, 1])
+    with pytest.raises(ComputationError, match="lifted idempotents not orthogonal"):
+        structure._check_idempotents(dual, [[o, o]])  # (1 + x)^2 = 1 + 2x
+    with pytest.raises(ComputationError, match="lifted idempotents do not sum to 1"):
+        structure._check_idempotents(A, [[o, z, z], [z, o, z]])
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F4], ids=repr)
+def test_power_basis_refuses_an_element_of_another_degree(field):
+    """On k^2 the unit has degree 1 and e_1 degree 2: power_basis returns
+    1, e_1 for e_1 at degree 2 and refuses the unit at degree 2 and e_1 at
+    degree 1."""
+    from coalgkit.errors import ComputationError
+
+    A = dual_algebra(diagonal_coalgebra(2, field))
+    e1 = [field.zero, field.one]
+    with pytest.raises(ComputationError, match="element has degree 1, not 2"):
+        structure.power_basis(A, A.unit, 2)
+    with pytest.raises(ComputationError, match="element has degree 2, not 1"):
+        structure.power_basis(A, e1, 1)
+    assert structure.power_basis(A, e1, 2).data == [A.unit, e1]
+
+
 def _nilpotents(A):
     """The elements x with x^(2^k) = 0 for 2^k > dim A, by walking every
     element once and squaring through the table of squares."""

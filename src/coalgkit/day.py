@@ -26,6 +26,12 @@ each side is linear in phi, s and t.  Bilinearity in (alpha, beta) then
 leaves the basis pairs.  An identity that is not a basis morphism (as may
 happen in a one-object category) enters as id_mor and acts by the identity
 matrix; that it acts so is functoriality, which every valid presheaf has.
+The basis morphisms that are identities are listed once per category.
+Each acts by the identity on convolutions, internal homs and realized
+sub-presheaves, which store that matrix with no product and no coordinate
+solve, and its naturality equations theta_a - theta_a = 0 vanish, so none
+is built.  This too rests on functoriality, which DayPresheaf.validate
+checks and the CLI enforces on load (exit 3).
 The quotient coordinates come from the canonical non-pivot projection, so
 convolutions are deterministic and do not depend on the spanning set.
 
@@ -99,6 +105,10 @@ class LinearMonoidalCategory:
         self._precompose = {}  # (a, b, i, X) -> precompose_matrix of basis i of hom(a, b)
         self._basis_mors = tuple((a, b, i) for a in range(m) for b in range(m)
                                  for i in range(self.hom_dim(a, b)))
+        # the basis morphisms that are identities, which every valid presheaf
+        # and every Day construction on valid presheaves act on by the identity
+        self._identity_mors = frozenset((a, a, i) for a in range(m) for i in range(self.hom_dim(a, a))
+                                        if self.basis_mor(a, a, i) == self.id_mor(a))
 
     # -- basic structure -------------------------------------------------
     @property
@@ -264,6 +274,13 @@ class LinearMonoidalCategory:
 
 def _basis_vector(fld, n, i):
     return [fld.one if j == i else fld.zero for j in range(n)]
+
+
+def _identity_action(fld, n):
+    """The action of an identity basis morphism on an n-dimensional value:
+    a plain Matrix of field.one and field.zero, as the general path writes
+    it (Matrix.identity is an integer-row matrix over Q)."""
+    return Matrix(fld, n, n, [_basis_vector(fld, n, i) for i in range(n)])
 
 
 # -- example categories ---------------------------------------------------
@@ -492,7 +509,9 @@ def _naturality_kernel(F, G):
     j numbered total - 1 - j, so each sparse RREF row leads at its largest
     j.  The kernel vectors, per j that leads no row 1 at j and minus the
     j-th entry of each row at that row's leading index, are then already
-    the kernel's canonical RREF basis."""
+    the kernel's canonical RREF basis.  An identity basis morphism gives no
+    equation: F and G act on it by the identity, so its equations read
+    theta_a - theta_a = 0."""
     cat = F.category
     fld = cat.field
     offsets = []
@@ -503,6 +522,8 @@ def _naturality_kernel(F, G):
     last = total - 1
     eqs = []
     for (a, b, i) in cat.all_basis_mors():
+        if (a, b, i) in cat._identity_mors:
+            continue
         Fcols = _nonzero_cols(fld, F.action(a, b, i))
         Grows = [[(k, y) for k, y in enumerate(row) if not fld.is_zero(y)]
                  for row in G.action(a, b, i).data]
@@ -548,7 +569,9 @@ def nat_space(F, G):
 
 
 class DayTensor:
-    """The convolution of two presheaves plus its structural bookkeeping."""
+    """The convolution of two presheaves plus its structural bookkeeping.
+    An identity basis morphism precomposes by the identity, so it acts by
+    the identity matrix, with no projection; every other one by `_action`."""
 
     def __init__(self, F, G):
         if F.category is not G.category:
@@ -599,7 +622,10 @@ class DayTensor:
             dims.append(len(free))
         actions = {}
         for (a, b, i) in cat.all_basis_mors():
-            actions[(a, b, i)] = self._action(a, b, i, dims)
+            if (a, b, i) in cat._identity_mors:
+                actions[(a, b, i)] = _identity_action(fld, dims[a])
+            else:
+                actions[(a, b, i)] = self._action(a, b, i, dims)
         self.presheaf = DayPresheaf(cat, dims, actions)
 
     @cached_property
@@ -647,9 +673,9 @@ class DayTensor:
         neg = partial(fld.sub, fld.zero)
         terms = []
         for (Xp, X, ai) in cat.all_basis_mors():
-            alpha = cat.basis_mor(Xp, X, ai)
-            if F.dims[X] == 0 or alpha == cat.id_mor(X):
+            if F.dims[X] == 0 or (Xp, X, ai) in cat._identity_mors:
                 continue
+            alpha = cat.basis_mor(Xp, X, ai)
             Fcols = _nonzero_cols(fld, F.action(Xp, X, ai))
             for Y in range(cat.size):
                 gd = G.dims[Y]
@@ -659,9 +685,9 @@ class DayTensor:
                     tm = cat.tensor_mor_pair(alpha, cat.id_mor(Y))
                     terms.append((X, Y, Xp, Y, ai, None, tm, minus))
         for (Yp, Y, bi) in cat.all_basis_mors():
-            beta = cat.basis_mor(Yp, Y, bi)
-            if G.dims[Y] == 0 or beta == cat.id_mor(Y):
+            if G.dims[Y] == 0 or (Yp, Y, bi) in cat._identity_mors:
                 continue
+            beta = cat.basis_mor(Yp, Y, bi)
             Gcols = _nonzero_cols(fld, G.action(Yp, Y, bi))
             gd_p = G.dims[Yp]
             for X in range(cat.size):
@@ -1079,7 +1105,10 @@ def associator_iso(tensor_FG, tensor_FG_H, tensor_GH, tensor_F_GH):
 
 class InternalHom:
     """[F, G](U) = natural families F(X) -> G(U (x) X), computed as the
-    kernel of the naturality constraints (the end as an equalizer)."""
+    kernel of the naturality constraints (the end as an equalizer).  An
+    identity basis morphism moves theta by G(id (x) id_X) = id, so it acts
+    by the identity matrix, with no product and no coordinate solve; every
+    other one by `_action`."""
 
     def __init__(self, F, G):
         if F.category is not G.category:
@@ -1094,10 +1123,14 @@ class InternalHom:
             offsets, basis = _naturality_kernel(F, _shifted(G, U))
             self.offsets.append(offsets)
             self.bases.append(basis)
+        dims = [basis.dim for basis in self.bases]
         actions = {}
         for (a, b, i) in cat.all_basis_mors():
-            actions[(a, b, i)] = self._action(a, b, i)
-        self.presheaf = DayPresheaf(cat, [basis.dim for basis in self.bases], actions)
+            if (a, b, i) in cat._identity_mors:
+                actions[(a, b, i)] = _identity_action(cat.field, dims[a])
+            else:
+                actions[(a, b, i)] = self._action(a, b, i)
+        self.presheaf = DayPresheaf(cat, dims, actions)
 
     def _action(self, a, b, i):
         """[F,G](b) -> [F,G](a) along f: a -> b: theta -> G(f (x) id) o theta.
@@ -1135,10 +1168,12 @@ class InternalHom:
 
 
 def _shifted(G, U):
-    """The presheaf G(U (x) -), acting by G(id_U (x) f)."""
+    """The presheaf G(U (x) -), acting by G(id_U (x) f); an identity f acts
+    by G(id_(U (x) X)), since id_U (x) id_X = id_(U (x) X)."""
     cat = G.category
     actions = {
-        (X, Y, i): G.action_of(cat.tensor_mor_pair(cat.id_mor(U), cat.basis_mor(X, Y, i)))
+        (X, Y, i): G.action_of(cat.id_mor(cat.tensor_obj[U][X]) if (X, Y, i) in cat._identity_mors
+                               else cat.tensor_mor_pair(cat.id_mor(U), cat.basis_mor(X, Y, i)))
         for (X, Y, i) in cat.all_basis_mors()
     }
     return DayPresheaf(cat, [G.dims[cat.tensor_obj[U][X]] for X in range(cat.size)], actions)

@@ -28,7 +28,8 @@ invariance check.
 """
 
 from .day import (DayCoalgebra, DayPresheaf, DayTensor, NatTransform, _d_level_entries,
-                  _free_entries, convolve_nat, identity_nat, quotient_nat, representable)
+                  _free_entries, _identity_action, convolve_nat, identity_nat, quotient_nat,
+                  representable)
 from .errors import ComputationError, MapsEqual, ShapeMismatch
 from .linalg import Matrix, Subspace
 
@@ -86,7 +87,7 @@ class SubPresheaf:
         while changed:
             changed = False
             for (a, b, i) in cat.all_basis_mors():
-                if cat.basis_mor(a, b, i) == cat.id_mor(a):
+                if (a, b, i) in cat._identity_mors:
                     continue
                 M = self.presheaf.action(a, b, i)
                 extra = [
@@ -124,12 +125,17 @@ class SubPresheaf:
         return self.presheaf is other.presheaf and self.spaces == other.spaces
 
     def as_presheaf(self):
-        """Realize as a DayPresheaf plus the inclusion transformation."""
+        """Realize as a DayPresheaf plus the inclusion transformation.  An
+        identity basis morphism acts on the presheaf, and so on each
+        subspace, by the identity, and on the realization too."""
         cat = self.presheaf.category
         fld = cat.field
         dims = self.dims()
         actions = {}
         for (a, b, i) in cat.all_basis_mors():
+            if (a, b, i) in cat._identity_mors:
+                actions[(a, b, i)] = _identity_action(fld, dims[a])
+                continue
             M = self.presheaf.action(a, b, i)
             cols = []
             for v in self.spaces[b].vectors():

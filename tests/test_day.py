@@ -924,3 +924,134 @@ def test_day_category_document_keeps_a_symmetry_between_distinct_objects(tmp_pat
     path = tmp_path / "swap.json"
     path.write_text(jsonio.canonical_json(doc), encoding="utf-8")
     assert cli.main(["--format", "json", "validate", str(path)]) == 0
+
+
+def _identity_run_inputs():
+    """The seeded pairs (with SKEW_DUALNUM), the nilpotent pairs, and the
+    graded dual numbers over F_2 and F_3 with seeds for their closures."""
+    cats = suites._day_categories() + GENERIC_CATS + [SKEW_DUALNUM]
+    pairs = list(_seeded_pairs(cats)) + list(_nilpotent_pairs())
+    closures = []
+    for GD in (graded_dual_numbers(), graded_dual_numbers(cyclic_group_category(F3, 2))):
+        d0, d1 = GD.presheaf.dims
+        for assignment in ({}, {0: [[1] * d0]}, {1: [[1] * d1]}):
+            closures.append((GD, SubPresheaf.from_vectors(GD.presheaf, assignment)))
+    return pairs, closures
+
+
+def _identity_run_outputs(pairs, closures):
+    """Typed reprs of what reads the category's identity basis morphisms:
+    the convolution and internal-hom actions, the naturality kernel against
+    every shift of G and those shifts' actions, the realization of a seeded
+    line of F closed under restrictions, and the closures of the graded
+    dual numbers with their realizations."""
+    from coalgkit.day import InternalHom, _naturality_kernel, _shifted
+    from coalgkit.dayclosure import generated_day_subcoalgebra, invariant_closure
+
+    def actions(P):
+        return [f"{key} {_typed(M)}" for key, M in P.actions.items()]
+
+    def realized(sub):
+        P, incl = sub.as_presheaf()
+        return actions(P) + [_typed(M) for M in incl.mats]
+
+    rng = random.Random(23)
+    out = []
+    for name, cat, F, G in pairs:
+        fld = cat.field
+        out.append(name)
+        out += actions(DayTensor(F, G).presheaf) + actions(InternalHom(F, G).presheaf)
+        for U in range(cat.size):
+            H = _shifted(G, U)
+            offsets, space = _naturality_kernel(F, H)
+            out += actions(H) + [f"{offsets} {_typed(space.basis)}"]
+        U = rng.randrange(cat.size)
+        line = [fld.random(rng) for _ in range(F.dims[U])]
+        out += realized(SubPresheaf.from_vectors(F, {U: [line]}).close())
+    for GD, M0 in closures:
+        sub, incl, spaces = generated_day_subcoalgebra(GD, M0)
+        inv = invariant_closure(GD, M0)
+        out += actions(sub.presheaf) + [_typed(M) for M in sub.delta.mats + incl.mats]
+        out += [_typed(s.basis) for s in spaces.spaces + inv.spaces]
+        out += realized(spaces) + realized(inv)
+    return out
+
+
+def test_identity_closed_forms_match_the_general_path(monkeypatch):
+    """An identity basis morphism acts by the identity on convolutions,
+    internal homs and realized sub-presheaves, gives no naturality equation,
+    and shifts by G(id): with every category's identity set emptied, the
+    general path computes the same matrices, entry types and matrix
+    classes included."""
+    pairs, closures = _identity_run_inputs()
+    cats = {id(cat): cat for _, cat, _, _ in pairs}
+    cats.update({id(GD.category): GD.category for GD, _ in closures})
+    assert sum(bool(cat._identity_mors) for cat in cats.values()) >= len(cats) - 1
+    assert SKEW_DUALNUM[1]._identity_mors == frozenset()
+    want = _identity_run_outputs(pairs, closures)
+    for cat in cats.values():
+        monkeypatch.setattr(cat, "_identity_mors", frozenset())
+    got = _identity_run_outputs(pairs, closures)
+    assert len(got) == len(want) > 1000
+    assert got == want
+
+
+def test_identity_basis_morphisms_build_no_action(monkeypatch):
+    """On a cyclic group category every basis morphism is an identity:
+    convolutions, internal homs and realizations run no action and no
+    coordinate solve, and the naturality kernels reduce no equation.  On a
+    chain poset exactly the non-identity basis morphisms run their actions;
+    on k[x]/(x^2) in the basis 1 + x, x, whose identity is no basis
+    morphism, every basis morphism does."""
+    from coalgkit import linalg
+    from coalgkit.day import InternalHom, _naturality_kernel, _shifted
+
+    calls = []
+
+    def recording(kind, method):
+        def wrapper(self, *args):
+            calls.append((kind, args[:3]))
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(DayTensor, "_action", recording("conv", DayTensor._action))
+    monkeypatch.setattr(InternalHom, "_action", recording("hom", InternalHom._action))
+    monkeypatch.setattr(Subspace, "coordinates", recording("coords", Subspace.coordinates))
+    equations = []
+    for kernel in {linalg.row_kernel(fld) for fld in (F2, F3)}:
+        def counted(fld, ambient, vectors, reduce=kernel.sparse_rref):
+            equations.append(len(vectors))
+            return reduce(fld, ambient, vectors)
+
+        monkeypatch.setattr(kernel, "sparse_rref", staticmethod(counted))
+    rng = random.Random(31)
+    cyclic = cyclic_group_category(F3, 3)
+    poset = poset_max_category(F2, 3)
+    skew = SKEW_DUALNUM[1]
+    assert cyclic._identity_mors == frozenset(cyclic.all_basis_mors())
+    assert poset._identity_mors == {(a, a, 0) for a in range(3)}
+    solves = 0
+    for cat in (cyclic, poset, skew):
+        moving = [key for key in cat.all_basis_mors() if key not in cat._identity_mors]
+        for _ in range(4):
+            F, G = (suites._random_day_presheaf(cat, rng, 3) for _ in range(2))
+            lines = {U: [[cat.field.random(rng) for _ in range(d)]] for U, d in enumerate(F.dims)}
+            sub = SubPresheaf.from_vectors(F, lines).close()
+            calls.clear()
+            DayTensor(F, G)
+            assert calls == [("conv", key) for key in moving]
+            calls.clear()
+            InternalHom(F, G)
+            assert [key for kind, key in calls if kind == "hom"] == moving
+            assert moving or calls == []
+            calls.clear()
+            sub.as_presheaf()
+            assert [kind for kind, _ in calls] == ["coords"] * sum(sub.spaces[b].dim for _, b, _ in moving)
+            solves += len(calls)
+            equations.clear()
+            for U in range(cat.size):
+                _naturality_kernel(F, _shifted(G, U))
+            assert moving or equations == [0] * cat.size
+        assert (not moving) == (cat is cyclic)
+        assert (moving == list(cat.all_basis_mors())) == (cat is skew)
+    assert solves > 0
